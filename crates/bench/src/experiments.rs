@@ -1417,7 +1417,7 @@ pub mod e14_event_core {
     /// Drives one queue through the machine-shaped microbenchmark:
     /// `distinct` burst instants of `per_tick` rank-colliding events
     /// each, a far-future "timer" rearm per burst (exercising the
-    /// calendar's overflow tier), interleaved with full drains of the
+    /// calendar's far ring), interleaved with full drains of the
     /// current instant. Returns `(ns per operation, checksum)` — the
     /// checksum is order-sensitive, so equal checksums mean equal pop
     /// sequences.
@@ -1684,7 +1684,7 @@ pub mod e14_event_core {
         }
         let _ = writeln!(
             out,
-            "\nthe calendar queue turns the heap's O(log n) same-instant churn into\nO(1) bucket appends (ring of per-tick buckets + sorted overflow tier for\nthe 1 ms timer horizon) — and the golden-trace suite pins both queues to\nbit-identical spike streams, so the speedup is free of behavioural risk."
+            "\nthe calendar queue turns the heap's O(log n) same-instant churn into\nO(1) bucket appends (256 ns buckets sorted one at a time + a coarser far\nring for the 1 ms timer horizon) — and the golden-trace suite pins both queues to\nbit-identical spike streams, so the speedup is free of behavioural risk."
         );
         out
     }

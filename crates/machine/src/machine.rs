@@ -166,34 +166,17 @@ fn event_chip(ev: &MachineEvent) -> Option<u32> {
 /// function of event content, as in the queues themselves) with the
 /// per-shard replicas of broadcast events collapsed back to one copy.
 fn canonical_pending(per_shard: Vec<Vec<(SimTime, u128, MachineEvent)>>) -> Vec<PendingEvent> {
-    use std::collections::HashSet;
     let mut flat: Vec<(u64, u128, MachineEvent)> = Vec::new();
     for shard in per_shard {
         flat.extend(shard.into_iter().map(|(t, r, e)| (t.ticks(), r, e)));
     }
     flat.sort_by_key(|&(t, r, _)| (t, r));
-    let mut seen_timers: HashSet<u64> = HashSet::new();
-    let mut seen_faults: HashSet<(u64, u32, u8)> = HashSet::new();
-    let mut seen_repairs: HashSet<(u64, u32, u8)> = HashSet::new();
-    let mut out = Vec::with_capacity(flat.len());
-    for (at_ns, _rank, event) in flat {
-        match event {
-            MachineEvent::Timer if !seen_timers.insert(at_ns) => continue,
-            MachineEvent::FailLink { chip, dir }
-                if !seen_faults.insert((at_ns, chip, dir.index() as u8)) =>
-            {
-                continue
-            }
-            MachineEvent::RepairLink { chip, dir }
-                if !seen_repairs.insert((at_ns, chip, dir.index() as u8)) =>
-            {
-                continue
-            }
-            _ => {}
-        }
-        out.push(PendingEvent { at_ns, event });
-    }
-    out
+    // A broadcast event's rank names it (tag, chip, direction), so the
+    // replicas of one event sort next to each other.
+    flat.dedup_by(|b, a| (a.0, a.1) == (b.0, b.1) && event_chip(&a.2).is_none());
+    flat.into_iter()
+        .map(|(at_ns, _, event)| PendingEvent { at_ns, event })
+        .collect()
 }
 
 #[derive(Clone, Debug)]
@@ -1737,7 +1720,10 @@ impl NeuralMachine {
         }
     }
 
-    fn drain_deliveries(&mut self, now: u64, ctx: &mut Context<MachineEvent>) {
+    /// Hands what the fabric has just delivered or dropped to the cores
+    /// and the monitor. Only `Fabric::handle` and `Fabric::inject`
+    /// produce either, so only the handlers that call them call this.
+    fn drain_deliveries(&mut self, ctx: &mut Context<MachineEvent>) {
         // §5.3: the monitor is informed of dropped packets and "can
         // recover the packet and re-issue it if appropriate". The 2-bit
         // timestamp field bounds the retries. Drains swap reusable
@@ -1763,7 +1749,6 @@ impl NeuralMachine {
             }
         }
         self.dropped_scratch = dropped_buf;
-        let _ = now;
         let now = ctx.now().ticks();
         let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         self.fabric.swap_deliveries(&mut deliveries);
@@ -1894,6 +1879,7 @@ impl Model for NeuralMachine {
                 self.fabric
                     .handle(now, ev, &mut CtxScheduler::new(ctx, MachineEvent::Noc));
                 self.obs.phases().record(Phase::RouterLookup, tok);
+                self.drain_deliveries(ctx);
             }
             MachineEvent::Timer => self.on_timer(ctx),
             MachineEvent::FailLink { chip, dir } => {
@@ -1929,6 +1915,7 @@ impl Model for NeuralMachine {
                     Packet::multicast(key),
                     &mut CtxScheduler::new(ctx, MachineEvent::Noc),
                 );
+                self.drain_deliveries(ctx);
             }
             MachineEvent::ReissueSpike {
                 chip,
@@ -1945,9 +1932,9 @@ impl Model for NeuralMachine {
                     packet,
                     &mut CtxScheduler::new(ctx, MachineEvent::Noc),
                 );
+                self.drain_deliveries(ctx);
             }
         }
-        self.drain_deliveries(now, ctx);
     }
 }
 

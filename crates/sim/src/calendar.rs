@@ -1,104 +1,88 @@
-//! The time-bucketed calendar queue.
+//! The calendar queue: a two-rung ladder of coarse time buckets.
 //!
-//! Discrete-event practice on massively parallel machines exploits the
-//! *bucketed* structure of the update schedule: in the machine
-//! simulation, millions of same-millisecond timer and packet events
-//! share a handful of distinct timestamps, so a comparison-based heap
-//! pays `O(log n)` per event to rediscover an order that is almost
-//! always "same tick as the last one". The calendar queue stores that
-//! structure directly:
+//! The machine's handlers schedule a short way ahead — 10-500 ns for
+//! router hops and handler completions, microseconds for DMA, 1 ms for
+//! the timer (Fig. 7) — so where a heap pays `O(log n)` scattered
+//! memory touches per event, the calendar keeps the work by the clock:
 //!
-//! * a **ring of per-tick buckets** covers the near future
-//!   `[window_start, window_start + SLOTS)`; pushing into the window is
-//!   an `O(1)` append, and a compact occupancy bitmap makes "find the
-//!   next non-empty tick" a couple of word scans;
-//! * a **sorted overflow tier** (`BTreeMap<tick, bucket>`) holds events
-//!   beyond the window (e.g. the next 1 ms timer interrupt); same-tick
-//!   overflow events share one map node, so the `log` cost is paid per
-//!   *distinct timestamp*, not per event. When the ring drains, the
-//!   window jumps forward and due overflow buckets migrate in wholesale.
+//! * **Near buckets.** Time is cut into buckets of `2^WIDTH_SHIFT`
+//!   ticks; `BUCKETS` of them form an aligned *block*. The buckets of
+//!   the clock's block are plain vectors: a push appends, unsorted, and
+//!   sets the bucket's bit in one occupancy word.
+//! * **The loaded bucket.** A pop that finds nothing loaded takes the
+//!   earliest occupied bucket, sorts it once by descending
+//!   `(time, rank, seq)` and from then on pops its back.
+//! * **The side-run.** An event pushed into the loaded bucket while it
+//!   drains joins a small ascending run beside it; a pop takes the
+//!   smaller head. In-order pushes append; others wait in an unsorted
+//!   tail that the next pop places one by one when short, sorts and
+//!   merges when long, so neither one push per pop nor a burst of
+//!   thousands is quadratic.
+//! * **The far ring.** Events of later blocks go, unsorted, to slot
+//!   `block % BLOCKS`; when the clock enters a block its slot is dealt
+//!   into the near buckets. Events of later laps stay behind, and a
+//!   per-slot minimum finds the next event when the block is empty.
 //!
-//! Within a tick, events pop in ascending `(rank, insertion sequence)`
-//! order — the exact contract of [`EventQueue`](crate::EventQueue) (see
-//! [`crate::queue`]). A bucket is sorted lazily on first pop of its
-//! tick; a push into a tick that is already being drained inserts at
-//! its ordered position.
+//! Every write is to the end of a vector, and a fresh queue (each run
+//! segment builds one) is two tables of empty vectors. The next bucket
+//! is found when the loaded one drains (`peek_time` is a field read)
+//! but loaded only by the pop that needs it: the handler running in
+//! between pushes just ahead, and not behind a bucket loaded too soon.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 use crate::queue::Queue;
 use crate::time::SimTime;
 
-/// Number of per-tick buckets in the ring (must be a power of two).
-///
-/// 2^15 ticks = 32.8 µs at the machine's 1 ns resolution: wide enough
-/// that packet hops, handler completions, DMA transfers *and* the
-/// 20 µs dropped-packet reissue delay land in the ring, while
-/// millisecond-scale timer events take the overflow tier. (At 2^14 the
-/// reissue storm of a congested run — more reissues than first-try
-/// packets — churned through the overflow `BTreeMap`, and the map's
-/// node traffic dominated `queue_pop`.)
-const SLOTS: usize = 1 << 15;
-const WORDS: usize = SLOTS / 64;
+// Chosen by replaying the push/pop streams recorded from `cortex_stim` /
+// `synfire_fabric` / `idle_mesh` (12 M operations each, 40-byte payloads,
+// 2-core 2.1 GHz Xeon, best of 3; the heap reads 60 / 50 / 57 ns/op).
+/// log2 of the near-bucket width in ticks (256 ns on the machine).
+/// Shifts 6 to 10 read 33 27 28 32 32 / 28 28 31 40 42 / 28 23 20 21 20:
+/// narrow buckets sort less and keep the side-run short, wide ones
+/// load less often.
+const WIDTH_SHIFT: u32 = 8;
+/// Near buckets per block (32.8 µs), one bit each in `occupied`; 32 and
+/// 64 read within 2 ns of 128.
+const BUCKETS: u64 = 128;
+/// Far slots: a lap is 2.1 ms, so the 1 ms timer meets no earlier lap.
+/// The next far event is found by scanning the slot minima: 128 / 256
+/// slots took 100 events 1 ms apart from 38 to 59 / 101 ns/op.
+const BLOCKS: u64 = 64;
+/// Most spare entries a drained bucket keeps. Unbounded, `idle_mesh`
+/// (16 k events in a different bucket every tick) read 19 ns/op and
+/// 253 MB peak RSS; 256 / 4096 read 13 / 15 and 223 MB, but at 256 a
+/// cold E14 `bursty_500ns` regrows every burst: 36 ns/op against 29.
+const SPARE: usize = 4096;
+/// Longest side-run tail placed entry by entry rather than sorted and
+/// merged; 2, 8 and 32 read the same.
+const SMALL_TAIL: usize = 8;
 
 #[derive(Debug)]
 struct Entry<E> {
+    time: u64,
     rank: u128,
     seq: u64,
     event: E,
 }
 
-/// One per-tick bucket. `sorted` means `entries` is in *descending*
-/// `(rank, seq)` order so that popping the minimum is a pop from the
-/// back.
-#[derive(Debug)]
-struct Bucket<E> {
-    entries: Vec<Entry<E>>,
-    sorted: bool,
-}
+impl<E> Entry<E> {
+    /// The pop order. `seq` is unique, so keys never compare equal.
+    fn key(&self) -> (u64, u128, u64) {
+        (self.time, self.rank, self.seq)
+    }
 
-impl<E> Default for Bucket<E> {
-    fn default() -> Self {
-        Bucket {
-            entries: Vec::new(),
-            sorted: false,
-        }
+    /// The near bucket this entry's time falls in.
+    fn bucket(&self) -> u64 {
+        self.time >> WIDTH_SHIFT
     }
 }
 
-impl<E> Bucket<E> {
-    /// Appends `entry`, keeping the bucket's order invariant.
-    fn push(&mut self, entry: Entry<E>) {
-        if self.sorted && !self.entries.is_empty() {
-            // The bucket's tick is being drained: insert at the ordered
-            // position (descending (rank, seq); seq is unique, so the
-            // search key never collides).
-            let key = (entry.rank, entry.seq);
-            let pos = self.entries.partition_point(|e| (e.rank, e.seq) > key);
-            self.entries.insert(pos, entry);
-        } else {
-            self.sorted = false;
-            self.entries.push(entry);
-        }
-    }
-
-    /// Removes and returns the minimum-`(rank, seq)` entry.
-    fn pop_min(&mut self) -> Entry<E> {
-        if !self.sorted {
-            self.entries
-                .sort_unstable_by_key(|e| std::cmp::Reverse((e.rank, e.seq)));
-            self.sorted = true;
-        }
-        self.entries.pop().expect("pop_min on empty bucket")
-    }
-}
-
-/// A time-bucketed calendar queue: drop-in replacement for
-/// [`EventQueue`](crate::EventQueue) with `O(1)` amortized operations
-/// on bucketed workloads — a ring of per-tick buckets (occupancy
-/// bitmap for next-tick scans) plus a sorted overflow tier for times
-/// beyond the ring window. See [`crate::queue`] for the ordering
-/// contract both queue implementations honour.
+/// A calendar queue: drop-in replacement for
+/// [`EventQueue`](crate::EventQueue) whose push appends to a coarse time
+/// bucket and whose pop reads the back of one sorted vector (layout:
+/// the head of `calendar.rs`; ordering contract: [`crate::queue`]).
 ///
 /// # Example
 ///
@@ -116,26 +100,28 @@ impl<E> Bucket<E> {
 /// ```
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
-    /// The ring: bucket `i` holds the events of the unique tick `t` in
-    /// the current window with `t % SLOTS == i`.
-    slots: Vec<Bucket<E>>,
-    /// Occupancy bitmap over `slots` (bit set ⇔ bucket non-empty).
-    words: [u64; WORDS],
-    /// Inclusive lower bound of the ring's coverage. Only advances when
-    /// the ring is completely empty, so every bucket belongs to exactly
-    /// one tick of the current window.
-    window_start: u64,
-    /// Events currently in the ring.
-    ring_entries: usize,
-    /// Events at ticks `>= window_start + SLOTS`, keyed by tick.
-    /// Bucket vectors are in insertion order (ascending `seq`).
-    overflow: BTreeMap<u64, Vec<Entry<E>>>,
-    overflow_entries: usize,
-    /// Cached earliest pending tick (`None` ⇔ empty).
-    next_tick: Option<u64>,
+    /// The loaded bucket, by *descending* key: the minimum is the back.
+    cur: Vec<Entry<E>>,
+    /// The side-run, ascending by key except for its last `unsorted`
+    /// entries, which the next pop places.
+    side: VecDeque<Entry<E>>,
+    unsorted: usize,
+    /// `near[b % BUCKETS]`: the events of bucket `b` of the loaded
+    /// bucket's block, in push order.
+    near: Vec<Vec<Entry<E>>>,
+    /// Bit `i` set ⇔ `near[i]` is non-empty.
+    occupied: u128,
+    /// `far[k % BLOCKS]`: the events of every later block `k`, of any
+    /// lap, in no order.
+    far: Vec<Vec<Entry<E>>>,
+    /// Earliest time in each far slot (`u64::MAX` when empty).
+    far_min: Vec<u64>,
+    /// Cached earliest pending time (`None` ⇔ empty).
+    next: Option<u64>,
+    len: usize,
     /// Monotonic insertion counter (FIFO tie-break within equal ranks).
     seq: u64,
-    /// Time of the most recent pop (monotonic-push floor).
+    /// Time of the last pop: the push floor, in the loaded bucket.
     floor: u64,
     /// Occupancy high-water mark (see [`Queue::peak_len`]).
     peak: usize,
@@ -145,26 +131,23 @@ impl<E> CalendarQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         CalendarQueue {
-            slots: (0..SLOTS).map(|_| Bucket::default()).collect(),
-            words: [0u64; WORDS],
-            window_start: 0,
-            ring_entries: 0,
-            overflow: BTreeMap::new(),
-            overflow_entries: 0,
-            next_tick: None,
+            cur: Vec::new(),
+            side: VecDeque::new(),
+            unsorted: 0,
+            near: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            far: (0..BLOCKS).map(|_| Vec::new()).collect(),
+            far_min: vec![u64::MAX; BLOCKS as usize],
+            next: None,
+            len: 0,
             seq: 0,
             floor: 0,
             peak: 0,
         }
     }
 
-    /// Schedules `event` at `time` (rank 0). See
-    /// [`Queue::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last popped time (the
-    /// monotonic-push constraint of [`crate::queue`]).
+    /// Schedules `event` at `time` with rank 0 (see [`Queue::push`]);
+    /// panics like [`CalendarQueue::push_ranked`].
     pub fn push(&mut self, time: SimTime, event: E) {
         self.push_ranked(time, 0, event);
     }
@@ -174,7 +157,8 @@ impl<E> CalendarQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is earlier than the last popped time.
+    /// Panics if `time` is earlier than the last popped time (the
+    /// monotonic-push constraint of [`crate::queue`]).
     pub fn push_ranked(&mut self, time: SimTime, rank: u128, event: E) {
         let t = time.ticks();
         assert!(
@@ -183,89 +167,146 @@ impl<E> CalendarQueue<E> {
             t,
             self.floor
         );
-        let seq = self.seq;
+        let entry = Entry {
+            time: t,
+            rank,
+            seq: self.seq,
+            event,
+        };
         self.seq += 1;
-        let entry = Entry { rank, seq, event };
-        if t < self.window_start + SLOTS as u64 {
-            let i = (t % SLOTS as u64) as usize;
-            self.slots[i].push(entry);
-            self.words[i / 64] |= 1 << (i % 64);
-            self.ring_entries += 1;
+        let (bucket, loaded) = (entry.bucket(), self.floor >> WIDTH_SHIFT);
+        let draining = !(self.cur.is_empty() && self.side.is_empty());
+        if bucket == loaded && draining {
+            let in_order =
+                self.unsorted == 0 && self.side.back().is_none_or(|b| b.key() < entry.key());
+            self.side.push_back(entry);
+            self.unsorted += usize::from(!in_order);
+        } else if bucket / BUCKETS == loaded / BUCKETS {
+            let slot = (bucket % BUCKETS) as usize;
+            self.near[slot].push(entry);
+            self.occupied |= 1 << slot;
         } else {
-            self.overflow.entry(t).or_default().push(entry);
-            self.overflow_entries += 1;
+            let slot = (bucket / BUCKETS % BLOCKS) as usize;
+            self.far_min[slot] = self.far_min[slot].min(t);
+            self.far[slot].push(entry);
         }
-        self.peak = self.peak.max(self.ring_entries + self.overflow_entries);
-        self.next_tick = Some(self.next_tick.map_or(t, |n| n.min(t)));
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+        self.next = Some(self.next.map_or(t, |n| n.min(t)));
     }
 
     /// Removes and returns the earliest event (ties by `(rank, seq)`).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(t, e)| (t, e.event))
+        self.pop_entry().map(|e| (SimTime::new(e.time), e.event))
     }
 
-    /// Drains the queue in canonical pop order as `(time, rank, event)`
-    /// triples (see [`Queue::drain_ranked`]), leaving the queue in its
-    /// freshly-constructed state.
+    /// Drains the queue in pop order as `(time, rank, event)` triples
+    /// (see [`Queue::drain_ranked`]), leaving it as freshly constructed.
     pub fn drain_ranked(&mut self) -> Vec<(SimTime, u128, E)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some((t, e)) = self.pop_entry() {
-            out.push((t, e.rank, e.event));
+        let mut out = Vec::with_capacity(self.len);
+        while let Some(e) = self.pop_entry() {
+            out.push((SimTime::new(e.time), e.rank, e.event));
         }
         self.clear();
         out
     }
 
-    fn pop_entry(&mut self) -> Option<(SimTime, Entry<E>)> {
-        let t = self.next_tick?;
-        self.floor = t;
-        if t >= self.window_start + SLOTS as u64 {
-            // The ring is empty (the window only lags while it still
-            // holds earlier events): jump it to `t` and migrate every
-            // overflow bucket now inside the new window.
-            debug_assert_eq!(self.ring_entries, 0);
-            self.window_start = t;
-            let horizon = t + SLOTS as u64;
-            while let Some((&tick, _)) = self.overflow.first_key_value() {
-                if tick >= horizon {
-                    break;
-                }
-                let (tick, entries) = self.overflow.pop_first().expect("checked");
-                let i = (tick % SLOTS as u64) as usize;
-                self.overflow_entries -= entries.len();
-                self.ring_entries += entries.len();
-                self.words[i / 64] |= 1 << (i % 64);
-                debug_assert!(self.slots[i].entries.is_empty());
-                self.slots[i] = Bucket {
-                    entries,
-                    sorted: false,
-                };
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
+        let next = self.next?;
+        if self.cur.is_empty() && self.side.is_empty() {
+            self.load(next >> WIDTH_SHIFT);
+        }
+        if self.unsorted > 0 {
+            self.settle_side();
+        }
+        let from_side = match (self.side.front(), self.cur.last()) {
+            (Some(s), Some(c)) => s.key() < c.key(),
+            (s, _) => s.is_some(),
+        };
+        let entry = if from_side {
+            self.side.pop_front()
+        } else {
+            self.cur.pop()
+        }
+        .expect("a non-empty queue loads a non-empty bucket");
+        self.len -= 1;
+        self.floor = entry.time;
+        self.next = match (self.side.front(), self.cur.last()) {
+            (Some(s), Some(c)) => Some(s.time.min(c.time)),
+            (Some(e), None) | (None, Some(e)) => Some(e.time),
+            (None, None) => self.earliest_waiting(),
+        };
+        Some(entry)
+    }
+
+    /// Earliest time outside the (empty) loaded bucket and side-run.
+    fn earliest_waiting(&self) -> Option<u64> {
+        if self.len == 0 {
+            None
+        } else if self.occupied != 0 {
+            let slot = self.occupied.trailing_zeros() as usize;
+            self.near[slot].iter().map(|e| e.time).min()
+        } else {
+            self.far_min.iter().copied().min()
+        }
+    }
+
+    /// Loads bucket `target`, which holds the earliest pending event;
+    /// the loaded bucket and the side-run are empty.
+    fn load(&mut self, target: u64) {
+        let block = target / BUCKETS;
+        if block != (self.floor >> WIDTH_SHIFT) / BUCKETS {
+            // An occupied near bucket is earlier than every far event,
+            // so the block being left is empty: deal the new block's
+            // events from its far slot into the near buckets. Events of
+            // later laps stay behind.
+            debug_assert_eq!(self.occupied, 0);
+            let slot = (block % BLOCKS) as usize;
+            let far = &mut self.far[slot];
+            for entry in far.extract_if(.., |e| e.bucket() / BUCKETS == block) {
+                let near = (entry.bucket() % BUCKETS) as usize;
+                self.near[near].push(entry);
+                self.occupied |= 1 << near;
             }
+            self.far_min[slot] = far.iter().map(|e| e.time).min().unwrap_or(u64::MAX);
         }
-        let i = (t % SLOTS as u64) as usize;
-        let entry = self.slots[i].pop_min();
-        self.ring_entries -= 1;
-        if self.slots[i].entries.is_empty() {
-            self.slots[i].sorted = false;
-            self.words[i / 64] &= !(1 << (i % 64));
-            self.next_tick = self.earliest_pending(t + 1);
+        let slot = (target % BUCKETS) as usize;
+        // The drained vector goes back as the bucket's spare capacity.
+        self.cur.shrink_to(SPARE);
+        std::mem::swap(&mut self.cur, &mut self.near[slot]);
+        self.occupied &= !(1 << slot);
+        self.cur.sort_unstable_by_key(|e| Reverse(e.key()));
+    }
+
+    /// Places the side-run's unsorted tail.
+    fn settle_side(&mut self) {
+        let run = self.side.make_contiguous();
+        if self.unsorted <= SMALL_TAIL {
+            for i in run.len() - self.unsorted..run.len() {
+                let at = run[..i].partition_point(|e| e.key() < run[i].key());
+                run[at..=i].rotate_right(1);
+            }
+        } else {
+            // The stable sort keeps the ordered prefix as one run and
+            // merges the sorted tail into it.
+            run.sort_by_key(Entry::key);
         }
-        Some((SimTime::new(t), entry))
+        self.unsorted = 0;
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next_tick.map(SimTime::new)
+        self.next.map(SimTime::new)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring_entries + self.overflow_entries
+        self.len
     }
 
     /// Whether the queue holds no pending events.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Occupancy high-water mark (see [`Queue::peak_len`]).
@@ -274,50 +315,9 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Removes every pending event and resets the insertion-sequence
-    /// counter (same replay-after-reuse semantics as
-    /// [`EventQueue::clear`](crate::EventQueue::clear)).
+    /// counter, as [`EventQueue::clear`](crate::EventQueue::clear) does.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.entries.clear();
-            slot.sorted = false;
-        }
-        self.words = [0u64; WORDS];
-        self.window_start = 0;
-        self.ring_entries = 0;
-        self.overflow.clear();
-        self.overflow_entries = 0;
-        self.next_tick = None;
-        self.seq = 0;
-        self.floor = 0;
-        self.peak = 0;
-    }
-
-    /// Earliest occupied tick at or after `from`, across ring and
-    /// overflow. `from` must be within or past the current window.
-    fn earliest_pending(&self, from: u64) -> Option<u64> {
-        if self.ring_entries > 0 {
-            // Scan the bitmap from `from` to the window's end. The scan
-            // pointer only moves forward within a window era, so the
-            // whole era costs O(WORDS) + O(1) per pop.
-            let end = self.window_start + SLOTS as u64;
-            let mut t = from.max(self.window_start);
-            while t < end {
-                let i = (t % SLOTS as u64) as usize;
-                let word = self.words[i / 64] >> (i % 64);
-                if word != 0 {
-                    let hit = t + word.trailing_zeros() as u64;
-                    // The word may extend past the window end on wrap;
-                    // a hit past `end` cannot happen because those bits
-                    // belong to ticks < `from` already drained.
-                    debug_assert!(hit < end);
-                    return Some(hit);
-                }
-                // Jump to the next word boundary.
-                t += 64 - (i % 64) as u64;
-            }
-            unreachable!("ring_entries > 0 but no occupied bucket");
-        }
-        self.overflow.first_key_value().map(|(&t, _)| t)
+        *self = Self::new();
     }
 }
 
@@ -356,6 +356,11 @@ mod tests {
     use super::*;
     use crate::event::EventQueue;
 
+    /// Ticks one block of near buckets spans.
+    const BLOCK_TICKS: u64 = BUCKETS << WIDTH_SHIFT;
+    /// Ticks one lap of the far ring spans.
+    const LAP_TICKS: u64 = BLOCK_TICKS * BLOCKS;
+
     #[test]
     fn orders_by_time() {
         let mut q = CalendarQueue::new();
@@ -390,8 +395,8 @@ mod tests {
     #[test]
     fn overflow_tier_round_trips() {
         let mut q = CalendarQueue::new();
-        // Far beyond the ring window: must take the overflow tier.
-        let far = SLOTS as u64 * 10;
+        // Blocks away from the loaded bucket: must take the far tier.
+        let far = BLOCK_TICKS * 10;
         q.push(SimTime::new(far), "far");
         q.push(SimTime::new(far + 1), "farther");
         q.push(SimTime::new(3), "near");
@@ -406,7 +411,7 @@ mod tests {
     #[test]
     fn window_jump_preserves_fifo_within_overflow_tick() {
         let mut q = CalendarQueue::new();
-        let far = SLOTS as u64 * 3 + 17;
+        let far = BLOCK_TICKS * 3 + 17;
         for i in 0..50 {
             q.push(SimTime::new(far), i);
         }
@@ -443,7 +448,7 @@ mod tests {
     fn clear_resets_seq_and_state() {
         let mut q = CalendarQueue::new();
         q.push(SimTime::new(100), 1);
-        q.push(SimTime::new(SLOTS as u64 * 2), 2);
+        q.push(SimTime::new(BLOCK_TICKS * 2), 2);
         q.pop();
         q.clear();
         assert!(q.is_empty());
@@ -474,7 +479,7 @@ mod tests {
             q(SimTime::new(5), 7, 1);
             q(SimTime::new(5), 1, 2);
             q(SimTime::new(5), 1, 3);
-            q(SimTime::new(SLOTS as u64 * 4 + 3), 0, 4); // overflow tier
+            q(SimTime::new(BLOCK_TICKS * 4 + 3), 0, 4); // far tier
         };
         let mut cal = CalendarQueue::new();
         fill(&mut |t, r, e| cal.push_ranked(t, r, e));
@@ -489,7 +494,7 @@ mod tests {
                 (5, 1, 3),
                 (5, 7, 1),
                 (9, 2, 0),
-                (SLOTS as u64 * 4 + 3, 0, 4)
+                (BLOCK_TICKS * 4 + 3, 0, 4)
             ]
         );
         // Restore into a heap queue and a fresh calendar; push one new
@@ -507,42 +512,204 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The calendar and the heap fed the same operations; every pop
+    /// compares time, payload, `peek_time` and `len`.
+    struct Lockstep {
+        cal: CalendarQueue<u64>,
+        heap: EventQueue<u64>,
+        pushed: u64,
+        now: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                cal: CalendarQueue::new(),
+                heap: EventQueue::new(),
+                pushed: 0,
+                now: 0,
+            }
+        }
+
+        /// Pushes at `delay` ticks after the last popped time.
+        fn push(&mut self, delay: u64, rank: u64) {
+            let t = SimTime::new(self.now + delay);
+            self.cal.push_ranked(t, rank as u128, self.pushed);
+            self.heap.push_ranked(t, rank as u128, self.pushed);
+            self.pushed += 1;
+        }
+
+        fn pop(&mut self) -> bool {
+            assert_eq!(self.cal.peek_time(), self.heap.peek_time());
+            let (a, b) = (self.cal.pop(), self.heap.pop());
+            assert_eq!(a, b);
+            assert_eq!(self.cal.len(), self.heap.len());
+            self.now = a.map_or(self.now, |(t, _)| t.ticks());
+            a.is_some()
+        }
+
+        fn drain(&mut self) {
+            while self.pop() {}
+            assert_eq!(self.cal.peak_len(), self.heap.peak_len());
+        }
+    }
+
     /// Randomized equivalence against the heap queue (the fuller
     /// version lives in `tests/props_queue.rs`).
     #[test]
     fn matches_heap_queue_on_random_workload() {
         let mut rng = crate::Xoshiro256::seed_from_u64(0xCA1E);
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
-        let mut now = 0u64;
-        for step in 0..20_000u64 {
-            if rng.next_f64() < 0.6 || (heap.is_empty()) {
-                // Mix of same-tick, near and far-future (overflow) times.
+        let mut p = Lockstep::new();
+        for _ in 0..20_000 {
+            if rng.next_f64() < 0.6 || p.heap.is_empty() {
+                // Mix of same-tick, near, far and beyond-one-lap times.
                 let delta = match rng.gen_range_u64(10) {
                     0..=4 => 0,
                     5..=7 => rng.gen_range_u64(2_000),
-                    _ => rng.gen_range_u64(3 * SLOTS as u64),
+                    8 => rng.gen_range_u64(3 * BLOCK_TICKS),
+                    _ => rng.gen_range_u64(2 * LAP_TICKS),
                 };
-                let rank = rng.gen_range_u64(4) as u128;
-                let t = SimTime::new(now + delta);
-                heap.push_ranked(t, rank, step);
-                cal.push_ranked(t, rank, step);
+                p.push(delta, rng.gen_range_u64(4));
             } else {
-                let a = heap.pop();
-                let b = cal.pop();
-                assert_eq!(a, b, "divergence at step {step}");
-                if let Some((t, _)) = a {
-                    now = t.ticks();
-                }
+                p.pop();
             }
         }
-        loop {
-            let a = heap.pop();
-            let b = cal.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        p.drain();
+    }
+
+    #[test]
+    fn dense_burst_on_a_drained_instant_skips_the_side_run() {
+        // E14's `dense_same_tick`: an instant drains, only the timer a
+        // millisecond away is left, and the next burst lands on the
+        // same instant again. Had the pop that emptied the bucket
+        // loaded the timer's bucket, all 3000 pushes would lie behind
+        // the loaded bucket and be placed one by one in the side-run.
+        let mut p = Lockstep::new();
+        for _ in 0..3 {
+            for k in 0..3000 {
+                p.push(0, k % 7);
+            }
+            p.push(1_000_000, 0);
+            assert!(p.cal.side.is_empty(), "burst went through the side-run");
+            assert!(
+                p.cal.far.iter().any(|f| !f.is_empty()),
+                "the timer was loaded early"
+            );
+            while p.cal.peek_time() == Some(SimTime::new(0)) {
+                p.pop();
             }
         }
+        p.drain();
+    }
+
+    #[test]
+    fn dense_pushes_while_the_side_run_is_non_empty() {
+        let mut p = Lockstep::new();
+        for k in 0..100 {
+            p.push(10 + k % 3, k % 7);
+        }
+        p.pop(); // the bucket is loaded and draining
+        p.push(0, 9);
+        p.push(1, 3);
+        p.push(0, 0);
+        assert_eq!(p.cal.unsorted, 1, "two in order, one to place");
+        p.pop();
+        assert_eq!(p.cal.unsorted, 0);
+        assert!(!p.cal.side.is_empty());
+        // A burst behind a non-empty side-run: sorted and merged.
+        for k in 0..5000 {
+            p.push(k % 5, k % 11);
+        }
+        assert!(p.cal.unsorted > SMALL_TAIL);
+        p.pop();
+        assert_eq!(p.cal.unsorted, 0);
+        // One push per pop: each is placed on its own.
+        for k in 0..200 {
+            p.push(k % 3, k % 2);
+            p.pop();
+        }
+        p.drain();
+    }
+
+    #[test]
+    fn far_bucket_becomes_the_loaded_bucket() {
+        let mut p = Lockstep::new();
+        let far = 7 * LAP_TICKS + 3 * BLOCK_TICKS + 5;
+        for k in 0..50 {
+            p.push(far + k % 4, k % 3);
+        }
+        p.push(far + LAP_TICKS, 0); // same far slot, a lap later
+        p.push(2, 0);
+        p.pop();
+        assert_eq!(p.cal.peek_time(), Some(SimTime::new(far)));
+        p.pop();
+        assert_eq!(p.cal.cur.len(), 49, "the rest of the far bucket is loaded");
+        assert_eq!(p.cal.far.iter().map(Vec::len).sum::<usize>(), 1);
+        // Pushes into the bucket that has just come out of the far tier,
+        // beside it, and before the event left behind.
+        p.push(0, 1);
+        p.push(1, 0);
+        p.push(300, 0);
+        p.push(LAP_TICKS - 1, 0);
+        p.drain();
+    }
+
+    #[test]
+    fn same_slot_one_block_and_one_lap_apart() {
+        let mut p = Lockstep::new();
+        for base in [
+            0,
+            BLOCK_TICKS,
+            2 * BLOCK_TICKS,
+            LAP_TICKS,
+            LAP_TICKS + BLOCK_TICKS,
+        ] {
+            for k in 0..5 {
+                p.push(40 + base, k % 2);
+            }
+        }
+        // The last tick of a block and a lap, and the first of the next.
+        for edge in [BLOCK_TICKS, LAP_TICKS] {
+            p.push(edge - 1, 0);
+            p.push(edge, 0);
+        }
+        p.drain();
+        // Steady state: every pop re-arms exactly one block, then
+        // exactly one lap, later.
+        for step in [BLOCK_TICKS, LAP_TICKS] {
+            for k in 0..300 {
+                p.push(k * 97 % step, k % 3);
+            }
+            for _ in 0..2000 {
+                p.pop();
+                p.push(step, 1);
+            }
+            p.drain();
+        }
+    }
+
+    #[test]
+    fn ten_thousand_same_instant_mixed_ranks() {
+        let mut p = Lockstep::new();
+        p.push(100, 0);
+        p.push(100, 5);
+        p.pop(); // the bucket of t=100 is loaded, one event left in it
+        for k in 0..10_000 {
+            p.push(0, k * 7919 % 13); // into the loaded bucket
+        }
+        for k in 0..10_000 {
+            p.push(5_000, k * 7919 % 13); // into a bucket yet to load
+        }
+        for k in 0..10_000 {
+            p.push(3_000_000, k * 7919 % 13); // into the far tier
+        }
+        assert_eq!(p.cal.peak_len(), 30_001);
+        for k in 0..15_000 {
+            p.pop();
+            if k % 3 == 0 {
+                p.push(0, k % 13);
+            }
+        }
+        p.drain();
     }
 }

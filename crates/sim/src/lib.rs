@@ -16,10 +16,10 @@
 //!   hash-map iteration order or thread scheduling can perturb a run.
 //!   Two interchangeable queue implementations honour that contract
 //!   (see the [`queue`] module for its precise statement): the
-//!   binary-heap [`EventQueue`] and the time-bucketed [`CalendarQueue`]
-//!   (`O(1)` on workloads where many events share few distinct
-//!   timestamps, as the machine's million-events-per-millisecond
-//!   regime does). [`QueueKind`] names them for configuration knobs.
+//!   binary-heap [`EventQueue`] and the bucketed [`CalendarQueue`]
+//!   (amortized `O(1)` when events are scheduled a short way ahead of
+//!   the clock, as the machine's handlers do). [`QueueKind`] names them
+//!   for configuration knobs.
 //! * [`Engine`] drives a user [`Model`]; models schedule future events
 //!   through a [`Context`] handed to every handler. The engine is
 //!   generic over the [`Queue`] implementation (defaulting to

@@ -2,9 +2,9 @@
 //! time-bucketed `CalendarQueue` are *the same queue* observationally.
 //! Arbitrary interleaved `push`/`push_ranked`/`pop` sequences — with
 //! same-tick rank collisions and far-future times that land in the
-//! calendar's overflow tier — must produce identical pop sequences
-//! (times, payloads and relative order, including FIFO within equal
-//! ranks).
+//! calendar's far tier — must produce identical pop sequences (times,
+//! payloads and relative order, including FIFO within equal ranks),
+//! and identical `peek_time`, `len` and `peak_len` after every step.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -25,24 +25,49 @@ enum Op {
 
 /// Decodes `(selector, delta_class, delta_raw, rank)` draws into an op.
 ///
-/// Delta classes deliberately cover the calendar's regimes: same-tick
-/// collisions, in-window times, window-boundary times and far-future
-/// overflow times (the ring window is 2^14 ticks).
+/// Delta classes deliberately cover the calendar's regimes. A near
+/// bucket is 2^8 ticks wide, a block of 128 buckets spans 2^15 ticks,
+/// and one lap of the 64-block far ring spans 2^21: the classes are
+/// same-tick collisions, the loaded bucket, up to two blocks ahead
+/// (near buckets, block boundaries and the next far slot), and up to
+/// three far laps ahead.
 fn decode(selector: u8, delta_class: u8, delta_raw: u16, rank: u8) -> Op {
+    let delta = match delta_class {
+        0 => 0,                                  // same tick
+        1 => u64::from(delta_raw) % 7,           // dense near-ties, one bucket
+        2 => u64::from(delta_raw),               // < 2^16: two blocks
+        _ => u64::from(delta_raw) * 97 + 16_000, // < 2^22.6: three far laps
+    };
+    push_or_pop(selector, delta, rank % 5) // few distinct ranks -> collisions
+}
+
+/// A push for selectors 0-2, a pop above: three pushes to one pop
+/// under `0..4` draws, three to two under `0..5`.
+fn push_or_pop(selector: u8, delta: u64, rank: u8) -> Op {
     if selector < 3 {
-        let delta = match delta_class {
-            0 => 0,                                  // same tick
-            1 => u64::from(delta_raw) % 7,           // dense near-ties
-            2 => u64::from(delta_raw),               // in-window (< 2^16)
-            _ => u64::from(delta_raw) * 97 + 16_000, // spans the overflow tier
-        };
         Op::Push {
             delta,
-            rank: u128::from(rank % 5), // few distinct ranks -> collisions
+            rank: u128::from(rank),
         }
     } else {
         Op::Pop
     }
+}
+
+/// Decodes a machine-shaped op: the delays the machine model's handlers
+/// schedule with — same instant, 10-500 ticks (router hops, handler
+/// completions: the loaded bucket and its neighbours), 2-20 k ticks
+/// (DMA, dropped-packet reissue: the rest of the block and the next far
+/// slot) and the 10^6-tick timer re-arm (half a far lap) — under a few
+/// ranks, three pushes to two pops.
+fn decode_machine(selector: u8, mix: u8, raw: u16, rank: u8) -> Op {
+    let delta = match mix {
+        0 => 0,
+        1..=13 => 10 + u64::from(raw) % 491,
+        14..=18 => 2_000 + u64::from(raw) % 18_001,
+        _ => 1_000_000,
+    };
+    push_or_pop(selector, delta, rank % 3)
 }
 
 /// Runs the op script against both queues in lockstep, comparing every
@@ -108,6 +133,18 @@ proptest! {
         run_script(&ops);
     }
 
+    /// The machine's own delay mixture (see [`decode_machine`]).
+    #[test]
+    fn machine_shaped_schedules_agree(
+        raw in vec((0u8..5, 0u8..20, any::<u16>(), 0u8..8), 0..2000),
+    ) {
+        let ops: Vec<Op> = raw
+            .into_iter()
+            .map(|(s, mix, r, rank)| decode_machine(s, mix, r, rank))
+            .collect();
+        run_script(&ops);
+    }
+
     /// Heavy same-tick collision pressure: every push lands on one of a
     /// handful of instants with one of a handful of ranks, so ordering
     /// is decided almost entirely by (rank, insertion seq).
@@ -132,13 +169,13 @@ proptest! {
 /// The occupancy-gauge contract both queue kinds share: `peak_len`
 /// rises with pushes, survives pops, resets to zero on `drain_ranked`
 /// (and `clear`), and after restoring the drained items equals exactly
-/// the restored count — whatever tier (ring or overflow) the calendar
-/// held them in.
+/// the restored count — whatever tier (near or far) the calendar held
+/// them in.
 #[test]
 fn occupancy_gauge_agrees_across_drain_and_restore() {
     let mut heap: EventQueue<u64> = EventQueue::new();
     let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-    // Mixed in-window and overflow-tier times, with rank collisions.
+    // Mixed near and far-tier times, with rank collisions.
     for i in 0..64u64 {
         let t = SimTime::new(if i % 3 == 0 { i * 50_000 } else { i });
         heap.push_ranked(t, u128::from(i % 4), i);
@@ -175,14 +212,14 @@ fn occupancy_gauge_agrees_across_drain_and_restore() {
     assert_eq!(cal.peak_len(), 0);
 }
 
-/// Deterministic smoke case: a burst per tick with overflow re-arming,
+/// Deterministic smoke case: a burst per tick with far-tier re-arming,
 /// shaped like the machine's timer/packet pattern (kept out of the
 /// proptest macro so a failure here pinpoints the regime).
 #[test]
 fn timer_like_pattern_agrees() {
     let mut ops = Vec::new();
     for tick in 0..40u64 {
-        // A far-future "timer" rearm (overflow tier) ...
+        // A far-future "timer" rearm (far tier) ...
         ops.push(Op::Push {
             delta: 1_000_000,
             rank: 0,
