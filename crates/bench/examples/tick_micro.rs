@@ -1,7 +1,7 @@
 //! Microbench for the chunked neuron tick (dev aid).
 //!
-//! Times `NeuronPool::step_tick` on one core's worth of neurons and
-//! prints ns/neuron for whichever path `SPINN_SCALAR_TICK` selects.
+//! Times `NeuronPool::step_tick` (the chunked wide path) on one core's
+//! worth of neurons and prints ns/neuron per model.
 //!
 //! Usage: `tick_micro [NEURONS] [TICKS]`
 

@@ -974,7 +974,7 @@ pub mod e12_parallel_execution {
         } else {
             (8, 64, 768, 400)
         };
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let cores = spinn_par::host_parallelism();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1410,7 +1410,7 @@ pub mod a02_default_route_elision {
 pub mod e14_event_core {
     use super::*;
     use crate::record::{BenchRecord, BenchReport};
-    use spinn_sim::{CalendarQueue, EventQueue, Queue, QueueKind, SimTime};
+    use spinn_sim::{CalendarQueue, EventQueue, Queue, SimTime};
     use spinnaker::prelude::*;
     use std::time::Instant;
 
@@ -1483,17 +1483,17 @@ pub mod e14_event_core {
     /// One end-to-end run; returns `(wall ms, spikes)` plus latency
     /// percentiles, recording everything into the report. Also used by
     /// E15, whose spikes/sec sweep must be row-compatible with the
-    /// committed E14 baseline for `scripts/bench_compare.py`.
-    #[allow(clippy::too_many_arguments)]
+    /// committed E14 baseline for `scripts/bench_compare.py` — which is
+    /// why the rows still carry `"queue": "calendar"`, the only queue
+    /// the machine runs on.
     pub(crate) fn sweep_case(
         report: &mut BenchReport,
         net: &NetworkGraph,
         edge: u32,
         threads: u32,
-        queue: QueueKind,
         ms: u32,
     ) -> (f64, usize) {
-        sweep_case_best_of(report, net, edge, threads, queue, ms, 1)
+        sweep_case_best_of(report, net, edge, threads, ms, 1)
     }
 
     /// [`sweep_case`] measured `repeats` times, recording the fastest
@@ -1501,13 +1501,11 @@ pub mod e14_event_core {
     /// more threads than a 1-core CI container has) is noisy enough
     /// that single runs swing tens of percent; best-of-N recovers the
     /// code's actual speed.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep_case_best_of(
         report: &mut BenchReport,
         net: &NetworkGraph,
         edge: u32,
         threads: u32,
-        queue: QueueKind,
         ms: u32,
         repeats: usize,
     ) -> (f64, usize) {
@@ -1515,7 +1513,6 @@ pub mod e14_event_core {
             let cfg = SimConfig::new(edge, edge)
                 .with_neurons_per_core(128)
                 .with_placer(Placer::Random { seed: 0xE14 })
-                .with_queue(queue)
                 .with_threads(threads);
             let sim = Simulation::build(net, cfg).expect("workload fits the machine");
             let t0 = Instant::now();
@@ -1540,11 +1537,8 @@ pub mod e14_event_core {
                     "effective_threads",
                     done.machine.effective_threads(threads as usize) as u64,
                 )
-                .config(
-                    "host_cores",
-                    std::thread::available_parallelism().map_or(1, |p| p.get()),
-                )
-                .config("queue", queue.to_string())
+                .config("host_cores", spinn_par::host_parallelism())
+                .config("queue", "calendar")
                 .config("bio_ms", ms)
                 .config("repeats", repeats.max(1))
                 .metric("wall_ms", wall_ms)
@@ -1584,10 +1578,8 @@ pub mod e14_event_core {
         };
         for &edge in edges {
             let net = super::e12_parallel_execution::synfire_net(16, 512);
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                for threads in [1u32, 2, 4, 16] {
-                    sweep_case(&mut report, &net, edge, threads, queue, ms);
-                }
+            for threads in [1u32, 2, 4, 16] {
+                sweep_case(&mut report, &net, edge, threads, ms);
             }
         }
         report
@@ -1945,21 +1937,18 @@ pub mod e15_memory_model {
         };
         for &edge in edges {
             let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                for threads in [1u32, 2, 4, 16] {
-                    // Best-of-3: thread>1 rows on an oversubscribed
-                    // host swing tens of percent run to run; the gate
-                    // in scripts/bench_compare.py needs stable rows.
-                    super::e14_event_core::sweep_case_best_of(
-                        &mut report,
-                        &sweep_net,
-                        edge,
-                        threads,
-                        queue,
-                        ms,
-                        3,
-                    );
-                }
+            for threads in [1u32, 2, 4, 16] {
+                // Best-of-3: thread>1 rows on an oversubscribed
+                // host swing tens of percent run to run; the gate
+                // in scripts/bench_compare.py needs stable rows.
+                super::e14_event_core::sweep_case_best_of(
+                    &mut report,
+                    &sweep_net,
+                    edge,
+                    threads,
+                    ms,
+                    3,
+                );
             }
         }
         report
@@ -2263,18 +2252,15 @@ pub mod e16_sessions {
         };
         for &edge in edges {
             let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                for threads in [1u32, 2, 4, 16] {
-                    super::e14_event_core::sweep_case_best_of(
-                        &mut report,
-                        &sweep_net,
-                        edge,
-                        threads,
-                        queue,
-                        ms,
-                        3,
-                    );
-                }
+            for threads in [1u32, 2, 4, 16] {
+                super::e14_event_core::sweep_case_best_of(
+                    &mut report,
+                    &sweep_net,
+                    edge,
+                    threads,
+                    ms,
+                    3,
+                );
             }
         }
         report
@@ -2464,7 +2450,6 @@ pub mod e17_telemetry {
             let cfg = SimConfig::new(8, 8)
                 .with_neurons_per_core(128)
                 .with_placer(Placer::Random { seed: 0xE14 })
-                .with_queue(QueueKind::Calendar)
                 .with_threads(threads)
                 .with_observability(obs);
             let sim = Simulation::build(net, cfg).expect("workload fits an 8x8 machine");
@@ -2558,7 +2543,7 @@ pub mod e17_telemetry {
             report.push(
                 BenchRecord::new("telemetry_overhead")
                     .config("mesh", "8x8")
-                    .config("queue", QueueKind::Calendar.to_string())
+                    .config("queue", "calendar")
                     .config("threads", threads)
                     .config("bio_ms", sweep_ms)
                     .config("repeats", repeats)
@@ -2795,10 +2780,7 @@ pub mod e18_collected_win {
                         "effective_threads",
                         done.machine.effective_threads(threads as usize) as u64,
                     )
-                    .config(
-                        "host_cores",
-                        std::thread::available_parallelism().map_or(1, |p| p.get()),
-                    )
+                    .config("host_cores", spinn_par::host_parallelism())
                     .config("bio_ms", ms)
                     .config("obs", t.mode().to_string())
                     .metric("wall_ms", wall_ms)
@@ -2860,17 +2842,8 @@ pub mod e18_collected_win {
             (&[8, 16, 32], 200)
         };
         for &edge in edges {
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                for threads in [1u32, 2, 4, 16] {
-                    super::e14_event_core::sweep_case(
-                        &mut report,
-                        &sweep_net,
-                        edge,
-                        threads,
-                        queue,
-                        sweep_ms,
-                    );
-                }
+            for threads in [1u32, 2, 4, 16] {
+                super::e14_event_core::sweep_case(&mut report, &sweep_net, edge, threads, sweep_ms);
             }
         }
         report
@@ -3366,10 +3339,11 @@ pub mod e19_resilience {
 /// population per chip on meshes from 32 x 32 up to the paper's full
 /// 256 x 256 machine (>10^6 cores loaded, >10^9 synapses), built
 /// through the streaming loader into compressed lazy arenas and run
-/// through the chunked work-stealing scheduler. Emits `BENCH_e20.json`;
-/// `scripts/bench_compare.py --memory` gates the scale/memory claims
-/// and `--work-stealing` the chunked-vs-static arms (skipping honestly
-/// on hosts whose parallelism collapses the comparison).
+/// serially and sharded. Emits `BENCH_e20.json`;
+/// `scripts/bench_compare.py --memory` gates the scale/memory claims.
+/// (The committed artifact still carries the `work_stealing` rows of
+/// the chunk-stealing scheduler this experiment once compared with the
+/// static split; stealing lost on two real cores and was removed.)
 pub mod e20_scaling {
     use super::*;
     use crate::record::{BenchRecord, BenchReport};
@@ -3444,46 +3418,6 @@ pub mod e20_scaling {
         net
     }
 
-    /// A deliberately skewed load for the work-stealing arms: the same
-    /// ring, but the first `hot` chips get strongly biased populations
-    /// with a dense recurrent projection, so nearly all spike work
-    /// lands in one corner of the mesh while the static structural
-    /// partition still cuts chips evenly.
-    pub fn skewed_net(chips: u32, hot: u32) -> NetworkGraph {
-        let kind = NeuronKind::Izhikevich(IzhikevichParams::regular_spiking());
-        let mut net = NetworkGraph::new();
-        let pops: Vec<_> = (0..chips)
-            .map(|i| {
-                let bias = if i < hot { 12.0 } else { 0.0 };
-                net.population(&format!("c{i}"), NEURONS_PER_CHIP, kind, bias)
-            })
-            .collect();
-        for (i, &src) in pops.iter().enumerate() {
-            let dst = pops[(i + 1) % pops.len()];
-            net.project(
-                src,
-                dst,
-                Connector::AllToAll { allow_self: false },
-                Synapses::constant(40, 1),
-                0xE20 ^ i as u64,
-            );
-        }
-        for &p in pops.iter().take(hot as usize) {
-            net.project(
-                p,
-                p,
-                Connector::FixedProbability(0.25),
-                Synapses::constant(90, 1),
-                0x5E20 ^ p.index() as u64,
-            );
-        }
-        net
-    }
-
-    fn host_cores() -> usize {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    }
-
     /// Builds and runs one scaling-sweep cell, recording build time,
     /// wall clock, per-neuron cost, barrier share and the resident
     /// memory per synapse next to the *post-clamp* thread count.
@@ -3529,7 +3463,7 @@ pub mod e20_scaling {
                 .config("neurons", net.total_neurons())
                 .config("threads", threads)
                 .config("effective_threads", effective as u64)
-                .config("host_cores", host_cores() as u64)
+                .config("host_cores", spinn_par::host_parallelism() as u64)
                 .config("bio_ms", ms)
                 .metric("build_s", build_s)
                 .metric("wall_ms", wall_ms)
@@ -3595,64 +3529,15 @@ pub mod e20_scaling {
         );
     }
 
-    /// Runs one work-stealing arm (static split vs chunked stealing)
-    /// on the skewed net, `force_shards` so the shard machinery runs
-    /// regardless of the host.
-    #[allow(clippy::cast_precision_loss)]
-    fn stealing_case(
-        report: &mut BenchReport,
-        net: &NetworkGraph,
-        edge: u32,
-        threads: u32,
-        chunk_factor: u8,
-        ms: u32,
-    ) {
-        let mut cfg = SimConfig::new(edge, edge)
-            .with_neurons_per_core(NPC)
-            .with_threads(threads)
-            .with_chunk_factor(chunk_factor)
-            .with_force_shards(true)
-            .with_observability(ObsMode::CountersAndTrace);
-        cfg.machine.cores_per_chip = CORES_PER_CHIP;
-        let sim = Simulation::build(net, cfg).expect("skewed net fits one pop per chip");
-        let effective = sim.machine().effective_threads(threads as usize);
-        let t0 = Instant::now();
-        let done = sim.run(ms);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t = done.machine.telemetry();
-        report.push(
-            BenchRecord::new("work_stealing")
-                .config("mesh", format!("{edge}x{edge}"))
-                .config("arm", if chunk_factor <= 1 { "static" } else { "steal" })
-                .config("chunk_factor", u64::from(chunk_factor))
-                .config("threads", threads)
-                .config("effective_threads", effective as u64)
-                .config("host_cores", host_cores() as u64)
-                .config("bio_ms", ms)
-                .metric("wall_ms", wall_ms)
-                .metric("barrier_wait_share", {
-                    let s = t.barrier_wait_share();
-                    if s.is_nan() {
-                        0.0
-                    } else {
-                        s
-                    }
-                })
-                .metric("shard_skew", t.shard_skew())
-                .metric("spikes", done.machine.spikes().len())
-                .metric("windows", done.machine.par_stats().map_or(0, |s| s.windows)),
-        );
-    }
-
     /// The E20 report: the mesh x thread scaling grid (smallest first,
     /// so the monotone peak-RSS counter approximates each row's own
-    /// peak), the lazy-vs-eager loader arms, the skewed work-stealing
-    /// arms, and the E14 sweep grid so the artifact chains against the
+    /// peak), the lazy-vs-eager loader arms, and the E14 sweep grid so
+    /// the artifact chains against the
     /// committed E14/E15/E16/E18 baselines.
     pub fn report(quick: bool) -> BenchReport {
         let mut report = BenchReport::new(
             "E20",
-            "compute beyond a million cores: streaming build, lazy arenas, work-stealing windows",
+            "compute beyond a million cores: streaming build, lazy arenas, sharded windows",
             quick,
         );
 
@@ -3679,12 +3564,6 @@ pub mod e20_scaling {
         memory_case(&mut report, &mem_net, mem_edge, LazyMode::Force, "lazy");
         memory_case(&mut report, &mem_net, mem_edge, LazyMode::Off, "eager");
 
-        let steal_edge = if quick { 8 } else { 16 };
-        let steal_ms = if quick { 30 } else { 60 };
-        let steal_net = skewed_net(steal_edge * steal_edge, steal_edge);
-        stealing_case(&mut report, &steal_net, steal_edge, 4, 1, steal_ms);
-        stealing_case(&mut report, &steal_net, steal_edge, 4, 4, steal_ms);
-
         // The E14 sweep grid, so BENCH_e20.json extends the committed
         // trajectory chain E14 -> E15 -> E16 -> E18 -> E20. The quick
         // cells (8x8, 100 bio-ms) run in BOTH modes: the committed
@@ -3698,17 +3577,14 @@ pub mod e20_scaling {
         };
         for &(edges, sweep_ms) in sweep_grid {
             for &edge in edges {
-                for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                    for threads in [1u32, 2, 4, 16] {
-                        super::e14_event_core::sweep_case(
-                            &mut report,
-                            &sweep_net,
-                            edge,
-                            threads,
-                            queue,
-                            sweep_ms,
-                        );
-                    }
+                for threads in [1u32, 2, 4, 16] {
+                    super::e14_event_core::sweep_case(
+                        &mut report,
+                        &sweep_net,
+                        edge,
+                        threads,
+                        sweep_ms,
+                    );
                 }
             }
         }
@@ -3732,7 +3608,7 @@ pub mod e20_scaling {
         );
         let _ = writeln!(
             out,
-            "   one population per chip, ring-connected; constant all-to-all rows stay\n   compressed generator recipes until a spike's DMA touches them, and the\n   chunked window scheduler lets idle workers steal skewed shard work\n"
+            "   one population per chip, ring-connected; constant all-to-all rows stay\n   compressed generator recipes until a spike's DMA touches them\n"
         );
         let _ = writeln!(
             out,
@@ -3782,28 +3658,9 @@ pub mod e20_scaling {
                 num(&r.metrics, "resident_mb"),
             );
         }
-        let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{:>9} {:>8} {:>8}/{:<4} {:>10} {:>10} {:>10}",
-            "mesh", "arm", "thr", "eff", "wall ms", "barrier%", "windows"
-        );
-        for r in report.records.iter().filter(|r| r.name == "work_stealing") {
-            let _ = writeln!(
-                out,
-                "{:>9} {:>8} {:>8.0}/{:<4.0} {:>10.1} {:>9.1}% {:>10.0}",
-                str_field(&r.config, "mesh"),
-                str_field(&r.config, "arm"),
-                num(&r.config, "threads"),
-                num(&r.config, "effective_threads"),
-                num(&r.metrics, "wall_ms"),
-                100.0 * num(&r.metrics, "barrier_wait_share"),
-                num(&r.metrics, "windows"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\ngate the artifact: scripts/bench_compare.py --memory BENCH_e20.json (scale,\nbytes/synapse and lazy < eager), --work-stealing BENCH_e20.json (steal arm\nbeats static at 4+ effective threads; warns-and-skips on collapsed hosts),\nand the chain BENCH_e14 -> e15 -> e16 -> e18 -> e20 (--kind sweep)."
+            "\ngate the artifact: scripts/bench_compare.py --memory BENCH_e20.json (scale,\nbytes/synapse and lazy < eager),\nand the chain BENCH_e14 -> e15 -> e16 -> e18 -> e20 (--kind sweep)."
         );
         out
     }
@@ -3838,20 +3695,9 @@ pub mod e20_scaling {
                     .metric("bytes_per_synapse", 1.3f64)
                     .metric("resident_mb", 83.0f64),
             );
-            report.push(
-                BenchRecord::new("work_stealing")
-                    .config("mesh", "16x16")
-                    .config("arm", "steal")
-                    .config("threads", 4u32)
-                    .config("effective_threads", 4u64)
-                    .metric("wall_ms", 120.0f64)
-                    .metric("barrier_wait_share", 0.2f64)
-                    .metric("windows", 400.0f64),
-            );
             let text = format_report(&report);
             assert!(text.contains("32x32"), "{text}");
             assert!(text.contains("lazy"), "{text}");
-            assert!(text.contains("steal"), "{text}");
             assert!(report.to_json_string().contains("bytes_per_synapse"));
         }
 
@@ -4253,18 +4099,15 @@ pub mod e21_serving {
         };
         for &edge in edges {
             let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                for threads in [1u32, 2, 4, 16] {
-                    super::e14_event_core::sweep_case_best_of(
-                        &mut report,
-                        &sweep_net,
-                        edge,
-                        threads,
-                        queue,
-                        ms,
-                        3,
-                    );
-                }
+            for threads in [1u32, 2, 4, 16] {
+                super::e14_event_core::sweep_case_best_of(
+                    &mut report,
+                    &sweep_net,
+                    edge,
+                    threads,
+                    ms,
+                    3,
+                );
             }
         }
         report

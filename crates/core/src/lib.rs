@@ -56,7 +56,6 @@ pub mod prelude {
     pub use spinn_noc::direction::Direction;
     pub use spinn_noc::mesh::NodeCoord;
     pub use spinn_obs::ObsMode;
-    pub use spinn_sim::QueueKind;
 }
 
 // Re-export the substrate crates for advanced use.

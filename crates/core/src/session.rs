@@ -11,7 +11,7 @@
 //! * **Incremental runs** — [`RunSession::run_for`] advances biological
 //!   time segment by segment, bit-exactly: `run_for(100)` equals
 //!   `run_for(50); run_for(50)` equals checkpointing in between,
-//!   whatever thread counts or queue kinds each segment uses.
+//!   whatever thread count each segment uses.
 //! * **Warm mutation between segments** — swap Poisson/stimulus
 //!   sources, toggle STDP, queue mid-run link faults: one resident
 //!   machine serves a stream of jobs without paying the
@@ -375,8 +375,8 @@ impl RunSession {
     /// Segments chain **bit-exactly**: any sequence of `run_for` calls
     /// totalling `T` milliseconds produces the same spikes, weights and
     /// meters as a single `run_for(T)` — and as the one-shot
-    /// [`Simulation::run`] of the same build — whatever thread count or
-    /// queue kind each segment uses.
+    /// [`Simulation::run`] of the same build — whatever thread count
+    /// each segment uses.
     pub fn run_for(&mut self, ms: u32) -> &mut Self {
         if ms == 0 {
             return self;
@@ -487,8 +487,8 @@ impl RunSession {
 
     /// Rebuilds a session from a [`Snapshot`]: builds `net` onto a
     /// fresh machine with `cfg` (which must describe the same machine
-    /// and network the checkpoint was taken from; the queue kind and
-    /// thread count are free to differ), installs the snapshot, and
+    /// and network the checkpoint was taken from; the thread count is
+    /// free to differ), installs the snapshot, and
     /// returns a session that continues **bit-exactly** where
     /// [`RunSession::checkpoint`] paused.
     ///

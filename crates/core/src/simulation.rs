@@ -53,16 +53,6 @@ impl SimConfig {
         self
     }
 
-    /// Selects the event-queue implementation
-    /// ([`spinn_sim::QueueKind`]) the run is driven by. Spike output is
-    /// bit-identical across kinds (golden-trace conformance suite);
-    /// only wall-clock time changes. Defaults to the time-bucketed
-    /// calendar queue.
-    pub fn with_queue(mut self, queue: spinn_sim::QueueKind) -> Self {
-        self.machine.queue = queue;
-        self
-    }
-
     /// Enables STDP plasticity.
     pub fn with_stdp(mut self, params: spinn_neuron::stdp::StdpParams) -> Self {
         self.stdp = Some(params);
@@ -96,16 +86,6 @@ impl SimConfig {
     /// pins it exactly (see [`MachineConfig::trace_cap`]).
     pub fn with_trace_cap(mut self, records: usize) -> Self {
         self.machine.trace_cap = records;
-        self
-    }
-
-    /// Sets the shard over-decomposition factor for parallel runs: `1`
-    /// restores the static one-shard-per-worker split, larger values
-    /// cut more chunks than workers so idle workers steal them (see
-    /// [`MachineConfig::chunk_factor`]). Results are bit-identical for
-    /// every value.
-    pub fn with_chunk_factor(mut self, factor: u8) -> Self {
-        self.machine.chunk_factor = factor;
         self
     }
 

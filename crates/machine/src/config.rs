@@ -9,7 +9,6 @@
 
 use spinn_noc::fabric::FabricConfig;
 use spinn_obs::ObsMode;
-use spinn_sim::QueueKind;
 
 /// Whole-machine configuration.
 #[derive(Copy, Clone, Debug)]
@@ -38,12 +37,6 @@ pub struct MachineConfig {
     pub costs: CostModel,
     /// Energy constants.
     pub energy: EnergyModel,
-    /// Which event-queue implementation drives the simulation. The two
-    /// kinds are bit-identical in results (golden-trace conformance
-    /// suite); the default calendar queue is `O(1)` on the machine's
-    /// dense same-timestamp event bursts where the heap pays
-    /// `O(log n)` per event.
-    pub queue: QueueKind,
     /// Telemetry level for runs on this machine. [`ObsMode::Disabled`]
     /// (the default) makes every instrumentation point a `None`-check;
     /// no mode changes simulation results (golden-trace conformance
@@ -58,19 +51,9 @@ pub struct MachineConfig {
     /// the capacity exactly (memory-sensitive sweeps, conformance
     /// replay).
     pub trace_cap: usize,
-    /// Shard over-decomposition factor for parallel runs: a
-    /// `threads`-worker segment is cut into up to `threads ×
-    /// chunk_factor` chip-contiguous task chunks that idle workers
-    /// *steal* through the window engine's claim counters. `1` restores
-    /// the static one-shard-per-worker split; the default `4` keeps
-    /// chunks coarse enough to amortize the split/merge while letting a
-    /// skewed spike distribution spread across the pool mid-window.
-    /// Results are bit-identical for every value (the spike stream is
-    /// shard-count-invariant).
-    pub chunk_factor: u8,
     /// Lets sharded runs cut more shards than the host has cores.
     /// Sharding exists to occupy cores — by default the shard count is
-    /// clamped to `available_parallelism`, because extra shards buy no
+    /// clamped to the host's parallelism, because extra shards buy no
     /// parallelism yet still pay the window/exchange machinery (the
     /// collapse is invisible in results: shard count never changes
     /// them). Conformance suites set this to exercise the sharded
@@ -102,18 +85,10 @@ impl MachineConfig {
             fabric,
             costs: CostModel::default(),
             energy: EnergyModel::default(),
-            queue: QueueKind::default(),
             obs: ObsMode::default(),
             trace_cap: 0,
-            chunk_factor: 4,
             force_shards: false,
         }
-    }
-
-    /// Selects the event-queue implementation for runs on this machine.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Selects the telemetry level for runs on this machine.
@@ -126,13 +101,6 @@ impl MachineConfig {
     /// the neuron-scaled auto sizing; see [`MachineConfig::trace_cap`]).
     pub fn with_trace_cap(mut self, records: usize) -> Self {
         self.trace_cap = records;
-        self
-    }
-
-    /// Sets the shard over-decomposition factor for parallel runs (see
-    /// [`MachineConfig::chunk_factor`]; clamped to at least 1 at use).
-    pub fn with_chunk_factor(mut self, factor: u8) -> Self {
-        self.chunk_factor = factor;
         self
     }
 

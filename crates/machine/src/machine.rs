@@ -35,9 +35,7 @@ use spinn_noc::packet::{Packet, PacketKind};
 use spinn_noc::router::RouterStats;
 use spinn_obs::{Counter, Observability, Phase, PhaseProbe, RunTelemetry, TraceKind};
 use spinn_par::{ParEngine, RemoteEvent, ShardModel};
-use spinn_sim::{
-    CalendarQueue, Context, Engine, EventQueue, Histogram, Model, Queue, QueueKind, SimTime,
-};
+use spinn_sim::{CalendarQueue, Context, Engine, Histogram, Model, SimTime};
 
 use crate::config::MachineConfig;
 use crate::energy::EnergyMeter;
@@ -122,7 +120,7 @@ pub struct SpikeRecord {
 /// arrival, a blocked-link retry, a handler completion, a future
 /// stimulus. [`NeuralMachine::run_segment`] returns them in canonical
 /// `(time, tie rank)` order and accepts them back on the next segment,
-/// whatever its thread count or queue kind.
+/// whatever its thread count.
 #[derive(Clone, Debug)]
 pub struct PendingEvent {
     /// Absolute simulation time, ns.
@@ -135,17 +133,6 @@ pub struct PendingEvent {
 /// `Some(chip)` for chip-local events, `None` for events every shard
 /// replays against its own replica (the coalesced timer, link
 /// failures).
-/// Whether `SPINN_FORCE_SHARDS=1` asks for shard counts beyond the
-/// host's parallelism (checked once per process; see
-/// [`MachineConfig::force_shards`] for the per-machine switch).
-fn force_shards_env() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("SPINN_FORCE_SHARDS")
-            .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
-
 fn event_chip(ev: &MachineEvent) -> Option<u32> {
     match ev {
         MachineEvent::Noc(NocEvent::Arrive { node, .. })
@@ -794,10 +781,6 @@ impl NeuralMachine {
 
     /// Runs the machine for `ms` milliseconds of biological time and
     /// returns it with all statistics populated.
-    ///
-    /// The run is driven by the event queue selected in
-    /// [`MachineConfig::queue`]; results are bit-identical across queue
-    /// kinds.
     pub fn run(self, ms: u32) -> NeuralMachine {
         self.run_segment(Vec::new(), 0, ms, 1).0
     }
@@ -823,15 +806,10 @@ impl NeuralMachine {
     /// the next, so a hot region that no static estimate could predict
     /// stops serializing the shards after the first epoch.
     ///
-    /// Within every window the shard partition is *over-decomposed*
-    /// into `threads ×` [`MachineConfig::chunk_factor`] chip-contiguous
-    /// chunks (capped at the chip count and at 1024 — split/merge cost
-    /// is per chunk), and the worker pool claims chunks off
-    /// `spinn-par`'s shared atomic claim counter: a worker that drew a
-    /// light chunk steals the tail of a hot one instead of idling at
-    /// the barrier. `chunk_factor == 1` restores the static
-    /// one-shard-per-worker split; either way the spike stream is
-    /// bit-identical (`tests/work_stealing_conformance.rs`).
+    /// Within an epoch the split is static: exactly one shard per
+    /// worker, owned by that worker from the epoch's first window to
+    /// its last (`spinn-par`). The requested `threads` is first clamped
+    /// by [`NeuralMachine::effective_threads`].
     pub fn run_parallel(self, ms: u32, threads: usize) -> NeuralMachine {
         /// Epoch length: long enough to amortize the shard split/merge,
         /// short enough that a run settles onto measured weights early.
@@ -867,7 +845,7 @@ impl NeuralMachine {
     /// Chaining segments is **bit-exact**: `run_segment(p, 0, a+b, t)`
     /// produces the same machine as `run_segment(p, 0, a, t)` followed
     /// by `run_segment(p', a, b, t')`, for any segment lengths and any
-    /// (possibly different) thread counts and queue kinds per segment.
+    /// (possibly different) thread counts per segment.
     /// Segment `k` processes exactly the events in
     /// `(boundary(from), boundary(from + ms)]` with
     /// `boundary(x) = (x + 1) ms − 1 ns`, so the union over segments is
@@ -888,20 +866,9 @@ impl NeuralMachine {
         if ms == 0 {
             return (self, pending);
         }
-        let threads = self.effective_threads(threads);
-        match (self.cfg.queue, threads) {
-            (QueueKind::Heap, 1) => {
-                self.segment_serial::<EventQueue<MachineEvent>>(pending, from_ms, ms)
-            }
-            (QueueKind::Calendar, 1) => {
-                self.segment_serial::<CalendarQueue<MachineEvent>>(pending, from_ms, ms)
-            }
-            (QueueKind::Heap, t) => {
-                self.segment_parallel::<EventQueue<MachineEvent>>(pending, from_ms, ms, t)
-            }
-            (QueueKind::Calendar, t) => {
-                self.segment_parallel::<CalendarQueue<MachineEvent>>(pending, from_ms, ms, t)
-            }
+        match self.effective_threads(threads) {
+            1 => self.segment_serial(pending, from_ms, ms),
+            t => self.segment_parallel(pending, from_ms, ms, t),
         }
     }
 
@@ -924,7 +891,7 @@ impl NeuralMachine {
     }
 
     /// [`NeuralMachine::run_segment`] on one serial engine.
-    fn segment_serial<Q: Queue<MachineEvent>>(
+    fn segment_serial(
         mut self,
         pending: Vec<PendingEvent>,
         from_ms: u32,
@@ -941,7 +908,8 @@ impl NeuralMachine {
         let faults = std::mem::take(&mut self.fault_plan);
         let repairs = std::mem::take(&mut self.repair_plan);
         let start = Self::segment_start_ns(from_ms);
-        let mut engine: Engine<NeuralMachine, Q> = Engine::resume_at(self, SimTime::new(start));
+        let mut engine: Engine<NeuralMachine, CalendarQueue<MachineEvent>> =
+            Engine::resume_at(self, SimTime::new(start));
         // The queue snapshot goes back first (Queue::restore resets the
         // insertion counter, so a restored queue replays like the one it
         // was drained from), then the timer restart and the newly queued
@@ -975,20 +943,23 @@ impl NeuralMachine {
         (m, pending_out)
     }
 
-    /// The worker count a run request actually gets: clamped to `[1,
-    /// chips]`, and — unless `force_shards` (config or
-    /// `SPINN_FORCE_SHARDS=1`) asks otherwise — to the host's
-    /// parallelism. Workers exist to occupy cores; a wider pool buys no
-    /// parallelism yet still pays the window/exchange machinery, and
+    /// The worker count — and shard count — a run request actually
+    /// gets: clamped to `[1, chips]`, and — unless
+    /// [`MachineConfig::force_shards`] asks otherwise — to the host's
+    /// parallelism. Workers exist to occupy cores; more shards buy no
+    /// parallelism yet still pay the window/exchange machinery, and
     /// results are shard-count-invariant, so the collapse is free.
     /// Public so benchmark rows can record the post-clamp parallelism
     /// honestly next to the requested one.
     pub fn effective_threads(&self, threads: usize) -> usize {
-        let threads = threads.clamp(1, self.cfg.chips());
-        if self.cfg.force_shards || force_shards_env() {
+        if threads <= 1 {
+            return 1;
+        }
+        let threads = threads.min(self.cfg.chips());
+        if self.cfg.force_shards {
             threads
         } else {
-            threads.min(std::thread::available_parallelism().map_or(1, |p| p.get()))
+            threads.min(spinn_par::host_parallelism())
         }
     }
 
@@ -1160,28 +1131,17 @@ impl NeuralMachine {
     }
 
     /// [`NeuralMachine::run_segment`] sharded across worker threads.
-    fn segment_parallel<Q: Queue<MachineEvent> + Send>(
+    fn segment_parallel(
         mut self,
         pending: Vec<PendingEvent>,
         from_ms: u32,
         ms: u32,
         threads: usize,
     ) -> (NeuralMachine, Vec<PendingEvent>) {
-        let chips = self.cfg.chips();
         debug_assert!(threads >= 2);
         let target = from_ms + ms;
         let lookahead = self.cfg.fabric.min_remote_delay_ns().max(1);
-        // Over-decompose: cut `chunk_factor` times more chip-contiguous
-        // shards than there are workers, so the pool's claim counters
-        // steal chunks mid-window instead of each worker being chained
-        // to one static block. Bounded by the chip count (shards must
-        // be non-empty) and by 1024 (the split/merge cost is per
-        // shard). `chunk_factor == 1` is the static split.
-        let chunks = (threads * self.cfg.chunk_factor.max(1) as usize)
-            .min(chips)
-            .min(1024)
-            .max(threads);
-        let owner = self.event_weighted_owner(chunks);
+        let owner = self.event_weighted_owner(threads);
         let stimuli = std::mem::take(&mut self.stimuli);
         let faults = std::mem::take(&mut self.fault_plan);
         let repairs = std::mem::take(&mut self.repair_plan);
@@ -1200,7 +1160,7 @@ impl NeuralMachine {
         let dma_free_at = self.dma_free_at.clone();
         let cfg = self.cfg;
         let per = cfg.cores_per_chip as usize;
-        let mut shards: Vec<NeuralMachine> = (0..chunks)
+        let mut shards: Vec<NeuralMachine> = (0..threads)
             .map(|s| {
                 let mut m = NeuralMachine::new(cfg);
                 m.fabric = self.fabric.clone();
@@ -1229,9 +1189,9 @@ impl NeuralMachine {
         }
 
         let start = Self::segment_start_ns(from_ms);
-        let mut par: ParEngine<NeuralMachine, Q> =
+        let mut par: ParEngine<NeuralMachine, CalendarQueue<MachineEvent>> =
             ParEngine::resume_in(shards, SimTime::new(start));
-        for shard in 0..chunks {
+        for shard in 0..threads {
             par.schedule(
                 shard,
                 SimTime::new((from_ms as u64 + 1) * MS),
@@ -1246,7 +1206,7 @@ impl NeuralMachine {
             match event_chip(&p.event) {
                 Some(chip) => par.schedule(owner[chip as usize] as usize, at, p.event),
                 None => {
-                    for shard in 0..chunks {
+                    for shard in 0..threads {
                         par.schedule(shard, at, p.event);
                     }
                 }
@@ -1262,12 +1222,12 @@ impl NeuralMachine {
         // Link failures and repairs mutate every shard's fabric replica:
         // broadcast the schedules so all replicas stay consistent at `t`.
         for (t, chip, dir) in faults {
-            for shard in 0..chunks {
+            for shard in 0..threads {
                 par.schedule(shard, SimTime::new(t), MachineEvent::FailLink { chip, dir });
             }
         }
         for (t, chip, dir) in repairs {
-            for shard in 0..chunks {
+            for shard in 0..threads {
                 par.schedule(
                     shard,
                     SimTime::new(t),
@@ -1275,13 +1235,7 @@ impl NeuralMachine {
                 );
             }
         }
-        // The worker pool stays at the requested thread count: the
-        // extra shards are there to be *stolen*, not to spawn threads.
-        par.run_until_with_workers(
-            SimTime::new(Self::segment_end_ns(target)),
-            lookahead,
-            threads,
-        );
+        par.run_until(SimTime::new(Self::segment_end_ns(target)), lookahead);
         let stats = par.stats().clone();
         let queue_peaks = par.queue_peaks();
 

@@ -26,9 +26,9 @@
 //! (`Simulation::build`, or the same hand-loading code) before
 //! [`NeuralMachine::install_snapshot`]. The snapshot stores the full
 //! machine configuration only to *validate* that the host machine
-//! matches; the queue kind is exempt, so a checkpoint taken on the
-//! calendar queue restores onto the heap queue (and onto any thread
-//! count) without loss.
+//! matches; how a run is executed or observed (thread count, telemetry
+//! level) is not part of that identity, so a checkpoint restores onto
+//! any thread count without loss.
 
 use spinn_neuron::pool::NeuronPool;
 use spinn_neuron::ring::InputRing;
@@ -87,8 +87,9 @@ pub struct RestoredRun {
     pub pending: Vec<PendingEvent>,
 }
 
-/// Encodes every [`MachineConfig`] field except the queue kind — the
-/// identity under which snapshots are compatible.
+/// Encodes every [`MachineConfig`] field that shapes results (geometry,
+/// timing, cost and energy models; not telemetry or `force_shards`) —
+/// the identity under which snapshots are compatible.
 fn encode_config_identity(cfg: &MachineConfig, enc: &mut Enc) {
     enc.u32(cfg.width)
         .u32(cfg.height)
@@ -446,10 +447,10 @@ impl NeuralMachine {
     /// overwriting all dynamic state. The machine must be **freshly
     /// built the same way** as the one the snapshot was taken from
     /// (same geometry and cost model, same cores loaded with the same
-    /// neuron counts and synaptic matrices); only the queue kind may
-    /// differ. Returns the elapsed time and pending events to continue
-    /// from via [`NeuralMachine::run_segment`] — the continuation
-    /// replays bit-exactly on any thread count and either queue kind.
+    /// neuron counts and synaptic matrices). Returns the elapsed time
+    /// and pending events to continue from via
+    /// [`NeuralMachine::run_segment`] — the continuation replays
+    /// bit-exactly on any thread count.
     ///
     /// # Errors
     ///
@@ -467,7 +468,7 @@ impl NeuralMachine {
         {
             // Config identity check: the identity section is
             // fixed-width, so bit-compare it against this machine's own
-            // encoding (every field except the queue kind).
+            // encoding.
             let mut mine = Enc::new();
             encode_config_identity(&self.cfg, &mut mine);
             let mine = mine.into_bytes();

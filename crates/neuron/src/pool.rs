@@ -10,7 +10,8 @@
 //! producing bit-identical dynamics — the arithmetic is the same
 //! fixed-point/f32 sequence as the per-neuron
 //! [`step_1ms`](crate::model::NeuronModel::step_1ms) implementations,
-//! verified by the golden-trace suite.
+//! which remain the one scalar statement of each model and which this
+//! module's tests compare every pool against, bit for bit.
 //!
 //! Mixed-model cores (possible through the manual machine API, never
 //! produced by the loader) fall back to the enum-dispatch path.
@@ -26,9 +27,6 @@
 //! Izhikevich update is integer 16.16 fixed point and the LIF decay
 //! factor is a cached value of the same `exp` call the scalar path
 //! makes — so chunking changes instruction scheduling, never results.
-//! Setting `SPINN_SCALAR_TICK=1` forces the per-neuron scalar path at
-//! run time (checked once per process); CI runs the conformance suite
-//! both ways.
 
 use crate::fixed::Fix1616;
 use crate::izhikevich::{IzhikevichNeuron, IzhikevichParams};
@@ -39,18 +37,6 @@ use crate::model::{AnyNeuron, NeuronModel};
 /// 256-bit vector register; the update loops are written per-chunk so
 /// the autovectorizer can pick whatever width the target offers.
 const LANES: usize = 8;
-
-/// Whether the wide chunked tick path is active (the default).
-/// `SPINN_SCALAR_TICK=1` (or `true`) forces the per-neuron scalar
-/// fallback — same results, exercised by CI so the fallback stays
-/// correct on every runner.
-fn wide_tick_enabled() -> bool {
-    static WIDE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *WIDE.get_or_init(|| {
-        !std::env::var("SPINN_SCALAR_TICK")
-            .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
 
 /// Izhikevich state as parallel 16.16 fixed-point arrays.
 #[derive(Clone, Debug, Default)]
@@ -94,36 +80,11 @@ impl IzhikevichPool {
         }
     }
 
-    /// One 1 ms step of neuron `i` — the exact fixed-point sequence of
-    /// [`IzhikevichNeuron::step_1ms`].
-    #[inline]
-    fn step(&mut self, i: usize, input_current: f32) -> bool {
-        let inj = Fix1616::from_f32(input_current);
-        let half = Fix1616::from_f32(0.5);
-        let k004 = Fix1616::from_f32(0.04);
-        let k5 = Fix1616::from_int(5);
-        let k140 = Fix1616::from_int(140);
-        let (mut v, mut u) = (self.v[i], self.u[i]);
-        for _ in 0..2 {
-            let dv = k004 * v * v + k5 * v + k140 - u + inj;
-            v += dv * half;
-        }
-        u += self.a[i] * (self.b[i] * v - u);
-        let fired = v.to_f32() >= 30.0;
-        if fired {
-            v = self.c[i];
-            u += self.d[i];
-        }
-        self.v[i] = v;
-        self.u[i] = u;
-        fired
-    }
-
     /// Chunked tick: the same fixed-point sequence as
-    /// [`IzhikevichPool::step`], restructured as straight-line loops
-    /// over `LANES`-wide blocks with a bitmask spike sweep. The
+    /// [`IzhikevichNeuron::step_1ms`], restructured as straight-line
+    /// loops over `LANES`-wide blocks with a bitmask spike sweep. The
     /// update is integer arithmetic on independent lanes, so the
-    /// result is bit-identical to the scalar walk.
+    /// result is bit-identical to the per-neuron walk.
     ///
     /// Chunks whose state is small enough that no intermediate of the
     /// update can reach the `i32` boundary take a clamp-free `i64`
@@ -225,8 +186,8 @@ pub struct LifPool {
     refract_left: Vec<u32>,
     /// Cached membrane decay `exp(-1/tau_m)` per neuron. Parameters are
     /// fixed after `push`, and this is the very expression
-    /// [`LifPool::step`] evaluates, so caching it cannot change a bit
-    /// of the dynamics — it only lifts a transcendental out of the
+    /// [`LifNeuron::step_1ms`] evaluates, so caching it cannot change a
+    /// bit of the dynamics — it only lifts a transcendental out of the
     /// per-tick loop.
     alpha: Vec<f32>,
 }
@@ -247,30 +208,8 @@ impl LifPool {
         }
     }
 
-    /// One 1 ms step of neuron `i` — the exact f32 sequence of
-    /// [`LifNeuron::step_1ms`].
-    #[inline]
-    fn step(&mut self, i: usize, input_current: f32) -> bool {
-        if self.refract_left[i] > 0 {
-            self.refract_left[i] -= 1;
-            return false;
-        }
-        let p = &self.params[i];
-        let alpha = (-1.0 / p.tau_m).exp();
-        let v_inf = p.v_rest + p.r_m * input_current;
-        let v = v_inf + (self.v[i] - v_inf) * alpha;
-        if v >= p.v_thresh {
-            self.v[i] = p.v_reset;
-            self.refract_left[i] = p.t_refract;
-            true
-        } else {
-            self.v[i] = v;
-            false
-        }
-    }
-
-    /// Chunked tick: the same f32 sequence as [`LifPool::step`] with
-    /// the decay factor taken from the [`LifPool::alpha`] cache and
+    /// Chunked tick: the same f32 sequence as [`LifNeuron::step_1ms`]
+    /// with the decay factor taken from the [`LifPool::alpha`] cache and
     /// threshold crossings gathered into a bitmask before the reset
     /// sweep. Refractory bookkeeping stays inline — it is a counter
     /// decrement, not worth a separate pass.
@@ -440,34 +379,12 @@ impl NeuronPool {
     /// drive in nA, `on_spike(i)` fires for each neuron that crossed
     /// threshold, in ascending index order.
     /// Homogeneous pools take the chunked wide path (see the module
-    /// docs) unless `SPINN_SCALAR_TICK=1` pins the scalar fallback;
-    /// both orders of evaluation are bit-identical.
+    /// docs); mixed pools step neuron by neuron.
     #[inline]
     pub fn step_tick(&mut self, input: impl Fn(usize) -> f32, mut on_spike: impl FnMut(usize)) {
-        let wide = wide_tick_enabled();
         match self {
-            NeuronPool::Izhikevich(p) => {
-                if wide {
-                    p.step_tick_wide(&input, &mut on_spike);
-                } else {
-                    for i in 0..p.v.len() {
-                        if p.step(i, input(i)) {
-                            on_spike(i);
-                        }
-                    }
-                }
-            }
-            NeuronPool::Lif(p) => {
-                if wide {
-                    p.step_tick_wide(&input, &mut on_spike);
-                } else {
-                    for i in 0..p.v.len() {
-                        if p.step(i, input(i)) {
-                            on_spike(i);
-                        }
-                    }
-                }
-            }
+            NeuronPool::Izhikevich(p) => p.step_tick_wide(&input, &mut on_spike),
+            NeuronPool::Lif(p) => p.step_tick_wide(&input, &mut on_spike),
             NeuronPool::Mixed(v) => {
                 for (i, n) in v.iter_mut().enumerate() {
                     if n.step_1ms(input(i)) {
@@ -492,27 +409,38 @@ mod tests {
         }
     }
 
-    /// SoA stepping must match per-neuron enum dispatch bit for bit —
-    /// the property the golden traces rely on.
-    fn assert_pool_matches_aos(mk: impl Fn(usize) -> AnyNeuron, n: usize, ticks: usize) {
-        let mut aos: Vec<AnyNeuron> = (0..n).map(&mk).collect();
-        let mut pool = NeuronPool::from_neurons((0..n).map(&mk).collect());
-        for t in 0..ticks {
-            let mut expect = Vec::new();
-            for (i, neuron) in aos.iter_mut().enumerate() {
-                if neuron.step_1ms(drive(t, i)) {
-                    expect.push(i);
+    /// SoA stepping must match the per-neuron `step_1ms` models — the
+    /// only scalar statement of either update — bit for bit: the spike
+    /// list and the complete encoded state after every tick, at pool
+    /// sizes that leave ragged tails shorter than a chunk and put
+    /// neurons right at the chunk seams. Returns the spikes seen.
+    fn assert_pool_matches_aos(mk: impl Fn(usize) -> AnyNeuron, ticks: usize) -> usize {
+        let mut spikes = 0;
+        for n in [0usize, 1, 7, 8, 9, 31, 32, 33] {
+            let mut aos: Vec<AnyNeuron> = (0..n).map(&mk).collect();
+            let mut pool = NeuronPool::from_neurons((0..n).map(&mk).collect());
+            for t in 0..ticks {
+                let mut expect = Vec::new();
+                for (i, neuron) in aos.iter_mut().enumerate() {
+                    if neuron.step_1ms(drive(t, i)) {
+                        expect.push(i);
+                    }
                 }
+                let mut got = Vec::new();
+                pool.step_tick(|i| drive(t, i), |i| got.push(i));
+                assert_eq!(got, expect, "n={n} tick {t}");
+                let mut want = spinn_sim::wire::Enc::new();
+                want.seq(n);
+                for neuron in &aos {
+                    neuron.encode(&mut want);
+                }
+                let mut have = spinn_sim::wire::Enc::new();
+                pool.encode(&mut have);
+                assert_eq!(have.into_bytes(), want.into_bytes(), "n={n} tick {t}");
+                spikes += got.len();
             }
-            let mut got = Vec::new();
-            pool.step_tick(|i| drive(t, i), |i| got.push(i));
-            assert_eq!(got, expect, "tick {t}");
         }
-        // Round-tripped state is identical too.
-        let back = pool.into_neurons();
-        for (a, b) in aos.iter().zip(&back) {
-            assert_eq!(a.membrane_mv(), b.membrane_mv());
-        }
+        spikes
     }
 
     #[test]
@@ -522,25 +450,67 @@ mod tests {
             IzhikevichParams::fast_spiking(),
             IzhikevichParams::chattering(),
         ];
-        assert_pool_matches_aos(
+        let spikes = assert_pool_matches_aos(
             |i| AnyNeuron::Izhikevich(IzhikevichNeuron::new(presets[i % 3])),
-            32,
             600,
         );
+        assert!(spikes > 0);
+    }
+
+    /// `|a| >= 1` or `|b| >= 1` voids the range proof behind the
+    /// clamp-free lanes, so one such neuron (reachable through the
+    /// public `IzhikevichParams` fields) must pin the whole pool to the
+    /// clamped walk — which still equals `step_1ms`, saturation and all.
+    /// The last case is the one that bites: at rest its chunk passes the
+    /// per-tick state guard, and `a·(b·v − u)` saturates on tick 0, so
+    /// without the parameter guard the `i64` lanes wrap where `Fix1616`
+    /// clamps.
+    #[test]
+    fn wild_izhikevich_params_take_the_clamped_path() {
+        for wild in [
+            IzhikevichParams {
+                a: 1.5,
+                ..IzhikevichParams::regular_spiking()
+            },
+            IzhikevichParams {
+                b: -2.0,
+                ..IzhikevichParams::regular_spiking()
+            },
+            IzhikevichParams {
+                a: 30_000.0,
+                ..IzhikevichParams::regular_spiking()
+            },
+        ] {
+            let mk = |i: usize| -> AnyNeuron {
+                // One wild neuron per chunk of tame ones.
+                let params = if i % 8 == 3 {
+                    wild
+                } else {
+                    IzhikevichParams::fast_spiking()
+                };
+                IzhikevichNeuron::new(params).into()
+            };
+            match NeuronPool::from_neurons((0..8).map(mk).collect()) {
+                NeuronPool::Izhikevich(p) => assert!(p.params_wild),
+                _ => unreachable!(),
+            }
+            assert!(assert_pool_matches_aos(mk, 600) > 0);
+        }
     }
 
     #[test]
     fn lif_pool_bit_exact() {
-        assert_pool_matches_aos(
+        let spikes = assert_pool_matches_aos(
             |i| {
                 AnyNeuron::Lif(LifNeuron::new(LifParams {
                     t_refract: (i % 5) as u32,
+                    tau_m: 10.0 + (i % 7) as f32,
                     ..Default::default()
                 }))
             },
-            32,
             600,
         );
+        assert!(spikes > 0);
     }
 
     #[test]
@@ -554,65 +524,7 @@ mod tests {
         };
         let pool = NeuronPool::from_neurons((0..6).map(mk).collect());
         assert!(matches!(pool, NeuronPool::Mixed(_)));
-        assert_pool_matches_aos(mk, 16, 300);
-    }
-
-    /// The chunked wide path must equal the scalar `step` walk exactly
-    /// — spikes and post-state — including ragged tails shorter than a
-    /// chunk and neurons sitting right at the chunk seams.
-    #[test]
-    fn wide_path_matches_scalar_step() {
-        for n in [0usize, 1, 7, 8, 9, 31, 32, 33] {
-            // Izhikevich: drive hard enough that lanes fire on
-            // different ticks.
-            let presets = [
-                IzhikevichParams::regular_spiking(),
-                IzhikevichParams::fast_spiking(),
-                IzhikevichParams::chattering(),
-            ];
-            let mk = |i: usize| IzhikevichNeuron::new(presets[i % 3]);
-            let mut wide = match NeuronPool::from_neurons((0..n).map(|i| mk(i).into()).collect()) {
-                NeuronPool::Izhikevich(p) => p,
-                _ => unreachable!(),
-            };
-            let mut scalar = wide.clone();
-            for t in 0..400 {
-                let mut got = Vec::new();
-                wide.step_tick_wide(&|i| drive(t, i), &mut |i| got.push(i));
-                let mut expect = Vec::new();
-                for i in 0..n {
-                    if scalar.step(i, drive(t, i)) {
-                        expect.push(i);
-                    }
-                }
-                assert_eq!(got, expect, "izh n={n} tick {t}");
-                assert_eq!(wide.v, scalar.v, "izh n={n} tick {t}");
-                assert_eq!(wide.u, scalar.u, "izh n={n} tick {t}");
-            }
-            // LIF with a spread of refractory periods.
-            let mut wide = LifPool::default();
-            for i in 0..n {
-                wide.push(LifNeuron::new(LifParams {
-                    t_refract: (i % 5) as u32,
-                    tau_m: 10.0 + (i % 7) as f32,
-                    ..Default::default()
-                }));
-            }
-            let mut scalar = wide.clone();
-            for t in 0..400 {
-                let mut got = Vec::new();
-                wide.step_tick_wide(&|i| drive(t, i) * 2.0, &mut |i| got.push(i));
-                let mut expect = Vec::new();
-                for i in 0..n {
-                    if scalar.step(i, drive(t, i) * 2.0) {
-                        expect.push(i);
-                    }
-                }
-                assert_eq!(got, expect, "lif n={n} tick {t}");
-                assert_eq!(wide.v, scalar.v, "lif n={n} tick {t}");
-                assert_eq!(wide.refract_left, scalar.refract_left, "lif n={n} tick {t}");
-            }
-        }
+        assert_pool_matches_aos(mk, 300);
     }
 
     #[test]

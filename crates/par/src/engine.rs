@@ -4,15 +4,16 @@
 //!
 //! # Scheduling
 //!
-//! Shards and worker threads are decoupled: `run_until` spawns
-//! `min(shards, available_parallelism)` workers, and within every
-//! window phase the workers *claim* shards from a shared atomic counter
-//! (work stealing at shard granularity). A worker that finishes a light
-//! shard immediately claims the next unclaimed one, so a skewed spike
-//! distribution no longer serializes the round behind whichever thread
-//! happened to own the hot shard — and when the host has fewer cores
-//! than the run has shards, the pool degrades to the core count instead
-//! of oversubscribing the machine with yielding threads.
+//! A shard belongs to one worker for the whole run. `run_until` cuts
+//! the shard vector into `min(shards, host cores)` contiguous blocks
+//! with `split_at_mut`, spawns a scoped thread for every block but the
+//! last and walks the last one itself. Workers hold their engines by
+//! exclusive `&mut`; they share only what the protocol shares: the
+//! per-shard "earliest pending" timestamps, the mailboxes and the
+//! barrier between a window's two phases. Results depend on the shard
+//! cut alone, never on which worker walks a shard (the machine cuts one
+//! shard per worker; tests cut more), and a single worker is the same
+//! loop over one block with a one-party barrier.
 //!
 //! # Per-shard horizons
 //!
@@ -35,13 +36,22 @@
 //! barrier count on skewed workloads from O(events) to O(interactions).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use spinn_obs::Phase;
 use spinn_sim::{Engine, EventQueue, Model, Queue, SimTime};
 
 /// Sentinel for "this shard's queue is empty".
 const IDLE: u64 = u64::MAX;
+
+/// The number of threads the host can run at once (1 when it cannot be
+/// told). The standard library re-reads the affinity mask and cgroup
+/// limits on every call — microseconds each — and the answer is asked
+/// once per run segment, so it is taken once per process.
+pub fn host_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
 
 /// A model that can run as one shard of a partitioned simulation.
 ///
@@ -98,25 +108,12 @@ pub struct ParStats {
 /// `(at, src, seq)` is the canonical delivery order: `seq` counts per
 /// *source shard* (not per worker thread), so sorting by it makes queue
 /// insertion — and therefore FIFO tie-breaking — independent of which
-/// worker thread ran the source shard or reached the mailbox first.
+/// worker walked the source shard or reached the mailbox first.
 struct Envelope<E> {
     at: u64,
     src: u32,
     seq: u64,
     event: E,
-}
-
-/// One shard's mutable state, claimed by at most one worker per phase.
-///
-/// The mutex is uncontended by construction (the claim counters hand
-/// each shard index to exactly one worker per phase); it exists to make
-/// the hand-off between different workers across phases sound.
-struct Slot<'a, M: ShardModel, Q: Queue<M::Event>> {
-    engine: &'a mut Engine<M, Q>,
-    /// Per-source-shard envelope sequence (canonical tie-break order).
-    seq: u64,
-    events: u64,
-    exchanged: u64,
 }
 
 /// A sense-counting spin barrier.
@@ -136,23 +133,19 @@ struct SpinBarrier {
 
 impl SpinBarrier {
     fn new(n: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         SpinBarrier {
             n,
-            spin_limit: if n <= cores { 20_000 } else { 0 },
+            spin_limit: if n <= host_parallelism() { 20_000 } else { 0 },
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
         }
     }
 
-    /// Waits for all `n` workers; the last arriver runs `reset` before
-    /// releasing the others (used to rearm the next phase's claim
-    /// counter while every other worker is provably inside the wait).
-    fn wait_then(&self, reset: impl FnOnce()) {
+    /// Waits for all `n` workers (returns at once when `n == 1`).
+    fn wait(&self) {
         let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
             self.count.store(0, Ordering::Relaxed);
-            reset();
             self.generation
                 .store(gen.wrapping_add(1), Ordering::Release);
         } else {
@@ -170,8 +163,8 @@ impl SpinBarrier {
 }
 
 /// The parallel engine: one [`Engine`] per shard, advanced in lockstep
-/// conservative windows by a pool of worker threads that claim shards
-/// dynamically (see the module docs).
+/// conservative windows by worker threads that each own a contiguous
+/// block of shards (see the module docs).
 ///
 /// # Example
 ///
@@ -280,12 +273,6 @@ where
         self.shards.into_iter().map(Engine::into_parts).collect()
     }
 
-    /// Number of shards (not necessarily the worker-thread count: the
-    /// pool is clamped to the host's available parallelism).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Schedules an initial event on one shard.
     pub fn schedule(&mut self, shard: usize, at: SimTime, event: M::Event) {
         self.shards[shard].schedule_at(at, event);
@@ -321,240 +308,107 @@ where
     /// Panics if `lookahead_ns == 0`, or (in debug builds) if a shard
     /// violates the lookahead contract.
     pub fn run_until(&mut self, deadline: SimTime, lookahead_ns: u64) {
-        self.run_until_with_workers(deadline, lookahead_ns, usize::MAX);
+        self.run_with_workers(deadline, lookahead_ns, host_parallelism());
     }
 
-    /// [`ParEngine::run_until`] with an explicit cap on the worker pool.
-    ///
-    /// The pool size is `min(shards, host cores, max_workers)`. This is
-    /// what makes *over-decomposition* useful: cut the model into more
-    /// shards than workers and the claim counters turn each window
-    /// phase into a work-stealing scan — an idle worker picks up the
-    /// next unclaimed shard instead of waiting at the barrier for
-    /// whoever owns the hot region. Results are bit-identical for every
-    /// worker count (the schedule depends only on the shard cut).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead_ns == 0`, or (in debug builds) if a shard
-    /// violates the lookahead contract.
-    pub fn run_until_with_workers(
-        &mut self,
-        deadline: SimTime,
-        lookahead_ns: u64,
-        max_workers: usize,
-    ) {
+    /// [`ParEngine::run_until`] on `min(workers, shards)` workers (at
+    /// least one). Results are bit-identical for every worker count —
+    /// the schedule depends only on the shard cut — which the unit
+    /// tests check by calling this with counts the host may not have.
+    fn run_with_workers(&mut self, deadline: SimTime, lookahead_ns: u64, workers: usize) {
         assert!(lookahead_ns > 0, "conservative windows need lookahead > 0");
         let n = self.shards.len();
-        let workers = n
-            .min(std::thread::available_parallelism().map_or(1, |p| p.get()))
-            .min(max_workers.max(1));
-        if workers == 1 {
-            // One worker owns every shard: the claim counters, slot
-            // mutexes and barriers would synchronize the worker with
-            // itself. Run the identical schedule without them — same
-            // deliver/run rounds, same horizons, same canonical mailbox
-            // order, so the results are bit-identical to the pool path.
-            self.run_until_solo(deadline.ticks(), lookahead_ns);
-            return;
-        }
-        let barrier = SpinBarrier::new(workers);
-        let next: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(IDLE)).collect();
-        let mailboxes: Vec<Mutex<Vec<Envelope<M::Event>>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        // Shard-claim counters, one per phase; each is rearmed at the
-        // *other* phase's barrier, when no worker can be claiming from it.
-        let claim_deliver = AtomicUsize::new(0);
-        let claim_run = AtomicUsize::new(usize::MAX);
-        let deadline_ns = deadline.ticks();
-
-        let slots: Vec<Mutex<Slot<'_, M, Q>>> = self
-            .shards
-            .iter_mut()
-            .map(|engine| {
-                Mutex::new(Slot {
-                    engine,
-                    seq: 0,
-                    events: 0,
-                    exchanged: 0,
-                })
-            })
-            .collect();
-
-        let mut rounds = 0u64;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let barrier = &barrier;
-                let next = &next;
-                let mailboxes = &mailboxes;
-                let slots = &slots;
-                let claim_deliver = &claim_deliver;
-                let claim_run = &claim_run;
-                handles.push(scope.spawn(move || {
-                    worker_loop(
-                        w,
-                        slots,
-                        barrier,
-                        next,
-                        mailboxes,
-                        claim_deliver,
-                        claim_run,
-                        deadline_ns,
-                        lookahead_ns,
-                    )
-                }));
+        let workers = workers.clamp(1, n);
+        let shared = Shared {
+            barrier: SpinBarrier::new(workers),
+            next: (0..n).map(|_| AtomicU64::new(IDLE)).collect(),
+            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            deadline_ns: deadline.ticks(),
+            lookahead_ns,
+        };
+        let run = std::thread::scope(|scope| {
+            let shared = &shared;
+            let mut rest = &mut self.shards[..];
+            let mut first = 0;
+            let mut spawned = Vec::with_capacity(workers - 1);
+            for w in 0..workers - 1 {
+                // The first `n % workers` blocks are one shard longer.
+                let len = n / workers + usize::from(w < n % workers);
+                let (block, tail) = rest.split_at_mut(len);
+                spawned.push(scope.spawn(move || worker_loop(shared, first, block)));
+                first += len;
+                rest = tail;
             }
-            for h in handles {
-                rounds = rounds.max(h.join().expect("shard worker panicked"));
+            let mut run = worker_loop(shared, first, rest);
+            for handle in spawned {
+                let theirs = handle.join().expect("shard worker panicked");
+                // Every worker counts the same barrier rounds.
+                debug_assert_eq!(theirs.windows, run.windows);
+                run.events += theirs.events;
+                run.exchanged += theirs.exchanged;
             }
+            run
         });
-        // Every worker counts the same number of barrier rounds, so add
-        // this call's rounds once (not per worker).
-        self.stats.windows += rounds;
-        for slot in slots {
-            let slot = slot.into_inner().expect("slot poisoned");
-            self.stats.events += slot.events;
-            self.stats.exchanged += slot.exchanged;
-        }
-    }
-
-    /// Single-worker schedule: the same conservative-window rounds as
-    /// the pool path (deliver, snapshot, run with per-shard horizons),
-    /// executed inline. `BarrierWait` never fires here because a lone
-    /// worker never waits.
-    fn run_until_solo(&mut self, deadline_ns: u64, lookahead_ns: u64) {
-        let n = self.shards.len();
-        let mut mailboxes: Vec<Vec<Envelope<M::Event>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut seq = vec![0u64; n];
-        let mut times = vec![IDLE; n];
-        loop {
-            // Deliver phase.
-            for (i, engine) in self.shards.iter_mut().enumerate() {
-                let mut mail = std::mem::take(&mut mailboxes[i]);
-                if !mail.is_empty() {
-                    mail.sort_by_key(|e| (e.at, e.src, e.seq));
-                    for env in mail {
-                        engine.schedule_at(SimTime::new(env.at), env.event);
-                    }
-                }
-                times[i] = engine.next_event_time().map_or(IDLE, |t| t.ticks());
-            }
-            let min = *times.iter().min().expect("at least one shard");
-            if min == IDLE || min > deadline_ns {
-                return;
-            }
-
-            // Run phase: identical horizon bounds to `worker_loop`.
-            for i in 0..n {
-                let base = times
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, &t)| t)
-                    .min()
-                    .unwrap_or(IDLE)
-                    .saturating_add(lookahead_ns)
-                    .min(deadline_ns.saturating_add(1));
-                let my_next = times[i];
-                let mut horizon = base.min(my_next.saturating_add(lookahead_ns.saturating_mul(2)));
-                if my_next >= horizon {
-                    continue;
-                }
-                let engine = &mut self.shards[i];
-                let before = engine.processed();
-                let mut staged_min = IDLE;
-                loop {
-                    engine.run_before(SimTime::new(horizon));
-                    for r in engine.model_mut().drain_outbox() {
-                        debug_assert!(
-                            r.at.ticks() >= my_next.saturating_add(lookahead_ns),
-                            "lookahead violation: remote event at {} from window starting {}",
-                            r.at,
-                            my_next
-                        );
-                        debug_assert!(r.dest != i, "shard {i} routed an event to itself");
-                        staged_min = staged_min.min(r.at.ticks());
-                        self.stats.exchanged += 1;
-                        mailboxes[r.dest].push(Envelope {
-                            at: r.at.ticks(),
-                            src: i as u32,
-                            seq: seq[i],
-                            event: r.event,
-                        });
-                        seq[i] += 1;
-                    }
-                    let next_now = engine.next_event_time().map_or(IDLE, |t| t.ticks());
-                    let reply_floor = staged_min
-                        .min(next_now.saturating_add(lookahead_ns))
-                        .saturating_add(lookahead_ns);
-                    let extended = base.min(reply_floor);
-                    if extended <= horizon || next_now >= extended {
-                        break;
-                    }
-                    horizon = extended;
-                }
-                self.stats.events += engine.processed() - before;
-            }
-            self.stats.windows += 1;
-        }
+        self.stats.windows += run.windows;
+        self.stats.events += run.events;
+        self.stats.exchanged += run.exchanged;
     }
 }
 
-/// One pool worker: claims shards phase by phase until the run drains.
-///
-/// Returns the number of barrier rounds it observed (identical across
-/// workers — they exit the loop together).
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
-    w: usize,
-    slots: &[Mutex<Slot<'_, M, Q>>],
-    barrier: &SpinBarrier,
-    next: &[AtomicU64],
-    mailboxes: &[Mutex<Vec<Envelope<M::Event>>>],
-    claim_deliver: &AtomicUsize,
-    claim_run: &AtomicUsize,
+/// What the workers of one run share — everything else a worker
+/// touches it holds by exclusive `&mut`.
+struct Shared<E> {
+    barrier: SpinBarrier,
+    /// Each shard's earliest pending timestamp, published in the
+    /// deliver phase and read by every worker after the barrier.
+    next: Vec<AtomicU64>,
+    mailboxes: Vec<Mutex<Vec<Envelope<E>>>>,
     deadline_ns: u64,
     lookahead_ns: u64,
-) -> u64 {
-    let n = slots.len();
-    let mut rounds = 0u64;
-    // Barrier waits are where shard imbalance shows up: a worker that
-    // runs out of claimable shards early burns the difference here.
-    // Time both waits into this worker's home-shard probe (inert unless
-    // telemetry is on; `w < n` because the pool is clamped to the shard
-    // count).
-    let probe = slots[w]
-        .lock()
-        .expect("slot poisoned")
-        .engine
-        .probe()
-        .clone();
-    let mut times: Vec<u64> = vec![IDLE; n];
+}
+
+/// One worker: walks its block of shards (`first` is the block's first
+/// shard index) phase by phase until the run drains. Returns the
+/// barrier rounds it saw — identical across workers, which leave the
+/// loop together — and its own block's event and exchange counts.
+fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
+    shared: &Shared<M::Event>,
+    first: usize,
+    block: &mut [Engine<M, Q>],
+) -> ParStats {
+    let (next, mailboxes) = (&shared.next, &shared.mailboxes);
+    let (deadline_ns, lookahead_ns) = (shared.deadline_ns, shared.lookahead_ns);
+    let mut run = ParStats::default();
+    // Per-source-shard envelope sequence (canonical tie-break order).
+    let mut seq = vec![0u64; block.len()];
+    // Barrier waits are where shard imbalance shows up: the worker with
+    // the lighter block burns the difference here. Time both waits into
+    // the probe of the block's first shard (inert unless telemetry is
+    // on).
+    let probe = block[0].probe().clone();
+    let wait = || {
+        let tok = probe.start();
+        shared.barrier.wait();
+        probe.record(Phase::BarrierWait, tok);
+    };
+    let mut times: Vec<u64> = vec![IDLE; next.len()];
     loop {
         // Deliver phase: drain each shard's mailbox in canonical order
         // and publish its earliest pending timestamp.
-        loop {
-            let i = claim_deliver.fetch_add(1, Ordering::AcqRel);
-            if i >= n {
-                break;
-            }
-            let slot = &mut *slots[i].lock().expect("slot poisoned");
+        for (engine, i) in block.iter_mut().zip(first..) {
             let mut mail = std::mem::take(&mut *mailboxes[i].lock().expect("mailbox poisoned"));
             if !mail.is_empty() {
                 mail.sort_by_key(|e| (e.at, e.src, e.seq));
                 for env in mail {
-                    slot.engine.schedule_at(SimTime::new(env.at), env.event);
+                    engine.schedule_at(SimTime::new(env.at), env.event);
                 }
             }
             next[i].store(
-                slot.engine.next_event_time().map_or(IDLE, |t| t.ticks()),
+                engine.next_event_time().map_or(IDLE, |t| t.ticks()),
                 Ordering::Release,
             );
         }
-        let tok = probe.start();
-        barrier.wait_then(|| claim_run.store(0, Ordering::Relaxed));
-        probe.record(Phase::BarrierWait, tok);
+        wait();
 
         // All publishes happened before the barrier, so every worker
         // reads the same snapshot and computes the same minimum.
@@ -567,17 +421,13 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
             // are empty, because delivery happens before the minimum is
             // recomputed. Every worker sees the same minimum and exits
             // together.
-            return rounds;
+            return run;
         }
 
-        // Run phase: advance each claimed shard through its window (see
+        // Run phase: advance each shard through its window (see
         // "Per-shard horizons" in the module docs for the safety
         // argument behind the two horizon bounds).
-        loop {
-            let i = claim_run.fetch_add(1, Ordering::AcqRel);
-            if i >= n {
-                break;
-            }
+        for ((engine, seq), i) in block.iter_mut().zip(&mut seq).zip(first..) {
             // Bound 1: everything already pending at other shards.
             let base = times
                 .iter()
@@ -598,14 +448,13 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                 // engine entirely (its clock catches up lazily).
                 continue;
             }
-            let slot = &mut *slots[i].lock().expect("slot poisoned");
-            let before = slot.engine.processed();
+            let before = engine.processed();
             // Earliest arrival staged by this shard this round; replies
             // to it land at >= this + lookahead.
             let mut staged_min = IDLE;
             loop {
-                slot.engine.run_before(SimTime::new(horizon));
-                for r in slot.engine.model_mut().drain_outbox() {
+                engine.run_before(SimTime::new(horizon));
+                for r in engine.model_mut().drain_outbox() {
                     debug_assert!(
                         r.at.ticks() >= my_next.saturating_add(lookahead_ns),
                         "lookahead violation: remote event at {} from window starting {}",
@@ -614,14 +463,14 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                     );
                     debug_assert!(r.dest != i, "shard {i} routed an event to itself");
                     staged_min = staged_min.min(r.at.ticks());
-                    slot.exchanged += 1;
+                    run.exchanged += 1;
                     let env = Envelope {
                         at: r.at.ticks(),
                         src: i as u32,
-                        seq: slot.seq,
+                        seq: *seq,
                         event: r.event,
                     };
-                    slot.seq += 1;
+                    *seq += 1;
                     mailboxes[r.dest]
                         .lock()
                         .expect("mailbox poisoned")
@@ -630,7 +479,7 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                 // Try to extend: bound 2 relaxes to the earliest staged
                 // arrival (or, if nothing is staged yet, to replies
                 // provoked by whatever the extension itself might emit).
-                let next_now = slot.engine.next_event_time().map_or(IDLE, |t| t.ticks());
+                let next_now = engine.next_event_time().map_or(IDLE, |t| t.ticks());
                 let reply_floor = staged_min
                     .min(next_now.saturating_add(lookahead_ns))
                     .saturating_add(lookahead_ns);
@@ -640,12 +489,10 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                 }
                 horizon = extended;
             }
-            slot.events += slot.engine.processed() - before;
+            run.events += engine.processed() - before;
         }
-        let tok = probe.start();
-        barrier.wait_then(|| claim_deliver.store(0, Ordering::Relaxed));
-        probe.record(Phase::BarrierWait, tok);
-        rounds += 1;
+        wait();
+        run.windows += 1;
     }
 }
 
@@ -748,23 +595,54 @@ mod tests {
         par.run_until(SimTime::new(10), 0);
     }
 
+    /// Sorted handling times of a 12-hop token on `shards` shards
+    /// walked by `workers` workers, plus the run's counters.
+    fn ring_run(shards: usize, workers: usize) -> (Vec<u64>, ParStats) {
+        let mut par = ring(shards);
+        par.schedule(0, SimTime::ZERO, 12);
+        par.run_with_workers(SimTime::new(10_000), 50, workers);
+        let stats = par.stats().clone();
+        let mut times: Vec<u64> = par
+            .into_models()
+            .iter()
+            .flat_map(|m| m.handled.clone())
+            .collect();
+        times.sort_unstable();
+        (times, stats)
+    }
+
     #[test]
     fn worker_cap_is_result_invariant() {
-        // Over-decomposed runs (more shards than workers) must replay
-        // the exact same schedule whatever the pool size.
-        let run = |cap: usize| {
-            let mut par = ring(4);
-            par.schedule(0, SimTime::ZERO, 12);
-            par.run_until_with_workers(SimTime::new(10_000), 50, cap);
-            let models = par.into_models();
-            let mut times: Vec<u64> = models.iter().flat_map(|m| m.handled.clone()).collect();
-            times.sort_unstable();
-            times
-        };
-        let baseline = run(usize::MAX);
-        assert_eq!(baseline.len(), 13);
-        for cap in [1, 2, 3] {
-            assert_eq!(run(cap), baseline, "cap {cap} diverged");
+        // More shards than workers: whoever walks a shard, the schedule
+        // — times, windows, exchanges — is the one the shard cut fixes.
+        let (baseline, stats) = ring_run(4, 4);
+        assert_eq!(baseline, (0..13).map(|k| k * 50).collect::<Vec<_>>());
+        for workers in [1, 2, 3] {
+            let (times, s) = ring_run(4, workers);
+            assert_eq!(times, baseline, "{workers} workers diverged");
+            assert_eq!(
+                (s.windows, s.events, s.exchanged),
+                (stats.windows, stats.events, stats.exchanged),
+                "{workers} workers counted differently"
+            );
+        }
+    }
+
+    #[test]
+    fn uneven_blocks_and_surplus_workers_replay_the_same_run() {
+        // 5 shards on 2 workers (blocks of 3 and 2), 3 on 2 (2 and 1),
+        // and more workers asked for than there are shards (clamped to
+        // one shard each): all equal the one-worker walk.
+        for (shards, workers) in [(5, 2), (3, 2), (2, 7), (1, 3)] {
+            let (baseline, stats) = ring_run(shards, 1);
+            assert_eq!(baseline.len(), 13);
+            let (times, s) = ring_run(shards, workers);
+            assert_eq!(times, baseline, "{shards} shards / {workers} workers");
+            assert_eq!(
+                (s.windows, s.events, s.exchanged),
+                (stats.windows, stats.events, stats.exchanged),
+                "{shards} shards / {workers} workers"
+            );
         }
     }
 

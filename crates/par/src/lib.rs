@@ -12,7 +12,10 @@
 //! discrete-event simulation of the machine itself:
 //!
 //! 1. The simulated chips are partitioned into **shards**, one
-//!    [`spinn_sim::Engine`] and one worker thread per shard.
+//!    [`spinn_sim::Engine`] each. Every worker thread owns a contiguous
+//!    block of shards for the whole run — the machine cuts one shard
+//!    per worker, so normally a block is one shard — and the calling
+//!    thread is one of the workers.
 //! 2. All shards advance in lockstep **conservative windows**. At each
 //!    barrier the workers agree on the global minimum pending timestamp
 //!    `m`; every shard may then safely simulate all events in
@@ -49,6 +52,15 @@
 //! which is what makes the barrier protocol cheap enough to win
 //! wall-clock time (see experiment E12 in `spinn-bench`).
 //!
+//! There is one schedule and nothing in it is dynamic: no shard changes
+//! hands between windows and no worker takes over part of another's
+//! block. (Letting idle workers claim spare shards off a shared counter
+//! was measured on two real cores and lost to this static cut even on a
+//! net skewed to favour it; the figures are in `CHANGES.md`, PR 13.)
+//! What balances the load is where the machine cuts the shards, which
+//! it re-derives from measured per-chip event counts every few
+//! milliseconds (`NeuralMachine::run_parallel`).
+//!
 //! Determinism is preserved per shard: models that need randomness
 //! should key their PRNG stream by shard id (e.g.
 //! [`shard_stream`]), so a run is a pure function of `(seed, shard
@@ -73,7 +85,7 @@
 
 mod engine;
 
-pub use engine::{ParEngine, ParStats, RemoteEvent, ShardModel, ShardParts};
+pub use engine::{host_parallelism, ParEngine, ParStats, RemoteEvent, ShardModel, ShardParts};
 
 use spinn_sim::Xoshiro256;
 

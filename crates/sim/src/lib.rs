@@ -14,12 +14,12 @@
 //!   content-derived rank ([`Model::tie_rank`]) orders same-instant
 //!   events by *what* they are, and FIFO breaks the remaining ties — no
 //!   hash-map iteration order or thread scheduling can perturb a run.
-//!   Two interchangeable queue implementations honour that contract
-//!   (see the [`queue`] module for its precise statement): the
-//!   binary-heap [`EventQueue`] and the bucketed [`CalendarQueue`]
-//!   (amortized `O(1)` when events are scheduled a short way ahead of
-//!   the clock, as the machine's handlers do). [`QueueKind`] names them
-//!   for configuration knobs.
+//!   Two queue implementations honour that contract (see the
+//!   [`queue`] module for its precise statement): the binary-heap
+//!   [`EventQueue`], which the small models run on and the other is
+//!   tested against, and the bucketed [`CalendarQueue`] the neural
+//!   machine runs on (amortized `O(1)` when events are scheduled a
+//!   short way ahead of the clock, as the machine's handlers do).
 //! * [`Engine`] drives a user [`Model`]; models schedule future events
 //!   through a [`Context`] handed to every handler. The engine is
 //!   generic over the [`Queue`] implementation (defaulting to
@@ -79,7 +79,7 @@ pub mod wire;
 pub use calendar::CalendarQueue;
 pub use engine::{Context, Engine, Model, RunOutcome};
 pub use event::EventQueue;
-pub use queue::{Queue, QueueKind};
+pub use queue::Queue;
 pub use rng::Xoshiro256;
 pub use stats::{Histogram, OnlineStats};
 pub use time::SimTime;

@@ -1,17 +1,20 @@
 //! The queue contract shared by every event-queue implementation.
 //!
-//! The kernel ships two interchangeable implementations:
+//! The kernel ships two implementations, for two kinds of user — there
+//! is no switch between them, each caller names the type it runs on:
 //!
 //! * [`EventQueue`](crate::EventQueue) — a binary heap. `O(log n)` per
-//!   operation whatever the push pattern; the reference the calendar
-//!   is tested against.
-//! * [`CalendarQueue`](crate::CalendarQueue) — a ladder of coarse time
-//!   buckets: a push appends to the bucket its time falls in, a pop
-//!   reads the back of the one bucket that has been sorted, and events
-//!   further than a block of buckets ahead wait in a second, coarser
-//!   ring. Amortized `O(1)` when events are scheduled a short way ahead
-//!   of the clock, as the machine's are; the layout and the
-//!   measurements behind its constants head `calendar.rs`.
+//!   operation whatever the push pattern. [`crate::Engine`]'s default,
+//!   which the small models (links, flood fill, boot, fabric tests)
+//!   run on, and the reference the calendar is tested against.
+//! * [`CalendarQueue`](crate::CalendarQueue) — what the neural machine
+//!   always runs on: a ladder of coarse time buckets. A push appends to
+//!   the bucket its time falls in, a pop reads the back of the one
+//!   bucket that has been sorted, and events further than a block of
+//!   buckets ahead wait in a second, coarser ring. Amortized `O(1)`
+//!   when events are scheduled a short way ahead of the clock, as the
+//!   machine's are; the layout and the measurements behind its
+//!   constants head `calendar.rs`.
 //!
 //! # The ordering contract
 //!
@@ -113,32 +116,6 @@ pub trait Queue<E>: Default {
         self.clear();
         for (time, rank, event) in items {
             self.push_ranked(time, rank, event);
-        }
-    }
-}
-
-/// Which event-queue implementation a simulation should run on.
-///
-/// Selecting a kind changes wall-clock performance only: the two
-/// implementations honour the same ordering contract, so every run is
-/// bit-identical across kinds (locked down by the golden-trace
-/// conformance suite and `tests/props_queue.rs`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// The binary-heap [`EventQueue`](crate::EventQueue).
-    Heap,
-    /// The bucketed [`CalendarQueue`](crate::CalendarQueue) (default:
-    /// on every machine workload of the repository's benchmark its
-    /// push and pop cost half the heap's or less).
-    #[default]
-    Calendar,
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueueKind::Heap => f.write_str("heap"),
-            QueueKind::Calendar => f.write_str("calendar"),
         }
     }
 }

@@ -32,6 +32,8 @@ Single-report modes check one report in isolation:
 fails unless the report's ``phase_breakdown`` rows show the 4-thread
 wall-clock strictly beating the 1-thread wall-clock with a 4-thread
 barrier-wait share of at most 0.5 — threads must pay, not just cost.
+On a report measured on a one-core host (where both rows ran the same
+serial schedule) it warns and skips instead of comparing.
 
     python3 scripts/bench_compare.py --resilience REPORT.json
 
@@ -51,16 +53,6 @@ synapses) built and run with ``bytes_per_synapse`` reported, and the
 paired lazy/eager ``memory`` arms must show the compressed lazy build
 resident-smaller. ``memory`` rows (bytes/synapse keyed by (mesh, arm),
 lower is better) also join the pairwise and chain comparisons.
-
-    python3 scripts/bench_compare.py --work-stealing REPORT.json
-
-gates the E20 skewed-load arms: chunked stealing must beat the static
-shard split on wall-clock without raising barrier share — checked only
-at 4+ effective workers; on hosts whose parallelism collapses the
-comparison (``min(effective_threads, host_cores) < 4``) it warns and
-skips rather than comparing two identical serial runs. The same
-honesty rule applies to ``--parallel-speedup`` when the report was
-measured on a one-core host.
 
     python3 scripts/bench_compare.py --serving REPORT.json
 
@@ -345,72 +337,6 @@ def check_memory(name):
         print(
             f"  {mesh}: lazy {lz:.2f} B/synapse vs eager {eg:.2f} "
             f"{'ok' if ok else '<< lazy must be resident-smaller than eager'}"
-        )
-    return failures
-
-
-def check_work_stealing(name):
-    """Single-report gate on the E20 skewed-load arms: the chunked
-    (steal) arm must beat the static split on wall-clock with a
-    barrier-wait share no worse — but only where the comparison means
-    anything. On a host whose parallelism collapsed the arms below 4
-    effective workers the two runs execute the identical serial
-    schedule, so the check warns and skips (0 failures)."""
-    report = load(name)
-    arms = {}
-    for record in report.get("records", []):
-        if record.get("name") != "work_stealing":
-            continue
-        cfg = record.get("config", {})
-        m = record.get("metrics", {})
-        key = (cfg.get("mesh"), cfg.get("bio_ms"), cfg.get("arm"))
-        arms[key] = {
-            "wall_ms": float(m.get("wall_ms", float("nan"))),
-            "barrier": float(m.get("barrier_wait_share", 0.0)),
-            "workers": min(
-                int(cfg.get("effective_threads", 1)), int(cfg.get("host_cores", 1))
-            ),
-        }
-    pairs = sorted(
-        (mesh, bio)
-        for (mesh, bio, arm) in arms
-        if arm == "static" and (mesh, bio, "steal") in arms
-    )
-    if not pairs:
-        fail_usage(
-            f"{name} has no paired static/steal work_stealing rows — "
-            "regenerate with `SPINN_FULL=1 cargo run --release -p "
-            "spinn-bench --bin run_experiments -- E20`"
-        )
-    failures = 0
-    checked = 0
-    print(f"work-stealing check on {name}:")
-    for mesh, bio in pairs:
-        st = arms[(mesh, bio, "static")]
-        wk = arms[(mesh, bio, "steal")]
-        workers = min(st["workers"], wk["workers"])
-        if workers < 4:
-            print(
-                f"  {mesh} bio_ms={bio}: only {workers} effective worker(s) — "
-                "both arms ran the identical serial schedule; skipping "
-                "(nothing to steal on a collapsed host)"
-            )
-            continue
-        checked += 1
-        ok_wall = wk["wall_ms"] < st["wall_ms"]
-        ok_share = wk["barrier"] <= st["barrier"]
-        failures += (not ok_wall) + (not ok_share)
-        print(
-            f"  {mesh} bio_ms={bio}: wall static {st['wall_ms']:.1f} ms vs "
-            f"steal {wk['wall_ms']:.1f} ms "
-            f"{'ok' if ok_wall else '<< steal must beat static'}; "
-            f"barrier share {st['barrier']:.3f} -> {wk['barrier']:.3f} "
-            f"{'ok' if ok_share else '<< stealing must not raise barrier share'}"
-        )
-    if checked == 0 and failures == 0:
-        print(
-            "  every pair skipped (collapsed host) — gate passes vacuously, "
-            "the rows record the collapse honestly"
         )
     return failures
 
@@ -754,13 +680,6 @@ def main(argv=None):
         "loader arm resident-smaller than the eager one",
     )
     ap.add_argument(
-        "--work-stealing",
-        action="store_true",
-        help="check a single scaling-study report (E20): the chunked steal "
-        "arm beats the static split on the skewed net at 4+ effective "
-        "workers (warns and skips on collapsed hosts)",
-    )
-    ap.add_argument(
         "--serving",
         action="store_true",
         help="check a single serving report (E21): >= 3 steady client "
@@ -787,7 +706,6 @@ def main(argv=None):
             ("--parallel-speedup", args.parallel_speedup),
             ("--resilience", args.resilience),
             ("--memory", args.memory),
-            ("--work-stealing", args.work_stealing),
             ("--serving", args.serving),
         ]
         if on
@@ -826,15 +744,6 @@ def main(argv=None):
             "OK: the full machine builds and runs in host RAM with the lazy "
             "arena resident-smaller than the eager build"
         )
-        return
-    if args.work_stealing:
-        if args.chain or len(args.reports) != 1:
-            fail_usage("--work-stealing takes exactly one report")
-        failures = check_work_stealing(args.reports[0])
-        if failures:
-            print(f"FAIL: {failures} work-stealing check(s) failed", file=sys.stderr)
-            sys.exit(1)
-        print("OK: chunked stealing pays (or the host honestly can't show it)")
         return
     if args.serving:
         if args.chain or len(args.reports) != 1:

@@ -21,7 +21,6 @@ def report(
     resil=None,
     scaling=None,
     memory=None,
-    stealing=None,
     serving=None,
     commit="deadbeef",
 ):
@@ -65,10 +64,6 @@ def report(
                 "metrics": dict(metrics),
             }
         )
-    for cfg, metrics in stealing or []:
-        records.append(
-            {"name": "work_stealing", "config": dict(cfg), "metrics": dict(metrics)}
-        )
     records.extend(resil or [])
     records.extend(serving or [])
     return {"experiment": "EX", "commit": commit, "records": records}
@@ -88,34 +83,6 @@ def memory_arms(lazy_bps=1.3, eager_bps=4.5, mesh="64x64"):
         (mesh, "lazy"): {"bytes_per_synapse": lazy_bps, "resident_mb": 90.0},
         (mesh, "eager"): {"bytes_per_synapse": eager_bps, "resident_mb": 300.0},
     }
-
-
-def stealing_rows(
-    static_wall=300.0,
-    steal_wall=220.0,
-    static_share=0.4,
-    steal_share=0.15,
-    effective=4,
-    host_cores=8,
-):
-    """Paired static/steal work-stealing rows on one skewed mesh."""
-    return [
-        (
-            {
-                "mesh": "16x16",
-                "arm": arm,
-                "threads": 4,
-                "effective_threads": effective,
-                "host_cores": host_cores,
-                "bio_ms": 60,
-            },
-            {"wall_ms": wall, "barrier_wait_share": share},
-        )
-        for arm, wall, share in [
-            ("static", static_wall, static_share),
-            ("steal", steal_wall, steal_share),
-        ]
-    ]
 
 
 def resil_records(
@@ -496,42 +463,6 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(self.run_main([worse, base, "--kind", "memory"]), 1)
         self.assertEqual(self.run_main([base, base, "--kind", "memory"]), 0)
 
-    def test_work_stealing_gate_passes_when_stealing_pays(self):
-        rep = self.write("rep.json", report(stealing=stealing_rows()))
-        self.assertEqual(self.run_main(["--work-stealing", rep]), 0)
-
-    def test_work_stealing_gate_fails_when_steal_is_slower(self):
-        rep = self.write(
-            "rep.json",
-            report(stealing=stealing_rows(static_wall=200.0, steal_wall=260.0)),
-        )
-        self.assertEqual(self.run_main(["--work-stealing", rep]), 1)
-
-    def test_work_stealing_gate_fails_when_stealing_raises_barrier(self):
-        rep = self.write(
-            "rep.json",
-            report(stealing=stealing_rows(static_share=0.1, steal_share=0.5)),
-        )
-        self.assertEqual(self.run_main(["--work-stealing", rep]), 1)
-
-    def test_work_stealing_gate_skips_on_collapsed_host(self):
-        # One host core: both arms ran the identical serial schedule, so
-        # a slower steal arm is chunking overhead, not a stealing
-        # regression — the gate must skip, not fail.
-        rep = self.write(
-            "rep.json",
-            report(
-                stealing=stealing_rows(
-                    static_wall=200.0, steal_wall=260.0, host_cores=1
-                )
-            ),
-        )
-        self.assertEqual(self.run_main(["--work-stealing", rep]), 0)
-
-    def test_work_stealing_gate_without_pairs_is_exit_2(self):
-        rep = self.write("rep.json", report(sweep={self.sweep_key(): 1.0}))
-        self.assertEqual(self.run_main(["--work-stealing", rep]), 2)
-
     def test_serving_gate_passes_on_healthy_report(self):
         rep = self.write("rep.json", report(serving=serving_records()))
         self.assertEqual(self.run_main(["--serving", rep]), 0)
@@ -638,14 +569,11 @@ class BenchCompareTest(unittest.TestCase):
     def test_committed_e20_gates_hold(self):
         # The committed scaling-study artifact must clear its own
         # acceptance gates, exactly as CI runs them: full-machine scale
-        # and lazy-vs-eager footprint, plus the work-stealing arms
-        # (which may legitimately skip on a collapsed host — the gate
-        # encodes that honesty, so exit 0 either way is the contract).
+        # and lazy-vs-eager footprint.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         e20 = os.path.join(root, "BENCH_e20.json")
         self.assertTrue(os.path.exists(e20), f"{e20} must be committed")
         self.assertEqual(self.run_main(["--memory", e20]), 0)
-        self.assertEqual(self.run_main(["--work-stealing", e20]), 0)
 
     def test_committed_e18_gates_hold(self):
         # The collected-win acceptance gates, run on the committed

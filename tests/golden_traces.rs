@@ -1,11 +1,14 @@
 //! Golden-trace conformance suite: three seeded scenarios whose spike
-//! traces are recorded in `tests/golden/*.trace`. Serial runs, sharded
-//! runs (2/4/16 threads) and both event-queue implementations (binary
-//! heap and calendar) must all replay every trace **bit-exactly** — the
-//! calendar-queue refactor, and any future event-core change, must not
-//! move a single spike.
+//! traces are recorded in `tests/golden/*.trace`. The serial run and
+//! sharded runs (2/4/16 shards, forced past the host's core count)
+//! must all replay every trace **bit-exactly** — no event-core or
+//! scheduling change may move a single spike. The traces were recorded
+//! on the binary-heap queue the machine first ran on and have not moved
+//! since; the calendar queue it runs on now is held to that heap by
+//! `tests/props_queue.rs`.
 //!
-//! Regenerating (only when a change *intentionally* alters behaviour):
+//! Regenerating, from the serial run (only when a change
+//! *intentionally* alters behaviour):
 //!
 //! ```text
 //! SPINN_GOLDEN_REGEN=1 cargo test --test golden_traces
@@ -32,7 +35,7 @@ fn kind() -> NeuronKind {
 /// Scenario 1 — synfire chain: a ring of stages scattered over the
 /// torus by random placement, so the travelling wave crosses shard
 /// boundaries at every thread count.
-fn synfire(queue: QueueKind, threads: u32) -> Simulation {
+fn synfire(threads: u32) -> Simulation {
     let mut net = NetworkGraph::new();
     let pops: Vec<_> = (0..8u32)
         .map(|i| {
@@ -57,7 +60,6 @@ fn synfire(queue: QueueKind, threads: u32) -> Simulation {
     let cfg = SimConfig::new(4, 4)
         .with_neurons_per_core(64)
         .with_placer(Placer::Random { seed: 0x60_1D })
-        .with_queue(queue)
         .with_force_shards(true)
         .with_threads(threads);
     Simulation::build(&net, cfg).expect("synfire fits a 4x4 machine")
@@ -66,7 +68,7 @@ fn synfire(queue: QueueKind, threads: u32) -> Simulation {
 /// Scenario 2 — retina pipeline: graded tonic drive across bands (the
 /// §5.4 vision front end's rank-order structure) converging on one
 /// output population, with per-band synaptic delays.
-fn retina(queue: QueueKind, threads: u32) -> Simulation {
+fn retina(threads: u32) -> Simulation {
     let mut net = NetworkGraph::new();
     let out = net.population("out", 96, kind(), 0.0);
     for g in 0..6u32 {
@@ -84,7 +86,6 @@ fn retina(queue: QueueKind, threads: u32) -> Simulation {
     let cfg = SimConfig::new(4, 4)
         .with_neurons_per_core(64)
         .with_placer(Placer::Random { seed: 0x2E71 })
-        .with_queue(queue)
         .with_force_shards(true)
         .with_threads(threads);
     Simulation::build(&net, cfg).expect("retina net fits a 4x4 machine")
@@ -96,15 +97,13 @@ fn retina(queue: QueueKind, threads: u32) -> Simulation {
 /// (t = 50 ms) with emergency routing disabled. Spikes in flight are
 /// dropped and monitor-reissued into the same dead link; the target's
 /// raster after the failure is pinned by the trace.
-fn faulted_machine(queue: QueueKind) -> NeuralMachine {
+fn faulted_machine() -> NeuralMachine {
     let rs = |n: usize| -> Vec<AnyNeuron> {
         (0..n)
             .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
             .collect()
     };
-    let mut cfg = MachineConfig::new(4, 4)
-        .with_queue(queue)
-        .with_force_shards(true);
+    let mut cfg = MachineConfig::new(4, 4).with_force_shards(true);
     cfg.fabric.router.emergency_enabled = false;
     let mut m = NeuralMachine::new(cfg);
     let a = NodeCoord::new(0, 0); // tonically driven source
@@ -171,22 +170,21 @@ fn faulted_machine(queue: QueueKind) -> NeuralMachine {
 /// machine is snapshotted, restored onto a fresh identical build (the
 /// pending `RepairLink` rides the wire codec), and finished. Target
 /// spikes stop during the outage and resume after the repair; the
-/// concatenated raster is pinned bit-exactly for both queue kinds and
-/// every shard count.
-fn repaired_machine(queue: QueueKind) -> NeuralMachine {
-    let mut m = faulted_machine(queue);
+/// concatenated raster is pinned bit-exactly for every shard count.
+fn repaired_machine() -> NeuralMachine {
+    let mut m = faulted_machine();
     m.queue_repair_link(120 * MS_NS, NodeCoord::new(1, 0), Direction::NorthEast);
     m
 }
 
-fn run_repaired(queue: QueueKind, threads: u32) -> Vec<SpikeRecord> {
+fn run_repaired(threads: u32) -> Vec<SpikeRecord> {
     let threads = threads as usize;
-    let (m, pending) = repaired_machine(queue).run_segment(Vec::new(), 0, 80, threads);
+    let (m, pending) = repaired_machine().run_segment(Vec::new(), 0, 80, threads);
     let bytes = m.snapshot(&pending);
     // Restore onto a freshly built machine: install_snapshot replaces
     // the fresh build's fault/repair plans with the checkpoint's state
     // (the failure already applied to the fabric, the repair pending).
-    let mut fresh = repaired_machine(queue);
+    let mut fresh = repaired_machine();
     let restored = fresh
         .install_snapshot(&bytes)
         .expect("mid-outage snapshot installs");
@@ -195,8 +193,8 @@ fn run_repaired(queue: QueueKind, threads: u32) -> Vec<SpikeRecord> {
     done.spikes().to_vec()
 }
 
-fn run_machine(queue: QueueKind, threads: u32) -> Vec<SpikeRecord> {
-    let m = faulted_machine(queue);
+fn run_machine(threads: u32) -> Vec<SpikeRecord> {
+    let m = faulted_machine();
     let m = if threads > 1 {
         m.run_parallel(RUN_MS, threads as usize)
     } else {
@@ -205,12 +203,8 @@ fn run_machine(queue: QueueKind, threads: u32) -> Vec<SpikeRecord> {
     m.spikes().to_vec()
 }
 
-fn run(
-    build: fn(QueueKind, u32) -> Simulation,
-    queue: QueueKind,
-    threads: u32,
-) -> Vec<SpikeRecord> {
-    build(queue, threads).run(RUN_MS).machine.spikes().to_vec()
+fn run(build: fn(u32) -> Simulation, threads: u32) -> Vec<SpikeRecord> {
+    build(threads).run(RUN_MS).machine.spikes().to_vec()
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -242,10 +236,10 @@ fn parse_trace(text: &str) -> Vec<SpikeRecord> {
         .collect()
 }
 
-fn check_scenario(name: &str, run_one: fn(QueueKind, u32) -> Vec<SpikeRecord>, min_spikes: usize) {
+fn check_scenario(name: &str, run_one: fn(u32) -> Vec<SpikeRecord>, min_spikes: usize) {
     let regen = std::env::var("SPINN_GOLDEN_REGEN").is_ok_and(|v| v == "1");
-    // The reference: serial run on the heap queue (the seed's engine).
-    let reference = run_one(QueueKind::Heap, 1);
+    // The reference: the serial run.
+    let reference = run_one(1);
     assert!(
         reference.len() >= min_spikes,
         "{name}: workload too quiet ({} spikes) to pin anything down",
@@ -263,30 +257,25 @@ fn check_scenario(name: &str, run_one: fn(QueueKind, u32) -> Vec<SpikeRecord>, m
     );
     assert_eq!(
         reference, golden,
-        "{name}: serial heap run diverges from the recorded golden trace"
+        "{name}: serial run diverges from the recorded golden trace"
     );
-    for queue in [QueueKind::Heap, QueueKind::Calendar] {
-        for threads in [1u32, 2, 4, 16] {
-            if queue == QueueKind::Heap && threads == 1 {
-                continue; // that is the reference itself
-            }
-            let got = run_one(queue, threads);
-            assert_eq!(
-                got, golden,
-                "{name}: {queue} queue with {threads} thread(s) diverges from the golden trace"
-            );
-        }
+    for threads in [2u32, 4, 16] {
+        assert_eq!(
+            run_one(threads),
+            golden,
+            "{name}: {threads} shards diverge from the golden trace"
+        );
     }
 }
 
 #[test]
 fn synfire_chain_replays_golden_trace() {
-    check_scenario("synfire", |q, t| run(synfire, q, t), 400);
+    check_scenario("synfire", |t| run(synfire, t), 400);
 }
 
 #[test]
 fn retina_pipeline_replays_golden_trace() {
-    check_scenario("retina", |q, t| run(retina, q, t), 400);
+    check_scenario("retina", |t| run(retina, t), 400);
 }
 
 #[test]
@@ -305,7 +294,7 @@ fn fault_repair_cycle_replays_golden_trace() {
 /// at 80 ms + restoring equals running straight through.
 #[test]
 fn mid_outage_checkpoint_and_repair_fire() {
-    let whole = repaired_machine(QueueKind::Calendar).run(RUN_MS);
+    let whole = repaired_machine().run(RUN_MS);
     assert!(
         !whole
             .fabric()
@@ -321,7 +310,7 @@ fn mid_outage_checkpoint_and_repair_fire() {
         late_target_spikes > 0,
         "target must fire again once the relay link is repaired"
     );
-    let never_repaired = faulted_machine(QueueKind::Calendar).run(RUN_MS);
+    let never_repaired = faulted_machine().run(RUN_MS);
     assert_eq!(
         never_repaired
             .spikes()
@@ -331,7 +320,7 @@ fn mid_outage_checkpoint_and_repair_fire() {
         0,
         "without the repair the target stays silent"
     );
-    let resumed = run_repaired(QueueKind::Calendar, 1);
+    let resumed = run_repaired(1);
     assert_eq!(
         whole.spikes(),
         resumed.as_slice(),
@@ -346,7 +335,7 @@ fn mid_outage_checkpoint_and_repair_fire() {
 /// behaviour, not a no-op).
 #[test]
 fn mid_run_fault_actually_fires() {
-    let faulted = faulted_machine(QueueKind::Calendar).run(RUN_MS);
+    let faulted = faulted_machine().run(RUN_MS);
     assert!(faulted
         .fabric()
         .link_failed(NodeCoord::new(1, 0), Direction::NorthEast));
@@ -362,7 +351,7 @@ fn mid_run_fault_actually_fires() {
     // Same machine, fault schedule stripped: build it identically, then
     // repair the schedule away by re-running without queue_fail_link.
     let healthy = {
-        let mut m = faulted_machine(QueueKind::Calendar);
+        let mut m = faulted_machine();
         m.clear_fault_plan();
         m.run(RUN_MS)
     };

@@ -2,12 +2,12 @@
 //! invisible. For every golden-trace scenario, running through a
 //! [`RunSession`] — whole, split at an arbitrary point, or split with a
 //! serialize → restore cycle at the cut — replays the committed trace
-//! bit-exactly, across both event-queue implementations and 1/2/4/16
-//! worker threads (resuming onto a *different* queue kind and thread
-//! count than the checkpoint was taken on).
+//! bit-exactly, across 1/2/4/16 shards (resuming onto a *different*
+//! shard count than the checkpoint was taken on).
 //!
 //! Also pinned here: checkpoints taken while events are in flight
-//! (mid-tick timer work, packets on the wire), stimulus-source RNG
+//! (mid-tick timer work, packets on the wire), a checkpoint taken while
+//! a lazy synaptic arena is half materialized, stimulus-source RNG
 //! stream continuity, STDP toggling between segments, and a proptest
 //! over random split points.
 
@@ -55,12 +55,11 @@ fn synfire_net() -> NetworkGraph {
     net
 }
 
-fn synfire_cfg(queue: QueueKind, threads: u32) -> SimConfig {
+fn synfire_cfg(threads: u32) -> SimConfig {
     SimConfig::new(4, 4)
         .with_force_shards(true)
         .with_neurons_per_core(64)
         .with_placer(Placer::Random { seed: 0x60_1D })
-        .with_queue(queue)
         .with_threads(threads)
 }
 
@@ -81,26 +80,23 @@ fn retina_net() -> NetworkGraph {
     net
 }
 
-fn retina_cfg(queue: QueueKind, threads: u32) -> SimConfig {
+fn retina_cfg(threads: u32) -> SimConfig {
     SimConfig::new(4, 4)
         .with_force_shards(true)
         .with_neurons_per_core(64)
         .with_placer(Placer::Random { seed: 0x2E71 })
-        .with_queue(queue)
         .with_threads(threads)
 }
 
 /// The hand-built fault-injection machine of the `fault` golden trace:
 /// its only relay→target route dies mid-run at t = 50 ms.
-fn faulted_machine(queue: QueueKind) -> NeuralMachine {
+fn faulted_machine() -> NeuralMachine {
     let rs = |n: usize| -> Vec<AnyNeuron> {
         (0..n)
             .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
             .collect()
     };
-    let mut cfg = MachineConfig::new(4, 4)
-        .with_force_shards(true)
-        .with_queue(queue);
+    let mut cfg = MachineConfig::new(4, 4).with_force_shards(true);
     cfg.fabric.router.emergency_enabled = false;
     let mut m = NeuralMachine::new(cfg);
     let a = NodeCoord::new(0, 0);
@@ -180,63 +176,53 @@ fn golden(name: &str) -> Vec<SpikeRecord> {
 
 /// Runs a scenario through a session, split at `split` ms with a full
 /// checkpoint → serialize → rebuild → restore cycle at the cut. The
-/// checkpoint half runs on `(queue, threads)`; the resumed half runs on
-/// the *other* queue kind and a different thread count, which a correct
-/// snapshot must not be able to tell apart.
+/// checkpoint half runs on `threads` shards; the resumed half runs on a
+/// different count, which a correct snapshot must not be able to tell
+/// apart.
 fn split_session_spikes(
     net: &NetworkGraph,
-    cfg: fn(QueueKind, u32) -> SimConfig,
-    queue: QueueKind,
+    cfg: fn(u32) -> SimConfig,
     threads: u32,
     split: u32,
 ) -> Vec<SpikeRecord> {
-    let mut session = Simulation::build(net, cfg(queue, threads))
+    let mut session = Simulation::build(net, cfg(threads))
         .expect("scenario fits the machine")
         .into_session();
     session.run_for(split);
     let snap = session.checkpoint();
     drop(session);
-    let other_queue = match queue {
-        QueueKind::Heap => QueueKind::Calendar,
-        QueueKind::Calendar => QueueKind::Heap,
-    };
     let other_threads = if threads == 1 { 4 } else { 1 };
-    let mut resumed = RunSession::restore(net, cfg(other_queue, other_threads), &snap)
+    let mut resumed = RunSession::restore(net, cfg(other_threads), &snap)
         .expect("snapshot restores onto a fresh build");
     assert_eq!(resumed.elapsed_ms(), split);
     resumed.run_for(RUN_MS - split);
     resumed.machine().spikes().to_vec()
 }
 
-fn check_scenario_sessions(name: &str, net: &NetworkGraph, cfg: fn(QueueKind, u32) -> SimConfig) {
+fn check_scenario_sessions(name: &str, net: &NetworkGraph, cfg: fn(u32) -> SimConfig) {
     let golden = golden(name);
-    // Session single-segment == golden for every (queue, threads).
-    for queue in [QueueKind::Heap, QueueKind::Calendar] {
-        for threads in [1u32, 2, 4, 16] {
-            let mut session = Simulation::build(net, cfg(queue, threads))
-                .expect("scenario fits the machine")
-                .into_session();
-            session.run_for(RUN_MS);
-            assert_eq!(
-                session.machine().spikes(),
-                golden.as_slice(),
-                "{name}: session run ({queue} queue, {threads} thread(s)) diverges from golden"
-            );
-        }
+    // Session single-segment == golden for every shard count.
+    for threads in [1u32, 2, 4, 16] {
+        let mut session = Simulation::build(net, cfg(threads))
+            .expect("scenario fits the machine")
+            .into_session();
+        session.run_for(RUN_MS);
+        assert_eq!(
+            session.machine().spikes(),
+            golden.as_slice(),
+            "{name}: session run ({threads} thread(s)) diverges from golden"
+        );
     }
-    // Split + checkpoint + restore onto a different queue/thread count,
-    // at an awkward (non-round) split point.
-    for (queue, threads, split) in [
-        (QueueKind::Calendar, 1u32, 73u32),
-        (QueueKind::Heap, 4, 111),
-        (QueueKind::Calendar, 16, 37),
-    ] {
-        let got = split_session_spikes(net, cfg, queue, threads, split);
+    // Split + checkpoint + restore onto a different thread count, at an
+    // awkward (non-round) split point — none a multiple of the 5 ms
+    // rebalance epoch, so the cut lands mid-stride between repartitions.
+    for (threads, split) in [(1u32, 73u32), (4, 111), (16, 37)] {
+        let got = split_session_spikes(net, cfg, threads, split);
         assert_eq!(
             got,
             golden,
             "{name}: run({RUN_MS}) != run({split}) + checkpoint/restore + run({}) \
-             ({queue} queue, {threads} thread(s))",
+             ({threads} thread(s))",
             RUN_MS - split
         );
     }
@@ -260,24 +246,20 @@ fn retina_session_split_resume_matches_golden() {
 #[test]
 fn fault_machine_split_resume_matches_golden() {
     let golden = golden("fault");
-    for (queue, split, threads_a, threads_b) in [
-        (QueueKind::Calendar, 30u32, 1usize, 4usize), // fault still pending at the cut
-        (QueueKind::Heap, 77, 2, 1),                  // fault already fired at the cut
+    for (split, threads_a, threads_b) in [
+        (30u32, 1usize, 4usize), // fault still pending at the cut
+        (77, 2, 1),              // fault already fired at the cut
     ] {
-        let (m, pending) = faulted_machine(queue).run_segment(Vec::new(), 0, split, threads_a);
+        let (m, pending) = faulted_machine().run_segment(Vec::new(), 0, split, threads_a);
         let bytes = m.snapshot(&pending);
-        let other = match queue {
-            QueueKind::Heap => QueueKind::Calendar,
-            QueueKind::Calendar => QueueKind::Heap,
-        };
-        let mut fresh = faulted_machine(other);
+        let mut fresh = faulted_machine();
         let restored = fresh.install_snapshot(&bytes).expect("snapshot installs");
         assert_eq!(restored.elapsed_ms, split);
         let (done, _) = fresh.run_segment(restored.pending, split, RUN_MS - split, threads_b);
         assert_eq!(
             done.spikes(),
             golden.as_slice(),
-            "fault scenario split at {split} ms diverges ({queue} -> {other})"
+            "fault scenario split at {split} ms diverges ({threads_a} -> {threads_b} threads)"
         );
         assert!(
             done.fabric()
@@ -295,15 +277,13 @@ fn fault_machine_split_resume_matches_golden() {
 /// tick processing, so the checkpoint must carry a mid-tick work item,
 /// pending handler completions, and packets in flight — and still
 /// resume bit-exactly.
-fn overloaded_machine(queue: QueueKind) -> NeuralMachine {
+fn overloaded_machine() -> NeuralMachine {
     let rs = |n: usize| -> Vec<AnyNeuron> {
         (0..n)
             .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
             .collect()
     };
-    let mut cfg = MachineConfig::new(2, 2)
-        .with_force_shards(true)
-        .with_queue(queue);
+    let mut cfg = MachineConfig::new(2, 2).with_force_shards(true);
     // 60k instructions per neuron at 200 MHz = 0.3 ms/neuron: a 12-neuron
     // core needs 3.6 ms per 1 ms tick — a permanent real-time violation.
     cfg.costs.per_neuron_instr = 60_000;
@@ -339,12 +319,12 @@ fn overloaded_machine(queue: QueueKind) -> NeuralMachine {
 
 #[test]
 fn checkpoint_under_pending_events_resumes_bit_exactly() {
-    let whole = overloaded_machine(QueueKind::Calendar).run(40);
+    let whole = overloaded_machine().run(40);
     assert!(
         whole.realtime_violations() > 0,
         "the overloaded machine must actually overrun its ticks"
     );
-    let (m, pending) = overloaded_machine(QueueKind::Calendar).run_segment(Vec::new(), 0, 17, 1);
+    let (m, pending) = overloaded_machine().run_segment(Vec::new(), 0, 17, 1);
     assert!(
         !pending.is_empty(),
         "a boundary inside tick processing must leave events queued"
@@ -362,14 +342,100 @@ fn checkpoint_under_pending_events_resumes_bit_exactly() {
         has_core_work,
         "expected in-flight handler/packet events at the cut, got {pending:?}"
     );
-    // Serialize, restore onto a fresh build (heap queue), finish.
+    // Serialize, restore onto a fresh build, finish.
     let bytes = m.snapshot(&pending);
-    let mut fresh = overloaded_machine(QueueKind::Heap);
+    let mut fresh = overloaded_machine();
     let restored = fresh.install_snapshot(&bytes).unwrap();
     let (done, _) = fresh.run_segment(restored.pending, 17, 23, 1);
     assert_eq!(whole.spikes(), done.spikes());
     assert_eq!(whole.realtime_violations(), done.realtime_violations());
     assert_eq!(whole.meter().instructions, done.meter().instructions);
+}
+
+// ---------------------------------------------------------------------
+// Compressed lazy arena: snapshots must carry a half-materialized
+// matrix (some rows touched by DMA, most still generator recipes)
+// without disturbing results or forcing materialization.
+
+/// A ring of constant-weight all-to-all projections: analytic for the
+/// row generator, so the loader keeps every row as a compressed recipe
+/// and only spike-touched rows materialize during the run.
+fn lazy_ring_net() -> NetworkGraph {
+    let mut net = NetworkGraph::new();
+    let pops: Vec<_> = (0..6u32)
+        .map(|i| {
+            net.population(
+                &format!("r{i}"),
+                96,
+                kind(),
+                if i == 0 { 10.0 } else { 0.0 },
+            )
+        })
+        .collect();
+    for (i, &src) in pops.iter().enumerate() {
+        let dst = pops[(i + 1) % pops.len()];
+        net.project(
+            src,
+            dst,
+            Connector::AllToAll { allow_self: false },
+            Synapses::constant(24, 1 + (i % 3) as u8),
+            0x1A2 ^ i as u64,
+        );
+    }
+    net
+}
+
+fn lazy_cfg(threads: u32) -> SimConfig {
+    SimConfig::new(4, 4)
+        .with_force_shards(true)
+        .with_neurons_per_core(32)
+        .with_threads(threads)
+}
+
+/// Checkpoint a lazily loaded machine mid-run — after spikes have
+/// materialized some rows but long before all of them — and restore
+/// onto a fresh (fully lazy) build. The resumed run must finish on the
+/// uninterrupted run's exact spike stream, and the restore must not
+/// have force-materialized the arena to get there.
+#[test]
+fn lazy_arena_snapshot_roundtrip_mid_materialization() {
+    let net = lazy_ring_net();
+    let sim = Simulation::build(&net, lazy_cfg(1)).expect("ring fits a 4x4 machine");
+    // All rows start lazy: constant all-to-all is analytic.
+    let total_rows = sim.machine().total_lazy_rows();
+    assert!(total_rows > 0, "the ring net must load as a lazy arena");
+    let reference = sim.run(RUN_MS).machine.spikes().to_vec();
+    assert!(reference.len() > 50, "workload must actually spike");
+
+    for (split, threads_b) in [(41u32, 4u32), (97, 16)] {
+        let mut session = Simulation::build(&net, lazy_cfg(4))
+            .expect("ring fits a 4x4 machine")
+            .into_session();
+        session.run_for(split);
+        let lazy_at_cut = session.machine().total_lazy_rows();
+        assert!(
+            lazy_at_cut < total_rows,
+            "spikes must have materialized some rows by {split} ms"
+        );
+        assert!(
+            lazy_at_cut > 0,
+            "the idle tail of the ring must still be compressed at {split} ms"
+        );
+        let snap = session.checkpoint();
+        drop(session);
+        let mut resumed = RunSession::restore(&net, lazy_cfg(threads_b), &snap)
+            .expect("snapshot restores onto a fresh lazy build");
+        assert!(
+            resumed.machine().total_lazy_rows() > 0,
+            "restore must revive recipes, not force-materialize the arena"
+        );
+        resumed.run_for(RUN_MS - split);
+        assert_eq!(
+            resumed.machine().spikes(),
+            reference.as_slice(),
+            "lazy-arena split at {split} ms diverges from the uninterrupted run"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -466,14 +532,11 @@ proptest! {
         split in 1u32..99,
         threads_a in 1u32..5,
         threads_b in 1u32..5,
-        use_calendar in 0u8..2,
     ) {
         let (net, input, _out) = poisson_net();
-        let queue = if use_calendar == 1 { QueueKind::Calendar } else { QueueKind::Heap };
         let cfg = |threads: u32| {
             SimConfig::new(4, 4).with_force_shards(true)
                 .with_neurons_per_core(32)
-                .with_queue(queue)
                 .with_threads(threads)
         };
         let whole = {

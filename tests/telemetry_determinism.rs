@@ -1,7 +1,7 @@
 //! Telemetry must observe, never steer: the synfire golden trace
 //! (`tests/golden/synfire.trace`) replays **bit-exactly** under every
 //! observability mode — `Disabled`, `Counters`, `CountersAndTrace` —
-//! across both event-queue kinds and serial/sharded execution. The
+//! across serial and sharded execution. The
 //! counters themselves are checked against ground truth (the recorded
 //! raster), and session segment summaries must partition the run's
 //! totals.
@@ -35,19 +35,18 @@ fn synfire_net() -> NetworkGraph {
     net
 }
 
-fn synfire_cfg(obs: ObsMode, queue: QueueKind, threads: u32) -> SimConfig {
+fn synfire_cfg(obs: ObsMode, threads: u32) -> SimConfig {
     SimConfig::new(4, 4)
         .with_force_shards(true)
         .with_neurons_per_core(64)
         .with_placer(Placer::Random { seed: 0x60_1D })
-        .with_queue(queue)
         .with_threads(threads)
         .with_observability(obs)
 }
 
-fn run_synfire(obs: ObsMode, queue: QueueKind, threads: u32) -> Completed {
+fn run_synfire(obs: ObsMode, threads: u32) -> Completed {
     let net = synfire_net();
-    Simulation::build(&net, synfire_cfg(obs, queue, threads))
+    Simulation::build(&net, synfire_cfg(obs, threads))
         .expect("synfire fits a 4x4 machine")
         .run(RUN_MS)
 }
@@ -73,7 +72,7 @@ fn golden_synfire() -> Vec<SpikeRecord> {
 }
 
 /// The headline property: every observability mode replays the golden
-/// trace bit-exactly, whatever the queue kind or thread count.
+/// trace bit-exactly, whatever the thread count.
 #[test]
 fn every_observability_mode_replays_the_golden_trace() {
     let golden = golden_synfire();
@@ -86,16 +85,13 @@ fn every_observability_mode_replays_the_golden_trace() {
         ObsMode::Counters,
         ObsMode::CountersAndTrace,
     ] {
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            for threads in [1u32, 4, 16] {
-                let done = run_synfire(obs, queue, threads);
-                assert_eq!(
-                    done.machine.spikes(),
-                    &golden[..],
-                    "{obs} observability, {queue} queue, {threads} thread(s) \
-                     diverges from the golden trace"
-                );
-            }
+        for threads in [1u32, 4, 16] {
+            let done = run_synfire(obs, threads);
+            assert_eq!(
+                done.machine.spikes(),
+                &golden[..],
+                "{obs} observability, {threads} thread(s) diverges from the golden trace"
+            );
         }
     }
 }
@@ -106,7 +102,7 @@ fn every_observability_mode_replays_the_golden_trace() {
 #[test]
 fn counters_match_the_recorded_raster() {
     for threads in [1u32, 4] {
-        let done = run_synfire(ObsMode::Counters, QueueKind::Calendar, threads);
+        let done = run_synfire(ObsMode::Counters, threads);
         let t = done.machine.telemetry();
         assert!(t.is_enabled());
         assert_eq!(
@@ -130,7 +126,7 @@ fn counters_match_the_recorded_raster() {
 /// counters, and the per-loop rows come out finite.
 #[test]
 fn full_telemetry_yields_phases_and_trace() {
-    let done = run_synfire(ObsMode::CountersAndTrace, QueueKind::Calendar, 4);
+    let done = run_synfire(ObsMode::CountersAndTrace, 4);
     let t = done.machine.telemetry();
     assert!(t.ns_per_neuron().is_finite(), "{}", t.ns_per_neuron());
     assert!(
@@ -144,7 +140,7 @@ fn full_telemetry_yields_phases_and_trace() {
     assert!(t.shards().len() > 1, "sharded run reports per-shard rows");
     // The report surfaces the telemetry section only when enabled.
     assert!(done.report().contains("telemetry:"), "{}", done.report());
-    let quiet = run_synfire(ObsMode::Disabled, QueueKind::Calendar, 4);
+    let quiet = run_synfire(ObsMode::Disabled, 4);
     assert!(!quiet.report().contains("telemetry:"));
     assert!(!quiet.machine.telemetry().is_enabled());
 }
@@ -155,7 +151,7 @@ fn full_telemetry_yields_phases_and_trace() {
 #[test]
 fn session_segment_summaries_partition_the_run() {
     let net = synfire_net();
-    let cfg = synfire_cfg(ObsMode::Counters, QueueKind::Calendar, 4);
+    let cfg = synfire_cfg(ObsMode::Counters, 4);
     let mut session = Simulation::build(&net, cfg)
         .expect("synfire fits a 4x4 machine")
         .into_session();

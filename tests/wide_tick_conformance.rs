@@ -1,13 +1,14 @@
-//! Conformance for the chunked wide tick path and the clamped sharded
-//! scheduler: every (queue kind, thread count) combination — and a
-//! checkpoint/restore cut mid-run — must replay the serial engine's
-//! spike stream bit-exactly.
+//! Conformance for the chunked wide tick path under sharding: every
+//! shard count — and a checkpoint/restore cut mid-run — must replay the
+//! serial engine's spike stream bit-exactly, on a net whose population
+//! sizes straddle the chunk width.
 //!
-//! The wide tick path selects itself at runtime (`SPINN_SCALAR_TICK=1`
-//! forces the scalar fallback); CI runs this suite, and the pinned
-//! golden traces, under both settings, so the two tick paths are
-//! checked against each other *across* processes — each run must land
-//! on the same spikes whichever path computed the membrane update.
+//! The wide path is the only tick path for homogeneous pools; what
+//! holds it to the per-neuron `step_1ms` models, bit for bit, is
+//! `assert_pool_matches_aos` in `crates/neuron/src/pool.rs`. This suite
+//! checks what that unit test cannot: that chunk seams and tail chunks
+//! stay invisible once cores are spread over shards. (Two test names
+//! still say "queue" from when the machine had a queue switch.)
 
 use proptest::prelude::*;
 
@@ -59,33 +60,27 @@ fn mixed_net(seed: u64) -> NetworkGraph {
     net
 }
 
-fn cfg(queue: QueueKind, threads: u32) -> SimConfig {
+fn cfg(threads: u32) -> SimConfig {
     SimConfig::new(4, 4)
         .with_force_shards(true)
         .with_neurons_per_core(64)
-        .with_queue(queue)
         .with_threads(threads)
 }
 
 #[test]
 fn every_queue_and_thread_count_replays_the_serial_run() {
     let net = mixed_net(0xB0);
-    let reference = Simulation::build(&net, cfg(QueueKind::Calendar, 1))
-        .unwrap()
-        .run(80)
-        .spikes();
+    let reference = Simulation::build(&net, cfg(1)).unwrap().run(80).spikes();
     assert!(reference.len() > 200, "workload must actually spike");
-    for queue in [QueueKind::Heap, QueueKind::Calendar] {
-        for threads in [1u32, 4, 16] {
-            let spikes = Simulation::build(&net, cfg(queue, threads))
-                .unwrap()
-                .run(80)
-                .spikes();
-            assert_eq!(
-                spikes, reference,
-                "({queue:?}, {threads} threads) diverged from the serial calendar run"
-            );
-        }
+    for threads in [2u32, 4, 16] {
+        let spikes = Simulation::build(&net, cfg(threads))
+            .unwrap()
+            .run(80)
+            .spikes();
+        assert_eq!(
+            spikes, reference,
+            "{threads} threads diverged from the serial run"
+        );
     }
 }
 
@@ -93,21 +88,17 @@ fn every_queue_and_thread_count_replays_the_serial_run() {
 fn checkpoint_mid_run_then_resume_replays_the_straight_run() {
     let net = mixed_net(7);
     let whole = {
-        let mut s = Simulation::build(&net, cfg(QueueKind::Calendar, 1))
-            .unwrap()
-            .into_session();
+        let mut s = Simulation::build(&net, cfg(1)).unwrap().into_session();
         s.run_for(90);
         s.machine().spikes().to_vec()
     };
     assert!(!whole.is_empty(), "workload must actually spike");
     // Cut at an odd boundary, serialize, restore onto a *different*
-    // queue kind and thread count, finish sharded: same raster.
-    let mut s = Simulation::build(&net, cfg(QueueKind::Heap, 4))
-        .unwrap()
-        .into_session();
+    // thread count, finish sharded: same raster.
+    let mut s = Simulation::build(&net, cfg(4)).unwrap().into_session();
     s.run_for(37);
     let snap = s.checkpoint();
-    let mut s = RunSession::restore(&net, cfg(QueueKind::Calendar, 16), &snap).unwrap();
+    let mut s = RunSession::restore(&net, cfg(16), &snap).unwrap();
     s.run_for(53);
     assert_eq!(whole, s.machine().spikes());
 }
@@ -115,21 +106,16 @@ fn checkpoint_mid_run_then_resume_replays_the_straight_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Net topology, queue kind and shard count are all free choices:
-    /// none may perturb the raster the wide tick path produces.
+    /// Net topology and shard count are free choices: neither may
+    /// perturb the raster the wide tick path produces.
     #[test]
     fn random_nets_replay_across_queue_and_shards(
         seed in any::<u64>(),
-        queue_sel in 0u8..2,
         threads in 2u32..6,
     ) {
-        let queue = if queue_sel == 0 { QueueKind::Heap } else { QueueKind::Calendar };
         let net = mixed_net(seed);
-        let serial = Simulation::build(&net, cfg(QueueKind::Calendar, 1))
-            .unwrap()
-            .run(40)
-            .spikes();
-        let sharded = Simulation::build(&net, cfg(queue, threads))
+        let serial = Simulation::build(&net, cfg(1)).unwrap().run(40).spikes();
+        let sharded = Simulation::build(&net, cfg(threads))
             .unwrap()
             .run(40)
             .spikes();
