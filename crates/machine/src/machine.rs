@@ -963,7 +963,9 @@ impl NeuralMachine {
         }
     }
 
-    /// Event-weighted contiguous chip partition.
+    /// Event-weighted contiguous chip partition: the cut of the dense
+    /// chip-id axis into `threads` blocks that minimises the busiest
+    /// shard's predicted work.
     ///
     /// Chip weights come from *measured* load when available — the
     /// per-chip event counts accumulated by every previous segment —
@@ -973,11 +975,12 @@ impl NeuralMachine {
     /// every mapped neuron costs a tick event per millisecond and every
     /// synapse feeds the packet/DMA/row-walk path in proportion to
     /// activity, while empty chips only see the coalesced timer scan.
-    /// The dense chip-id axis is cut where the *cumulative weight*
-    /// crosses equal shares — row-major neighbours still land on the
-    /// same shard (small barrier exchanges), but a mapping whose hot
-    /// region sits on a prefix of the mesh no longer serializes behind
-    /// shard 0 the way fixed-size chip blocks did.
+    ///
+    /// The partition is a heuristic and part of no result (every cut
+    /// replays the serial run bit for bit); it is deterministic — a
+    /// pure function of the weights and the measured link traffic, in
+    /// integer arithmetic, ties to the earliest cut — so run traces
+    /// stay comparable.
     fn event_weighted_owner(&self, threads: usize) -> Vec<u32> {
         let chips = self.cfg.chips();
         debug_assert!(threads >= 2 && threads <= chips);
@@ -1010,101 +1013,79 @@ impl NeuralMachine {
         let stride = chips.div_ceil(1024).min((chips / threads).max(1)).max(1);
         let nb = chips.div_ceil(stride);
         debug_assert!(nb >= threads);
-        let mut bweight = vec![0u64; nb];
+        let mut prefix = vec![0u64; nb + 1];
         for (chip, w) in weight.iter().enumerate() {
-            bweight[chip / stride] += *w;
+            prefix[chip / stride + 1] += *w;
         }
-        let total = bweight.iter().sum::<u64>().max(1) as f64;
-        // Dynamic program over cut positions. Two costs compete:
+        for b in 0..nb {
+            prefix[b + 1] += prefix[b];
+        }
+        // The objective is a makespan in units of one handled event:
+        // the workers meet at a barrier every window, so a segment takes
+        // as long as its busiest shard, and a shard's work is
         //
-        //  * imbalance, as the sum of squared shard shares (1/threads
-        //    each when perfectly balanced, approaching 1 when one shard
-        //    eats everything), and
-        //  * measured cross-shard traffic: every link hop recorded in
-        //    `link_flux` whose endpoints land on different shards. A
-        //    hop kept inside a shard is one queue push; the same hop
-        //    across shards pays the outbox/mailbox exchange *and* — far
-        //    worse — couples the two shards' conservative horizons, so
-        //    they advance in lookahead-sized windows instead of running
-        //    free. `CROSS_HOP_COST` is that measured machinery ratio:
-        //    splitting a hot cluster (~2k extra cross hops on the 100k
-        //    phase-breakdown net) multiplied windows 15x, i.e. each
-        //    cross hop dragged in window machinery worth hundreds of
-        //    local events.
+        //     events it handles + CROSS_HOP_COST * hops it exchanges,
         //
-        // When the load is spread out, cut position barely moves the
-        // (roughly uniform) cross traffic, so the quadratic term decides
-        // and the cuts balance the shards; when one chatty cluster
-        // dominates (a stimulus hot spot no shard count can split), the
-        // flux term keeps the cluster intact on one shard, where the
-        // per-shard horizon lets it run ahead of its idle neighbours
-        // instead of barrier-stepping against them. Before any traffic
-        // is measured the flux matrix is all zero and the DP degenerates
-        // to pure load balancing.
-        const CROSS_HOP_COST: f64 = 256.0;
+        // a hop being exchanged by both shards it joins (`link_flux`
+        // entries whose endpoints the cut separates). Kept inside a
+        // shard a hop is one queue push, already counted among the
+        // events. Across shards the sender also stages it and pushes an
+        // envelope under the destination's mailbox lock, and the
+        // receiver sorts it into canonical order and schedules it: about
+        // one more event's worth of work on each side, hence 2 for the
+        // pair. So a chatty cluster is kept whole when that costs less
+        // imbalance than twice the hops a cut through it would exchange,
+        // and is split when it does not; before any traffic is measured
+        // the flux is zero and the cut is pure load balance.
+        const CROSS_HOP_COST: u64 = 2;
         let torus = *self.fabric.torus();
-        // Block-to-block hop counts, then 2-D prefix sums so the
-        // traffic *inside* a contiguous block range is O(1) per DP
-        // transition: intra[a..b) = F[b][b] - F[a][b] - F[b][a] + F[a][a].
-        let mut flux = vec![0u64; nb * nb];
+        // Block-to-block hop counts as 2-D prefix sums, so the traffic
+        // inside, into and out of a contiguous block range is O(1) per
+        // DP transition.
+        let side = nb + 1;
+        let mut fpre = vec![0u64; side * side];
         for node in 0..chips {
             for port in 0..6 {
                 let hops = self.link_flux[node * 6 + port];
                 if hops > 0 {
                     let from = torus
                         .id_of(torus.neighbour(torus.coord_of(node), Direction::from_index(port)));
-                    flux[(from / stride) * nb + node / stride] += hops;
+                    fpre[(from / stride + 1) * side + node / stride + 1] += hops;
                 }
             }
         }
-        let flux_total: u64 = flux.iter().sum();
-        let mut fpre = vec![0.0f64; (nb + 1) * (nb + 1)];
-        for i in 0..nb {
-            for j in 0..nb {
-                fpre[(i + 1) * (nb + 1) + (j + 1)] = flux[i * nb + j] as f64
-                    + fpre[i * (nb + 1) + (j + 1)]
-                    + fpre[(i + 1) * (nb + 1) + j]
-                    - fpre[i * (nb + 1) + j];
+        for i in 1..side {
+            for j in 1..side {
+                fpre[i * side + j] += fpre[(i - 1) * side + j] + fpre[i * side + j - 1]
+                    - fpre[(i - 1) * side + j - 1];
             }
         }
-        let intra = |a: usize, b: usize| {
-            fpre[b * (nb + 1) + b] - fpre[a * (nb + 1) + b] - fpre[b * (nb + 1) + a]
-                + fpre[a * (nb + 1) + a]
+        // Hops between block ranges [r0, r1) -> [c0, c1).
+        let hops = |r0: usize, r1: usize, c0: usize, c1: usize| {
+            fpre[r1 * side + c1] + fpre[r0 * side + c0]
+                - fpre[r0 * side + c1]
+                - fpre[r1 * side + c0]
         };
-        // Cross traffic = total - sum of intra-shard traffic, so the DP
-        // equivalently *rewards* each shard's internal flux.
-        let flux_gain = |a: usize, b: usize| {
-            if flux_total == 0 {
-                0.0
-            } else {
-                CROSS_HOP_COST * intra(a, b) / total
-            }
+        let work = |a: usize, b: usize| {
+            let exchanged = hops(a, b, 0, nb) + hops(0, nb, a, b) - 2 * hops(a, b, a, b);
+            prefix[b] - prefix[a] + CROSS_HOP_COST * exchanged
         };
-        let prefix: Vec<f64> = std::iter::once(0.0)
-            .chain(bweight.iter().scan(0u64, |acc, &w| {
-                *acc += w;
-                Some(*acc as f64)
-            }))
-            .collect();
-        let share = |a: usize, b: usize| (prefix[b] - prefix[a]) / total;
-        // dp[s][c]: best cost splitting blocks [0, c) into s+1 shards,
-        // each non-empty. Ties break toward the earliest cut, which is
-        // deterministic — the partition is part of no result, but a
-        // reproducible one keeps run traces comparable.
-        let mut dp = vec![vec![f64::INFINITY; nb + 1]; threads];
+        // dp[s][c]: least makespan splitting blocks [0, c) into s+1
+        // non-empty shards (every prefix is itself split optimally, so
+        // the shards below the busiest one are balanced too).
+        let mut dp = vec![vec![u64::MAX; nb + 1]; threads];
         let mut cut_at = vec![vec![0usize; nb + 1]; threads];
         #[allow(clippy::needless_range_loop)] // indexes two tables in lockstep
         for c in 1..=nb {
-            dp[0][c] = share(0, c) * share(0, c) - flux_gain(0, c);
+            dp[0][c] = work(0, c);
         }
         for s in 1..threads {
             for c in (s + 1)..=nb {
-                let mut best = f64::INFINITY;
+                let mut best = u64::MAX;
                 let mut best_b = s;
                 #[allow(clippy::needless_range_loop)] // reads dp[s-1][b], not an iterable
                 for b in s..c {
-                    let sh = share(b, c);
-                    let cost = dp[s - 1][b] + sh * sh - flux_gain(b, c);
+                    let cost = dp[s - 1][b].max(work(b, c));
                     if cost < best {
                         best = cost;
                         best_b = b;
@@ -1279,14 +1260,12 @@ impl NeuralMachine {
         base.duration_ms = target;
         // Window counters accumulate across segments (rebalance epochs
         // included), like every other run statistic.
-        base.par_stats = Some(match carry_par {
-            Some(prev) => spinn_par::ParStats {
-                windows: prev.windows + stats.windows,
-                events: prev.events + stats.events,
-                exchanged: prev.exchanged + stats.exchanged,
-            },
-            None => stats,
-        });
+        let mut par_stats = carry_par.unwrap_or_default();
+        par_stats.windows += stats.windows;
+        par_stats.events += stats.events;
+        par_stats.exchanged += stats.exchanged;
+        par_stats.busy += stats.busy;
+        base.par_stats = Some(par_stats);
         base.rebuild_timer_cores();
         for (a, b) in base.chip_events.iter_mut().zip(&carry_chip_events) {
             *a += *b;
@@ -1729,16 +1708,16 @@ impl NeuralMachine {
 }
 
 impl ShardModel for NeuralMachine {
-    fn drain_outbox(&mut self) -> Vec<RemoteEvent<MachineEvent>> {
-        self.fabric
-            .take_remote()
-            .into_iter()
-            .map(|(at, dest, ev)| RemoteEvent {
-                at: SimTime::new(at),
-                dest: dest as usize,
-                event: MachineEvent::Noc(ev),
-            })
-            .collect()
+    fn drain_outbox(&mut self, out: &mut Vec<RemoteEvent<MachineEvent>>) {
+        out.extend(
+            self.fabric
+                .drain_remote()
+                .map(|(at, dest, ev)| RemoteEvent {
+                    at: SimTime::new(at),
+                    dest: dest as usize,
+                    event: MachineEvent::Noc(ev),
+                }),
+        );
     }
 }
 
@@ -2368,6 +2347,105 @@ mod tests {
                 "{threads}-shard RouterStats diverge from serial"
             );
         }
+    }
+
+    /// A bare 4x4 machine carrying a measured load: chip `i` weighs
+    /// `weight[i]` in the partition (its event count plus the per-chip
+    /// floor of 16), every link carries `background` hops, and each
+    /// `(chip, hops)` of `eastward` adds hops sent by `chip` to its
+    /// East neighbour and as many coming back.
+    fn measured_machine(
+        weight: [u64; 16],
+        background: u64,
+        eastward: &[(usize, u64)],
+    ) -> NeuralMachine {
+        let mut m = NeuralMachine::new(MachineConfig::new(4, 4));
+        for (events, w) in m.chip_events.iter_mut().zip(weight) {
+            *events = w - 16;
+        }
+        m.link_flux.fill(background);
+        for &(chip, hops) in eastward {
+            assert!(chip % 4 < 3, "East of a row's last chip wraps around");
+            // A packet sent East arrives through the receiver's West
+            // port, and the other way round.
+            m.link_flux[(chip + 1) * 6 + Direction::West.index()] += hops;
+            m.link_flux[chip * 6 + Direction::East.index()] += hops;
+        }
+        m
+    }
+
+    /// Where a two-shard owner vector switches from shard 0 to shard 1.
+    fn cut_of(owner: &[u32]) -> usize {
+        let cut = owner.iter().position(|&o| o == 1).expect("two shards");
+        assert!(owner[..cut].iter().all(|&o| o == 0) && owner[cut..].iter().all(|&o| o == 1));
+        cut
+    }
+
+    #[test]
+    fn partition_balances_measured_load_despite_uniform_traffic() {
+        // The benchmark net in miniature: load spread evenly, every
+        // link carrying about 0.06 hops per event. Every cut crosses
+        // some traffic; a cut that sheds one chip crosses the least.
+        // Balance must win: a 15 | 1 cut saves a few percent of
+        // exchange work and idles one worker.
+        let m = measured_machine([10_000; 16], 100, &[]);
+        let owner = m.event_weighted_owner(2);
+        let left = cut_of(&owner) as f64 / 16.0;
+        assert!((0.45..=0.55).contains(&left), "cut at {left}");
+        // A pure function of the measurements.
+        assert_eq!(owner, m.event_weighted_owner(2));
+        assert_eq!(
+            owner,
+            measured_machine([10_000; 16], 100, &[]).event_weighted_owner(2)
+        );
+        // More shards: every one gets its quarter.
+        let owner = m.event_weighted_owner(4);
+        for shard in 0..4 {
+            assert_eq!(owner.iter().filter(|&&o| o == shard).count(), 4);
+        }
+    }
+
+    #[test]
+    fn partition_keeps_a_chatty_cluster_whole_when_balance_allows() {
+        // Chips 0..6 and 7..16 weigh 9000 each, so cutting before or
+        // after chip 6 is equally (un)balanced: 9000 | 12000 either way.
+        let mut weight = [1000; 16];
+        weight[5] = 4000;
+        weight[6] = 3000;
+        // Chips 5 and 6 talk to each other: only the cut after chip 6
+        // keeps the pair on one shard.
+        let owner = measured_machine(weight, 10, &[(5, 2000)]).event_weighted_owner(2);
+        assert_eq!(cut_of(&owner), 7);
+        // Without that traffic nothing separates the two cuts and the
+        // tie goes to the earlier one — the flux is what decided.
+        let owner = measured_machine(weight, 10, &[]).event_weighted_owner(2);
+        assert_eq!(cut_of(&owner), 6);
+        // A cluster is not kept whole at any price: when the balanced
+        // cut runs through a pair whose traffic costs less than the
+        // imbalance of sparing it, the pair is split.
+        let mut weight = [1000; 16];
+        weight[..5].fill(1800);
+        weight[5] = 5000;
+        weight[6] = 5000;
+        let owner = measured_machine(weight, 10, &[(5, 500)]).event_weighted_owner(2);
+        assert_eq!(cut_of(&owner), 6);
+    }
+
+    #[test]
+    fn partition_of_a_fresh_machine_uses_the_structural_estimate() {
+        // Nothing measured yet: loaded neurons stand in for load. Two
+        // 50-neuron cores on chips 1 and 2 weigh 66 each against 16 for
+        // an empty chip, which moves the even cut from 8 down to 5
+        // (180 | 176).
+        let mut m = NeuralMachine::new(MachineConfig::new(4, 4));
+        for (x, key) in [(1, 0x1000), (2, 0x2000)] {
+            m.load_core(NodeCoord::new(x, 0), 1, rs_neurons(50), vec![0.0; 50], key)
+                .unwrap();
+        }
+        assert_eq!(cut_of(&m.event_weighted_owner(2)), 5);
+        // Once a segment has been measured, the measurement rules.
+        m.chip_events[15] = 5000;
+        assert_eq!(cut_of(&m.event_weighted_owner(2)), 15);
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl Fabric {
 
     /// Restricts this fabric instance to the nodes a shard owns: packets
     /// crossing onto a chip owned by another shard are diverted into the
-    /// exchange buffer ([`Fabric::take_remote`]) instead of being
+    /// exchange buffer ([`Fabric::drain_remote`]) instead of being
     /// scheduled locally.
     pub fn set_partition(&mut self, partition: Partition) {
         assert_eq!(
@@ -327,9 +327,10 @@ impl Fabric {
     }
 
     /// Drains the cross-shard events diverted since the last call, as
-    /// `(absolute arrival time ns, destination shard, event)`.
-    pub fn take_remote(&mut self) -> Vec<(u64, u32, NocEvent)> {
-        std::mem::take(&mut self.remote)
+    /// `(absolute arrival time ns, destination shard, event)`. The
+    /// exchange buffer keeps its capacity for the next window.
+    pub fn drain_remote(&mut self) -> std::vec::Drain<'_, (u64, u32, NocEvent)> {
+        self.remote.drain(..)
     }
 
     /// Adopts the per-node state (router + outgoing links) of every node

@@ -24,7 +24,16 @@
 //!    link delay (shortest-packet serialization + wire propagation +
 //!    router pipeline). No event handled inside the window can produce
 //!    a cross-shard event landing inside the same window, so no shard
-//!    ever receives an event in its own past.
+//!    ever receives an event in its own past. The one departure from
+//!    the classic window: a shard that is more than a lookahead behind
+//!    every other shard runs, in one round, up to the others' earliest
+//!    pending time (to the deadline when they are idle) — and no
+//!    further, so that the next round finds all of them inside the
+//!    same window. Running it a lookahead *past* the others, which is
+//!    just as safe, makes two busy shards overshoot each other in turn
+//!    and never run in the same window; the engine's module docs have
+//!    the rule and the measurement, [`ParStats::busy`] the counter
+//!    that shows it.
 //! 3. Cross-shard events produced inside a window are collected in each
 //!    shard's outbox ([`ShardModel::drain_outbox`]) and **exchanged at
 //!    the window barrier** with their exact timestamps, sorted into a
