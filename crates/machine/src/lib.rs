@@ -43,7 +43,9 @@ pub mod boot;
 pub mod chip;
 pub mod config;
 pub mod energy;
+mod events;
 pub mod flood;
+mod handlers;
 pub mod machine;
 pub mod snapshot;
 

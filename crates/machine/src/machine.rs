@@ -25,87 +25,25 @@ use std::collections::VecDeque;
 use spinn_neuron::model::AnyNeuron;
 use spinn_neuron::pool::NeuronPool;
 use spinn_neuron::ring::InputRing;
-use spinn_neuron::stdp::{apply_bounded, StdpParams};
+use spinn_neuron::stdp::StdpParams;
 use spinn_neuron::synapse::SynapticRow;
 use spinn_neuron::synmatrix::SynapticMatrix;
 use spinn_noc::direction::Direction;
-use spinn_noc::fabric::{CtxScheduler, Delivery, DroppedPacket, Fabric, NocEvent, Partition};
+use spinn_noc::fabric::{Delivery, DroppedPacket, Fabric, Partition};
 use spinn_noc::mesh::NodeCoord;
-use spinn_noc::packet::{Packet, PacketKind};
 use spinn_noc::router::RouterStats;
-use spinn_obs::{Counter, Observability, Phase, PhaseProbe, RunTelemetry, TraceKind};
-use spinn_par::{ParEngine, RemoteEvent, ShardModel};
-use spinn_sim::{CalendarQueue, Context, Engine, Histogram, Model, SimTime};
+use spinn_obs::{Counter, Observability, RunTelemetry};
+use spinn_par::ParEngine;
+use spinn_sim::{CalendarQueue, Engine, Histogram, Model, SimTime};
 
 use crate::config::MachineConfig;
 use crate::energy::EnergyMeter;
 
-/// Nanoseconds per millisecond tick.
-const MS: u64 = 1_000_000;
+pub use crate::events::MachineEvent;
+use crate::events::{canonical_pending, event_chip};
 
-/// Events of the machine simulation.
-#[derive(Copy, Clone, Debug)]
-pub enum MachineEvent {
-    /// Fabric internals.
-    Noc(NocEvent),
-    /// The 1 ms timer interrupt: fires once per machine (or per shard)
-    /// and services every locally owned chip in ascending dense-id
-    /// order — the same order per-chip timer events used to pop in, at
-    /// a fraction of the queue traffic (one event per tick instead of
-    /// one per chip per tick).
-    Timer,
-    /// A scheduled mid-run link failure (fault injection; see
-    /// [`NeuralMachine::queue_fail_link`]).
-    FailLink {
-        /// Dense chip id of one end of the failing cable.
-        chip: u32,
-        /// Direction of the cable from `chip` (both directions fail).
-        dir: Direction,
-    },
-    /// A scheduled mid-run link repair — the inverse of
-    /// [`MachineEvent::FailLink`] (see
-    /// [`NeuralMachine::queue_repair_link`]).
-    RepairLink {
-        /// Dense chip id of one end of the repaired cable.
-        chip: u32,
-        /// Direction of the cable from `chip` (both directions are
-        /// restored).
-        dir: Direction,
-    },
-    /// A core finishes its current handler.
-    CoreDone {
-        /// Dense chip id.
-        chip: u32,
-        /// Core index on the chip.
-        core: u8,
-    },
-    /// A DMA transfer completes (synaptic row now in DTCM).
-    DmaDone {
-        /// Dense chip id.
-        chip: u32,
-        /// Core index on the chip.
-        core: u8,
-        /// Source AER key whose row was fetched.
-        key: u32,
-    },
-    /// External stimulus: a spike packet enters the fabric.
-    InjectSpike {
-        /// Dense chip id at which to inject.
-        chip: u32,
-        /// AER key.
-        key: u32,
-    },
-    /// The monitor processor re-issues a dropped spike packet (§5.3:
-    /// "can recover the packet and re-issue it if appropriate").
-    ReissueSpike {
-        /// Dense chip id at which the packet was dropped.
-        chip: u32,
-        /// AER key.
-        key: u32,
-        /// Reissue generation (2-bit timestamp field; gives up at 3).
-        timestamp: u8,
-    },
-}
+/// Nanoseconds per millisecond tick.
+pub(crate) const MS: u64 = 1_000_000;
 
 /// One recorded spike.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -127,43 +65,6 @@ pub struct PendingEvent {
     pub at_ns: u64,
     /// The queued event.
     pub event: MachineEvent,
-}
-
-/// The shard that must handle an event when a segment runs sharded:
-/// `Some(chip)` for chip-local events, `None` for events every shard
-/// replays against its own replica (the coalesced timer, link
-/// failures).
-fn event_chip(ev: &MachineEvent) -> Option<u32> {
-    match ev {
-        MachineEvent::Noc(NocEvent::Arrive { node, .. })
-        | MachineEvent::Noc(NocEvent::LinkFree { node, .. })
-        | MachineEvent::Noc(NocEvent::Retry { node, .. }) => Some(*node),
-        MachineEvent::CoreDone { chip, .. }
-        | MachineEvent::DmaDone { chip, .. }
-        | MachineEvent::InjectSpike { chip, .. }
-        | MachineEvent::ReissueSpike { chip, .. } => Some(*chip),
-        MachineEvent::Timer | MachineEvent::FailLink { .. } | MachineEvent::RepairLink { .. } => {
-            None
-        }
-    }
-}
-
-/// Merges per-shard drained queues into one canonical pending list:
-/// stable-sorted by `(time, rank)` (so same-instant order stays a
-/// function of event content, as in the queues themselves) with the
-/// per-shard replicas of broadcast events collapsed back to one copy.
-fn canonical_pending(per_shard: Vec<Vec<(SimTime, u128, MachineEvent)>>) -> Vec<PendingEvent> {
-    let mut flat: Vec<(u64, u128, MachineEvent)> = Vec::new();
-    for shard in per_shard {
-        flat.extend(shard.into_iter().map(|(t, r, e)| (t.ticks(), r, e)));
-    }
-    flat.sort_by_key(|&(t, r, _)| (t, r));
-    // A broadcast event's rank names it (tag, chip, direction), so the
-    // replicas of one event sort next to each other.
-    flat.dedup_by(|b, a| (a.0, a.1) == (b.0, b.1) && event_chip(&a.2).is_none());
-    flat.into_iter()
-        .map(|(at_ns, _, event)| PendingEvent { at_ns, event })
-        .collect()
 }
 
 #[derive(Clone, Debug)]
@@ -355,16 +256,16 @@ pub struct NeuralMachine {
     /// loaded-core count, not `chips × cores_per_chip` slot checks —
     /// the difference between a million-chip mesh idling for free and
     /// every tick scanning 1.1 M empty `Option`s.
-    timer_cores: Vec<(u32, u8)>,
+    pub(crate) timer_cores: Vec<(u32, u8)>,
     /// Reusable per-tick buffers (ring-slot snapshot) and per-event
     /// drain buffers (delivered/dropped packets): the hot path runs
     /// allocation-free once they reach steady-state capacity.
-    tick_inputs: Vec<i32>,
-    delivery_scratch: Vec<Delivery>,
-    dropped_scratch: Vec<DroppedPacket>,
+    pub(crate) tick_inputs: Vec<i32>,
+    pub(crate) delivery_scratch: Vec<Delivery>,
+    pub(crate) dropped_scratch: Vec<DroppedPacket>,
     /// Live telemetry handles for the current segment (shard-scoped
     /// while sharded; the fabric holds a clone of the counter handle).
-    obs: Observability,
+    pub(crate) obs: Observability,
     /// Telemetry accumulated across completed segments
     /// ([`NeuralMachine::telemetry`]).
     telemetry: RunTelemetry,
@@ -374,7 +275,7 @@ pub struct NeuralMachine {
     /// structure, not activity; this is what the partition actually
     /// needs). Not part of the checkpoint wire state: a restored run
     /// re-seeds from its own first segment.
-    chip_events: Vec<u64>,
+    pub(crate) chip_events: Vec<u64>,
     /// Per-link hop traffic: `chips * 6` counters indexed `chip * 6 +
     /// port`, one increment per packet arrival over that link. The
     /// arrival port identifies the sending neighbour, so summed over a
@@ -383,7 +284,7 @@ pub struct NeuralMachine {
     /// wraparound links that are invisible to the dense-id axis. Feeds
     /// the cross-cut term of [`NeuralMachine::event_weighted_owner`];
     /// like [`NeuralMachine::chip_events`], not checkpoint state.
-    link_flux: Vec<u64>,
+    pub(crate) link_flux: Vec<u64>,
 }
 
 impl NeuralMachine {
@@ -1427,447 +1328,6 @@ impl NeuralMachine {
         let stats = self.fabric.total_stats();
         self.meter.packets_routed =
             stats.mc_table_hits + stats.mc_default_routed + stats.p2p_forwarded;
-    }
-
-    fn charge(&mut self, instructions: u64) -> u64 {
-        self.meter.instructions += instructions;
-        let ns = self.cfg.instr_ns(instructions);
-        self.meter.core_active_ns += ns;
-        ns
-    }
-
-    fn dispatch(&mut self, chip: u32, core: u8, ctx: &mut Context<MachineEvent>) {
-        let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
-        let Some(c) = self.cores[idx].as_mut() else {
-            return;
-        };
-        if c.current.is_some() {
-            return;
-        }
-        let costs = self.cfg.costs;
-        // Priority: packet received > DMA complete > timer (Fig. 7).
-        if let Some(key) = c.q_packets.pop_front() {
-            c.current = Some(WorkItem::Packet(key));
-            let ns = self.charge(costs.packet_isr_instr);
-            ctx.schedule_in(ns, MachineEvent::CoreDone { chip, core });
-        } else if let Some(row) = c.q_rows.pop_front() {
-            let len = c.matrix.row_len(row) as u64;
-            c.current = Some(WorkItem::Row(row));
-            let ns = self.charge(costs.dma_isr_instr + costs.per_synapse_instr * len);
-            ctx.schedule_in(ns, MachineEvent::CoreDone { chip, core });
-        } else if c.timer_pending > 0 {
-            c.timer_pending -= 1;
-            // Advance the neural dynamics now; emit the spikes when the
-            // handler's compute time has elapsed. The ring-slot snapshot
-            // reuses a machine-level buffer (allocation-free per tick).
-            let tick_ms = (ctx.now().ticks() / MS) as u32;
-            let mut inputs = std::mem::take(&mut self.tick_inputs);
-            let c = self.cores[idx].as_mut().expect("checked above");
-            inputs.clear();
-            inputs.extend_from_slice(c.ring.tick());
-            debug_assert!(c.pending_spikes.is_empty());
-            // The SoA pool walks flat state arrays; the split borrow
-            // keeps the spike/bias buffers out of the pool's way.
-            let AppCore {
-                neurons,
-                bias_na,
-                pending_spikes,
-                last_post_ms,
-                base_key,
-                ..
-            } = &mut **c;
-            let base_key = *base_key;
-            let tok = self.obs.phases().start();
-            neurons.step_tick(
-                |i| bias_na[i] + inputs[i] as f32 / 256.0,
-                |i| {
-                    pending_spikes.push(base_key + i as u32);
-                    last_post_ms[i] = tick_ms as f64;
-                },
-            );
-            self.obs.phases().record(Phase::NeuronTick, tok);
-            c.spikes_emitted += c.pending_spikes.len() as u64;
-            let n_neurons = c.neurons.len() as u64;
-            let n_spikes = c.pending_spikes.len() as u64;
-            self.obs.counters().add(Counter::NeuronsTicked, n_neurons);
-            self.obs.counters().add(Counter::Spikes, n_spikes);
-            c.current = Some(WorkItem::Timer);
-            let now_ns = ctx.now().ticks();
-            let tracing = self.obs.tracing();
-            let c = self.cores[idx].as_ref().expect("checked above");
-            for &key in &c.pending_spikes {
-                self.spikes.push(SpikeRecord {
-                    time_ms: tick_ms,
-                    key,
-                });
-                if tracing {
-                    self.obs.trace(now_ns, TraceKind::Spike, key, tick_ms);
-                }
-            }
-            self.tick_inputs = inputs;
-            let ns = self.charge(
-                costs.timer_fixed_instr
-                    + costs.per_neuron_instr * n_neurons
-                    + costs.spike_emit_instr * n_spikes,
-            );
-            ctx.schedule_in(ns, MachineEvent::CoreDone { chip, core });
-        }
-        // Else: nothing to do — wait-for-interrupt sleep.
-    }
-
-    fn on_core_done(&mut self, chip: u32, core: u8, ctx: &mut Context<MachineEvent>) {
-        let now = ctx.now().ticks();
-        let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
-        let Some(c) = self.cores[idx].as_mut() else {
-            return;
-        };
-        match c.current.take() {
-            Some(WorkItem::Packet(key)) => {
-                // Master-population-table lookup: binary search over
-                // the (key, mask) entries, neuron bits select the row.
-                if let Some(row) = c.matrix.lookup(key) {
-                    let bytes = c.matrix.row_bytes(row) as u64;
-                    // The DMA controller transfers in the background; the
-                    // chip's SDRAM port serializes transfers.
-                    let start = now.max(self.dma_free_at[chip as usize]);
-                    let done = start + self.cfg.dma_ns(bytes);
-                    self.dma_free_at[chip as usize] = done;
-                    self.meter.sdram_bytes += bytes;
-                    self.obs.counters().add(Counter::DmaBytes, bytes);
-                    ctx.schedule_at(
-                        SimTime::new(done),
-                        MachineEvent::DmaDone { chip, core, key },
-                    );
-                } else {
-                    c.row_misses += 1;
-                }
-            }
-            Some(WorkItem::Row(row)) => {
-                let stdp = self.stdp;
-                let now_ms = now as f64 / MS as f64;
-                let mut writeback_bytes = None;
-                let row_events = c.matrix.row_len(row) as u64;
-                let tok = self.obs.phases().start();
-                {
-                    let mut modified = false;
-                    if let Some(p) = stdp {
-                        // Deferred pair-based STDP, applied at row fetch
-                        // (pre-spike time): depress against the target's
-                        // most recent post-spike; potentiate the
-                        // *previous* pre-spike against any post that
-                        // followed it. Weights are rewritten in place in
-                        // the arena, as on hardware.
-                        let last_pre =
-                            std::mem::replace(&mut c.row_last_pre_ms[row as usize], now_ms);
-                        let last_post_ms = &c.last_post_ms;
-                        // `ensure_row_mut`: a lazily stored row is
-                        // materialized on this first write touch, so
-                        // STDP keeps rewriting arena words in place.
-                        for w in c.matrix.ensure_row_mut(row) {
-                            let n = w.target() as usize;
-                            let last_post = last_post_ms[n];
-                            let mut dw = 0i16;
-                            if last_post.is_finite() && last_post <= now_ms {
-                                let dt = (now_ms - last_post) as f32;
-                                dw -= (p.a_minus * (-dt / p.tau_minus_ms).exp()).round() as i16;
-                            }
-                            if last_post.is_finite() && last_pre.is_finite() && last_post > last_pre
-                            {
-                                let dt = (last_post - last_pre) as f32;
-                                dw += (p.a_plus * (-dt / p.tau_plus_ms).exp()).round() as i16;
-                            }
-                            if dw != 0 {
-                                let updated = apply_bounded(w.weight_raw(), dw, &p);
-                                if updated != w.weight_raw() {
-                                    *w = w.with_weight_raw(updated);
-                                    modified = true;
-                                }
-                            }
-                        }
-                    }
-                    if modified {
-                        c.dirty_rows.push(row);
-                    }
-                    let AppCore { matrix, ring, .. } = &mut **c;
-                    // The DMA touch: a compressed (lazily stored) row is
-                    // regenerated into the arena here, on first fetch.
-                    for w in matrix.ensure_row(row) {
-                        ring.deposit(w.delay_ms(), w.target() as usize, w.weight_raw() as i32);
-                    }
-                    if modified {
-                        writeback_bytes = Some(matrix.row_bytes(row) as u64);
-                    }
-                }
-                self.obs.phases().record(Phase::RowWalk, tok);
-                self.obs.counters().add(Counter::SynapticEvents, row_events);
-                if let Some(bytes) = writeback_bytes {
-                    // §5.3: modified connectivity data is DMAed back.
-                    self.weight_writebacks += 1;
-                    self.meter.sdram_bytes += bytes;
-                    self.obs.counters().add(Counter::DmaBytes, bytes);
-                    let start = now.max(self.dma_free_at[chip as usize]);
-                    self.dma_free_at[chip as usize] = start + self.cfg.dma_ns(bytes);
-                }
-            }
-            Some(WorkItem::Timer) => {
-                // The comms controller serializes packet emission: spikes
-                // leave one per emit interval, not as an instantaneous
-                // burst (which would overflow the output link queue).
-                let gap = self.cfg.instr_ns(self.cfg.costs.spike_emit_instr).max(1);
-                for (i, &key) in c.pending_spikes.iter().enumerate() {
-                    ctx.schedule_in(i as u64 * gap, MachineEvent::InjectSpike { chip, key });
-                }
-                // Clear (not take): the buffer's capacity is reused on
-                // the next tick.
-                c.pending_spikes.clear();
-            }
-            None => {}
-        }
-        self.dispatch(chip, core, ctx);
-    }
-
-    /// The coalesced 1 ms timer: services every *loaded* core in
-    /// `self.timer_cores` in ascending `(chip, core)` order — the same
-    /// order per-chip timer events used to pop in (their tie rank was
-    /// the chip id, then cores ascending within the chip), so the
-    /// replay is bit-identical while the per-tick cost tracks loaded
-    /// cores, not mesh size: a million-core mesh with ten loaded cores
-    /// pays for ten, not for 1.3 M empty `Option` probes.
-    fn on_timer(&mut self, ctx: &mut Context<MachineEvent>) {
-        let tick_ms = ctx.now().ticks() / MS;
-        for i in 0..self.timer_cores.len() {
-            let (chip, core) = self.timer_cores[i];
-            let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
-            if let Some(c) = self.cores[idx].as_mut() {
-                c.timer_pending += 1;
-                if c.timer_pending > 1 {
-                    // The previous tick has not even started: a
-                    // real-time violation.
-                    c.overruns += 1;
-                }
-                self.dispatch(chip, core, ctx);
-            }
-        }
-        if tick_ms < self.duration_ms as u64 {
-            ctx.schedule_in(MS, MachineEvent::Timer);
-        }
-    }
-
-    /// Hands what the fabric has just delivered or dropped to the cores
-    /// and the monitor. Only `Fabric::handle` and `Fabric::inject`
-    /// produce either, so only the handlers that call them call this.
-    fn drain_deliveries(&mut self, ctx: &mut Context<MachineEvent>) {
-        // §5.3: the monitor is informed of dropped packets and "can
-        // recover the packet and re-issue it if appropriate". The 2-bit
-        // timestamp field bounds the retries. Drains swap reusable
-        // buffers with the fabric, so polling is allocation-free.
-        let mut dropped_buf = std::mem::take(&mut self.dropped_scratch);
-        self.fabric.swap_dropped(&mut dropped_buf);
-        for dropped in dropped_buf.drain(..) {
-            if self.obs.tracing() {
-                let chip = self.fabric.torus().id_of(dropped.node) as u32;
-                self.obs
-                    .trace(dropped.time_ns, TraceKind::Drop, dropped.packet.key, chip);
-            }
-            if dropped.packet.kind == PacketKind::Multicast && dropped.packet.timestamp < 3 {
-                let chip = self.fabric.torus().id_of(dropped.node) as u32;
-                ctx.schedule_in(
-                    20_000,
-                    MachineEvent::ReissueSpike {
-                        chip,
-                        key: dropped.packet.key,
-                        timestamp: dropped.packet.timestamp + 1,
-                    },
-                );
-            }
-        }
-        self.dropped_scratch = dropped_buf;
-        let now = ctx.now().ticks();
-        let mut deliveries = std::mem::take(&mut self.delivery_scratch);
-        self.fabric.swap_deliveries(&mut deliveries);
-        for d in deliveries.drain(..) {
-            if d.packet.kind != PacketKind::Multicast {
-                continue; // p2p/nn system traffic is not used mid-run
-            }
-            self.obs.trace(now, TraceKind::Packet, d.packet.key, d.hops);
-            self.spike_latency.record(now - d.injected_at_ns);
-            self.meter.packet_hops += d.hops as u64;
-            let chip = self.fabric.torus().id_of(d.node) as u32;
-            for core in 1..self.cfg.cores_per_chip {
-                if d.cores & (1 << core) != 0 {
-                    let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
-                    if let Some(c) = self.cores[idx].as_mut() {
-                        c.q_packets.push_back(d.packet.key);
-                        self.dispatch(chip, core, ctx);
-                    }
-                }
-            }
-        }
-        self.delivery_scratch = deliveries;
-    }
-}
-
-impl ShardModel for NeuralMachine {
-    fn drain_outbox(&mut self, out: &mut Vec<RemoteEvent<MachineEvent>>) {
-        out.extend(
-            self.fabric
-                .drain_remote()
-                .map(|(at, dest, ev)| RemoteEvent {
-                    at: SimTime::new(at),
-                    dest: dest as usize,
-                    event: MachineEvent::Noc(ev),
-                }),
-        );
-    }
-}
-
-impl Model for NeuralMachine {
-    type Event = MachineEvent;
-
-    fn phase_probe(&self) -> PhaseProbe {
-        self.obs.phases().clone()
-    }
-
-    /// Content-derived same-instant ordering.
-    ///
-    /// Two events scheduled for the same nanosecond are handled in rank
-    /// order rather than insertion order. Deriving the rank from the
-    /// event's content makes the order identical between the serial
-    /// engine and a sharded run — cross-shard arrivals are inserted at
-    /// window barriers, so their insertion order differs, but their
-    /// content does not. Events with equal rank at the same instant are
-    /// identical packets (or duplicate interrupts) and commute.
-    fn tie_rank(ev: &MachineEvent) -> u128 {
-        // Layout: [tag:8 | a:56 | b:64].
-        fn pack(tag: u8, a: u64, b: u64) -> u128 {
-            ((tag as u128) << 120) | (((a & 0x00FF_FFFF_FFFF_FFFF) as u128) << 64) | b as u128
-        }
-        // The low 64 wire bits carry header + key + 24 payload bits;
-        // multicast spikes (the only mid-run traffic) fit entirely, so
-        // bits 56.. are free for the hop count.
-        fn packet_bits(f: &spinn_noc::fabric::InFlight) -> u64 {
-            (f.packet.encode() as u64 & 0x00FF_FFFF_FFFF_FFFF) | ((f.hops as u64) << 56)
-        }
-        match ev {
-            MachineEvent::Noc(NocEvent::Arrive { node, port, flight }) => {
-                pack(1, ((*node as u64) << 8) | *port as u64, packet_bits(flight))
-            }
-            MachineEvent::Noc(NocEvent::LinkFree { node, dir }) => {
-                pack(2, ((*node as u64) << 8) | *dir as u64, 0)
-            }
-            MachineEvent::Noc(NocEvent::Retry {
-                node,
-                dir,
-                phase,
-                left,
-                flight,
-            }) => pack(
-                3,
-                ((*node as u64) << 24)
-                    | ((*dir as u64) << 16)
-                    | ((*phase as u64) << 8)
-                    | *left as u64,
-                packet_bits(flight),
-            ),
-            // Link failures and repairs sort before all same-instant
-            // traffic (tag 0) so a packet routed at exactly the
-            // transition time sees the new link state in serial and
-            // sharded runs alike. A repair at the same instant as a
-            // failure of the same cable ranks after it (b = 1): the link
-            // ends the nanosecond repaired, deterministically.
-            MachineEvent::FailLink { chip, dir } => pack(0, ((*chip as u64) << 8) | *dir as u64, 0),
-            MachineEvent::RepairLink { chip, dir } => {
-                pack(0, ((*chip as u64) << 8) | *dir as u64, 1)
-            }
-            MachineEvent::Timer => pack(4, 0, 0),
-            MachineEvent::CoreDone { chip, core } => {
-                pack(5, ((*chip as u64) << 8) | *core as u64, 0)
-            }
-            MachineEvent::DmaDone { chip, core, key } => {
-                pack(6, ((*chip as u64) << 8) | *core as u64, *key as u64)
-            }
-            MachineEvent::InjectSpike { chip, key } => pack(7, *chip as u64, *key as u64),
-            MachineEvent::ReissueSpike {
-                chip,
-                key,
-                timestamp,
-            } => pack(8, ((*chip as u64) << 8) | *timestamp as u64, *key as u64),
-        }
-    }
-
-    fn handle(&mut self, ctx: &mut Context<MachineEvent>, ev: MachineEvent) {
-        let now = ctx.now().ticks();
-        self.obs.counters().add(Counter::Events, 1);
-        if let Some(chip) = event_chip(&ev) {
-            // Measured per-chip load, seeding the next segment's
-            // event-weighted partition.
-            self.chip_events[chip as usize] += 1;
-        }
-        match ev {
-            MachineEvent::Noc(ev) => {
-                if let NocEvent::Arrive { node, port, .. } = &ev {
-                    self.link_flux[*node as usize * 6 + *port as usize] += 1;
-                }
-                let tok = self.obs.phases().start();
-                self.fabric
-                    .handle(now, ev, &mut CtxScheduler::new(ctx, MachineEvent::Noc));
-                self.obs.phases().record(Phase::RouterLookup, tok);
-                self.drain_deliveries(ctx);
-            }
-            MachineEvent::Timer => self.on_timer(ctx),
-            MachineEvent::FailLink { chip, dir } => {
-                let coord = self.fabric.torus().coord_of(chip as usize);
-                self.fabric.fail_link(coord, dir);
-                self.obs
-                    .trace(now, TraceKind::Fault, chip, dir.index() as u32);
-            }
-            MachineEvent::RepairLink { chip, dir } => {
-                let coord = self.fabric.torus().coord_of(chip as usize);
-                self.fabric.repair_link(coord, dir);
-                self.obs
-                    .trace(now, TraceKind::Repair, chip, dir.index() as u32);
-            }
-            MachineEvent::CoreDone { chip, core } => self.on_core_done(chip, core, ctx),
-            MachineEvent::DmaDone { chip, core, key } => {
-                let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
-                if let Some(c) = self.cores[idx].as_mut() {
-                    // The row existed when the DMA was scheduled and
-                    // rows are never removed mid-run, so the lookup
-                    // re-resolves to the same row.
-                    if let Some(row) = c.matrix.lookup(key) {
-                        c.q_rows.push_back(row);
-                        self.dispatch(chip, core, ctx);
-                    }
-                }
-            }
-            MachineEvent::InjectSpike { chip, key } => {
-                let coord = self.fabric.torus().coord_of(chip as usize);
-                self.fabric.inject(
-                    now,
-                    coord,
-                    Packet::multicast(key),
-                    &mut CtxScheduler::new(ctx, MachineEvent::Noc),
-                );
-                self.drain_deliveries(ctx);
-            }
-            MachineEvent::ReissueSpike {
-                chip,
-                key,
-                timestamp,
-            } => {
-                let coord = self.fabric.torus().coord_of(chip as usize);
-                let mut packet = Packet::multicast(key);
-                packet.timestamp = timestamp;
-                self.reissued_packets += 1;
-                self.fabric.inject(
-                    now,
-                    coord,
-                    packet,
-                    &mut CtxScheduler::new(ctx, MachineEvent::Noc),
-                );
-                self.drain_deliveries(ctx);
-            }
-        }
     }
 }
 
