@@ -1,7 +1,7 @@
-//! The machine's event alphabet: what the event queue holds, which chip
-//! (and so which shard) an event belongs to, the content-derived order
-//! of same-instant events, and the canonical form of a paused run's
-//! pending list.
+//! The machine's event alphabet: what the event queue and a paused
+//! run's pending list hold, which chip (and so which shard) an event
+//! belongs to, the content-derived order of same-instant events, and
+//! the canonical form of the pending list.
 
 use spinn_noc::direction::Direction;
 use spinn_noc::fabric::NocEvent;
@@ -38,14 +38,24 @@ pub enum MachineEvent {
         /// restored).
         dir: Direction,
     },
-    /// A core finishes its current handler.
+    /// A core finishes its current handler. Handler completions resolve
+    /// on the chip's agenda, not in the event queue; the queue holds
+    /// this event only as a *wake* — for a completion that can put a
+    /// packet on the fabric (a timer handler with spikes to emit, or
+    /// any handler of a core that owes a tick), scheduled at the
+    /// completion's instant so the chip is advanced exactly then. In a
+    /// paused run's pending list it is the checkpoint spelling of a busy
+    /// core: one per core, at the instant its work item finishes.
     CoreDone {
         /// Dense chip id.
         chip: u32,
         /// Core index on the chip.
         core: u8,
     },
-    /// A DMA transfer completes (synaptic row now in DTCM).
+    /// A DMA transfer completes (synaptic row now in DTCM). Never in
+    /// the event queue: transfers in flight live on the chip's agenda,
+    /// and this variant is their checkpoint spelling in a paused run's
+    /// pending list.
     DmaDone {
         /// Dense chip id.
         chip: u32,

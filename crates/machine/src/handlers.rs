@@ -1,5 +1,30 @@
 //! The interrupt handlers of Fig. 7 — packet received, DMA complete,
-//! 1 ms timer — and the event dispatch that drives them.
+//! 1 ms timer — the event dispatch that drives them, and the chip-local
+//! agenda on which handler and DMA completions resolve.
+//!
+//! # What the queue holds, and what it does not
+//!
+//! A packet raises an interrupt, the ISR starts a DMA, the DMA-done
+//! interrupt walks the row: none of that is visible outside the chip
+//! until a timer handler emits spikes. So the machine-wide event queue
+//! holds only what another chip can observe — fabric events, the timer,
+//! injections, link faults — and every chip keeps an [`Agenda`] of its
+//! own outstanding completions: per core the instant its current work
+//! item finishes, per chip the DMA transfers in flight on its one SDRAM
+//! port (which is why the unit is the chip: two cores contending for the
+//! port must see each other in time order).
+//!
+//! [`NeuralMachine::advance_chip`] resolves a chip's completions in
+//! exactly the `(time, tie rank)` order the queue would have popped
+//! them in. Chips share no agenda state, so it runs lazily: before a
+//! packet is handed to one of the chip's cores, before the timer looks
+//! at them, and when a run segment settles. A completion goes through
+//! the queue — as a [`MachineEvent::CoreDone`] *wake* — only when
+//! finishing can put a packet on the fabric ([`AppCore::wakes_on_done`]);
+//! the wake advances the chip at that exact instant, so everything a
+//! completion schedules globally is scheduled from the present.
+
+use std::collections::VecDeque;
 
 use spinn_neuron::stdp::apply_bounded;
 use spinn_noc::fabric::{CtxScheduler, NocEvent};
@@ -9,7 +34,152 @@ use spinn_par::{RemoteEvent, ShardModel};
 use spinn_sim::{Context, Model, SimTime};
 
 use crate::events::{event_chip, tie_rank, MachineEvent};
-use crate::machine::{AppCore, NeuralMachine, SpikeRecord, WorkItem, MS};
+use crate::machine::{AppCore, NeuralMachine, PendingEvent, SpikeRecord, WorkItem, MS};
+
+/// "No completion outstanding" in the agenda's time slots.
+const IDLE: u64 = u64::MAX;
+
+/// A synaptic-row DMA in flight on a chip's SDRAM port.
+#[derive(Copy, Clone, Debug)]
+struct DmaInFlight {
+    done_ns: u64,
+    core: u8,
+    /// Source AER key — the transfer's name in a checkpoint
+    /// ([`MachineEvent::DmaDone`]).
+    key: u32,
+    /// The row the key resolved to when the transfer was started.
+    row: u32,
+}
+
+impl DmaInFlight {
+    /// Pop order among a chip's transfers: `DmaDone`'s `(time, rank)`.
+    fn order(&self) -> (u64, u8, u32) {
+        (self.done_ns, self.core, self.key)
+    }
+}
+
+/// One resolved agenda entry.
+enum Completion {
+    Core(u8),
+    Dma(DmaInFlight),
+}
+
+/// Every chip's outstanding completions (see the module docs). Empty
+/// between run segments: a paused run carries them as
+/// [`MachineEvent::CoreDone`] / [`MachineEvent::DmaDone`] pending events.
+#[derive(Debug)]
+pub(crate) struct Agenda {
+    cores_per_chip: usize,
+    /// Per `(chip, core)` slot: when the core's current work item
+    /// finishes, [`IDLE`] while it sleeps.
+    busy_until: Vec<u64>,
+    /// Per chip: transfers in flight, in completion order.
+    dma: Vec<VecDeque<DmaInFlight>>,
+    /// Per chip: a lower bound on its earliest completion, so asking an
+    /// up-to-date chip to advance costs one compare.
+    next_due: Vec<u64>,
+}
+
+impl Agenda {
+    pub(crate) fn new(chips: usize, cores_per_chip: usize) -> Self {
+        Agenda {
+            cores_per_chip,
+            busy_until: vec![IDLE; chips * cores_per_chip],
+            dma: vec![VecDeque::new(); chips],
+            next_due: vec![IDLE; chips],
+        }
+    }
+
+    fn busy_until(&self, chip: u32, core: u8) -> u64 {
+        self.busy_until[chip as usize * self.cores_per_chip + core as usize]
+    }
+
+    fn start_core(&mut self, chip: u32, core: u8, done_ns: u64) {
+        self.busy_until[chip as usize * self.cores_per_chip + core as usize] = done_ns;
+        let due = &mut self.next_due[chip as usize];
+        *due = (*due).min(done_ns);
+    }
+
+    fn start_dma(&mut self, chip: u32, dma: DmaInFlight) {
+        let q = &mut self.dma[chip as usize];
+        // The port clock is monotone, so transfers arrive in completion
+        // order; only a zero-length one can tie with its predecessor,
+        // and is then placed by the rest of `DmaDone`'s rank.
+        let mut at = q.len();
+        while at > 0 && q[at - 1].order() > dma.order() {
+            at -= 1;
+        }
+        q.insert(at, dma);
+        let due = &mut self.next_due[chip as usize];
+        *due = (*due).min(dma.done_ns);
+    }
+
+    /// Takes `chip`'s earliest completion off the agenda if it falls
+    /// before `limit_ns`, in the queue's order: by time, `CoreDone`
+    /// (tag 5, lower core first) before `DmaDone` (tag 6).
+    fn pop_due(&mut self, chip: u32, limit_ns: u64) -> Option<(u64, Completion)> {
+        let chip = chip as usize;
+        if self.next_due[chip] >= limit_ns {
+            return None;
+        }
+        let base = chip * self.cores_per_chip;
+        let slots = &mut self.busy_until[base..base + self.cores_per_chip];
+        let (mut core, mut core_ns) = (0, IDLE);
+        for (k, &t) in slots.iter().enumerate() {
+            if t < core_ns {
+                (core, core_ns) = (k, t);
+            }
+        }
+        let dma_ns = self.dma[chip].front().map_or(IDLE, |d| d.done_ns);
+        let first = core_ns.min(dma_ns);
+        if first >= limit_ns {
+            self.next_due[chip] = first;
+            return None;
+        }
+        Some(if core_ns <= dma_ns {
+            slots[core] = IDLE;
+            (core_ns, Completion::Core(core as u8))
+        } else {
+            let dma = self.dma[chip].pop_front().expect("front was read");
+            (dma_ns, Completion::Dma(dma))
+        })
+    }
+
+    /// Empties the agenda, handing every outstanding completion to
+    /// `emit` as the event — and at the instant — a queue would have
+    /// held it.
+    fn drain(&mut self, mut emit: impl FnMut(u64, MachineEvent)) {
+        for (slot, at) in self.busy_until.iter_mut().enumerate() {
+            if *at != IDLE {
+                let chip = (slot / self.cores_per_chip) as u32;
+                let core = (slot % self.cores_per_chip) as u8;
+                emit(
+                    std::mem::replace(at, IDLE),
+                    MachineEvent::CoreDone { chip, core },
+                );
+            }
+        }
+        for (chip, q) in self.dma.iter_mut().enumerate() {
+            for d in q.drain(..) {
+                let (chip, core, key) = (chip as u32, d.core, d.key);
+                emit(d.done_ns, MachineEvent::DmaDone { chip, core, key });
+            }
+        }
+        self.next_due.fill(IDLE);
+    }
+}
+
+impl AppCore {
+    /// Whether finishing the current work item can put a packet on the
+    /// fabric: it is a timer handler with spikes to emit, or a tick is
+    /// owed (the core was busy at the tick, so finishing may *start*
+    /// the timer handler). Only such a completion needs the event queue
+    /// to see it happen; all others resolve on the chip's agenda.
+    fn wakes_on_done(&self) -> bool {
+        self.timer_pending > 0
+            || (matches!(self.current, Some(WorkItem::Timer)) && !self.pending_spikes.is_empty())
+    }
+}
 
 impl NeuralMachine {
     fn charge(&mut self, instructions: u64) -> u64 {
@@ -19,7 +189,10 @@ impl NeuralMachine {
         ns
     }
 
-    fn dispatch(&mut self, chip: u32, core: u8, ctx: &mut Context<MachineEvent>) {
+    /// Starts the core's next work item at `now` if it is idle and has
+    /// one, and enters the completion on the agenda (and in the queue,
+    /// when it [wakes](AppCore::wakes_on_done)).
+    fn dispatch(&mut self, chip: u32, core: u8, now: u64) {
         let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
         let Some(c) = self.cores[idx].as_mut() else {
             return;
@@ -29,21 +202,19 @@ impl NeuralMachine {
         }
         let costs = self.cfg.costs;
         // Priority: packet received > DMA complete > timer (Fig. 7).
-        if let Some(key) = c.q_packets.pop_front() {
+        let ns = if let Some(key) = c.q_packets.pop_front() {
             c.current = Some(WorkItem::Packet(key));
-            let ns = self.charge(costs.packet_isr_instr);
-            ctx.schedule_in(ns, MachineEvent::CoreDone { chip, core });
+            self.charge(costs.packet_isr_instr)
         } else if let Some(row) = c.q_rows.pop_front() {
             let len = c.matrix.row_len(row) as u64;
             c.current = Some(WorkItem::Row(row));
-            let ns = self.charge(costs.dma_isr_instr + costs.per_synapse_instr * len);
-            ctx.schedule_in(ns, MachineEvent::CoreDone { chip, core });
+            self.charge(costs.dma_isr_instr + costs.per_synapse_instr * len)
         } else if c.timer_pending > 0 {
             c.timer_pending -= 1;
             // Advance the neural dynamics now; emit the spikes when the
             // handler's compute time has elapsed. The ring-slot snapshot
             // reuses a machine-level buffer (allocation-free per tick).
-            let tick_ms = (ctx.now().ticks() / MS) as u32;
+            let tick_ms = (now / MS) as u32;
             let mut inputs = std::mem::take(&mut self.tick_inputs);
             let c = self.cores[idx].as_mut().expect("checked above");
             inputs.clear();
@@ -75,7 +246,6 @@ impl NeuralMachine {
             self.obs.counters().add(Counter::NeuronsTicked, n_neurons);
             self.obs.counters().add(Counter::Spikes, n_spikes);
             c.current = Some(WorkItem::Timer);
-            let now_ns = ctx.now().ticks();
             let tracing = self.obs.tracing();
             let c = self.cores[idx].as_ref().expect("checked above");
             for &key in &c.pending_spikes {
@@ -84,22 +254,29 @@ impl NeuralMachine {
                     key,
                 });
                 if tracing {
-                    self.obs.trace(now_ns, TraceKind::Spike, key, tick_ms);
+                    self.obs.trace(now, TraceKind::Spike, key, tick_ms);
                 }
             }
             self.tick_inputs = inputs;
-            let ns = self.charge(
+            self.charge(
                 costs.timer_fixed_instr
                     + costs.per_neuron_instr * n_neurons
                     + costs.spike_emit_instr * n_spikes,
-            );
-            ctx.schedule_in(ns, MachineEvent::CoreDone { chip, core });
+            )
+        } else {
+            return; // Nothing to do — wait-for-interrupt sleep.
+        };
+        let done = now + ns;
+        self.agenda.start_core(chip, core, done);
+        if self.cores[idx].as_ref().is_some_and(|c| c.wakes_on_done()) {
+            self.to_queue
+                .push((done, MachineEvent::CoreDone { chip, core }));
         }
-        // Else: nothing to do — wait-for-interrupt sleep.
     }
 
-    fn on_core_done(&mut self, chip: u32, core: u8, ctx: &mut Context<MachineEvent>) {
-        let now = ctx.now().ticks();
+    /// The core finishes its current work item at `now`. Reached only
+    /// through [`NeuralMachine::advance_chip`].
+    fn on_core_done(&mut self, chip: u32, core: u8, now: u64) {
         let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
         let Some(c) = self.cores[idx].as_mut() else {
             return;
@@ -117,9 +294,14 @@ impl NeuralMachine {
                     self.dma_free_at[chip as usize] = done;
                     self.meter.sdram_bytes += bytes;
                     self.obs.counters().add(Counter::DmaBytes, bytes);
-                    ctx.schedule_at(
-                        SimTime::new(done),
-                        MachineEvent::DmaDone { chip, core, key },
+                    self.agenda.start_dma(
+                        chip,
+                        DmaInFlight {
+                            done_ns: done,
+                            core,
+                            key,
+                            row,
+                        },
                     );
                 } else {
                     c.row_misses += 1;
@@ -198,7 +380,10 @@ impl NeuralMachine {
                 // burst (which would overflow the output link queue).
                 let gap = self.cfg.instr_ns(self.cfg.costs.spike_emit_instr).max(1);
                 for (i, &key) in c.pending_spikes.iter().enumerate() {
-                    ctx.schedule_in(i as u64 * gap, MachineEvent::InjectSpike { chip, key });
+                    self.to_queue.push((
+                        now + i as u64 * gap,
+                        MachineEvent::InjectSpike { chip, key },
+                    ));
                 }
                 // Clear (not take): the buffer's capacity is reused on
                 // the next tick.
@@ -206,7 +391,117 @@ impl NeuralMachine {
             }
             None => {}
         }
-        self.dispatch(chip, core, ctx);
+        self.dispatch(chip, core, now);
+    }
+
+    /// A row transfer lands in the core's DTCM at `now`.
+    fn on_dma_done(&mut self, chip: u32, dma: DmaInFlight, now: u64) {
+        let idx = chip as usize * self.cfg.cores_per_chip as usize + dma.core as usize;
+        if let Some(c) = self.cores[idx].as_mut() {
+            c.q_rows.push_back(dma.row);
+            self.dispatch(chip, dma.core, now);
+        }
+    }
+
+    /// Resolves every completion on `chip`'s agenda that falls before
+    /// `limit_ns`, in the order the event queue would have popped them.
+    /// Callers pass the present instant when the event they are
+    /// handling ranks below completions (`Noc`, `Timer`: a completion
+    /// at this very nanosecond comes after it) and the next one when it
+    /// ranks above (`InjectSpike`, `ReissueSpike`, a wake).
+    fn advance_chip(&mut self, chip: u32, limit_ns: u64) {
+        let mut resolved = 0;
+        while let Some((at, done)) = self.agenda.pop_due(chip, limit_ns) {
+            resolved += 1;
+            match done {
+                Completion::Core(core) => self.on_core_done(chip, core, at),
+                Completion::Dma(dma) => self.on_dma_done(chip, dma, at),
+            }
+        }
+        if resolved > 0 {
+            // A resolved completion is an event handled, wherever it
+            // was kept: the totals and the per-chip load that seeds the
+            // shard partition count it as they always did.
+            self.obs.counters().add(Counter::Events, resolved);
+            self.chip_events[chip as usize] += resolved;
+        }
+    }
+
+    /// Puts what completions scheduled globally — spike injections and
+    /// wakes — on the event queue. Each was issued by a completion
+    /// resolved at the present instant, which `schedule_at` asserts.
+    fn flush_to_queue(&mut self, ctx: &mut Context<MachineEvent>) {
+        for (at, ev) in self.to_queue.drain(..) {
+            ctx.schedule_at(SimTime::new(at), ev);
+        }
+    }
+
+    /// Takes a carried-over handler or DMA completion back onto its
+    /// chip's agenda; `false` (and nothing done) for any other event.
+    /// A completion naming a core that is not loaded is dropped, as
+    /// handling it would have been a no-op.
+    pub(crate) fn absorb_completion(&mut self, p: &PendingEvent) -> bool {
+        let per = self.cfg.cores_per_chip as usize;
+        match p.event {
+            MachineEvent::CoreDone { chip, core } => {
+                if self.cores[chip as usize * per + core as usize].is_some() {
+                    self.agenda.start_core(chip, core, p.at_ns);
+                }
+                true
+            }
+            MachineEvent::DmaDone { chip, core, key } => {
+                let row = self.cores[chip as usize * per + core as usize]
+                    .as_ref()
+                    .and_then(|c| c.matrix.lookup(key));
+                if let Some(row) = row {
+                    let done_ns = p.at_ns;
+                    self.agenda.start_dma(
+                        chip,
+                        DmaInFlight {
+                            done_ns,
+                            core,
+                            key,
+                            row,
+                        },
+                    );
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The wakes a resumed segment owes the event queue: one
+    /// [`MachineEvent::CoreDone`] per busy core whose completion
+    /// [must be seen](AppCore::wakes_on_done), re-derived from core
+    /// state after [`NeuralMachine::absorb_completion`].
+    pub(crate) fn wakes(&self) -> Vec<(SimTime, MachineEvent)> {
+        let per = self.cfg.cores_per_chip as usize;
+        self.timer_cores
+            .iter()
+            .filter_map(|&(chip, core)| {
+                let c = self.cores[chip as usize * per + core as usize].as_ref()?;
+                let done = self.agenda.busy_until(chip, core);
+                (done != IDLE && c.wakes_on_done())
+                    .then(|| (SimTime::new(done), MachineEvent::CoreDone { chip, core }))
+            })
+            .collect()
+    }
+
+    /// Empties the agenda into the checkpoint form of a paused run:
+    /// `drained` (this machine's drained event queue) with its wakes
+    /// replaced by one `CoreDone` per busy core and one `DmaDone` per
+    /// transfer in flight, at the agenda's instants — what the queue
+    /// would have held had every completion gone through it.
+    pub(crate) fn agenda_into_pending(
+        &mut self,
+        mut drained: Vec<(SimTime, u128, MachineEvent)>,
+    ) -> Vec<(SimTime, u128, MachineEvent)> {
+        drained.retain(|(_, _, ev)| !matches!(ev, MachineEvent::CoreDone { .. }));
+        self.agenda.drain(|at, ev| {
+            drained.push((SimTime::new(at), tie_rank(&ev), ev));
+        });
+        drained
     }
 
     /// The coalesced 1 ms timer: services every *loaded* core in
@@ -216,19 +511,32 @@ impl NeuralMachine {
     /// replay is bit-identical while the per-tick cost tracks loaded
     /// cores, not mesh size: a million-core mesh with ten loaded cores
     /// pays for ten, not for 1.3 M empty `Option` probes.
+    ///
+    /// Each chip is first advanced to the tick instant, so the handler
+    /// sees the true core state. A core found busy has its completion
+    /// made a wake: finishing may now start the timer handler.
     fn on_timer(&mut self, ctx: &mut Context<MachineEvent>) {
-        let tick_ms = ctx.now().ticks() / MS;
+        let now = ctx.now().ticks();
+        let tick_ms = now / MS;
         for i in 0..self.timer_cores.len() {
             let (chip, core) = self.timer_cores[i];
+            self.advance_chip(chip, now);
             let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
             if let Some(c) = self.cores[idx].as_mut() {
+                let woke_already = c.wakes_on_done();
                 c.timer_pending += 1;
                 if c.timer_pending > 1 {
                     // The previous tick has not even started: a
                     // real-time violation.
                     c.overruns += 1;
                 }
-                self.dispatch(chip, core, ctx);
+                if c.current.is_none() {
+                    self.dispatch(chip, core, now);
+                } else if !woke_already {
+                    let done = self.agenda.busy_until(chip, core);
+                    self.to_queue
+                        .push((done, MachineEvent::CoreDone { chip, core }));
+                }
             }
         }
         if tick_ms < self.duration_ms as u64 {
@@ -239,7 +547,9 @@ impl NeuralMachine {
     /// Hands what the fabric has just delivered or dropped to the cores
     /// and the monitor. Only `Fabric::handle` and `Fabric::inject`
     /// produce either, so only the handlers that call them call this.
-    fn drain_deliveries(&mut self, ctx: &mut Context<MachineEvent>) {
+    /// A destination chip is advanced to `limit_ns` (see
+    /// [`NeuralMachine::advance_chip`]) before its cores take a packet.
+    fn drain_deliveries(&mut self, ctx: &mut Context<MachineEvent>, limit_ns: u64) {
         // §5.3: the monitor is informed of dropped packets and "can
         // recover the packet and re-issue it if appropriate". The 2-bit
         // timestamp field bounds the retries. Drains swap reusable
@@ -276,12 +586,13 @@ impl NeuralMachine {
             self.spike_latency.record(now - d.injected_at_ns);
             self.meter.packet_hops += d.hops as u64;
             let chip = self.fabric.torus().id_of(d.node) as u32;
+            self.advance_chip(chip, limit_ns);
             for core in 1..self.cfg.cores_per_chip {
                 if d.cores & (1 << core) != 0 {
                     let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
                     if let Some(c) = self.cores[idx].as_mut() {
                         c.q_packets.push_back(d.packet.key);
-                        self.dispatch(chip, core, ctx);
+                        self.dispatch(chip, core, now);
                     }
                 }
             }
@@ -302,6 +613,20 @@ impl ShardModel for NeuralMachine {
                 }),
         );
     }
+
+    /// Settles the segment: resolves every completion through
+    /// `deadline` on every chip this machine owns. Nothing else touches
+    /// the chips once the post-tick packet burst has passed, so this is
+    /// where most row walks happen — on the shard's own worker.
+    fn quiesce(&mut self, deadline: SimTime) {
+        for chip in 0..self.cfg.chips() as u32 {
+            self.advance_chip(chip, deadline.ticks() + 1);
+        }
+        debug_assert!(
+            self.to_queue.is_empty(),
+            "a completion that schedules globally resolves at its wake"
+        );
+    }
 }
 
 impl Model for NeuralMachine {
@@ -317,11 +642,15 @@ impl Model for NeuralMachine {
 
     fn handle(&mut self, ctx: &mut Context<MachineEvent>, ev: MachineEvent) {
         let now = ctx.now().ticks();
-        self.obs.counters().add(Counter::Events, 1);
-        if let Some(chip) = event_chip(&ev) {
-            // Measured per-chip load, seeding the next segment's
-            // event-weighted partition.
-            self.chip_events[chip as usize] += 1;
+        // A wake is not an event of its own: the completions it stands
+        // for are counted as they resolve.
+        if !matches!(ev, MachineEvent::CoreDone { .. }) {
+            self.obs.counters().add(Counter::Events, 1);
+            if let Some(chip) = event_chip(&ev) {
+                // Measured per-chip load, seeding the next segment's
+                // event-weighted partition.
+                self.chip_events[chip as usize] += 1;
+            }
         }
         match ev {
             MachineEvent::Noc(ev) => {
@@ -332,7 +661,7 @@ impl Model for NeuralMachine {
                 self.fabric
                     .handle(now, ev, &mut CtxScheduler::new(ctx, MachineEvent::Noc));
                 self.obs.phases().record(Phase::RouterLookup, tok);
-                self.drain_deliveries(ctx);
+                self.drain_deliveries(ctx, now);
             }
             MachineEvent::Timer => self.on_timer(ctx),
             MachineEvent::FailLink { chip, dir } => {
@@ -347,18 +676,9 @@ impl Model for NeuralMachine {
                 self.obs
                     .trace(now, TraceKind::Repair, chip, dir.index() as u32);
             }
-            MachineEvent::CoreDone { chip, core } => self.on_core_done(chip, core, ctx),
-            MachineEvent::DmaDone { chip, core, key } => {
-                let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
-                if let Some(c) = self.cores[idx].as_mut() {
-                    // The row existed when the DMA was scheduled and
-                    // rows are never removed mid-run, so the lookup
-                    // re-resolves to the same row.
-                    if let Some(row) = c.matrix.lookup(key) {
-                        c.q_rows.push_back(row);
-                        self.dispatch(chip, core, ctx);
-                    }
-                }
+            MachineEvent::CoreDone { chip, .. } => self.advance_chip(chip, now + 1),
+            MachineEvent::DmaDone { .. } => {
+                unreachable!("DMA completions live on the chip agenda, never in the queue")
             }
             MachineEvent::InjectSpike { chip, key } => {
                 let coord = self.fabric.torus().coord_of(chip as usize);
@@ -368,7 +688,7 @@ impl Model for NeuralMachine {
                     Packet::multicast(key),
                     &mut CtxScheduler::new(ctx, MachineEvent::Noc),
                 );
-                self.drain_deliveries(ctx);
+                self.drain_deliveries(ctx, now + 1);
             }
             MachineEvent::ReissueSpike {
                 chip,
@@ -385,8 +705,264 @@ impl Model for NeuralMachine {
                     packet,
                     &mut CtxScheduler::new(ctx, MachineEvent::Noc),
                 );
-                self.drain_deliveries(ctx);
+                self.drain_deliveries(ctx, now + 1);
             }
         }
+        self.flush_to_queue(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::MachineConfig;
+    use spinn_neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
+    use spinn_neuron::model::AnyNeuron;
+    use spinn_neuron::synapse::{SynapticRow, SynapticWord};
+    use spinn_noc::direction::Direction;
+    use spinn_noc::fabric::InFlight;
+    use spinn_noc::mesh::NodeCoord;
+    use spinn_noc::table::{McTableEntry, RouteSet};
+    use spinn_sim::{CalendarQueue, Engine};
+
+    type MachineEngine = Engine<NeuralMachine, CalendarQueue<MachineEvent>>;
+
+    const KEY: u32 = 0x42;
+    const ORIGIN: NodeCoord = NodeCoord { x: 0, y: 0 };
+
+    fn rs_neurons(n: usize) -> Vec<AnyNeuron> {
+        (0..n)
+            .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
+            .collect()
+    }
+
+    /// A 2x2 machine whose chip 0 delivers `KEY` to its cores 1 and 2;
+    /// core `c` holds `4 * c` neurons at `bias_na` and a `KEY` row of
+    /// `4 * c` weak synapses (so the two cores' transfers differ in
+    /// length).
+    fn machine(bias_na: f32) -> NeuralMachine {
+        let mut cfg = MachineConfig::new(2, 2);
+        cfg.force_shards = true;
+        let mut m = NeuralMachine::new(cfg);
+        m.router_mut(ORIGIN)
+            .table
+            .insert(McTableEntry {
+                key: KEY,
+                mask: u32::MAX,
+                route: RouteSet::EMPTY.with_core(1).with_core(2),
+            })
+            .unwrap();
+        for core in 1..=2u8 {
+            let n = 4 * core as usize;
+            m.load_core(
+                ORIGIN,
+                core,
+                rs_neurons(n),
+                vec![bias_na; n],
+                0x1000 * core as u32,
+            )
+            .unwrap();
+            let row: SynapticRow = (0..n as u16).map(|t| SynapticWord::new(4, 1, t)).collect();
+            m.set_row(ORIGIN, core, KEY, row);
+        }
+        m
+    }
+
+    /// The machine inside a serial engine, as a run segment sets it up.
+    fn engine(mut m: NeuralMachine, run_ms: u32) -> MachineEngine {
+        m.duration_ms = run_ms;
+        m.timer_cores = vec![(0, 1), (0, 2)];
+        Engine::resume_at(m, SimTime::ZERO)
+    }
+
+    fn inject(at: u64) -> (SimTime, MachineEvent) {
+        (
+            SimTime::new(at),
+            MachineEvent::InjectSpike { chip: 0, key: KEY },
+        )
+    }
+
+    fn core(e: &MachineEngine, core: usize) -> &AppCore {
+        e.model().cores[core].as_deref().expect("loaded")
+    }
+
+    #[test]
+    fn a_core_busy_at_the_tick_starts_its_timer_handler_through_a_wake() {
+        // Strong bias: every neuron fires at the first tick.
+        let mut e = engine(machine(400.0), 1);
+        let cfg = *e.model().config();
+        let isr = cfg.instr_ns(cfg.costs.packet_isr_instr);
+        // The packet ISR straddles the tick instant.
+        let (at, ev) = inject(MS - isr / 2);
+        e.schedule_at(at, ev);
+        e.schedule_at(SimTime::new(MS), MachineEvent::Timer);
+        e.run_until(SimTime::new(MS));
+        let busy_until = MS - isr / 2 + isr;
+        let wakes = |e: &mut MachineEngine| {
+            let queued = e.drain_events();
+            let wakes: Vec<_> = queued
+                .iter()
+                .filter_map(|(t, _, ev)| match ev {
+                    MachineEvent::CoreDone { core, .. } => Some((t.ticks(), *core)),
+                    _ => None,
+                })
+                .collect();
+            e.restore_events(queued);
+            wakes
+        };
+        // The tick found both cores in their ISR: no handler started,
+        // each completion became a wake at the ISR's end.
+        assert_eq!(core(&e, 1).timer_pending, 1);
+        assert_eq!(wakes(&mut e), vec![(busy_until, 1), (busy_until, 2)]);
+        assert!(e.model().spikes().is_empty());
+        // The wake finishes the ISR and starts the timer handler there.
+        e.run_until(SimTime::new(busy_until));
+        assert_eq!(e.model().spikes().len(), 4 + 8);
+        assert!(e.model().spikes().iter().all(|s| s.time_ms == 1));
+        let timer_ns = |neurons: u64| {
+            cfg.instr_ns(
+                cfg.costs.timer_fixed_instr
+                    + (cfg.costs.per_neuron_instr + cfg.costs.spike_emit_instr) * neurons,
+            )
+        };
+        let (done_1, done_2) = (busy_until + timer_ns(4), busy_until + timer_ns(8));
+        assert_eq!(wakes(&mut e), vec![(done_1, 1), (done_2, 2)]);
+        // Its spikes leave one emit gap apart from the handler's end.
+        e.run_until(SimTime::new(done_1));
+        let gap = cfg.instr_ns(cfg.costs.spike_emit_instr);
+        let injections: Vec<_> = e
+            .drain_events()
+            .iter()
+            .filter_map(|(t, _, ev)| match ev {
+                MachineEvent::InjectSpike { key, .. } => Some((t.ticks(), *key)),
+                _ => None,
+            })
+            .collect();
+        // The first left at `done_1` itself and has been routed.
+        let expected: Vec<_> = (1..4)
+            .map(|i| (done_1 + i * gap, 0x1000 + i as u32))
+            .collect();
+        assert_eq!(injections, expected);
+    }
+
+    #[test]
+    fn a_delivery_resolves_same_instant_completions_by_its_event_rank() {
+        let isr = {
+            let cfg = MachineConfig::new(2, 2);
+            cfg.instr_ns(cfg.costs.packet_isr_instr)
+        };
+        let busy_core_at = |second: MachineEvent| {
+            let mut e = engine(machine(0.0), 1);
+            let (at, ev) = inject(0);
+            e.schedule_at(at, ev);
+            // A second packet at exactly the instant the ISR ends.
+            e.schedule_at(SimTime::new(isr), second);
+            assert_eq!(e.step(), Some(SimTime::ZERO));
+            assert_eq!(e.step(), Some(SimTime::new(isr)));
+            e
+        };
+        // A fabric arrival ranks below `CoreDone`: the packet is queued
+        // behind the still-running ISR, whose completion stays put.
+        let e = busy_core_at(MachineEvent::Noc(NocEvent::Arrive {
+            node: 0,
+            port: Direction::West.index() as u8,
+            flight: InFlight {
+                packet: Packet::multicast(KEY),
+                hops: 1,
+                injected_at: 0,
+            },
+        }));
+        assert_eq!(e.model().agenda.busy_until(0, 1), isr);
+        assert_eq!(core(&e, 1).q_packets.len(), 1);
+        assert!(e.model().agenda.dma[0].is_empty());
+        // An injection ranks above it: the ISR completes first (its DMA
+        // starts), and the idle core takes the new packet at once.
+        let e = busy_core_at(inject(isr).1);
+        assert_eq!(e.model().agenda.busy_until(0, 1), 2 * isr);
+        assert!(core(&e, 1).q_packets.is_empty());
+        assert_eq!(e.model().agenda.dma[0].len(), 2);
+    }
+
+    #[test]
+    fn cores_of_a_chip_take_the_dma_port_in_completion_order() {
+        let mut e = engine(machine(0.0), 1);
+        let cfg = *e.model().config();
+        let (at, ev) = inject(0);
+        e.schedule_at(at, ev);
+        e.step();
+        // Both ISRs end at the same instant; `CoreDone` ranks core 1
+        // first, and core 2's transfer queues behind core 1's.
+        let isr = cfg.instr_ns(cfg.costs.packet_isr_instr);
+        let m = e.model_mut();
+        m.advance_chip(0, isr);
+        assert!(m.agenda.dma[0].is_empty(), "the limit is exclusive");
+        m.advance_chip(0, isr + 1);
+        let bytes = |core: usize| {
+            let matrix = &m.cores[core].as_ref().expect("loaded").matrix;
+            matrix.row_bytes(matrix.lookup(KEY).expect("row installed")) as u64
+        };
+        assert!(bytes(1) < bytes(2));
+        let first = isr + cfg.dma_ns(bytes(1));
+        let second = first + cfg.dma_ns(bytes(2));
+        let port: Vec<_> = m.agenda.dma[0]
+            .iter()
+            .map(|d| (d.done_ns, d.core))
+            .collect();
+        assert_eq!(port, vec![(first, 1), (second, 2)]);
+        assert_eq!(m.dma_free_at[0], second);
+        // Resolved completions are events, counted where they resolve.
+        assert_eq!(m.chip_events[0], 1 + 2);
+    }
+
+    #[test]
+    fn a_cut_mid_chain_carries_the_agenda_and_resumes_on_any_thread_count() {
+        let cfg = MachineConfig::new(2, 2);
+        let isr = cfg.instr_ns(cfg.costs.packet_isr_instr);
+        let build = || {
+            let mut m = machine(6.0);
+            // The first segment ends at 2 ms - 1 ns: one packet whose
+            // transfers are in flight there, one whose ISR is running.
+            m.queue_stimulus(2 * MS - isr - 100, ORIGIN, KEY);
+            m.queue_stimulus(2 * MS - isr / 2, ORIGIN, KEY);
+            for ms in 3..40 {
+                m.queue_stimulus(ms * MS + 17, ORIGIN, KEY);
+            }
+            m
+        };
+        let whole = build().run(40);
+        assert!(!whole.spikes().is_empty(), "the biased cores must fire");
+
+        let (m, pending) = build().run_segment(Vec::new(), 0, 1, 1);
+        let completions: Vec<_> = pending
+            .iter()
+            .filter_map(|p| match p.event {
+                MachineEvent::CoreDone { core, .. } => Some((p.at_ns, core, None)),
+                MachineEvent::DmaDone { core, key, .. } => Some((p.at_ns, core, Some(key))),
+                _ => None,
+            })
+            .collect();
+        let row_bytes = |core: u64| 4 + 4 * (4 * core); // header word + synapses
+        let dma_1 = 2 * MS - 100 + cfg.dma_ns(row_bytes(1));
+        let dma_2 = dma_1 + cfg.dma_ns(row_bytes(2));
+        let isr_done = 2 * MS - isr / 2 + isr;
+        assert_eq!(
+            completions,
+            vec![
+                (isr_done, 1, None),
+                (isr_done, 2, None),
+                (dma_1, 1, Some(KEY)),
+                (dma_2, 2, Some(KEY)),
+            ]
+        );
+        assert!(
+            m.agenda.dma[0].is_empty(),
+            "a paused machine holds no agenda"
+        );
+
+        let (m, pending) = m.run_segment(pending, 1, 19, 2);
+        let (m, _) = m.run_segment(pending, 20, 20, 1);
+        assert_eq!(m.spikes(), whole.spikes());
+        assert_eq!(m.meter().instructions, whole.meter().instructions);
+        assert_eq!(m.realtime_violations(), whole.realtime_violations());
     }
 }

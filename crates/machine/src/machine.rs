@@ -33,7 +33,7 @@ use spinn_noc::fabric::{Delivery, DroppedPacket, Fabric, Partition};
 use spinn_noc::mesh::NodeCoord;
 use spinn_noc::router::RouterStats;
 use spinn_obs::{Counter, Observability, RunTelemetry};
-use spinn_par::ParEngine;
+use spinn_par::{ParEngine, ShardModel};
 use spinn_sim::{CalendarQueue, Engine, Histogram, Model, SimTime};
 
 use crate::config::MachineConfig;
@@ -41,6 +41,7 @@ use crate::energy::EnergyMeter;
 
 pub use crate::events::MachineEvent;
 use crate::events::{canonical_pending, event_chip};
+use crate::handlers::Agenda;
 
 /// Nanoseconds per millisecond tick.
 pub(crate) const MS: u64 = 1_000_000;
@@ -236,6 +237,13 @@ pub struct NeuralMachine {
     /// would dwarf the loaded state.
     pub(crate) cores: Vec<Option<Box<AppCore>>>,
     pub(crate) dma_free_at: Vec<u64>,
+    /// Handler and DMA completions outstanding on each chip (empty
+    /// between run segments).
+    pub(crate) agenda: Agenda,
+    /// What completions resolved while handling the current event
+    /// scheduled globally (spike injections, wakes), as `(time_ns,
+    /// event)`; flushed to the event queue before the handler returns.
+    pub(crate) to_queue: Vec<(u64, MachineEvent)>,
     pub(crate) stimuli: Vec<(u64, u32, u32)>, // (time_ns, chip, key)
     pub(crate) fault_plan: Vec<(u64, u32, Direction)>, // (time_ns, chip, direction)
     pub(crate) repair_plan: Vec<(u64, u32, Direction)>, // (time_ns, chip, direction)
@@ -300,6 +308,8 @@ impl NeuralMachine {
             fabric,
             cores: (0..chips * per).map(|_| None).collect(),
             dma_free_at: vec![0; chips],
+            agenda: Agenda::new(chips, per),
+            to_queue: Vec::new(),
             stimuli: Vec::new(),
             fault_plan: Vec::new(),
             repair_plan: Vec::new(),
@@ -808,6 +818,13 @@ impl NeuralMachine {
         let stimuli = std::mem::take(&mut self.stimuli);
         let faults = std::mem::take(&mut self.fault_plan);
         let repairs = std::mem::take(&mut self.repair_plan);
+        // Carried-over completions go back on their chips' agendas; the
+        // queue gets the rest, and a wake for each that it must see.
+        let pending: Vec<PendingEvent> = pending
+            .into_iter()
+            .filter(|p| !self.absorb_completion(p))
+            .collect();
+        let wakes = self.wakes();
         let start = Self::segment_start_ns(from_ms);
         let mut engine: Engine<NeuralMachine, CalendarQueue<MachineEvent>> =
             Engine::resume_at(self, SimTime::new(start));
@@ -823,6 +840,9 @@ impl NeuralMachine {
                 .collect(),
         );
         engine.schedule_at(SimTime::new((from_ms as u64 + 1) * MS), MachineEvent::Timer);
+        for (at, wake) in wakes {
+            engine.schedule_at(at, wake);
+        }
         for (t, chip, key) in stimuli {
             engine.schedule_at(SimTime::new(t), MachineEvent::InjectSpike { chip, key });
         }
@@ -832,10 +852,12 @@ impl NeuralMachine {
         for (t, chip, dir) in repairs {
             engine.schedule_at(SimTime::new(t), MachineEvent::RepairLink { chip, dir });
         }
-        engine.run_until(SimTime::new(Self::segment_end_ns(target)));
+        let end = SimTime::new(Self::segment_end_ns(target));
+        engine.run_until(end);
+        engine.model_mut().quiesce(end);
         let queue_peak = engine.queue_peak() as u64;
         let (mut m, drained) = engine.into_parts();
-        let pending_out = canonical_pending(vec![drained]);
+        let pending_out = canonical_pending(vec![m.agenda_into_pending(drained)]);
         m.obs.counters().gauge_max(Counter::QueuePeak, queue_peak);
         let mut telemetry = std::mem::take(&mut m.telemetry);
         telemetry.absorb(&mut m.obs);
@@ -1070,6 +1092,16 @@ impl NeuralMachine {
             m.install_observability(s as u32);
         }
 
+        // Carried-over completions go back on the agenda of the shard
+        // owning their chip; its queue gets a wake for each it must see.
+        let pending: Vec<PendingEvent> = pending
+            .into_iter()
+            .filter(|p| {
+                !event_chip(&p.event)
+                    .is_some_and(|chip| shards[owner[chip as usize] as usize].absorb_completion(p))
+            })
+            .collect();
+        let wakes: Vec<_> = shards.iter().map(NeuralMachine::wakes).collect();
         let start = Self::segment_start_ns(from_ms);
         let mut par: ParEngine<NeuralMachine, CalendarQueue<MachineEvent>> =
             ParEngine::resume_in(shards, SimTime::new(start));
@@ -1079,6 +1111,11 @@ impl NeuralMachine {
                 SimTime::new((from_ms as u64 + 1) * MS),
                 MachineEvent::Timer,
             );
+        }
+        for (shard, wakes) in wakes.into_iter().enumerate() {
+            for (at, wake) in wakes {
+                par.schedule(shard, at, wake);
+            }
         }
         // Carried-over events go to the shard owning their chip; events
         // that mutate replicated state (link failures, the coalesced
@@ -1127,8 +1164,9 @@ impl NeuralMachine {
             .counters()
             .gauge_max(Counter::QueuePeak, queue_peaks[0] as u64);
         carry_telemetry.absorb(&mut base.obs);
-        let mut drained = vec![first_drained];
+        let mut drained = vec![base.agenda_into_pending(first_drained)];
         for (i, (mut m, d)) in parts.enumerate() {
+            drained.push(m.agenda_into_pending(d));
             m.obs
                 .counters()
                 .gauge_max(Counter::QueuePeak, queue_peaks[i + 1] as u64);
@@ -1155,7 +1193,6 @@ impl NeuralMachine {
             for (a, b) in base.dma_free_at.iter_mut().zip(&m.dma_free_at) {
                 *a = (*a).max(*b);
             }
-            drained.push(d);
         }
         base.fabric.clear_partition();
         base.duration_ms = target;
@@ -1906,6 +1943,89 @@ mod tests {
         // Once a segment has been measured, the measurement rules.
         m.chip_events[15] = 5000;
         assert_eq!(cut_of(&m.event_weighted_owner(2)), 15);
+    }
+
+    /// A 4x4 machine under steady stimulus: six packets per chip at
+    /// every tick instant (where a session's Poisson sources inject),
+    /// each walking a six-synapse row on four cores of its own chip and
+    /// four of the chip to the North — across the two-shard cut for
+    /// half the rows. No neuron fires, so all work is packet → DMA →
+    /// row chains, as on the benchmark's `cortex_stim`.
+    fn stimulated_mesh() -> NeuralMachine {
+        let mut cfg = MachineConfig::new(4, 4);
+        cfg.force_shards = true;
+        let mut m = NeuralMachine::new(cfg);
+        let key_of = |x: u32, y: u32| 0x1_0000 * (1 + y * 4 + x);
+        for y in 0..4 {
+            for x in 0..4 {
+                let chip = NodeCoord::new(x, y);
+                let south = key_of(x, (y + 3) % 4);
+                for (key, route) in [
+                    (key_of(x, y), RouteSet::EMPTY.with_link(Direction::North)),
+                    (south, RouteSet::EMPTY),
+                ] {
+                    let route = (1..=4).fold(route, |r, core| r.with_core(core));
+                    m.router_mut(chip)
+                        .table
+                        .insert(McTableEntry {
+                            key,
+                            mask: u32::MAX,
+                            route,
+                        })
+                        .unwrap();
+                }
+                for core in 1..=4u8 {
+                    let base_key = 0x100_0000 + key_of(x, y) + 0x100 * core as u32;
+                    m.load_core(chip, core, rs_neurons(16), vec![0.0; 16], base_key)
+                        .unwrap();
+                    for key in [key_of(x, y), south] {
+                        let row: SynapticRow = (0..6)
+                            .map(|t| SynapticWord::new(8, 1 + t as u8 % 3, (t + core as u16) % 16))
+                            .collect();
+                        m.set_row(chip, core, key, row);
+                    }
+                }
+            }
+        }
+        for ms in 1..=20u64 {
+            for y in 0..4 {
+                for x in 0..4 {
+                    for _ in 0..6 {
+                        m.queue_stimulus(ms * MS, NodeCoord::new(x, y), key_of(x, y));
+                    }
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn row_traffic_no_longer_sets_the_window_count() {
+        let serial = stimulated_mesh().run(20);
+        assert_eq!(serial.row_misses(), 0);
+        assert!(serial.meter().sdram_bytes > 0, "rows must be fetched");
+        let m = stimulated_mesh().run_segment(Vec::new(), 0, 20, 2).0;
+        assert_eq!(m.spikes(), serial.spikes());
+        assert_eq!(m.meter().instructions, serial.meter().instructions);
+        let stats = m.par_stats().expect("sharded run");
+        assert!(stats.exchanged > 0, "rows must cross the cut");
+        // Recorded at the parent of the change that took handler and
+        // DMA completions out of the event queue: with every one of
+        // them a queue event these 20 bio-ms took 1180 windows (59 per
+        // bio-ms), both shards at work in each. Deterministic, so it
+        // pins the parallel effect on a one-core runner.
+        const WINDOWS_WITH_QUEUED_COMPLETIONS: u64 = 1180;
+        assert!(
+            stats.windows * 4 <= WINDOWS_WITH_QUEUED_COMPLETIONS,
+            "{} windows for 20 bio-ms",
+            stats.windows
+        );
+        assert!(
+            stats.busy * 10 >= stats.windows * 18,
+            "shards took turns: {} busy shard-windows in {} windows",
+            stats.busy,
+            stats.windows
+        );
     }
 
     #[test]

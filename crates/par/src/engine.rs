@@ -100,6 +100,15 @@ pub trait ShardModel: Model {
     /// (This is what lets the engine extend a shard's horizon past the
     /// global minimum — only *other* shards can still send to it.)
     fn drain_outbox(&mut self, out: &mut Vec<RemoteEvent<Self::Event>>);
+
+    /// Called once per [`ParEngine::run_until`], on the worker that
+    /// walked this shard, after the shard's last window: every event at
+    /// or before `deadline` has been handled and no mailbox holds
+    /// anything for it. A model that defers work no other shard can
+    /// observe settles it here, in parallel with the other shards,
+    /// rather than on the thread that merges them afterwards. It must
+    /// not stage remote events. The default does nothing.
+    fn quiesce(&mut self, _deadline: SimTime) {}
 }
 
 /// One shard's checkpoint form: the model plus its drained pending
@@ -123,7 +132,8 @@ pub struct RemoteEvent<E> {
 pub struct ParStats {
     /// Barrier rounds (conservative windows) executed.
     pub windows: u64,
-    /// Events handled across all shards.
+    /// Events popped from the shard queues (a model may resolve further
+    /// work per event that never enters a queue).
     pub events: u64,
     /// Cross-shard events exchanged at barriers.
     pub exchanged: u64,
@@ -473,7 +483,10 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
             // All queues drained or past the deadline — and mailboxes
             // are empty, because delivery happens before the minimum is
             // recomputed. Every worker sees the same minimum and exits
-            // together.
+            // together. Each settles its own shards on the way out.
+            for engine in block.iter_mut() {
+                engine.model_mut().quiesce(SimTime::new(deadline_ns));
+            }
             return run;
         }
 
@@ -569,6 +582,8 @@ mod tests {
         me: usize,
         n: usize,
         handled: Vec<u64>,
+        /// One `(deadline, events handled so far)` per `quiesce` call.
+        quiesced: Vec<(u64, usize)>,
         outbox: Vec<RemoteEvent<u32>>,
     }
 
@@ -597,6 +612,10 @@ mod tests {
         fn drain_outbox(&mut self, out: &mut Vec<RemoteEvent<u32>>) {
             out.append(&mut self.outbox);
         }
+
+        fn quiesce(&mut self, deadline: SimTime) {
+            self.quiesced.push((deadline.ticks(), self.handled.len()));
+        }
     }
 
     fn ring(n: usize) -> ParEngine<Ring> {
@@ -606,6 +625,7 @@ mod tests {
                     me,
                     n,
                     handled: Vec::new(),
+                    quiesced: Vec::new(),
                     outbox: Vec::new(),
                 })
                 .collect(),
@@ -664,11 +684,12 @@ mod tests {
         par.schedule(0, SimTime::ZERO, 12);
         par.run_with_workers(SimTime::new(10_000), 50, workers);
         let stats = par.stats().clone();
-        let mut times: Vec<u64> = par
-            .into_models()
-            .iter()
-            .flat_map(|m| m.handled.clone())
-            .collect();
+        let models = par.into_models();
+        for m in &models {
+            // Settled exactly once, after the shard's last window.
+            assert_eq!(m.quiesced, [(10_000, m.handled.len())], "{workers} workers");
+        }
+        let mut times: Vec<u64> = models.iter().flat_map(|m| m.handled.clone()).collect();
         times.sort_unstable();
         (times, stats)
     }
@@ -676,7 +697,8 @@ mod tests {
     #[test]
     fn worker_cap_is_result_invariant() {
         // More shards than workers: whoever walks a shard, the schedule
-        // — times, windows, exchanges — is the one the shard cut fixes.
+        // — times, windows, exchanges — is the one the shard cut fixes,
+        // and every shard is quiesced once at the end (`ring_run`).
         let (baseline, stats) = ring_run(4, 4);
         assert_eq!(baseline, (0..13).map(|k| k * 50).collect::<Vec<_>>());
         for workers in [1, 2, 3] {

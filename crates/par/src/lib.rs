@@ -47,6 +47,13 @@
 //!    sharded run equal the serial run even under congestion — a remote
 //!    arrival inserted at a barrier and a local event staged mid-window
 //!    still sort identically in both executions.
+//! 5. When the last window has run, every worker **settles its own
+//!    shards** ([`ShardModel::quiesce`], once per shard per run). A
+//!    model may keep work that no other shard can observe out of its
+//!    event queue altogether — the machine resolves handler and DMA
+//!    completions on per-chip agendas — and that work then neither
+//!    shortens anyone's window nor waits for the thread that merges the
+//!    shards: it is done here, on all workers at once.
 //!
 //! The result is an *event-exact* replay of the serial simulation:
 //! every event fires at the same timestamp on every thread count, and
