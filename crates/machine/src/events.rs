@@ -21,7 +21,7 @@ pub enum MachineEvent {
     /// one per chip per tick).
     Timer,
     /// A scheduled mid-run link failure (fault injection; see
-    /// [`NeuralMachine::queue_fail_link`]).
+    /// [`crate::NeuralMachine::queue_fail_link`]).
     FailLink {
         /// Dense chip id of one end of the failing cable.
         chip: u32,
@@ -30,7 +30,7 @@ pub enum MachineEvent {
     },
     /// A scheduled mid-run link repair — the inverse of
     /// [`MachineEvent::FailLink`] (see
-    /// [`NeuralMachine::queue_repair_link`]).
+    /// [`crate::NeuralMachine::queue_repair_link`]).
     RepairLink {
         /// Dense chip id of one end of the repaired cable.
         chip: u32,

@@ -429,7 +429,8 @@ impl NeuralMachine {
 
     /// Puts what completions scheduled globally — spike injections and
     /// wakes — on the event queue. Each was issued by a completion
-    /// resolved at the present instant, which `schedule_at` asserts.
+    /// resolved at the present instant, so none lies in the past
+    /// (`schedule_at` asserts it).
     fn flush_to_queue(&mut self, ctx: &mut Context<MachineEvent>) {
         for (at, ev) in self.to_queue.drain(..) {
             ctx.schedule_at(SimTime::new(at), ev);
@@ -454,11 +455,10 @@ impl NeuralMachine {
                     .as_ref()
                     .and_then(|c| c.matrix.lookup(key));
                 if let Some(row) = row {
-                    let done_ns = p.at_ns;
                     self.agenda.start_dma(
                         chip,
                         DmaInFlight {
-                            done_ns,
+                            done_ns: p.at_ns,
                             core,
                             key,
                             row,

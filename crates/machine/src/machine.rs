@@ -19,6 +19,17 @@
 //! metered for the energy accounting (E7), and a timer tick arriving
 //! while the previous tick is still being processed counts as a
 //! **real-time violation** (the machine's defining constraint, §3.1).
+//!
+//! This module holds the machine's state, loading API and run segments
+//! (serial and sharded). The events are in `events.rs`; the handlers,
+//! and the per-chip agendas on which handler and DMA completions
+//! resolve without passing through the machine-wide event queue, are in
+//! `handlers.rs`. The queue holds what another chip can observe —
+//! fabric events, the timer, spike injections, link faults, and a wake
+//! for each completion that can emit a packet; a run segment moves
+//! carried-over completions from the pending list onto the agendas when
+//! it starts and back when it ends, so checkpoints spell them as they
+//! always did.
 
 use std::collections::VecDeque;
 
