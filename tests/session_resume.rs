@@ -7,8 +7,8 @@
 //!
 //! Also pinned here: checkpoints taken while events are in flight
 //! (mid-tick timer work, packets on the wire), a checkpoint taken while
-//! a lazy synaptic arena is half materialized, stimulus-source RNG
-//! stream continuity, STDP toggling between segments, and a proptest
+//! a lazy synaptic arena is half materialized, the exact count of rows a
+//! run leaves compressed, stimulus-source RNG stream continuity, STDP toggling between segments, and a proptest
 //! over random split points.
 
 use proptest::prelude::*;
@@ -434,6 +434,31 @@ fn lazy_arena_snapshot_roundtrip_mid_materialization() {
             resumed.machine().spikes(),
             reference.as_slice(),
             "lazy-arena split at {split} ms diverges from the uninterrupted run"
+        );
+    }
+}
+
+/// Only a walked row leaves compressed form: nothing that looks at a
+/// row on the way to the walk (the ISR's table search, the transfer in
+/// flight) may expand it or its neighbours. A row expanded early still
+/// replays the right spikes, so only these counts, recorded at PR 16's
+/// head before the row-fetch hints went in, notice it.
+#[test]
+fn only_walked_rows_leave_the_lazy_arena() {
+    let net = lazy_ring_net();
+    for threads in [1, 2] {
+        let mut session = Simulation::build(&net, lazy_cfg(threads))
+            .expect("ring fits a 4x4 machine")
+            .into_session();
+        let counts = |m: &NeuralMachine| (m.total_lazy_rows(), m.total_resident_bytes());
+        assert_eq!(counts(session.machine()), (1728, 19_008));
+        // Population 0 has fired by now and the volley dies in the next
+        // one: its 288 outgoing rows are walked, the other 1440 are not.
+        session.run_for(60);
+        assert_eq!(
+            counts(session.machine()),
+            (1440, 55_872),
+            "{threads} shard(s)"
         );
     }
 }
