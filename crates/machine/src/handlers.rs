@@ -23,6 +23,32 @@
 //! finishing can put a packet on the fabric ([`AppCore::wakes_on_done`]);
 //! the wake advances the chip at that exact instant, so everything a
 //! completion schedules globally is scheduled from the present.
+//!
+//! # The row fetch pipeline, for the host too
+//!
+//! Packet ISR, DMA, row walk: each step learns an address the next one
+//! reads, one modelled hand-off early. The rows, their descriptors and
+//! the rings of a full machine are far larger than the host's caches,
+//! so each step passes the address on as a prefetch hint — read-only
+//! `&self` calls into `spinn-neuron` that change nothing computed,
+//! counted or checkpointed here:
+//!
+//! 1. `dispatch`, as a packet's ISR starts: the key's row descriptor
+//!    ([`SynapticMatrix::hint_descriptor`]), read when the ISR ends.
+//!    (Not at delivery: a tick's whole packet burst is queued before
+//!    any of it is served, and the lines would be evicted again.)
+//! 2. `on_core_done`, as the DMA starts: the row's words
+//!    ([`SynapticMatrix::hint_row`]), walked once the transfer and the
+//!    core's queue allow.
+//! 3. `on_dma_done`: the ring accumulators those words deposit into
+//!    ([`InputRing::hint_deposit`]), written when the row handler ends.
+//!
+//! In between, the chip's other cores resolve a completion each — the
+//! time a line takes to arrive.
+//!
+//! [`SynapticMatrix::hint_descriptor`]: spinn_neuron::SynapticMatrix::hint_descriptor
+//! [`SynapticMatrix::hint_row`]: spinn_neuron::SynapticMatrix::hint_row
+//! [`InputRing::hint_deposit`]: spinn_neuron::InputRing::hint_deposit
 
 use std::collections::VecDeque;
 
@@ -203,6 +229,8 @@ impl NeuralMachine {
         let costs = self.cfg.costs;
         // Priority: packet received > DMA complete > timer (Fig. 7).
         let ns = if let Some(key) = c.q_packets.pop_front() {
+            // Hint 1 of the row fetch pipeline (module docs).
+            c.matrix.hint_descriptor(key);
             c.current = Some(WorkItem::Packet(key));
             self.charge(costs.packet_isr_instr)
         } else if let Some(row) = c.q_rows.pop_front() {
@@ -286,6 +314,8 @@ impl NeuralMachine {
                 // Master-population-table lookup: binary search over
                 // the (key, mask) entries, neuron bits select the row.
                 if let Some(row) = c.matrix.lookup(key) {
+                    // Hint 2: the transfer starts, for the host too.
+                    c.matrix.hint_row(row);
                     let bytes = c.matrix.row_bytes(row) as u64;
                     // The DMA controller transfers in the background; the
                     // chip's SDRAM port serializes transfers.
@@ -398,6 +428,10 @@ impl NeuralMachine {
     fn on_dma_done(&mut self, chip: u32, dma: DmaInFlight, now: u64) {
         let idx = chip as usize * self.cfg.cores_per_chip as usize + dma.core as usize;
         if let Some(c) = self.cores[idx].as_mut() {
+            // Hint 3: the words have arrived; where they will deposit.
+            for w in c.matrix.hinted_words(dma.row) {
+                c.ring.hint_deposit(w.delay_ms(), w.target() as usize);
+            }
             c.q_rows.push_back(dma.row);
             self.dispatch(chip, dma.core, now);
         }

@@ -35,6 +35,17 @@
 //!   inhibition, rank-order readout, and graceful degradation under cell
 //!   loss.
 //!
+//! # `deny(unsafe_code)`, not `forbid`
+//!
+//! Every other crate of the workspace forbids `unsafe_code`. This one
+//! denies it, because a `forbid` cannot be lifted further in and one
+//! private module (`hint`) has to lift it for a single instruction: the
+//! host prefetch behind
+//! [`SynapticMatrix::hint_row`](synmatrix::SynapticMatrix::hint_row) and
+//! its two siblings, which safe Rust cannot express. Clippy's
+//! `undocumented_unsafe_blocks` is denied alongside, and CI checks that
+//! the keyword appears in no other source file of `crates/`.
+//!
 //! # Example
 //!
 //! ```
@@ -51,12 +62,14 @@
 //! assert!(spikes > 5, "tonic drive must elicit regular spiking");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod coding;
 pub mod fixed;
 pub mod gen;
+mod hint;
 pub mod izhikevich;
 pub mod lif;
 pub mod model;

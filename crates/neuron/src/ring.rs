@@ -8,6 +8,14 @@
 //! this ring of 16 one-millisecond accumulator slots: a spike arriving
 //! now with delay *d* deposits its weight into the slot that the timer
 //! interrupt will drain *d* ticks later.
+//!
+//! A row's targets are scattered over the core's neurons and its delays
+//! over the slots, so a deposit lands on a line the host has not seen
+//! for a while. The machine reads the row's words when their DMA
+//! completes, one handler before it walks them, and names each landing
+//! place then ([`InputRing::hint_deposit`]).
+
+use crate::hint::prefetch_read;
 
 /// Number of delay slots (4-bit delay field: 1–16 ms).
 pub const RING_SLOTS: usize = 16;
@@ -65,6 +73,18 @@ impl InputRing {
         assert!(neuron < self.neurons, "neuron {neuron} out of range");
         let slot = (self.cursor + delay_ms as usize) % RING_SLOTS;
         self.slots[slot][neuron] = self.slots[slot][neuron].saturating_add(weight_raw);
+    }
+
+    /// Hint, when a row's DMA completes: walking it will
+    /// [`deposit`](InputRing::deposit) into this accumulator. An index
+    /// out of range asks for nothing; a tick between hint and walk makes
+    /// the hint miss by one slot and changes nothing else.
+    #[inline]
+    pub fn hint_deposit(&self, delay_ms: u8, neuron: usize) {
+        let slot = (self.cursor + delay_ms as usize) % RING_SLOTS;
+        if let Some(acc) = self.slots[slot].get(neuron) {
+            prefetch_read(acc);
+        }
     }
 
     /// Advances the ring by 1 ms and returns the accumulated input for
@@ -251,6 +271,33 @@ mod tests {
         assert_eq!(ring.queued_magnitude(), 80);
         ring.tick();
         assert_eq!(ring.queued_magnitude(), 80); // nothing drained yet
+    }
+
+    #[test]
+    fn hints_are_inert_at_every_cursor_and_out_of_range() {
+        let encoded = |ring: &InputRing| {
+            let mut enc = spinn_sim::wire::Enc::new();
+            ring.encode(&mut enc);
+            enc.into_bytes()
+        };
+        let mut ring = InputRing::new(3);
+        for turn in 0..RING_SLOTS as i32 {
+            ring.deposit(1 + (turn % 16) as u8, 1, 7 + turn);
+            let (queued, bytes) = (ring.queued_magnitude(), encoded(&ring));
+            // Every delay `deposit` takes and those it rejects, every
+            // neuron and the first one past the end.
+            for delay in [0, 17, u8::MAX].into_iter().chain(1..=16) {
+                for neuron in [0, 1, 2, 3, usize::MAX] {
+                    ring.hint_deposit(delay, neuron);
+                }
+            }
+            assert_eq!(ring.queued_magnitude(), queued);
+            assert_eq!(encoded(&ring), bytes);
+            ring.tick();
+        }
+        let empty = InputRing::new(0);
+        empty.hint_deposit(1, 0);
+        assert_eq!(empty.queued_magnitude(), 0);
     }
 
     #[test]

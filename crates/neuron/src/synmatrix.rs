@@ -27,12 +27,21 @@
 //! through [`SynapticMatrix::row_mut`], exactly like the hardware's
 //! DMA write-back of a modified row.
 //!
+//! A full machine's descriptors and arena are far larger than the
+//! host's caches and a spike picks its row at random, so the two loads
+//! of a fetch — descriptor, then words — would each wait for memory.
+//! The machine knows both addresses one handler early and says so:
+//! [`SynapticMatrix::hint_descriptor`] when the packet ISR starts,
+//! [`SynapticMatrix::hint_row`] when the DMA does. Both take `&self`
+//! and leave a compressed row compressed.
+//!
 //! [`SynapticMatrixBuilder`] assembles a matrix from a *stream* of
 //! `(row, word)` pairs in any order (the loader expands projections one
 //! at a time and never materializes a global edge list), then packs the
 //! arena with a stable counting sort in `finish`.
 
 use crate::gen::{GenSpec, GenState};
+use crate::hint::prefetch_read;
 use crate::synapse::SynapticWord;
 
 /// Bytes of SDRAM a row of `len` synapses occupies (one header word
@@ -46,6 +55,15 @@ pub const fn row_sdram_bytes(len: usize) -> usize {
 /// materialized yet (the row's recipe lives in the lazy arena). Row
 /// *lengths* are always concrete — only the words are deferred.
 const LAZY_OFFSET: u32 = u32::MAX;
+
+/// Synaptic words per host cache line (64 bytes).
+const LINE_WORDS: usize = 16;
+
+/// Lines of one row the hints reach for. The five-synapse rows of the
+/// paper's operating point need two at most and the benchmark's densest
+/// (`plastic_stdp`, ~50 synapses) four; the cap bounds a hint's cost on
+/// the rows of hundreds an all-to-all projection makes.
+const HINT_LINES: usize = 8;
 
 /// One projection's generator recipe for a contiguous run of rows
 /// (one source slice's block as seen by one destination core).
@@ -103,6 +121,22 @@ struct MptEntry {
 struct RowRef {
     offset: u32,
     len: u32,
+}
+
+impl RowRef {
+    /// Whether the row's words are still a recipe in the lazy arena.
+    fn is_lazy(self) -> bool {
+        self.offset == LAZY_OFFSET && self.len > 0
+    }
+
+    /// The arena range of a row that is not lazy. An empty row owns no
+    /// words, whatever its offset says.
+    fn span(self) -> std::ops::Range<usize> {
+        if self.len == 0 {
+            return 0..0;
+        }
+        self.offset as usize..(self.offset + self.len) as usize
+    }
 }
 
 /// A core's complete synaptic state: master population table + packed
@@ -168,13 +202,10 @@ impl SynapticMatrix {
     pub fn row(&self, row: u32) -> &[SynapticWord] {
         let r = self.rows[row as usize];
         assert!(
-            r.offset != LAZY_OFFSET || r.len == 0,
+            !r.is_lazy(),
             "row {row} not materialized (lazy arena); call ensure_row first"
         );
-        if r.len == 0 {
-            return &[];
-        }
-        &self.words[r.offset as usize..(r.offset + r.len) as usize]
+        &self.words[r.span()]
     }
 
     /// Mutable access to row `row` — STDP rewrites weights in place
@@ -187,28 +218,61 @@ impl SynapticMatrix {
     pub fn row_mut(&mut self, row: u32) -> &mut [SynapticWord] {
         let r = self.rows[row as usize];
         assert!(
-            r.offset != LAZY_OFFSET || r.len == 0,
+            !r.is_lazy(),
             "row {row} not materialized (lazy arena); call ensure_row_mut first"
         );
-        if r.len == 0 {
-            return &mut [];
-        }
-        &mut self.words[r.offset as usize..(r.offset + r.len) as usize]
+        &mut self.words[r.span()]
     }
 
     /// [`SynapticMatrix::row`], materializing the row first if it is
     /// still compressed — the entry point of every DMA touch.
     #[inline]
     pub fn ensure_row(&mut self, row: u32) -> &[SynapticWord] {
-        self.materialize(row);
-        self.row(row)
+        let r = self.materialize(row);
+        &self.words[r.span()]
     }
 
     /// [`SynapticMatrix::row_mut`] with on-demand materialization.
     #[inline]
     pub fn ensure_row_mut(&mut self, row: u32) -> &mut [SynapticWord] {
-        self.materialize(row);
-        self.row_mut(row)
+        let r = self.materialize(row);
+        &mut self.words[r.span()]
+    }
+
+    /// Hint, when the packet ISR starts: `key`'s row descriptor will be
+    /// read when the ISR completes. An unknown key asks for nothing.
+    #[inline]
+    pub fn hint_descriptor(&self, key: u32) {
+        if let Some(r) = self.lookup(key).and_then(|row| self.rows.get(row as usize)) {
+            prefetch_read(r);
+        }
+    }
+
+    /// Hint, when the row's DMA starts: its words will be walked when
+    /// the transfer is done. Asks for [`SynapticMatrix::hinted_words`],
+    /// line by line.
+    #[inline]
+    pub fn hint_row(&self, row: u32) {
+        let words = self.hinted_words(row);
+        // The run starts anywhere in a line, so its last word may lie
+        // one line past the last stride.
+        for w in words.iter().step_by(LINE_WORDS).chain(words.last()) {
+            prefetch_read(w);
+        }
+    }
+
+    /// The words the hints act on: the first `HINT_LINES` lines' worth
+    /// of a row resident in the arena, nothing for an empty, unknown or
+    /// still-compressed row — a hint never materializes.
+    #[inline]
+    pub fn hinted_words(&self, row: u32) -> &[SynapticWord] {
+        match self.rows.get(row as usize) {
+            Some(r) if !r.is_lazy() => {
+                let words = &self.words[r.span()];
+                &words[..words.len().min(HINT_LINES * LINE_WORDS)]
+            }
+            _ => &[],
+        }
     }
 
     /// The row's words without mutating the matrix: a borrowed slice
@@ -216,8 +280,8 @@ impl SynapticMatrix {
     /// paths — the hot path uses [`SynapticMatrix::ensure_row`]).
     pub fn row_words(&self, row: u32) -> std::borrow::Cow<'_, [SynapticWord]> {
         let r = self.rows[row as usize];
-        if r.offset != LAZY_OFFSET || r.len == 0 {
-            std::borrow::Cow::Borrowed(self.row(row))
+        if !r.is_lazy() {
+            std::borrow::Cow::Borrowed(&self.words[r.span()])
         } else {
             std::borrow::Cow::Owned(self.generate(row))
         }
@@ -226,8 +290,7 @@ impl SynapticMatrix {
     /// Whether `row`'s words are resident in the arena.
     #[inline]
     pub fn is_row_materialized(&self, row: u32) -> bool {
-        let r = self.rows[row as usize];
-        r.offset != LAZY_OFFSET || r.len == 0
+        !self.rows[row as usize].is_lazy()
     }
 
     /// Rows still in compressed form.
@@ -235,10 +298,7 @@ impl SynapticMatrix {
         if self.lazy.is_none() {
             return 0;
         }
-        self.rows
-            .iter()
-            .filter(|r| r.offset == LAZY_OFFSET && r.len > 0)
-            .count() as u64
+        self.rows.iter().filter(|r| r.is_lazy()).count() as u64
     }
 
     /// Materializes every remaining lazy row (tests and full-fidelity
@@ -273,16 +333,18 @@ impl SynapticMatrix {
         out
     }
 
-    /// Expands `row` into the arena if it is still compressed.
-    fn materialize(&mut self, row: u32) {
+    /// Expands `row` into the arena if it is still compressed, and
+    /// returns its descriptor, which then names arena words.
+    fn materialize(&mut self, row: u32) -> RowRef {
         let r = self.rows[row as usize];
-        if r.offset != LAZY_OFFSET || r.len == 0 {
-            return;
+        if !r.is_lazy() {
+            return r;
         }
         let words = self.generate(row);
-        let offset = self.words.len() as u32;
+        let r = &mut self.rows[row as usize];
+        r.offset = self.words.len() as u32;
         self.words.extend_from_slice(&words);
-        self.rows[row as usize].offset = offset;
+        *r
     }
 
     /// Number of synapses in row `row`.
@@ -926,6 +988,61 @@ mod tests {
         for r in 0..3 {
             assert_eq!(fresh.row(r), m.row(r), "row {r}");
         }
+    }
+
+    /// Every hint for `key` and for `row`, then: nothing about the
+    /// matrix has moved. Returns what the hints acted on.
+    fn hinted(m: &SynapticMatrix, key: u32, row: u32) -> Vec<SynapticWord> {
+        let before = m.clone();
+        let (lazy, resident) = (m.lazy_rows(), m.resident_bytes());
+        m.hint_descriptor(key);
+        m.hint_row(row);
+        let words = m.hinted_words(row).to_vec();
+        assert_eq!((m.lazy_rows(), m.resident_bytes()), (lazy, resident));
+        assert_eq!(*m, before);
+        words
+    }
+
+    #[test]
+    fn hints_are_inert_on_every_row_shape() {
+        let mut b = SynapticMatrixBuilder::new();
+        let blk = b.block(0x1000, !0xFFF, 4);
+        // Row 0 runs past the line cap, row 1 is empty, row 3 ends the
+        // arena.
+        let long = (HINT_LINES * LINE_WORDS + 40) as u16;
+        for t in 0..long {
+            b.push(blk, w(1, t));
+        }
+        b.push(blk + 2, w(2, 0));
+        for t in 0..5 {
+            b.push(blk + 3, w(3, t));
+        }
+        let m = b.finish();
+        let capped = hinted(&m, 0x1000, blk);
+        assert_eq!(capped, m.row(blk)[..HINT_LINES * LINE_WORDS]);
+        assert!(hinted(&m, 0x1001, blk + 1).is_empty());
+        assert_eq!(hinted(&m, 0x1003, blk + 3), m.row(blk + 3));
+        // A key no block covers, a row index past the table.
+        for (key, row) in [(0x1004, 4), (0x0FFF, u32::MAX), (0x9000, 5)] {
+            assert_eq!(m.lookup(key), None);
+            assert!(hinted(&m, key, row).is_empty());
+        }
+        assert!(hinted(&SynapticMatrix::new(), 0, 0).is_empty());
+    }
+
+    #[test]
+    fn a_hint_never_materializes() {
+        let mut m = lazy_a2a_builder(4, (4, 8)).finish();
+        for row in 0..4 {
+            assert!(hinted(&m, 0x1000 + row, row).is_empty());
+        }
+        assert_eq!(m.lazy_rows(), 4);
+        // Once walked, a row is hinted like any other; its neighbours
+        // stay recipes.
+        let walked = m.ensure_row(2).to_vec();
+        assert_eq!(hinted(&m, 0x1002, 2), walked);
+        assert!(hinted(&m, 0x1003, 3).is_empty());
+        assert_eq!(m.lazy_rows(), 3);
     }
 
     #[test]

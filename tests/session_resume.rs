@@ -8,8 +8,8 @@
 //! Also pinned here: checkpoints taken while events are in flight
 //! (mid-tick timer work, packets on the wire), a checkpoint taken while
 //! a lazy synaptic arena is half materialized, the exact count of rows a
-//! run leaves compressed, stimulus-source RNG stream continuity, STDP toggling between segments, and a proptest
-//! over random split points.
+//! run leaves compressed, stimulus-source RNG stream continuity, STDP
+//! toggling between segments, and a proptest over random split points.
 
 use proptest::prelude::*;
 use spinnaker::machine::machine::{NeuralMachine, SpikeRecord};
