@@ -233,7 +233,8 @@ pub mod e04_realtime_latency {
     use spinn_machine::machine::NeuralMachine;
     use spinn_neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
     use spinn_neuron::model::AnyNeuron;
-    use spinn_neuron::synapse::{SynapticRow, SynapticWord};
+    use spinn_neuron::synapse::SynapticWord;
+    use spinn_neuron::synmatrix::SynapticMatrixBuilder;
     use spinn_noc::direction::Direction;
     use spinn_noc::mesh::NodeCoord;
     use spinn_noc::table::{McTableEntry, RouteSet};
@@ -277,12 +278,14 @@ pub mod e04_realtime_latency {
                 })
                 .unwrap();
         }
-        for i in 0..60u32 {
-            let row: SynapticRow = (0..60)
-                .map(|t| SynapticWord::new(80, 1, t as u16))
-                .collect();
-            m.set_row(dst, dst_core, 0x4000 + i, row);
+        let mut rows = SynapticMatrixBuilder::new();
+        let first = rows.block(0x4000, !0x3FFF, 60);
+        for i in 0..60 {
+            for t in 0..60 {
+                rows.push(first + i, SynapticWord::new(80, 1, t));
+            }
         }
+        m.install_matrix(dst, dst_core, rows.finish());
         let m = m.run(ms);
         let h = m.spike_latency();
         (h.percentile(50.0), h.percentile(99.0), h.max())
@@ -1723,7 +1726,7 @@ pub mod e15_memory_model {
     use spinn_sim::Xoshiro256;
     use spinnaker::map::loader::LoadedApp;
     use spinnaker::map::place::Placement;
-    use spinnaker::neuron::synapse::SynapticRow;
+    use spinnaker::neuron::synapse::SynapticWord;
     use spinnaker::prelude::*;
     use std::collections::HashMap;
     use std::time::Instant;
@@ -1753,11 +1756,11 @@ pub mod e15_memory_model {
     /// A faithful port of the seed's expansion path, kept as the
     /// measured baseline: materialize every projection into a
     /// `Vec<(u32, u32)>` edge list via per-pair Bernoulli trials, then
-    /// scatter into per-core `HashMap<u32, SynapticRow>` with a linear
+    /// scatter into per-core `HashMap<u32, Vec<SynapticWord>>` with a linear
     /// slice scan per pair. Returns (synapses, estimated resident
     /// bytes).
     fn legacy_build(net: &NetworkGraph, placement: &Placement) -> (u64, u64) {
-        let mut images: Vec<HashMap<u32, SynapticRow>> =
+        let mut images: Vec<HashMap<u32, Vec<SynapticWord>>> =
             placement.slices().iter().map(|_| HashMap::new()).collect();
         for proj in net.projections() {
             let n_src = net.pop(proj.src).size;
@@ -1806,9 +1809,10 @@ pub mod e15_memory_model {
                     .position(|sl| sl == dst_slice)
                     .expect("slice exists");
                 let local_target = (d - dst_slice.lo) as u16;
-                images[img_idx].entry(src_key).or_default().push(
-                    spinnaker::neuron::synapse::SynapticWord::new(w, delay, local_target),
-                );
+                images[img_idx]
+                    .entry(src_key)
+                    .or_default()
+                    .push(SynapticWord::new(w, delay, local_target));
             }
         }
         let synapses: u64 = images

@@ -752,7 +752,8 @@ mod tests {
     use crate::config::MachineConfig;
     use spinn_neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
     use spinn_neuron::model::AnyNeuron;
-    use spinn_neuron::synapse::{SynapticRow, SynapticWord};
+    use spinn_neuron::synapse::SynapticWord;
+    use spinn_neuron::synmatrix::SynapticMatrixBuilder;
     use spinn_noc::direction::Direction;
     use spinn_noc::fabric::InFlight;
     use spinn_noc::mesh::NodeCoord;
@@ -796,8 +797,12 @@ mod tests {
                 0x1000 * core as u32,
             )
             .unwrap();
-            let row: SynapticRow = (0..n as u16).map(|t| SynapticWord::new(4, 1, t)).collect();
-            m.set_row(ORIGIN, core, KEY, row);
+            let mut b = SynapticMatrixBuilder::new();
+            let row = b.block(KEY, u32::MAX, 1);
+            for t in 0..n as u16 {
+                b.push(row, SynapticWord::new(4, 1, t));
+            }
+            m.install_matrix(ORIGIN, core, b.finish());
         }
         m
     }

@@ -37,7 +37,6 @@ use spinn_neuron::model::AnyNeuron;
 use spinn_neuron::pool::NeuronPool;
 use spinn_neuron::ring::InputRing;
 use spinn_neuron::stdp::StdpParams;
-use spinn_neuron::synapse::SynapticRow;
 use spinn_neuron::synmatrix::SynapticMatrix;
 use spinn_noc::direction::Direction;
 use spinn_noc::fabric::{Delivery, DroppedPacket, Fabric, Partition};
@@ -124,10 +123,10 @@ pub(crate) struct AppCore {
     pub(crate) overruns: u64,
     pub(crate) row_misses: u64,
     /// STDP state (when plasticity is enabled): per-row time of the
-    /// previous pre-spike (indexed like the matrix rows), and
-    /// per-neuron time of the last post-spike. Updates are applied
-    /// synapse-centrically when a row is fetched, as on the real
-    /// machine.
+    /// previous pre-spike (indexed like the matrix rows, and sized to
+    /// them once, when the matrix is installed), and per-neuron time of
+    /// the last post-spike. Updates are applied synapse-centrically when
+    /// a row is fetched, as on the real machine.
     pub(crate) row_last_pre_ms: Vec<f64>,
     pub(crate) last_post_ms: Vec<f64>,
     /// Rows whose weights STDP has rewritten since load (may contain
@@ -148,25 +147,6 @@ impl AppCore {
     /// DTCM bytes this core's resident data occupies.
     fn dtcm_bytes(&self) -> usize {
         core_dtcm_bytes(&self.ring, self.neurons.len())
-    }
-
-    /// Keeps the STDP pre-spike timestamps consistent with the matrix.
-    ///
-    /// `row_last_pre_ms` is indexed by row, so any insertion that
-    /// changes the row count may also have *shifted* existing rows
-    /// (`SynapticMatrix::insert_row`'s block-grow path splices rows
-    /// mid-vector). Timestamps attached to the wrong rows would corrupt
-    /// STDP, so a structural change resets the history to "no previous
-    /// pre-spike" — installing new connectivity invalidates cached
-    /// timing state. In-place row replacement keeps the history.
-    fn sync_stdp_rows(&mut self) {
-        if self.row_last_pre_ms.len() != self.matrix.n_rows() {
-            self.row_last_pre_ms = vec![f64::NEG_INFINITY; self.matrix.n_rows()];
-            // Row indices may have shifted: previously recorded dirty
-            // rows no longer name the same synapses, and the new
-            // connectivity becomes the delta baseline.
-            self.dirty_rows.clear();
-        }
     }
 }
 
@@ -222,7 +202,6 @@ impl std::error::Error for DtcmOverflow {}
 /// use spinn_machine::machine::NeuralMachine;
 /// use spinn_machine::config::MachineConfig;
 /// use spinn_neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
-/// use spinn_neuron::synapse::{SynapticRow, SynapticWord};
 /// use spinn_noc::mesh::NodeCoord;
 /// use spinn_noc::table::{McTableEntry, RouteSet};
 ///
@@ -535,8 +514,9 @@ impl NeuralMachine {
 
     /// Loads neurons onto an application core.
     ///
-    /// Neuron `i` fires with AER key `base_key + i`; incoming packets are
-    /// matched against rows installed with [`NeuralMachine::set_row`].
+    /// Neuron `i` fires with AER key `base_key + i`. The core starts
+    /// with no synapses — every incoming packet is a row miss — until
+    /// [`NeuralMachine::install_matrix`] gives it its matrix.
     ///
     /// # Errors
     ///
@@ -592,10 +572,13 @@ impl NeuralMachine {
         Ok(())
     }
 
-    /// Installs a whole synaptic matrix on a loaded core in one move —
-    /// the stream-load path `Simulation::build` uses (the matrix is
-    /// assembled off-machine by the loader, then handed over without
-    /// per-row copies).
+    /// Installs a whole synaptic matrix on a loaded core, replacing the
+    /// one it held — the only way synapses reach a core. The loader
+    /// (`Simulation::build`) and hand-built machines alike assemble the
+    /// matrix off-machine with a
+    /// [`SynapticMatrixBuilder`](spinn_neuron::synmatrix::SynapticMatrixBuilder)
+    /// and hand it over without per-row copies. The core's row structure
+    /// is fixed from here on; its STDP history starts empty.
     ///
     /// # Panics
     ///
@@ -606,20 +589,6 @@ impl NeuralMachine {
         c.matrix = matrix;
         c.row_last_pre_ms = vec![f64::NEG_INFINITY; c.matrix.n_rows()];
         c.dirty_rows.clear();
-    }
-
-    /// Installs the synaptic row a core uses for incoming `key` spikes
-    /// (the manual loading path; whole matrices go through
-    /// [`NeuralMachine::install_matrix`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core is not loaded.
-    pub fn set_row(&mut self, chip: NodeCoord, core: u8, key: u32, row: SynapticRow) {
-        let idx = self.core_index(chip, core);
-        let c = self.cores[idx].as_mut().expect("core not loaded");
-        c.matrix.insert_row(key, row.words());
-        c.sync_stdp_rows();
     }
 
     /// Removes a core and returns its contents (monitor-driven
@@ -796,7 +765,7 @@ impl NeuralMachine {
 
     /// The instant a segment starting at `from_ms` resumes from: time
     /// zero for a fresh run, else the previous segment's end boundary.
-    fn segment_start_ns(from_ms: u32) -> u64 {
+    pub(crate) fn segment_start_ns(from_ms: u32) -> u64 {
         if from_ms == 0 {
             0
         } else {
@@ -1385,6 +1354,7 @@ mod tests {
     use crate::config::MachineConfig;
     use spinn_neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
     use spinn_neuron::synapse::SynapticWord;
+    use spinn_neuron::synmatrix::SynapticMatrixBuilder;
     use spinn_noc::direction::Direction;
     use spinn_noc::table::{McTableEntry, RouteSet};
 
@@ -1392,6 +1362,19 @@ mod tests {
         (0..n)
             .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
             .collect()
+    }
+
+    /// One block of `n_src` rows keyed `0x1000 + i`, each reaching
+    /// targets `0..n_dst` with the same weight and delay.
+    fn dense_rows(n_src: u32, n_dst: u16, weight_raw: i16, delay_ms: u8) -> SynapticMatrix {
+        let mut b = SynapticMatrixBuilder::new();
+        let first = b.block(0x1000, !0xFFF, n_src);
+        for i in 0..n_src {
+            for t in 0..n_dst {
+                b.push(first + i, SynapticWord::new(weight_raw, delay_ms, t));
+            }
+        }
+        b.finish()
     }
 
     /// Two chips: a driven source population on (0,0) core 1 projecting
@@ -1422,12 +1405,7 @@ mod tests {
             })
             .unwrap();
         // All-to-all rows: every source neuron excites every target.
-        for i in 0..10u32 {
-            let row: SynapticRow = (0..10)
-                .map(|t| SynapticWord::new(weight_raw, delay_ms, t as u16))
-                .collect();
-            m.set_row(dst, 1, 0x1000 + i, row);
-        }
+        m.install_matrix(dst, 1, dense_rows(10, 10, weight_raw, delay_ms));
         m
     }
 
@@ -1510,10 +1488,12 @@ mod tests {
         let dst = NodeCoord::new(2, 2);
         m.load_core(dst, 1, rs_neurons(5), vec![0.0; 5], 0x9000)
             .unwrap();
-        let row: SynapticRow = (0..5)
-            .map(|t| SynapticWord::new(2000, 1, t as u16))
-            .collect();
-        m.set_row(dst, 1, 0x42, row);
+        let mut b = SynapticMatrixBuilder::new();
+        let row = b.block(0x42, u32::MAX, 1);
+        for t in 0..5 {
+            b.push(row, SynapticWord::new(2000, 1, t));
+        }
+        m.install_matrix(dst, 1, b.finish());
         // Route key 0x42 from (0,0) to (2,2): inject at the destination's
         // own chip for simplicity of the table.
         m.router_mut(dst)
@@ -1685,6 +1665,34 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_rejects_times_before_the_restored_clock() {
+        // The restored run resumes at 10 ms: an event or a stimulus
+        // timed before that could only be scheduled into its past, so
+        // it must fail at install time, not panic in the next segment.
+        let (m, pending) = two_chip_machine(1000, 1).run_segment(Vec::new(), 0, 10, 1);
+        let early = PendingEvent {
+            at_ns: 5 * MS,
+            event: MachineEvent::InjectSpike { chip: 0, key: 1 },
+        };
+        let mut stimulated = two_chip_machine(1000, 1)
+            .run_segment(Vec::new(), 0, 10, 1)
+            .0;
+        stimulated.queue_stimulus(5 * MS, NodeCoord::new(0, 0), 1);
+        for bytes in [
+            m.snapshot(&[pending.clone(), vec![early]].concat()),
+            stimulated.snapshot(&pending),
+        ] {
+            assert!(matches!(
+                two_chip_machine(1000, 1).install_snapshot(&bytes),
+                Err(crate::snapshot::SnapshotError::Wire(_))
+            ));
+        }
+        assert!(two_chip_machine(1000, 1)
+            .install_snapshot(&m.snapshot(&pending))
+            .is_ok());
+    }
+
+    #[test]
     fn snapshot_rejects_mismatched_machines() {
         let (m, pending) = two_chip_machine(1000, 1).run_segment(Vec::new(), 0, 10, 1);
         let bytes = m.snapshot(&pending);
@@ -1789,12 +1797,7 @@ mod tests {
                 route: RouteSet::EMPTY.with_core(1),
             })
             .unwrap();
-        for i in 0..80u32 {
-            let row: SynapticRow = (0..10)
-                .map(|t| SynapticWord::new(100, 1, t as u16))
-                .collect();
-            m.set_row(dst, 1, 0x1000 + i, row);
-        }
+        m.install_matrix(dst, 1, dense_rows(80, 10, 100, 1));
         m.queue_fail_link(50 * MS, src, Direction::East);
         m
     }
@@ -1989,12 +1992,17 @@ mod tests {
                     let base_key = 0x100_0000 + key_of(x, y) + 0x100 * core as u32;
                     m.load_core(chip, core, rs_neurons(16), vec![0.0; 16], base_key)
                         .unwrap();
+                    let mut b = SynapticMatrixBuilder::new();
                     for key in [key_of(x, y), south] {
-                        let row: SynapticRow = (0..6)
-                            .map(|t| SynapticWord::new(8, 1 + t as u8 % 3, (t + core as u16) % 16))
-                            .collect();
-                        m.set_row(chip, core, key, row);
+                        let row = b.block(key, u32::MAX, 1);
+                        for t in 0..6u16 {
+                            b.push(
+                                row,
+                                SynapticWord::new(8, 1 + t as u8 % 3, (t + core as u16) % 16),
+                            );
+                        }
                     }
+                    m.install_matrix(chip, core, b.finish());
                 }
             }
         }
@@ -2073,12 +2081,7 @@ mod tests {
                     route: RouteSet::EMPTY.with_core(1),
                 })
                 .unwrap();
-            for i in 0..10u32 {
-                let row: SynapticRow = (0..10)
-                    .map(|t| SynapticWord::new(1200, 1, t as u16))
-                    .collect();
-                m.set_row(dst, 1, 0x1000 + i, row);
-            }
+            m.install_matrix(dst, 1, dense_rows(10, 10, 1200, 1));
             m.queue_fail_link(30 * MS, src, Direction::East);
             if let Some(at) = repair_at {
                 m.queue_repair_link(at as u64 * MS, src, Direction::East);

@@ -312,21 +312,26 @@ fn encode_sparse_times(times: &[f64], enc: &mut Enc) {
     }
 }
 
-fn decode_sparse_times(dec: &mut Dec<'_>) -> Result<Vec<f64>, WireError> {
+/// Reads an [`encode_sparse_times`] vector that must hold `len` entries
+/// (`what` names them in the mismatch error).
+fn decode_sparse_times(
+    dec: &mut Dec<'_>,
+    len: usize,
+    what: impl FnOnce() -> String,
+) -> Result<Vec<f64>, SnapshotError> {
     // The declared length is the *logical* vector size, not a stored
     // element count, so it is not bounded by the remaining bytes (only
-    // the finite entries are on the wire) — validate it directly.
-    let len = dec.u64()?;
-    if len > u32::MAX as u64 {
-        return Err(WireError::Corrupt("sparse time length"));
+    // the finite entries are on the wire): check it against the loaded
+    // core's before allocating.
+    if dec.u64()? != len as u64 {
+        return Err(SnapshotError::Mismatch(what()));
     }
-    let len = len as usize;
     let mut out = vec![f64::NEG_INFINITY; len];
     let finite = dec.seq(12)?;
     for _ in 0..finite {
         let i = dec.u32()? as usize;
         if i >= len {
-            return Err(WireError::Corrupt("sparse time index"));
+            return Err(WireError::Corrupt("sparse time index").into());
         }
         out[i] = dec.f64()?;
     }
@@ -454,10 +459,14 @@ impl NeuralMachine {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Wire`] if the bytes are truncated or corrupt;
-    /// [`SnapshotError::Mismatch`] if the snapshot belongs to a
-    /// differently built machine. On error the machine may be partially
-    /// overwritten and must be discarded.
+    /// [`SnapshotError::Wire`] if the bytes are truncated or corrupt —
+    /// among them an event, stimulus, fault or repair timed before the
+    /// restored clock; [`SnapshotError::Mismatch`] if the snapshot
+    /// belongs to a differently built machine. Every size the bytes
+    /// declare is checked against this machine's loaded cores before
+    /// anything is allocated for it, so hostile bytes cost no more
+    /// memory than the machine already holds. On error the machine may
+    /// be partially overwritten and must be discarded.
     pub fn install_snapshot(&mut self, bytes: &[u8]) -> Result<RestoredRun, SnapshotError> {
         let mut dec = Dec::new(bytes);
         dec.magic(MAGIC)?;
@@ -482,6 +491,17 @@ impl NeuralMachine {
             dec = Dec::new(&bytes[start + mine.len()..]);
         }
         self.duration_ms = dec.u32()?;
+        // Everything still to happen lies at or after the instant the
+        // next segment resumes from; an earlier time could only be
+        // scheduled into the past.
+        let clock = Self::segment_start_ns(self.duration_ms);
+        let not_past = |at_ns: u64, what: &'static str| {
+            if at_ns < clock {
+                Err(SnapshotError::Wire(WireError::Corrupt(what)))
+            } else {
+                Ok(at_ns)
+            }
+        };
         self.stdp = if dec.bool()? {
             Some(StdpParams {
                 a_plus: dec.f32()?,
@@ -527,7 +547,8 @@ impl NeuralMachine {
         let n_stim = dec.seq(16)?;
         self.stimuli = Vec::with_capacity(n_stim);
         for _ in 0..n_stim {
-            let (t, chip, key) = (dec.u64()?, dec.u32()?, dec.u32()?);
+            let t = not_past(dec.u64()?, "stimulus before the restored clock")?;
+            let (chip, key) = (dec.u32()?, dec.u32()?);
             if chip >= chips {
                 return Err(SnapshotError::Wire(WireError::Corrupt("stimulus chip id")));
             }
@@ -536,7 +557,8 @@ impl NeuralMachine {
         let n_faults = dec.seq(13)?;
         self.fault_plan = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
-            let (t, chip, dir) = (dec.u64()?, dec.u32()?, decode_direction(&mut dec)?);
+            let t = not_past(dec.u64()?, "fault before the restored clock")?;
+            let (chip, dir) = (dec.u32()?, decode_direction(&mut dec)?);
             if chip >= chips {
                 return Err(SnapshotError::Wire(WireError::Corrupt("fault chip id")));
             }
@@ -545,7 +567,8 @@ impl NeuralMachine {
         let n_repairs = dec.seq(13)?;
         self.repair_plan = Vec::with_capacity(n_repairs);
         for _ in 0..n_repairs {
-            let (t, chip, dir) = (dec.u64()?, dec.u32()?, decode_direction(&mut dec)?);
+            let t = not_past(dec.u64()?, "repair before the restored clock")?;
+            let (chip, dir) = (dec.u32()?, decode_direction(&mut dec)?);
             if chip >= chips {
                 return Err(SnapshotError::Wire(WireError::Corrupt("repair chip id")));
             }
@@ -589,13 +612,7 @@ impl NeuralMachine {
                 )));
             }
             c.neurons = pool;
-            let ring = InputRing::decode(&mut dec)?;
-            if ring.neurons() != c.ring.neurons() {
-                return Err(SnapshotError::Mismatch(format!(
-                    "core {idx} ring size differs"
-                )));
-            }
-            c.ring = ring;
+            c.ring = InputRing::decode(&mut dec, c.ring.neurons())?;
             let nq = dec.seq(4)?;
             c.q_packets.clear();
             for _ in 0..nq {
@@ -630,20 +647,12 @@ impl NeuralMachine {
             c.spikes_emitted = dec.u64()?;
             c.overruns = dec.u64()?;
             c.row_misses = dec.u64()?;
-            let pre = decode_sparse_times(&mut dec)?;
-            if pre.len() != c.matrix.n_rows() {
-                return Err(SnapshotError::Mismatch(format!(
-                    "core {idx} row count differs"
-                )));
-            }
-            c.row_last_pre_ms = pre;
-            let post = decode_sparse_times(&mut dec)?;
-            if post.len() != c.neurons.len() {
-                return Err(SnapshotError::Mismatch(format!(
-                    "core {idx} neuron count differs"
-                )));
-            }
-            c.last_post_ms = post;
+            c.row_last_pre_ms = decode_sparse_times(&mut dec, c.matrix.n_rows(), || {
+                format!("core {idx} row count differs")
+            })?;
+            c.last_post_ms = decode_sparse_times(&mut dec, c.neurons.len(), || {
+                format!("core {idx} neuron count differs")
+            })?;
             // The applied rows stay dirty: the *next* checkpoint's
             // baseline is still the fresh build, so previously rewritten
             // rows must keep riding every later delta.
@@ -658,7 +667,7 @@ impl NeuralMachine {
         let n_pending = dec.seq(9)?;
         let mut pending = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
-            let at_ns = dec.u64()?;
+            let at_ns = not_past(dec.u64()?, "pending event before the restored clock")?;
             let event = decode_event(&mut dec)?;
             validate_event(&event, chips, self.cfg.cores_per_chip)?;
             pending.push(PendingEvent { at_ns, event });

@@ -11,12 +11,11 @@
 //! * [`lif`] — leaky integrate-and-fire, a second "local algorithm"
 //!   (§5.3 notes processors may run different local algorithms).
 //! * [`model`] — the [`model::NeuronModel`] trait unifying them.
-//! * [`synapse`] — the packed 32-bit synaptic word and the
-//!   source-indexed synaptic rows stored in SDRAM and DMA-fetched on
-//!   spike arrival (§4).
+//! * [`synapse`] — the packed 32-bit synaptic word (§4).
 //! * [`synmatrix`] — the per-core **master population table** over one
-//!   contiguous synaptic arena (CSR layout), the §5.2/§6 SDRAM memory
-//!   model the machine's packet hot path indexes into.
+//!   contiguous synaptic arena (CSR layout): the source-indexed rows
+//!   stored in SDRAM and DMA-fetched on spike arrival, the §5.2/§6
+//!   memory model the machine's packet hot path indexes into.
 //! * [`gen`] — generator recipes for **compressed, lazily materialized**
 //!   rows: a full-machine build stores connector specs and RNG stream
 //!   positions instead of expanded words, regenerating rows bit-exactly
@@ -87,5 +86,5 @@ pub use lif::{LifNeuron, LifParams};
 pub use model::{AnyNeuron, NeuronModel};
 pub use pool::NeuronPool;
 pub use ring::InputRing;
-pub use synapse::{SynapticRow, SynapticWord};
+pub use synapse::SynapticWord;
 pub use synmatrix::{SynapticMatrix, SynapticMatrixBuilder};

@@ -141,23 +141,24 @@ impl InputRing {
         }
     }
 
-    /// Rebuilds a ring from [`InputRing::encode`] bytes.
+    /// Rebuilds a ring of `neurons` accumulators per slot from
+    /// [`InputRing::encode`] bytes.
     ///
     /// # Errors
     ///
     /// Returns a [`spinn_sim::wire::WireError`] on truncated or corrupt
-    /// input.
+    /// input, and on a ring of any other size.
     pub fn decode(
         dec: &mut spinn_sim::wire::Dec<'_>,
+        neurons: usize,
     ) -> Result<InputRing, spinn_sim::wire::WireError> {
         use spinn_sim::wire::WireError;
-        // The neuron count is a *logical* size (the slots are stored
-        // sparsely), so it is not bounded by the remaining bytes.
-        let neurons = dec.u64()?;
-        if neurons > u32::MAX as u64 {
+        // The declared neuron count is a *logical* size (the slots are
+        // stored sparsely), so the remaining bytes do not bound it:
+        // check it against the caller's before allocating anything.
+        if dec.u64()? != neurons as u64 {
             return Err(WireError::Corrupt("ring size"));
         }
-        let neurons = neurons as usize;
         let cursor = dec.u8()? as usize;
         if cursor >= RING_SLOTS {
             return Err(WireError::Corrupt("ring cursor"));
@@ -298,6 +299,28 @@ mod tests {
         let empty = InputRing::new(0);
         empty.hint_deposit(1, 0);
         assert_eq!(empty.queued_magnitude(), 0);
+    }
+
+    #[test]
+    fn decode_takes_only_a_ring_of_the_callers_size() {
+        let mut ring = InputRing::new(3);
+        ring.deposit(2, 1, 40);
+        ring.tick();
+        let mut enc = spinn_sim::wire::Enc::new();
+        ring.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let decode = |bytes: &[u8], neurons| {
+            InputRing::decode(&mut spinn_sim::wire::Dec::new(bytes), neurons)
+        };
+        let back = decode(&bytes, 3).unwrap();
+        assert_eq!((back.cursor, back.current()), (1, ring.current()));
+        assert_eq!(back.queued_magnitude(), 40);
+        assert!(decode(&bytes, 4).is_err());
+        // A declared size of four billion neurons is refused before the
+        // 17 accumulators per neuron are allocated.
+        let mut huge = bytes.clone();
+        huge[..8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        assert!(decode(&huge, 3).is_err());
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Synaptic data: the packed word format and the source-indexed rows held
-//! in SDRAM.
+//! The packed synaptic word.
 //!
 //! §4 of the paper: on an incoming spike the processor maps the source
 //! neuron to "the associated block of connectivity data in SDRAM" and
-//! DMAs it into local memory. §3.2: each synapse carries a programmable
-//! delay "re-inserted algorithmically at the target neuron" — and that
-//! per-synapse delay is "one of the most expensive functions ... in terms
-//! of the cost of data storage", which is why it is squeezed into 4 bits
-//! of the packed word.
+//! DMAs it into local memory. That block is a row of these words; rows
+//! and the table that finds them live in [`crate::synmatrix`]. §3.2:
+//! each synapse carries a programmable delay "re-inserted
+//! algorithmically at the target neuron" — and that per-synapse delay is
+//! "one of the most expensive functions ... in terms of the cost of data
+//! storage", which is why it is squeezed into 4 bits of the packed word.
 
 /// One synapse, packed into 32 bits exactly as a SpiNNaker synaptic row
 /// word: `[31:16]` weight (signed 8.8 fixed point, nA), `[15:12]` delay
@@ -92,66 +92,6 @@ impl SynapticWord {
     }
 }
 
-/// The synaptic row for one (source neuron → destination core) pair: the
-/// unit of DMA transfer from SDRAM.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SynapticRow {
-    words: Vec<SynapticWord>,
-}
-
-impl SynapticRow {
-    /// An empty row.
-    pub fn new() -> Self {
-        SynapticRow { words: Vec::new() }
-    }
-
-    /// Adds a synapse.
-    pub fn push(&mut self, word: SynapticWord) {
-        self.words.push(word);
-    }
-
-    /// The synapses in the row.
-    pub fn words(&self) -> &[SynapticWord] {
-        &self.words
-    }
-
-    /// Mutable access (STDP updates rewrite weights in place before the
-    /// row is DMAed back to SDRAM).
-    pub fn words_mut(&mut self) -> &mut [SynapticWord] {
-        &mut self.words
-    }
-
-    /// Number of synapses.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the row is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Size of the row in SDRAM, bytes (one header word + one word per
-    /// synapse).
-    pub fn size_bytes(&self) -> usize {
-        4 + 4 * self.words.len()
-    }
-}
-
-impl FromIterator<SynapticWord> for SynapticRow {
-    fn from_iter<T: IntoIterator<Item = SynapticWord>>(iter: T) -> Self {
-        SynapticRow {
-            words: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<SynapticWord> for SynapticRow {
-    fn extend<T: IntoIterator<Item = SynapticWord>>(&mut self, iter: T) {
-        self.words.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,21 +149,11 @@ mod tests {
 
     #[test]
     fn row_accounting() {
-        let mut row = SynapticRow::new();
-        assert!(row.is_empty());
-        assert_eq!(row.size_bytes(), 4);
-        for i in 0..10 {
-            row.push(SynapticWord::new(i, 1, i as u16));
-        }
-        assert_eq!(row.len(), 10);
-        assert_eq!(row.size_bytes(), 44);
-    }
-
-    #[test]
-    fn row_collect_and_extend() {
-        let mut row: SynapticRow = (0..3).map(|i| SynapticWord::new(i, 1, i as u16)).collect();
-        row.extend((3..5).map(|i| SynapticWord::new(i, 2, i as u16)));
-        assert_eq!(row.len(), 5);
-        assert_eq!(row.words()[4].delay_ms(), 2);
+        // A row in SDRAM is one header word plus one packed word per
+        // synapse: the word is exactly 32 bits.
+        use crate::synmatrix::row_sdram_bytes;
+        assert_eq!(std::mem::size_of::<SynapticWord>(), 4);
+        assert_eq!(row_sdram_bytes(0), 4);
+        assert_eq!(row_sdram_bytes(10), 44);
     }
 }

@@ -38,7 +38,10 @@
 //! [`SynapticMatrixBuilder`] assembles a matrix from a *stream* of
 //! `(row, word)` pairs in any order (the loader expands projections one
 //! at a time and never materializes a global edge list), then packs the
-//! arena with a stable counting sort in `finish`.
+//! arena with a stable counting sort in `finish`. It is the only way a
+//! matrix gets rows: once built, the table and the row lengths are
+//! fixed — STDP rewrites weights and lazy rows materialize, but no row
+//! is added, resized or moved.
 
 use crate::gen::{GenSpec, GenState};
 use crate::hint::prefetch_read;
@@ -117,7 +120,7 @@ struct MptEntry {
 }
 
 /// One row descriptor: a slice of the arena.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct RowRef {
     offset: u32,
     len: u32,
@@ -403,58 +406,6 @@ impl SynapticMatrix {
             .flat_map(|e| (0..e.n_rows).map(move |i| (e.key | i, e.first_row + i)))
     }
 
-    /// Installs (or replaces) the row for a single exact `key` — the
-    /// manual loading path used by hand-built machines and tests. Rows
-    /// covered by an existing block entry are rewritten in place (new
-    /// words are appended to the arena when the replacement is longer);
-    /// unknown keys get an exact-match table entry of their own.
-    pub fn insert_row(&mut self, key: u32, words: &[SynapticWord]) {
-        if let Some(row) = self.lookup(key) {
-            self.replace_row(row, words);
-            return;
-        }
-        // A covering block that is merely too short? Grow it so the
-        // block's rows stay contiguous (cold path: pre-run loading
-        // only).
-        let i = self.entries.partition_point(|e| e.key <= key);
-        if let Some(slot) = i.checked_sub(1) {
-            let e = self.entries[slot];
-            if key & e.mask == e.key {
-                let neuron = key & !e.mask;
-                let grow = neuron + 1 - e.n_rows;
-                let insert_at = (e.first_row + e.n_rows) as usize;
-                self.rows.splice(
-                    insert_at..insert_at,
-                    std::iter::repeat_n(RowRef::default(), grow as usize),
-                );
-                for (j, other) in self.entries.iter_mut().enumerate() {
-                    if j != slot && other.first_row as usize >= insert_at {
-                        other.first_row += grow;
-                    }
-                }
-                self.entries[slot].n_rows = neuron + 1;
-                let row = self.entries[slot].first_row + neuron;
-                self.replace_row(row, words);
-                return;
-            }
-        }
-        // A brand-new exact entry pointing at a fresh row.
-        self.entries.insert(
-            i,
-            MptEntry {
-                key,
-                mask: u32::MAX,
-                first_row: self.rows.len() as u32,
-                n_rows: 1,
-            },
-        );
-        self.rows.push(RowRef {
-            offset: self.words.len() as u32,
-            len: words.len() as u32,
-        });
-        self.words.extend_from_slice(words);
-    }
-
     /// Serializes the given rows' current arena contents — the
     /// checkpoint form of STDP weight changes. Snapshots store only the
     /// rows plasticity actually touched (deltas against the loader's
@@ -511,24 +462,6 @@ impl SynapticMatrix {
             applied.push(row);
         }
         Ok(applied)
-    }
-
-    /// Rewrites row `row` with `words`: in place when it fits, else as
-    /// a fresh run at the end of the arena. An unmaterialized row is
-    /// simply replaced wholesale — its recipe is abandoned.
-    fn replace_row(&mut self, row: u32, words: &[SynapticWord]) {
-        let r = &mut self.rows[row as usize];
-        if r.offset != LAZY_OFFSET && words.len() <= r.len as usize {
-            r.len = words.len() as u32;
-            let start = r.offset as usize;
-            self.words[start..start + words.len()].copy_from_slice(words);
-        } else {
-            *r = RowRef {
-                offset: self.words.len() as u32,
-                len: words.len() as u32,
-            };
-            self.words.extend_from_slice(words);
-        }
     }
 }
 
@@ -733,7 +666,6 @@ impl SynapticMatrixBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synapse::SynapticRow;
 
     fn w(weight: i16, target: u16) -> SynapticWord {
         SynapticWord::new(weight, 1, target)
@@ -744,16 +676,22 @@ mod tests {
         let mut b = SynapticMatrixBuilder::new();
         let blk_a = b.block(0x1000, !0xFFF, 3);
         let blk_b = b.block(0x4000, !0xFFF, 2);
+        // A lone exact key, declared after a block above it.
+        let exact = b.block(0x3000, u32::MAX, 1);
         // Interleaved pushes across blocks; order within a row must
         // survive the counting sort.
         b.push(blk_b, w(9, 0));
         b.push(blk_a + 1, w(1, 1));
+        b.push(exact, w(5, 5));
         b.push(blk_a + 1, w(2, 2));
         b.push(blk_b, w(8, 3));
         b.push(blk_a, w(7, 4));
         let m = b.finish();
-        assert_eq!(m.n_rows(), 5);
-        assert_eq!(m.total_synapses(), 5);
+        assert_eq!(m.n_rows(), 6);
+        assert_eq!(m.total_synapses(), 6);
+        assert_eq!(m.lookup(0x3000), Some(exact));
+        assert_eq!(m.row(exact)[0].weight_raw(), 5);
+        assert_eq!(m.lookup(0x3001), None);
         let r = m.lookup(0x1001).unwrap();
         assert_eq!(
             m.row(r).iter().map(|x| x.weight_raw()).collect::<Vec<_>>(),
@@ -822,47 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_row_exact_keys_sorted_lookup() {
-        let mut m = SynapticMatrix::new();
-        for key in [0x3000u32, 0x1000, 0x2000] {
-            m.insert_row(key, &[w(5, 1), w(6, 2)]);
-        }
-        for key in [0x1000u32, 0x2000, 0x3000] {
-            let r = m.lookup(key).unwrap();
-            assert_eq!(m.row_len(r), 2, "{key:#x}");
-        }
-        assert_eq!(m.lookup(0x1001), None);
-        // Replacement: shorter fits in place, longer reallocates.
-        m.insert_row(0x2000, &[w(1, 1)]);
-        assert_eq!(m.row_len(m.lookup(0x2000).unwrap()), 1);
-        let long: Vec<_> = (0..5).map(|i| w(i, i as u16)).collect();
-        m.insert_row(0x2000, &long);
-        let r = m.lookup(0x2000).unwrap();
-        assert_eq!(m.row(r).len(), 5);
-        assert_eq!(m.row(r)[4].weight_raw(), 4);
-        // Other rows untouched.
-        assert_eq!(m.row_len(m.lookup(0x1000).unwrap()), 2);
-    }
-
-    #[test]
-    fn insert_row_grows_covering_block() {
-        let mut b = SynapticMatrixBuilder::new();
-        let blk = b.block(0x1000, !0xFFF, 2);
-        b.push(blk, w(1, 0));
-        b.push(blk + 1, w(2, 0));
-        let mut m = b.finish();
-        m.insert_row(0x2000, &[w(9, 9)]);
-        // Key inside the block but beyond its declared rows: the block
-        // grows, later rows keep resolving.
-        m.insert_row(0x1004, &[w(3, 3)]);
-        assert_eq!(m.row(m.lookup(0x1004).unwrap())[0].weight_raw(), 3);
-        assert!(m.row(m.lookup(0x1002).unwrap()).is_empty());
-        assert_eq!(m.row(m.lookup(0x1000).unwrap())[0].weight_raw(), 1);
-        assert_eq!(m.row(m.lookup(0x2000).unwrap())[0].weight_raw(), 9);
-        assert_eq!(m.n_rows(), 6);
-    }
-
-    #[test]
     fn iter_rows_reconstructs_keys() {
         let mut b = SynapticMatrixBuilder::new();
         b.block(0x1000, !0xFFF, 2);
@@ -874,9 +771,12 @@ mod tests {
 
     #[test]
     fn row_mut_rewrites_in_place() {
-        let mut m = SynapticMatrix::new();
-        m.insert_row(7, &[w(100, 0), w(200, 1)]);
-        let r = m.lookup(7).unwrap();
+        let mut b = SynapticMatrixBuilder::new();
+        let r = b.block(7, u32::MAX, 1);
+        b.push(r, w(100, 0));
+        b.push(r, w(200, 1));
+        let mut m = b.finish();
+        assert_eq!(m.lookup(7), Some(r));
         for word in m.row_mut(r) {
             *word = word.with_weight_raw(word.weight_raw() / 2);
         }
@@ -1050,15 +950,5 @@ mod tests {
     fn immutable_row_access_rejects_lazy_rows() {
         let m = lazy_a2a_builder(2, (0, 4)).finish();
         let _ = m.row(0);
-    }
-
-    #[test]
-    fn from_synaptic_row_roundtrip() {
-        let row: SynapticRow = (0..4).map(|i| w(i, i as u16)).collect();
-        let mut m = SynapticMatrix::new();
-        m.insert_row(0x42, row.words());
-        let r = m.lookup(0x42).unwrap();
-        assert_eq!(m.row(r), row.words());
-        assert_eq!(m.row_bytes(r), row.size_bytes());
     }
 }

@@ -15,7 +15,8 @@ use spinnaker::machine::config::MachineConfig;
 use spinnaker::machine::machine::NeuralMachine;
 use spinnaker::neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
 use spinnaker::neuron::model::AnyNeuron;
-use spinnaker::neuron::synapse::{SynapticRow, SynapticWord};
+use spinnaker::neuron::synapse::SynapticWord;
+use spinnaker::neuron::synmatrix::SynapticMatrixBuilder;
 use spinnaker::noc::direction::Direction;
 use spinnaker::noc::mesh::NodeCoord;
 use spinnaker::noc::table::{McTableEntry, RouteSet};
@@ -47,12 +48,15 @@ fn build(emergency: bool) -> Result<NeuralMachine, SpinnError> {
         mask: 0xFFFF_8000,
         route: RouteSet::EMPTY.with_core(1),
     })?;
-    for i in 0..50u32 {
-        let row: SynapticRow = (0..50)
-            .map(|t| SynapticWord::new(500, 1, t as u16))
-            .collect();
-        m.set_row(dst, 1, 0x8000 + i, row);
+    // Every source neuron excites every target: one block of 50 rows.
+    let mut rows = SynapticMatrixBuilder::new();
+    let first = rows.block(0x8000, !0xFFF, 50);
+    for i in 0..50 {
+        for t in 0..50 {
+            rows.push(first + i, SynapticWord::new(500, 1, t));
+        }
     }
+    m.install_matrix(dst, 1, rows.finish());
     Ok(m)
 }
 

@@ -13,7 +13,8 @@ use spinnaker::machine::machine::NeuralMachine;
 use spinnaker::neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
 use spinnaker::neuron::model::AnyNeuron;
 use spinnaker::neuron::retina::{Image, RetinaLayer};
-use spinnaker::neuron::synapse::{SynapticRow, SynapticWord};
+use spinnaker::neuron::synapse::SynapticWord;
+use spinnaker::neuron::synmatrix::SynapticMatrixBuilder;
 use spinnaker::noc::mesh::NodeCoord;
 use spinnaker::noc::table::{McTableEntry, RouteSet};
 use spinnaker::SpinnError;
@@ -50,10 +51,12 @@ fn main() -> Result<(), SpinnError> {
             route,
         })?;
     }
+    let mut rows = SynapticMatrixBuilder::new();
+    let first = rows.block(0x1000, !0xFFF, n_cells as u32);
     for i in 0..n_cells as u32 {
-        let row: SynapticRow = std::iter::once(SynapticWord::new(12000, 1, i as u16)).collect();
-        m.set_row(cortex, 1, 0x1000 + i, row);
+        rows.push(first + i, SynapticWord::new(12000, 1, i as u16));
     }
+    m.install_matrix(cortex, 1, rows.finish());
 
     // 3. Stimulus: a bright blob. One rank-order salvo per "rhythm
     //    surge", 20 ms apart: earlier-ranked cells spike earlier within

@@ -6,7 +6,8 @@ use spinnaker::machine::machine::NeuralMachine;
 use spinnaker::map::loader::LoadedApp;
 use spinnaker::neuron::izhikevich::IzhikevichNeuron;
 use spinnaker::neuron::model::AnyNeuron;
-use spinnaker::neuron::synapse::SynapticRow;
+use spinnaker::neuron::synapse::SynapticWord;
+use spinnaker::neuron::synmatrix::SynapticMatrixBuilder;
 use spinnaker::prelude::*;
 
 fn kind() -> NeuronKind {
@@ -118,9 +119,9 @@ fn empty_rows_dma_and_unknown_keys_miss() {
             .unwrap();
         if with_row {
             // Explicitly empty rows for the core's own spikes.
-            for i in 0..5u32 {
-                m.set_row(chip, 1, 0x1000 + i, SynapticRow::new());
-            }
+            let mut b = SynapticMatrixBuilder::new();
+            b.block(0x1000, !0xFFF, 5);
+            m.install_matrix(chip, 1, b.finish());
         }
         m.router_mut(chip)
             .table
@@ -216,10 +217,12 @@ fn eviction_carries_the_matrix() {
     let to = NodeCoord::new(1, 1);
     m.load_core(from, 1, rs_neurons(4), vec![0.0; 4], 0x9000)
         .unwrap();
-    let row: SynapticRow = (0..4)
-        .map(|t| spinnaker::neuron::synapse::SynapticWord::new(123, 3, t as u16))
-        .collect();
-    m.set_row(from, 1, 0x77, row);
+    let mut b = SynapticMatrixBuilder::new();
+    let row = b.block(0x77, u32::MAX, 1);
+    for t in 0..4 {
+        b.push(row, SynapticWord::new(123, 3, t));
+    }
+    m.install_matrix(from, 1, b.finish());
     let payload = m.evict_core(from, 1).unwrap();
     assert_eq!(payload.matrix.total_synapses(), 4);
     m.install_core(to, 1, payload).unwrap();

@@ -8,7 +8,8 @@ use spinnaker::machine::config::MachineConfig;
 use spinnaker::machine::machine::{NeuralMachine, SpikeRecord};
 use spinnaker::neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
 use spinnaker::neuron::model::AnyNeuron;
-use spinnaker::neuron::synapse::{SynapticRow, SynapticWord};
+use spinnaker::neuron::synapse::SynapticWord;
+use spinnaker::neuron::synmatrix::SynapticMatrixBuilder;
 use spinnaker::noc::direction::Direction;
 use spinnaker::noc::mesh::NodeCoord;
 use spinnaker::noc::table::{McTableEntry, RouteSet};
@@ -69,16 +70,17 @@ fn chain_machine() -> NeuralMachine {
             route: RouteSet::EMPTY.with_core(1),
         })
         .unwrap();
+    let (mut into_b, mut into_c) = (SynapticMatrixBuilder::new(), SynapticMatrixBuilder::new());
+    let from_a = into_b.block(0x1000, !0xFFF, 40);
+    let from_b = into_c.block(0x2000, !0xFFF, 40);
     for i in 0..40u32 {
-        let row_b: SynapticRow = (0..40)
-            .map(|t| SynapticWord::new(700, 1 + (i % 3) as u8, t as u16))
-            .collect();
-        m.set_row(b, 1, 0x1000 + i, row_b);
-        let row_c: SynapticRow = (0..40)
-            .map(|t| SynapticWord::new(650, 2, t as u16))
-            .collect();
-        m.set_row(c, 1, 0x2000 + i, row_c);
+        for t in 0..40u16 {
+            into_b.push(from_a + i, SynapticWord::new(700, 1 + (i % 3) as u8, t));
+            into_c.push(from_b + i, SynapticWord::new(650, 2, t));
+        }
     }
+    m.install_matrix(b, 1, into_b.finish());
+    m.install_matrix(c, 1, into_c.finish());
     m
 }
 

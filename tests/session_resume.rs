@@ -11,164 +11,19 @@
 //! run leaves compressed, stimulus-source RNG stream continuity, STDP
 //! toggling between segments, and a proptest over random split points.
 
-use proptest::prelude::*;
-use spinnaker::machine::machine::{NeuralMachine, SpikeRecord};
-use spinnaker::neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
-use spinnaker::neuron::model::AnyNeuron;
-use spinnaker::neuron::synapse::{SynapticRow, SynapticWord};
-use spinnaker::noc::table::{McTableEntry, RouteSet};
-use spinnaker::prelude::*;
-use spinnaker::sim::Xoshiro256;
+#[allow(dead_code)]
+mod scenarios;
 
-const RUN_MS: u32 = 200;
-const MS_NS: u64 = 1_000_000;
+use proptest::prelude::*;
+use scenarios::{
+    faulted_machine, golden_trace, overloaded_machine, retina_cfg, retina_net, synfire_cfg,
+    synfire_net, RUN_MS,
+};
+use spinnaker::machine::machine::{NeuralMachine, SpikeRecord};
+use spinnaker::prelude::*;
 
 fn kind() -> NeuronKind {
     NeuronKind::Izhikevich(IzhikevichParams::regular_spiking())
-}
-
-// ---------------------------------------------------------------------
-// The golden scenarios (identical to tests/golden_traces.rs).
-
-fn synfire_net() -> NetworkGraph {
-    let mut net = NetworkGraph::new();
-    let pops: Vec<_> = (0..8u32)
-        .map(|i| {
-            net.population(
-                &format!("s{i}"),
-                128,
-                kind(),
-                if i == 0 { 9.0 } else { 0.0 },
-            )
-        })
-        .collect();
-    for (i, &src) in pops.iter().enumerate() {
-        let dst = pops[(i + 1) % pops.len()];
-        net.project(
-            src,
-            dst,
-            Connector::FixedFanOut(12),
-            Synapses::constant(600, 2),
-            i as u64,
-        );
-    }
-    net
-}
-
-fn synfire_cfg(threads: u32) -> SimConfig {
-    SimConfig::new(4, 4)
-        .with_force_shards(true)
-        .with_neurons_per_core(64)
-        .with_placer(Placer::Random { seed: 0x60_1D })
-        .with_threads(threads)
-}
-
-fn retina_net() -> NetworkGraph {
-    let mut net = NetworkGraph::new();
-    let out = net.population("out", 96, kind(), 0.0);
-    for g in 0..6u32 {
-        let drive = 10.0 - 0.8 * g as f32;
-        let band = net.population(&format!("band{g}"), 96, kind(), drive);
-        net.project(
-            band,
-            out,
-            Connector::FixedFanOut(10),
-            Synapses::constant(350, 1 + (g % 8) as u8),
-            g as u64,
-        );
-    }
-    net
-}
-
-fn retina_cfg(threads: u32) -> SimConfig {
-    SimConfig::new(4, 4)
-        .with_force_shards(true)
-        .with_neurons_per_core(64)
-        .with_placer(Placer::Random { seed: 0x2E71 })
-        .with_threads(threads)
-}
-
-/// The hand-built fault-injection machine of the `fault` golden trace:
-/// its only relay→target route dies mid-run at t = 50 ms.
-fn faulted_machine() -> NeuralMachine {
-    let rs = |n: usize| -> Vec<AnyNeuron> {
-        (0..n)
-            .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
-            .collect()
-    };
-    let mut cfg = MachineConfig::new(4, 4).with_force_shards(true);
-    cfg.fabric.router.emergency_enabled = false;
-    let mut m = NeuralMachine::new(cfg);
-    let a = NodeCoord::new(0, 0);
-    let b = NodeCoord::new(1, 0);
-    let c = NodeCoord::new(3, 2);
-    m.load_core(a, 1, rs(48), vec![11.0; 48], 0x1000).unwrap();
-    m.load_core(b, 1, rs(48), vec![0.0; 48], 0x2000).unwrap();
-    m.load_core(c, 1, rs(48), vec![0.0; 48], 0x3000).unwrap();
-    let table = |m: &mut NeuralMachine, at: NodeCoord, key: u32, route: RouteSet| {
-        m.router_mut(at)
-            .table
-            .insert(McTableEntry {
-                key,
-                mask: 0xFFFF_F000,
-                route,
-            })
-            .unwrap();
-    };
-    table(
-        &mut m,
-        a,
-        0x1000,
-        RouteSet::EMPTY.with_link(Direction::East),
-    );
-    table(&mut m, b, 0x1000, RouteSet::EMPTY.with_core(1));
-    table(
-        &mut m,
-        b,
-        0x2000,
-        RouteSet::EMPTY.with_link(Direction::NorthEast),
-    );
-    table(&mut m, c, 0x2000, RouteSet::EMPTY.with_core(1));
-    let mut rng = Xoshiro256::seed_from_u64(0x5EED_FA17);
-    let mut random_row = |p: f64, w_lo: u64, w_span: u64, d_span: u64| -> SynapticRow {
-        let mut words = Vec::new();
-        for t in 0..48u16 {
-            if rng.gen_bool(p) {
-                words.push(SynapticWord::new(
-                    (w_lo + rng.gen_range_u64(w_span)) as i16,
-                    1 + rng.gen_range_u64(d_span) as u8,
-                    t,
-                ));
-            }
-        }
-        words.into_iter().collect()
-    };
-    for i in 0..48u32 {
-        let row_b = random_row(0.6, 500, 400, 4);
-        m.set_row(b, 1, 0x1000 + i, row_b);
-        let row_c = random_row(0.5, 550, 350, 3);
-        m.set_row(c, 1, 0x2000 + i, row_c);
-    }
-    m.queue_fail_link(50 * MS_NS, b, Direction::NorthEast);
-    m
-}
-
-fn golden(name: &str) -> Vec<SpikeRecord> {
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.trace"));
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden trace {}: {e}", path.display()))
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(|l| {
-            let mut it = l.split_whitespace();
-            let time_ms: u32 = it.next().expect("time").parse().expect("time_ms");
-            let key_str = it.next().expect("key");
-            let key = u32::from_str_radix(key_str.trim_start_matches("0x"), 16).expect("key");
-            SpikeRecord { time_ms, key }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -200,7 +55,7 @@ fn split_session_spikes(
 }
 
 fn check_scenario_sessions(name: &str, net: &NetworkGraph, cfg: fn(u32) -> SimConfig) {
-    let golden = golden(name);
+    let golden = golden_trace(name);
     // Session single-segment == golden for every shard count.
     for threads in [1u32, 2, 4, 16] {
         let mut session = Simulation::build(net, cfg(threads))
@@ -230,12 +85,16 @@ fn check_scenario_sessions(name: &str, net: &NetworkGraph, cfg: fn(u32) -> SimCo
 
 #[test]
 fn synfire_session_split_resume_matches_golden() {
-    check_scenario_sessions("synfire", &synfire_net(), synfire_cfg);
+    check_scenario_sessions("synfire", &synfire_net(), |t| {
+        synfire_cfg(t, ObsMode::Disabled)
+    });
 }
 
 #[test]
 fn retina_session_split_resume_matches_golden() {
-    check_scenario_sessions("retina", &retina_net(), retina_cfg);
+    check_scenario_sessions("retina", &retina_net(), |t| {
+        retina_cfg(t, ObsMode::Disabled)
+    });
 }
 
 /// The fault scenario is a hand-built machine (no `Simulation` build),
@@ -245,14 +104,15 @@ fn retina_session_split_resume_matches_golden() {
 /// the snapshot) and one after (the dead link state must ride it).
 #[test]
 fn fault_machine_split_resume_matches_golden() {
-    let golden = golden("fault");
+    let golden = golden_trace("fault");
     for (split, threads_a, threads_b) in [
         (30u32, 1usize, 4usize), // fault still pending at the cut
         (77, 2, 1),              // fault already fired at the cut
     ] {
-        let (m, pending) = faulted_machine().run_segment(Vec::new(), 0, split, threads_a);
+        let (m, pending) =
+            faulted_machine(ObsMode::Disabled).run_segment(Vec::new(), 0, split, threads_a);
         let bytes = m.snapshot(&pending);
-        let mut fresh = faulted_machine();
+        let mut fresh = faulted_machine(ObsMode::Disabled);
         let restored = fresh.install_snapshot(&bytes).expect("snapshot installs");
         assert_eq!(restored.elapsed_ms, split);
         let (done, _) = fresh.run_segment(restored.pending, split, RUN_MS - split, threads_b);
@@ -272,59 +132,14 @@ fn fault_machine_split_resume_matches_golden() {
 // ---------------------------------------------------------------------
 // Checkpoint under pending events.
 
-/// A machine whose timer handler takes *longer than the 1 ms tick*
-/// (inflated per-neuron cost): every segment boundary then falls inside
-/// tick processing, so the checkpoint must carry a mid-tick work item,
-/// pending handler completions, and packets in flight — and still
-/// resume bit-exactly.
-fn overloaded_machine() -> NeuralMachine {
-    let rs = |n: usize| -> Vec<AnyNeuron> {
-        (0..n)
-            .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
-            .collect()
-    };
-    let mut cfg = MachineConfig::new(2, 2).with_force_shards(true);
-    // 60k instructions per neuron at 200 MHz = 0.3 ms/neuron: a 12-neuron
-    // core needs 3.6 ms per 1 ms tick — a permanent real-time violation.
-    cfg.costs.per_neuron_instr = 60_000;
-    let mut m = NeuralMachine::new(cfg);
-    let src = NodeCoord::new(0, 0);
-    let dst = NodeCoord::new(1, 0);
-    m.load_core(src, 1, rs(12), vec![12.0; 12], 0x1000).unwrap();
-    m.load_core(dst, 1, rs(12), vec![0.0; 12], 0x2000).unwrap();
-    m.router_mut(src)
-        .table
-        .insert(McTableEntry {
-            key: 0x1000,
-            mask: 0xFFFF_F000,
-            route: RouteSet::EMPTY.with_link(Direction::East),
-        })
-        .unwrap();
-    m.router_mut(dst)
-        .table
-        .insert(McTableEntry {
-            key: 0x1000,
-            mask: 0xFFFF_F000,
-            route: RouteSet::EMPTY.with_core(1),
-        })
-        .unwrap();
-    for i in 0..12u32 {
-        let row: SynapticRow = (0..12)
-            .map(|t| SynapticWord::new(900, 1 + (i % 3) as u8, t as u16))
-            .collect();
-        m.set_row(dst, 1, 0x1000 + i, row);
-    }
-    m
-}
-
 #[test]
 fn checkpoint_under_pending_events_resumes_bit_exactly() {
-    let whole = overloaded_machine().run(40);
+    let whole = overloaded_machine(ObsMode::Disabled).run(40);
     assert!(
         whole.realtime_violations() > 0,
         "the overloaded machine must actually overrun its ticks"
     );
-    let (m, pending) = overloaded_machine().run_segment(Vec::new(), 0, 17, 1);
+    let (m, pending) = overloaded_machine(ObsMode::Disabled).run_segment(Vec::new(), 0, 17, 1);
     assert!(
         !pending.is_empty(),
         "a boundary inside tick processing must leave events queued"
@@ -344,12 +159,38 @@ fn checkpoint_under_pending_events_resumes_bit_exactly() {
     );
     // Serialize, restore onto a fresh build, finish.
     let bytes = m.snapshot(&pending);
-    let mut fresh = overloaded_machine();
+    let mut fresh = overloaded_machine(ObsMode::Disabled);
     let restored = fresh.install_snapshot(&bytes).unwrap();
     let (done, _) = fresh.run_segment(restored.pending, 17, 23, 1);
     assert_eq!(whole.spikes(), done.spikes());
     assert_eq!(whole.realtime_violations(), done.realtime_violations());
     assert_eq!(whole.meter().instructions, done.meter().instructions);
+}
+
+/// Hostile bytes: the overloaded machine's 17 ms snapshot, cut at every
+/// length and with one bit flipped in every byte (the bit cycling
+/// through all eight positions). Each either fails to install with a
+/// `SnapshotError` or installs and runs 5 ms more — never a panic, and
+/// never an allocation the loaded machine's own sizes do not allow.
+#[test]
+fn corrupt_snapshots_are_rejected_or_run_on() {
+    let (m, pending) = overloaded_machine(ObsMode::Disabled).run_segment(Vec::new(), 0, 17, 1);
+    let bytes = m.snapshot(&pending);
+    let install_and_run = |bytes: &[u8]| {
+        let mut fresh = overloaded_machine(ObsMode::Disabled);
+        if let Ok(restored) = fresh.install_snapshot(bytes) {
+            fresh.run_segment(restored.pending, restored.elapsed_ms, 5, 1);
+        }
+    };
+    for len in 0..bytes.len() {
+        install_and_run(&bytes[..len]);
+    }
+    let mut flipped = bytes.clone();
+    for i in 0..bytes.len() {
+        flipped[i] ^= 1 << (i % 8);
+        install_and_run(&flipped);
+        flipped[i] = bytes[i];
+    }
 }
 
 // ---------------------------------------------------------------------

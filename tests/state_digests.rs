@@ -7,12 +7,12 @@
 //! or resolves a completion a nanosecond off moves no spike for
 //! hundreds of milliseconds, and moves these at once.
 //!
-//! Every scenario (the four golden nets and `session_resume`'s
-//! overloaded machine) runs on 1, 2 and 4 shards, cut into segments of
-//! 1 ms, 7 ms and the whole run; each combination is one line of the
-//! scenario's digest file. The files were recorded on the commit before
-//! core-local completions left the global event queue and have not
-//! moved since.
+//! Every scenario of `scenarios/mod.rs` (the four golden nets and the
+//! overloaded machine), with counters on, runs on 1, 2 and 4 shards,
+//! cut into segments of 1 ms, 7 ms and the whole run; each combination
+//! is one line of the scenario's digest file. The files were recorded
+//! on the commit before core-local completions left the global event
+//! queue and have not moved since.
 //!
 //! Regenerating (only when a change *intentionally* alters behaviour):
 //!
@@ -20,31 +20,20 @@
 //! SPINN_GOLDEN_REGEN=1 cargo test --test state_digests
 //! ```
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+#[allow(dead_code)]
+mod scenarios;
 
+use std::fmt::Write as _;
+
+use scenarios::{
+    faulted_machine, golden_path, overloaded_machine, repaired_machine, retina_cfg, retina_net,
+    synfire_cfg, synfire_net, RUN_MS,
+};
 use spinnaker::machine::machine::{NeuralMachine, PendingEvent};
-use spinnaker::neuron::izhikevich::{IzhikevichNeuron, IzhikevichParams};
-use spinnaker::neuron::model::AnyNeuron;
-use spinnaker::neuron::synapse::{SynapticRow, SynapticWord};
-use spinnaker::noc::table::{McTableEntry, RouteSet};
 use spinnaker::obs::Counter;
 use spinnaker::prelude::*;
-use spinnaker::sim::Xoshiro256;
 
-const RUN_MS: u32 = 200;
-const MS_NS: u64 = 1_000_000;
 const SHARDS: [u32; 3] = [1, 2, 4];
-
-fn kind() -> NeuronKind {
-    NeuronKind::Izhikevich(IzhikevichParams::regular_spiking())
-}
-
-fn rs(n: usize) -> Vec<AnyNeuron> {
-    (0..n)
-        .map(|_| IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into())
-        .collect()
-}
 
 fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -82,164 +71,6 @@ fn segmentations(run_ms: u32) -> [u32; 3] {
 }
 
 // ---------------------------------------------------------------------
-// The scenarios (identical to tests/golden_traces.rs and
-// tests/session_resume.rs).
-
-fn synfire_net() -> NetworkGraph {
-    let mut net = NetworkGraph::new();
-    let pops: Vec<_> = (0..8u32)
-        .map(|i| {
-            net.population(
-                &format!("s{i}"),
-                128,
-                kind(),
-                if i == 0 { 9.0 } else { 0.0 },
-            )
-        })
-        .collect();
-    for (i, &src) in pops.iter().enumerate() {
-        let dst = pops[(i + 1) % pops.len()];
-        net.project(
-            src,
-            dst,
-            Connector::FixedFanOut(12),
-            Synapses::constant(600, 2),
-            i as u64,
-        );
-    }
-    net
-}
-
-fn retina_net() -> NetworkGraph {
-    let mut net = NetworkGraph::new();
-    let out = net.population("out", 96, kind(), 0.0);
-    for g in 0..6u32 {
-        let drive = 10.0 - 0.8 * g as f32;
-        let band = net.population(&format!("band{g}"), 96, kind(), drive);
-        net.project(
-            band,
-            out,
-            Connector::FixedFanOut(10),
-            Synapses::constant(350, 1 + (g % 8) as u8),
-            g as u64,
-        );
-    }
-    net
-}
-
-fn golden_cfg(placer_seed: u64) -> SimConfig {
-    SimConfig::new(4, 4)
-        .with_neurons_per_core(64)
-        .with_placer(Placer::Random { seed: placer_seed })
-        .with_force_shards(true)
-        .with_observability(ObsMode::Counters)
-}
-
-fn faulted_machine() -> NeuralMachine {
-    let mut cfg = MachineConfig::new(4, 4)
-        .with_force_shards(true)
-        .with_observability(ObsMode::Counters);
-    cfg.fabric.router.emergency_enabled = false;
-    let mut m = NeuralMachine::new(cfg);
-    let a = NodeCoord::new(0, 0);
-    let b = NodeCoord::new(1, 0);
-    let c = NodeCoord::new(3, 2);
-    m.load_core(a, 1, rs(48), vec![11.0; 48], 0x1000).unwrap();
-    m.load_core(b, 1, rs(48), vec![0.0; 48], 0x2000).unwrap();
-    m.load_core(c, 1, rs(48), vec![0.0; 48], 0x3000).unwrap();
-    let table = |m: &mut NeuralMachine, at: NodeCoord, key: u32, route: RouteSet| {
-        m.router_mut(at)
-            .table
-            .insert(McTableEntry {
-                key,
-                mask: 0xFFFF_F000,
-                route,
-            })
-            .unwrap();
-    };
-    table(
-        &mut m,
-        a,
-        0x1000,
-        RouteSet::EMPTY.with_link(Direction::East),
-    );
-    table(&mut m, b, 0x1000, RouteSet::EMPTY.with_core(1));
-    table(
-        &mut m,
-        b,
-        0x2000,
-        RouteSet::EMPTY.with_link(Direction::NorthEast),
-    );
-    table(&mut m, c, 0x2000, RouteSet::EMPTY.with_core(1));
-    let mut rng = Xoshiro256::seed_from_u64(0x5EED_FA17);
-    let mut random_row = |p: f64, w_lo: u64, w_span: u64, d_span: u64| -> SynapticRow {
-        let mut words = Vec::new();
-        for t in 0..48u16 {
-            if rng.gen_bool(p) {
-                words.push(SynapticWord::new(
-                    (w_lo + rng.gen_range_u64(w_span)) as i16,
-                    1 + rng.gen_range_u64(d_span) as u8,
-                    t,
-                ));
-            }
-        }
-        words.into_iter().collect()
-    };
-    for i in 0..48u32 {
-        let row_b = random_row(0.6, 500, 400, 4);
-        m.set_row(b, 1, 0x1000 + i, row_b);
-        let row_c = random_row(0.5, 550, 350, 3);
-        m.set_row(c, 1, 0x2000 + i, row_c);
-    }
-    m.queue_fail_link(50 * MS_NS, b, Direction::NorthEast);
-    m
-}
-
-fn repaired_machine() -> NeuralMachine {
-    let mut m = faulted_machine();
-    m.queue_repair_link(120 * MS_NS, NodeCoord::new(1, 0), Direction::NorthEast);
-    m
-}
-
-/// `session_resume`'s machine whose timer handler outlasts the tick:
-/// every cut falls inside tick processing, every tick is an overrun,
-/// and a core busy at the tick starts its handler late.
-fn overloaded_machine() -> NeuralMachine {
-    let mut cfg = MachineConfig::new(2, 2)
-        .with_force_shards(true)
-        .with_observability(ObsMode::Counters);
-    cfg.costs.per_neuron_instr = 60_000;
-    let mut m = NeuralMachine::new(cfg);
-    let src = NodeCoord::new(0, 0);
-    let dst = NodeCoord::new(1, 0);
-    m.load_core(src, 1, rs(12), vec![12.0; 12], 0x1000).unwrap();
-    m.load_core(dst, 1, rs(12), vec![0.0; 12], 0x2000).unwrap();
-    m.router_mut(src)
-        .table
-        .insert(McTableEntry {
-            key: 0x1000,
-            mask: 0xFFFF_F000,
-            route: RouteSet::EMPTY.with_link(Direction::East),
-        })
-        .unwrap();
-    m.router_mut(dst)
-        .table
-        .insert(McTableEntry {
-            key: 0x1000,
-            mask: 0xFFFF_F000,
-            route: RouteSet::EMPTY.with_core(1),
-        })
-        .unwrap();
-    for i in 0..12u32 {
-        let row: SynapticRow = (0..12)
-            .map(|t| SynapticWord::new(900, 1 + (i % 3) as u8, t as u16))
-            .collect();
-        m.set_row(dst, 1, 0x1000 + i, row);
-    }
-    m
-}
-
-// ---------------------------------------------------------------------
 
 /// Digest lines of a `Simulation`-built net, run through a session.
 fn session_lines(net: &NetworkGraph, cfg: SimConfig) -> Vec<String> {
@@ -264,11 +95,11 @@ fn session_lines(net: &NetworkGraph, cfg: SimConfig) -> Vec<String> {
 }
 
 /// Digest lines of a hand-built machine, run through `run_segment`.
-fn machine_lines(build: fn() -> NeuralMachine, run_ms: u32) -> Vec<String> {
+fn machine_lines(build: fn(ObsMode) -> NeuralMachine, run_ms: u32) -> Vec<String> {
     let mut lines = Vec::new();
     for shards in SHARDS {
         for segment_ms in segmentations(run_ms) {
-            let (mut m, mut pending, mut done) = (build(), Vec::new(), 0);
+            let (mut m, mut pending, mut done) = (build(ObsMode::Counters), Vec::new(), 0);
             while done < run_ms {
                 let step = segment_ms.min(run_ms - done);
                 (m, pending) = m.run_segment(pending, done, step, shards as usize);
@@ -291,9 +122,7 @@ fn check(name: &str, run_ms: u32, lines: Vec<String>) {
     for line in &lines {
         let _ = writeln!(text, "{line}");
     }
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.digest"));
+    let path = golden_path(&format!("{name}.digest"));
     if std::env::var("SPINN_GOLDEN_REGEN").is_ok_and(|v| v == "1") {
         std::fs::write(&path, &text).unwrap();
         eprintln!("regenerated {}", path.display());
@@ -322,7 +151,7 @@ fn synfire_state_digest() {
     check(
         "synfire",
         RUN_MS,
-        session_lines(&synfire_net(), golden_cfg(0x60_1D)),
+        session_lines(&synfire_net(), synfire_cfg(1, ObsMode::Counters)),
     );
 }
 
@@ -331,7 +160,7 @@ fn retina_state_digest() {
     check(
         "retina",
         RUN_MS,
-        session_lines(&retina_net(), golden_cfg(0x2E71)),
+        session_lines(&retina_net(), retina_cfg(1, ObsMode::Counters)),
     );
 }
 

@@ -6,76 +6,25 @@
 //! raster), and session segment summaries must partition the run's
 //! totals.
 
-use std::path::PathBuf;
+#[allow(dead_code)]
+mod scenarios;
 
-use spinnaker::machine::machine::SpikeRecord;
+use scenarios::{golden_trace, synfire_cfg, synfire_net, RUN_MS};
 use spinnaker::obs::Counter;
 use spinnaker::prelude::*;
 
-const RUN_MS: u32 = 200;
-
-/// The golden-suite synfire chain (must match `tests/golden_traces.rs`
-/// exactly — same net, placement seed and machine geometry).
-fn synfire_net() -> NetworkGraph {
-    let kind = NeuronKind::Izhikevich(IzhikevichParams::regular_spiking());
-    let mut net = NetworkGraph::new();
-    let pops: Vec<_> = (0..8u32)
-        .map(|i| net.population(&format!("s{i}"), 128, kind, if i == 0 { 9.0 } else { 0.0 }))
-        .collect();
-    for (i, &src) in pops.iter().enumerate() {
-        let dst = pops[(i + 1) % pops.len()];
-        net.project(
-            src,
-            dst,
-            Connector::FixedFanOut(12),
-            Synapses::constant(600, 2),
-            i as u64,
-        );
-    }
-    net
-}
-
-fn synfire_cfg(obs: ObsMode, threads: u32) -> SimConfig {
-    SimConfig::new(4, 4)
-        .with_force_shards(true)
-        .with_neurons_per_core(64)
-        .with_placer(Placer::Random { seed: 0x60_1D })
-        .with_threads(threads)
-        .with_observability(obs)
-}
-
 fn run_synfire(obs: ObsMode, threads: u32) -> Completed {
     let net = synfire_net();
-    Simulation::build(&net, synfire_cfg(obs, threads))
+    Simulation::build(&net, synfire_cfg(threads, obs))
         .expect("synfire fits a 4x4 machine")
         .run(RUN_MS)
-}
-
-/// The recorded golden trace (the same file `tests/golden_traces.rs`
-/// pins the un-instrumented engine to).
-fn golden_synfire() -> Vec<SpikeRecord> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/synfire.trace");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden trace {}: {e}", path.display()))
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(|l| {
-            let mut it = l.split_whitespace();
-            let time_ms: u32 = it.next().expect("time").parse().expect("time_ms");
-            let key = it.next().expect("key").trim_start_matches("0x");
-            SpikeRecord {
-                time_ms,
-                key: u32::from_str_radix(key, 16).expect("key"),
-            }
-        })
-        .collect()
 }
 
 /// The headline property: every observability mode replays the golden
 /// trace bit-exactly, whatever the thread count.
 #[test]
 fn every_observability_mode_replays_the_golden_trace() {
-    let golden = golden_synfire();
+    let golden = golden_trace("synfire");
     assert!(
         golden.len() >= 400,
         "golden trace too quiet to pin anything"
@@ -151,7 +100,7 @@ fn full_telemetry_yields_phases_and_trace() {
 #[test]
 fn session_segment_summaries_partition_the_run() {
     let net = synfire_net();
-    let cfg = synfire_cfg(ObsMode::Counters, 4);
+    let cfg = synfire_cfg(4, ObsMode::Counters);
     let mut session = Simulation::build(&net, cfg)
         .expect("synfire fits a 4x4 machine")
         .into_session();
