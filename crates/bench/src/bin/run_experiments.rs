@@ -1,144 +1,56 @@
-//! Prints every experiment's table (E1-E21, A1-A2). `SPINN_FULL=1` for
-//! the full-size versions quoted in the README.
-//!
-//! Experiments with machine-readable benchmark emitters (E14, E15,
-//! E16, E17, E18, E19, E20, E21) also write their commit-stamped
-//! `BENCH_*.json` artifact to the repository root.
+//! Prints every experiment's table (E1-E13, E19, E20, A1-A2).
+//! `SPINN_FULL=1` for the full-size versions quoted in the README.
 //!
 //! Usage: `run_experiments [NAME...]` — with arguments, only the named
-//! experiments run (e.g. `run_experiments E14` regenerates just the
-//! benchmark artifact).
+//! experiments run (e.g. `run_experiments E19`). An unknown name exits
+//! with status 2 before anything runs.
 
 use spinn_bench::experiments as e;
-use spinn_bench::record;
 
 /// One experiment: its name and table generator.
 type Experiment = (&'static str, fn(bool) -> String);
 
+/// Every experiment, in print order.
+const EXPERIMENTS: [Experiment; 17] = [
+    ("E1", e::e01_glitch_deadlock::run),
+    ("E2", e::e02_link_protocols::run),
+    ("E3", e::e03_emergency_routing::run),
+    ("E4", e::e04_realtime_latency::run),
+    ("E5", e::e05_flood_fill::run),
+    ("E6", e::e06_boot::run),
+    ("E7", e::e07_cost_energy::run),
+    ("E8", e::e08_multicast_vs_broadcast::run),
+    ("E9", e::e09_scaling::run),
+    ("E10", e::e10_placement::run),
+    ("E11", e::e11_retina::run),
+    ("E12", e::e12_parallel_execution::run),
+    ("E13", e::e13_table_minimization::run),
+    ("A1", e::a01_router_waits::run),
+    ("A2", e::a02_default_route_elision::run),
+    ("E19", e::e19_resilience::run),
+    ("E20", e::e20_scaling::run),
+];
+
 fn main() {
-    let quick = !spinn_bench::full_mode();
-    let mode = if quick { "quick" } else { "full" };
     let filter: Vec<String> = std::env::args().skip(1).map(|a| a.to_uppercase()).collect();
-    let wanted = |name: &str| filter.is_empty() || filter.iter().any(|f| f == name);
-    println!("SpiNNaker reproduction — experiment suite ({mode} mode)\n");
-    let runs: [Experiment; 15] = [
-        ("E1", e::e01_glitch_deadlock::run),
-        ("E2", e::e02_link_protocols::run),
-        ("E3", e::e03_emergency_routing::run),
-        ("E4", e::e04_realtime_latency::run),
-        ("E5", e::e05_flood_fill::run),
-        ("E6", e::e06_boot::run),
-        ("E7", e::e07_cost_energy::run),
-        ("E8", e::e08_multicast_vs_broadcast::run),
-        ("E9", e::e09_scaling::run),
-        ("E10", e::e10_placement::run),
-        ("E11", e::e11_retina::run),
-        ("E12", e::e12_parallel_execution::run),
-        ("E13", e::e13_table_minimization::run),
-        ("A1", e::a01_router_waits::run),
-        ("A2", e::a02_default_route_elision::run),
-    ];
-    for (name, f) in runs {
-        if !wanted(name) {
-            continue;
-        }
-        println!("==================================================================");
-        println!("{}", f(quick));
-    }
-    if wanted("E14") {
-        println!("==================================================================");
-        // E14 runs through its report so the table and the JSON artifact
-        // come from the same measurement.
-        let report = e::e14_event_core::report(quick);
-        println!("{}", e::e14_event_core::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e14.json: {err}"),
-        }
-    }
-    if wanted("E15") {
-        println!("==================================================================");
-        let report = e::e15_memory_model::report(quick);
-        println!("{}", e::e15_memory_model::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e15.json: {err}"),
-        }
-    }
-
-    if wanted("E16") {
-        println!("==================================================================");
-        let report = e::e16_sessions::report(quick);
-        println!("{}", e::e16_sessions::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e16.json: {err}"),
-        }
-    }
-
-    if wanted("E17") {
-        println!("==================================================================");
-        let report = e::e17_telemetry::report(quick);
-        println!("{}", e::e17_telemetry::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e17.json: {err}"),
-        }
-    }
-
-    if wanted("E18") {
-        println!("==================================================================");
-        let report = e::e18_collected_win::report(quick);
-        println!("{}", e::e18_collected_win::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e18.json: {err}"),
-        }
-    }
-
-    if wanted("E19") {
-        println!("==================================================================");
-        let report = e::e19_resilience::report(quick);
-        println!("{}", e::e19_resilience::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e19.json: {err}"),
-        }
-    }
-
-    if wanted("E20") {
-        println!("==================================================================");
-        let report = e::e20_scaling::report(quick);
-        println!("{}", e::e20_scaling::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e20.json: {err}"),
-        }
-    }
-
-    if wanted("E21") {
-        println!("==================================================================");
-        let report = e::e21_serving::report(quick);
-        println!("{}", e::e21_serving::format_report(&report));
-        match report.write_to(&record::repo_root()) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(err) => eprintln!("failed to write BENCH_e21.json: {err}"),
-        }
-    }
-
-    // A typo'd filter (e.g. `run_experiments E17`) must not masquerade
-    // as a successful run that silently produced nothing.
-    let known: Vec<&str> = runs
-        .iter()
-        .map(|(n, _)| *n)
-        .chain(["E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21"])
-        .collect();
+    // A typo'd filter must not masquerade as a successful run that
+    // silently produced nothing.
     let unknown: Vec<&String> = filter
         .iter()
-        .filter(|f| !known.contains(&f.as_str()))
+        .filter(|f| EXPERIMENTS.iter().all(|(name, _)| name != f))
         .collect();
     if !unknown.is_empty() {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
         eprintln!("unknown experiment name(s): {unknown:?} (known: {known:?})");
         std::process::exit(2);
+    }
+    let quick = !std::env::var("SPINN_FULL").is_ok_and(|v| v == "1");
+    let mode = if quick { "quick" } else { "full" };
+    println!("SpiNNaker reproduction — experiment suite ({mode} mode)\n");
+    for (name, run) in EXPERIMENTS {
+        if filter.is_empty() || filter.iter().any(|f| f == name) {
+            println!("==================================================================");
+            println!("{}", run(quick));
+        }
     }
 }

@@ -1402,1582 +1402,15 @@ pub mod a02_default_route_elision {
     }
 }
 
-/// E14 — the event core itself: the time-bucketed calendar queue vs the
-/// binary heap on the machine's characteristic dense same-tick workload
-/// (Fig. 7's million-events-per-millisecond regime), plus an
-/// end-to-end spikes/sec sweep across mesh sizes and thread counts.
-/// This is the first experiment that also emits a machine-readable
-/// [`crate::record::BenchReport`] (`BENCH_e14.json` at the repo root):
-/// the start of the measured performance trajectory every later change
-/// appends to.
-pub mod e14_event_core {
-    use super::*;
-    use crate::record::{BenchRecord, BenchReport};
-    use spinn_sim::{CalendarQueue, EventQueue, Queue, SimTime};
-    use spinnaker::prelude::*;
-    use std::time::Instant;
-
-    /// Drives one queue through the machine-shaped microbenchmark:
-    /// `distinct` burst instants of `per_tick` rank-colliding events
-    /// each, a far-future "timer" rearm per burst (exercising the
-    /// calendar's far ring), interleaved with full drains of the
-    /// current instant. Returns `(ns per operation, checksum)` — the
-    /// checksum is order-sensitive, so equal checksums mean equal pop
-    /// sequences.
-    fn micro<Q: Queue<u64>>(distinct: u64, per_tick: u64, spread_ns: u64) -> (f64, u64) {
-        let mut q = Q::default();
-        let mut checksum = 0u64;
-        let mut ops = 0u64;
-        let t0 = Instant::now();
-        for d in 0..distinct {
-            let base = d * spread_ns;
-            for k in 0..per_tick {
-                q.push_ranked(SimTime::new(base), u128::from(k % 7), d * per_tick + k);
-            }
-            q.push_ranked(SimTime::new(base + 1_000_000), 0, u64::MAX - d);
-            ops += per_tick + 1;
-            while q.peek_time() == Some(SimTime::new(base)) {
-                let (t, v) = q.pop().expect("peeked");
-                checksum = checksum
-                    .wrapping_mul(0x100_0000_01b3)
-                    .wrapping_add(t.ticks() ^ v);
-                ops += 1;
-            }
-        }
-        while let Some((t, v)) = q.pop() {
-            checksum = checksum
-                .wrapping_mul(0x100_0000_01b3)
-                .wrapping_add(t.ticks() ^ v);
-            ops += 1;
-        }
-        (t0.elapsed().as_nanos() as f64 / ops as f64, checksum)
-    }
-
-    /// One microbenchmark case on both queues, recorded with the
-    /// heap/calendar throughput ratio.
-    fn micro_case(
-        report: &mut BenchReport,
-        label: &str,
-        distinct: u64,
-        per_tick: u64,
-        spread_ns: u64,
-    ) -> (f64, f64, f64) {
-        let (heap_ns, heap_sum) = micro::<EventQueue<u64>>(distinct, per_tick, spread_ns);
-        let (cal_ns, cal_sum) = micro::<CalendarQueue<u64>>(distinct, per_tick, spread_ns);
-        assert_eq!(
-            heap_sum, cal_sum,
-            "queue implementations diverged on {label}"
-        );
-        let ratio = heap_ns / cal_ns;
-        report.push(
-            BenchRecord::new("queue_microbench")
-                .config("case", label)
-                .config("distinct_timestamps", distinct)
-                .config("events_per_timestamp", per_tick)
-                .config("timestamp_spread_ns", spread_ns)
-                .metric("heap_ns_per_op", heap_ns)
-                .metric("calendar_ns_per_op", cal_ns)
-                .metric("heap_over_calendar_ratio", ratio)
-                .metric("pop_sequences_identical", true),
-        );
-        (heap_ns, cal_ns, ratio)
-    }
-
-    /// One end-to-end run; returns `(wall ms, spikes)` plus latency
-    /// percentiles, recording everything into the report. Also used by
-    /// E15, whose spikes/sec sweep must be row-compatible with the
-    /// committed E14 baseline for `scripts/bench_compare.py` — which is
-    /// why the rows still carry `"queue": "calendar"`, the only queue
-    /// the machine runs on.
-    pub(crate) fn sweep_case(
-        report: &mut BenchReport,
-        net: &NetworkGraph,
-        edge: u32,
-        threads: u32,
-        ms: u32,
-    ) -> (f64, usize) {
-        sweep_case_best_of(report, net, edge, threads, ms, 1)
-    }
-
-    /// [`sweep_case`] measured `repeats` times, recording the fastest
-    /// run — wall-clock on shared/oversubscribed hosts (the sweep runs
-    /// more threads than a 1-core CI container has) is noisy enough
-    /// that single runs swing tens of percent; best-of-N recovers the
-    /// code's actual speed.
-    pub(crate) fn sweep_case_best_of(
-        report: &mut BenchReport,
-        net: &NetworkGraph,
-        edge: u32,
-        threads: u32,
-        ms: u32,
-        repeats: usize,
-    ) -> (f64, usize) {
-        let run_once = || {
-            let cfg = SimConfig::new(edge, edge)
-                .with_neurons_per_core(128)
-                .with_placer(Placer::Random { seed: 0xE14 })
-                .with_threads(threads);
-            let sim = Simulation::build(net, cfg).expect("workload fits the machine");
-            let t0 = Instant::now();
-            let done = sim.run(ms);
-            (t0.elapsed().as_secs_f64() * 1e3, done)
-        };
-        let (mut wall_ms, mut done) = run_once();
-        for _ in 1..repeats.max(1) {
-            let (w, d) = run_once();
-            if w < wall_ms {
-                (wall_ms, done) = (w, d);
-            }
-        }
-        let spikes = done.machine.spikes().len();
-        let lat = done.machine.spike_latency();
-        report.push(
-            BenchRecord::new("end_to_end_sweep")
-                .config("mesh", format!("{edge}x{edge}"))
-                .config("chips", (edge * edge) as u64)
-                .config("threads", threads)
-                .config(
-                    "effective_threads",
-                    done.machine.effective_threads(threads as usize) as u64,
-                )
-                .config("host_cores", spinn_par::host_parallelism())
-                .config("queue", "calendar")
-                .config("bio_ms", ms)
-                .config("repeats", repeats.max(1))
-                .metric("wall_ms", wall_ms)
-                .metric("spikes", spikes)
-                .metric("spikes_per_sec", spikes as f64 / (wall_ms / 1e3))
-                .metric("packets_per_sec", {
-                    // spikes/s is the end-to-end figure; this is the
-                    // fabric one (multicast packets routed per second).
-                    let rs = done.machine.router_stats();
-                    (rs.mc_table_hits + rs.mc_default_routed) as f64 / (wall_ms / 1e3)
-                })
-                .metric("event_latency_p50_ns", lat.percentile(50.0))
-                .metric("event_latency_p99_ns", lat.percentile(99.0)),
-        );
-        (wall_ms, spikes)
-    }
-
-    /// Builds the E14 report (the table in [`run`] formats it).
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E14",
-            "calendar queue vs binary heap: microbenchmark + end-to-end scaling",
-            quick,
-        );
-        let (distinct, per_tick) = if quick { (64, 3_000) } else { (128, 20_000) };
-        // The headline case: everything on a handful of instants.
-        micro_case(&mut report, "dense_same_tick", distinct, per_tick, 0);
-        // Bursts separated like packet clusters inside a tick.
-        micro_case(&mut report, "bursty_500ns", distinct, per_tick / 2, 500);
-        // Sparse: few events per instant (the heap's best case).
-        micro_case(&mut report, "sparse", distinct * 64, 4, 700);
-
-        let (edges, ms): (&[u32], u32) = if quick {
-            (&[8], 100)
-        } else {
-            (&[8, 16, 32], 200)
-        };
-        for &edge in edges {
-            let net = super::e12_parallel_execution::synfire_net(16, 512);
-            for threads in [1u32, 2, 4, 16] {
-                sweep_case(&mut report, &net, edge, threads, ms);
-            }
-        }
-        report
-    }
-
-    /// The E14 table; also writes `BENCH_e14.json` when invoked through
-    /// `run_experiments` (which calls [`report`] + `write_to` itself).
-    pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
-    }
-
-    /// Numeric field of a record's config/metrics list (NaN if absent).
-    /// Shared with E15's formatter.
-    pub(crate) fn num_field(keys: &[(String, crate::record::Json)], k: &str) -> f64 {
-        keys.iter()
-            .find(|(key, _)| key == k)
-            .and_then(|(_, v)| match v {
-                crate::record::Json::Num(n) => Some(*n),
-                _ => None,
-            })
-            .unwrap_or(f64::NAN)
-    }
-
-    /// String field of a record's config/metrics list (empty if absent).
-    /// Shared with E15's formatter.
-    pub(crate) fn str_field(keys: &[(String, crate::record::Json)], k: &str) -> String {
-        keys.iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| match v {
-                crate::record::Json::Str(s) => s.clone(),
-                crate::record::Json::Num(n) => format!("{n}"),
-                crate::record::Json::Bool(b) => b.to_string(),
-                other => format!("{other:?}"),
-            })
-            .unwrap_or_default()
-    }
-
-    /// Formats a report as the human-readable E14 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E14: event-core scaling — calendar queue vs binary heap ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
-        );
-        let _ = writeln!(
-            out,
-            "   §3.1/Fig. 7: a million-core machine is event-driven; the queue that\n   feeds it must be O(1) on dense same-instant bursts\n"
-        );
-        let _ = writeln!(
-            out,
-            "{:<18} {:>12} {:>10} {:>14} {:>14} {:>8}",
-            "microbench", "events/tick", "ticks", "heap ns/op", "cal ns/op", "ratio"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "queue_microbench")
-        {
-            let _ = writeln!(
-                out,
-                "{:<18} {:>12} {:>10} {:>14.1} {:>14.1} {:>7.2}x",
-                str_field(&r.config, "case"),
-                num_field(&r.config, "events_per_timestamp"),
-                num_field(&r.config, "distinct_timestamps"),
-                num_field(&r.metrics, "heap_ns_per_op"),
-                num_field(&r.metrics, "calendar_ns_per_op"),
-                num_field(&r.metrics, "heap_over_calendar_ratio"),
-            );
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{:<8} {:>8} {:>10} {:>10} {:>14} {:>12} {:>12}",
-            "mesh", "queue", "threads", "wall ms", "spikes/sec", "p50 lat ns", "p99 lat ns"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "end_to_end_sweep")
-        {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>8} {:>10} {:>10.1} {:>14.0} {:>12.0} {:>12.0}",
-                str_field(&r.config, "mesh"),
-                str_field(&r.config, "queue"),
-                num_field(&r.config, "threads"),
-                num_field(&r.metrics, "wall_ms"),
-                num_field(&r.metrics, "spikes_per_sec"),
-                num_field(&r.metrics, "event_latency_p50_ns"),
-                num_field(&r.metrics, "event_latency_p99_ns"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\nthe calendar queue turns the heap's O(log n) same-instant churn into\nO(1) bucket appends (256 ns buckets sorted one at a time + a coarser far\nring for the 1 ms timer horizon) — and the golden-trace suite pins both queues to\nbit-identical spike streams, so the speedup is free of behavioural risk."
-        );
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn microbench_checksums_agree_across_queues() {
-            for (d, k, s) in [(8, 200, 0u64), (16, 50, 500), (64, 3, 900)] {
-                let (_, a) = micro::<EventQueue<u64>>(d, k, s);
-                let (_, b) = micro::<CalendarQueue<u64>>(d, k, s);
-                assert_eq!(a, b, "({d},{k},{s})");
-            }
-        }
-
-        #[test]
-        fn report_contains_required_metrics() {
-            // Tiny synthetic report (not the full quick run: keep the
-            // test suite fast) — exercise micro_case + formatting.
-            let mut report = BenchReport::new("E14", "test", true);
-            let (_, _, ratio) = micro_case(&mut report, "dense_same_tick", 8, 500, 0);
-            assert!(ratio.is_finite() && ratio > 0.0);
-            let text = format_report(&report);
-            assert!(text.contains("dense_same_tick"), "{text}");
-            let json = report.to_json_string();
-            assert!(json.contains("heap_over_calendar_ratio"), "{json}");
-        }
-    }
-}
-
-/// E15 — the build-and-run memory model: streaming network expansion
-/// into per-core master-population-table + contiguous-arena synaptic
-/// matrices (§5.2/§6), measured against a faithful port of the
-/// seed's materialize-then-hash loader on a 100k-neuron
-/// `FixedProbability` workload. Emits `BENCH_e15.json`, whose
-/// end-to-end sweep rows are config-compatible with the committed
-/// `BENCH_e14.json` baseline so `scripts/bench_compare.py` can gate
-/// spikes/sec regressions.
-pub mod e15_memory_model {
-    use super::*;
-    use crate::record::{BenchRecord, BenchReport};
-    use spinn_sim::Xoshiro256;
-    use spinnaker::map::loader::LoadedApp;
-    use spinnaker::map::place::Placement;
-    use spinnaker::neuron::synapse::SynapticWord;
-    use spinnaker::prelude::*;
-    use std::collections::HashMap;
-    use std::time::Instant;
-
-    /// The workload: `pops` populations of `size` neurons in a chain of
-    /// `FixedProbability(p)` projections — the paper's "sparse random
-    /// connectivity at scale" regime. Quick mode uses 20 x 5,000 =
-    /// 100,000 neurons.
-    pub fn prob_net(pops: u32, size: u32, p: f64) -> NetworkGraph {
-        let kind = NeuronKind::Izhikevich(IzhikevichParams::regular_spiking());
-        let mut net = NetworkGraph::new();
-        let ids: Vec<_> = (0..pops)
-            .map(|i| net.population(&format!("p{i}"), size, kind, if i == 0 { 9.0 } else { 0.0 }))
-            .collect();
-        for (i, w) in ids.windows(2).enumerate() {
-            net.project(
-                w[0],
-                w[1],
-                Connector::FixedProbability(p),
-                Synapses::constant(450, 1 + (i % 4) as u8),
-                0xE15 ^ i as u64,
-            );
-        }
-        net
-    }
-
-    /// A faithful port of the seed's expansion path, kept as the
-    /// measured baseline: materialize every projection into a
-    /// `Vec<(u32, u32)>` edge list via per-pair Bernoulli trials, then
-    /// scatter into per-core `HashMap<u32, Vec<SynapticWord>>` with a linear
-    /// slice scan per pair. Returns (synapses, estimated resident
-    /// bytes).
-    fn legacy_build(net: &NetworkGraph, placement: &Placement) -> (u64, u64) {
-        let mut images: Vec<HashMap<u32, Vec<SynapticWord>>> =
-            placement.slices().iter().map(|_| HashMap::new()).collect();
-        for proj in net.projections() {
-            let n_src = net.pop(proj.src).size;
-            let n_dst = net.pop(proj.dst).size;
-            for dst_slice in placement.slices_of(proj.dst) {
-                let img_idx = placement
-                    .slices()
-                    .iter()
-                    .position(|sl| sl == dst_slice)
-                    .expect("slice exists");
-                for src_slice in placement.slices_of(proj.src) {
-                    for n in src_slice.lo..src_slice.hi {
-                        let key = spinnaker::map::keys::neuron_key(
-                            src_slice.global_core,
-                            n - src_slice.lo,
-                        );
-                        images[img_idx].entry(key).or_default();
-                    }
-                }
-            }
-            // The seed's `Projection::pairs`: a full Bernoulli trial
-            // per (src, dst) pair, materialized before loading.
-            let mut expand_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x50C1_A11E);
-            let mut pairs = Vec::new();
-            if let Connector::FixedProbability(p) = proj.connector {
-                for s in 0..n_src {
-                    for d in 0..n_dst {
-                        if expand_rng.gen_bool(p) {
-                            pairs.push((s, d));
-                        }
-                    }
-                }
-            } else {
-                pairs = proj.pairs(n_src, n_dst);
-            }
-            let mut rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
-            for (s, d) in pairs {
-                let (w, delay) = proj.synapses.sample(&mut rng);
-                let src_slice = placement.locate(proj.src, s);
-                let dst_slice = placement.locate(proj.dst, d);
-                let src_key =
-                    spinnaker::map::keys::neuron_key(src_slice.global_core, s - src_slice.lo);
-                let img_idx = placement
-                    .slices()
-                    .iter()
-                    .position(|sl| sl == dst_slice)
-                    .expect("slice exists");
-                let local_target = (d - dst_slice.lo) as u16;
-                images[img_idx]
-                    .entry(src_key)
-                    .or_default()
-                    .push(SynapticWord::new(w, delay, local_target));
-            }
-        }
-        let synapses: u64 = images
-            .iter()
-            .flat_map(|m| m.values())
-            .map(|r| r.len() as u64)
-            .sum();
-        // Resident estimate: 4-byte words plus per-row Vec header +
-        // hash-table slot (~48 B/row with load factor and padding).
-        let rows: u64 = images.iter().map(|m| m.len() as u64).sum();
-        (synapses, synapses * 4 + rows * 48)
-    }
-
-    /// The E15 report: build-time + resident-bytes comparison, an
-    /// end-to-end spikes/sec sweep row-compatible with E14, and the
-    /// structured per-chip occupancy section.
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E15",
-            "streaming expansion + arena-backed synaptic matrices vs materialize-and-hash",
-            quick,
-        );
-        let (pops, size, p) = if quick {
-            (20u32, 5_000u32, 0.02)
-        } else {
-            (25, 8_000, 0.015)
-        };
-        let net = prob_net(pops, size, p);
-        let total_neurons = net.total_neurons();
-        let cfg = SimConfig::new(8, 8).with_neurons_per_core(256);
-
-        // Loader-only apples-to-apples: same placement, old vs new
-        // expansion + image assembly.
-        let placement = Placement::compute(&net, 8, 8, 20, 256, Placer::Locality).unwrap();
-        let t0 = Instant::now();
-        let (legacy_synapses, legacy_bytes) = legacy_build(&net, &placement);
-        let legacy_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = Instant::now();
-        let app = LoadedApp::build(&net, &placement);
-        let stream_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let arena_resident: u64 = app.images.iter().map(|i| i.matrix.resident_bytes()).sum();
-        let synapses = app.total_synapses();
-
-        // Full pipeline: place -> route -> minimize -> stream-load.
-        let t0 = Instant::now();
-        let sim = Simulation::build(&net, cfg.clone()).expect("workload fits an 8x8 machine");
-        let full_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        report.push(
-            BenchRecord::new("build_memory_model")
-                .config("neurons", total_neurons)
-                .config("populations", pops)
-                .config("fixed_probability", p)
-                .config("mesh", "8x8")
-                .metric("synapses", synapses)
-                .metric("legacy_loader_ms", legacy_ms)
-                .metric("streaming_loader_ms", stream_ms)
-                .metric("loader_speedup", legacy_ms / stream_ms)
-                .metric("full_build_ms", full_build_ms)
-                .metric("build_speedup_vs_legacy_loader", legacy_ms / full_build_ms)
-                .metric("arena_resident_bytes", arena_resident)
-                .metric("legacy_resident_bytes_est", legacy_bytes)
-                .metric(
-                    "bytes_per_synapse",
-                    arena_resident as f64 / synapses.max(1) as f64,
-                )
-                .metric("sdram_bytes", app.total_sdram_bytes())
-                // The streaming expansion samples geometric gaps rather
-                // than per-pair Bernoulli trials, so the two realized
-                // edge sets differ while sharing the same distribution;
-                // the counts must agree statistically.
-                .metric(
-                    "legacy_over_streaming_synapses",
-                    legacy_synapses as f64 / synapses.max(1) as f64,
-                ),
-        );
-
-        // Short run of the large net: spikes/sec at the 100k scale plus
-        // the structured per-chip occupancy section.
-        let run_ms = if quick { 20 } else { 50 };
-        let t0 = Instant::now();
-        let done = sim.run(run_ms);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let occ = done.occupancy();
-        let loaded: Vec<_> = occ.iter().filter(|c| c.loaded_cores > 0).collect();
-        let worst = loaded
-            .iter()
-            .max_by_key(|c| c.sdram_bytes)
-            .expect("cores loaded");
-        report.push(
-            BenchRecord::new("chip_occupancy")
-                .config("neurons", total_neurons)
-                .config("bio_ms", run_ms)
-                .metric("loaded_chips", loaded.len())
-                .metric(
-                    "spikes_per_sec",
-                    done.machine.spikes().len() as f64 / (wall_ms / 1e3),
-                )
-                .metric(
-                    "dropped_packets",
-                    occ.iter().map(|c| c.dropped_packets).sum::<u64>(),
-                )
-                .metric(
-                    "sdram_bytes_total",
-                    occ.iter().map(|c| c.sdram_bytes).sum::<u64>(),
-                )
-                .metric("sdram_bytes_worst_chip", worst.sdram_bytes)
-                .metric(
-                    "sdram_worst_chip_pct",
-                    100.0 * worst.sdram_bytes as f64 / worst.sdram_capacity as f64,
-                )
-                .metric(
-                    "dtcm_bytes_total",
-                    occ.iter().map(|c| c.dtcm_bytes).sum::<u64>(),
-                )
-                .metric("dtcm_bytes_worst_chip", worst.dtcm_bytes),
-        );
-
-        // The E14-compatible spikes/sec sweep (same workload, same
-        // configs) — the rows `scripts/bench_compare.py` diffs against
-        // the committed baseline.
-        let (edges, ms): (&[u32], u32) = if quick {
-            (&[8], 100)
-        } else {
-            (&[8, 16, 32], 200)
-        };
-        for &edge in edges {
-            let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-            for threads in [1u32, 2, 4, 16] {
-                // Best-of-3: thread>1 rows on an oversubscribed
-                // host swing tens of percent run to run; the gate
-                // in scripts/bench_compare.py needs stable rows.
-                super::e14_event_core::sweep_case_best_of(
-                    &mut report,
-                    &sweep_net,
-                    edge,
-                    threads,
-                    ms,
-                    3,
-                );
-            }
-        }
-        report
-    }
-
-    /// The E15 table.
-    pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
-    }
-
-    /// Formats a report as the human-readable E15 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        use super::e14_event_core::{num_field as num, str_field};
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E15: build-and-run memory model — streaming expansion + synaptic arena ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
-        );
-        let _ = writeln!(
-            out,
-            "   §5.2/§6: synaptic state as contiguous per-source rows behind a master\n   population table, constructed without ever materializing the edge list\n"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "build_memory_model")
-        {
-            let _ = writeln!(
-                out,
-                "{:>12.0} neurons, {:>11.0} synapses (FixedProbability {:.3})",
-                num(&r.config, "neurons"),
-                num(&r.metrics, "synapses"),
-                num(&r.config, "fixed_probability"),
-            );
-            let _ = writeln!(
-                out,
-                "  loader:     legacy {:>9.1} ms   streaming {:>8.1} ms   speedup {:>5.1}x",
-                num(&r.metrics, "legacy_loader_ms"),
-                num(&r.metrics, "streaming_loader_ms"),
-                num(&r.metrics, "loader_speedup"),
-            );
-            let _ = writeln!(
-                out,
-                "  full build: {:>8.1} ms (place->route->minimize->stream-load), {:>5.1}x vs legacy loader alone",
-                num(&r.metrics, "full_build_ms"),
-                num(&r.metrics, "build_speedup_vs_legacy_loader"),
-            );
-            let _ = writeln!(
-                out,
-                "  resident:   arena {:>11.0} B ({:.2} B/synapse)   legacy est {:>11.0} B",
-                num(&r.metrics, "arena_resident_bytes"),
-                num(&r.metrics, "bytes_per_synapse"),
-                num(&r.metrics, "legacy_resident_bytes_est"),
-            );
-        }
-        for r in report.records.iter().filter(|r| r.name == "chip_occupancy") {
-            let _ = writeln!(
-                out,
-                "  occupancy:  {:.0} chips loaded, worst SDRAM {:.0} B ({:.2}%), {:.0} dropped, {:>9.0} spikes/s",
-                num(&r.metrics, "loaded_chips"),
-                num(&r.metrics, "sdram_bytes_worst_chip"),
-                num(&r.metrics, "sdram_worst_chip_pct"),
-                num(&r.metrics, "dropped_packets"),
-                num(&r.metrics, "spikes_per_sec"),
-            );
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{:<8} {:>8} {:>10} {:>10} {:>14}",
-            "mesh", "queue", "threads", "wall ms", "spikes/sec"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "end_to_end_sweep")
-        {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>8} {:>10} {:>10.1} {:>14.0}",
-                str_field(&r.config, "mesh"),
-                str_field(&r.config, "queue"),
-                num(&r.config, "threads"),
-                num(&r.metrics, "wall_ms"),
-                num(&r.metrics, "spikes_per_sec"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\nthe master population table is a sorted (key, mask) array over one\ncontiguous CSR arena per core: packet handling binary-searches ~dozens of\nentries instead of hashing, STDP rewrites weights in the arena in place,\nand the golden-trace suite pins the refactor to bit-identical spikes.\ncompare against the committed baseline: scripts/bench_compare.py\nBENCH_e15.json BENCH_e14.json"
-        );
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn legacy_and_streaming_loaders_agree_statistically() {
-            // Geometric-gap streaming and per-pair Bernoulli realize
-            // *different* edge sets from the same distribution: counts
-            // must agree with the binomial expectation, not exactly.
-            let net = prob_net(4, 120, 0.1);
-            let placement = Placement::compute(&net, 4, 4, 17, 64, Placer::Locality).unwrap();
-            let (legacy_synapses, legacy_bytes) = legacy_build(&net, &placement);
-            let app = LoadedApp::build(&net, &placement);
-            let expected = 3.0 * 120.0 * 120.0 * 0.1;
-            for got in [legacy_synapses, app.total_synapses()] {
-                let got = got as f64;
-                assert!(
-                    (got - expected).abs() < 0.2 * expected,
-                    "count {got} vs expectation {expected}"
-                );
-            }
-            assert!(legacy_bytes > 0);
-        }
-
-        #[test]
-        fn report_smoke_on_a_tiny_workload() {
-            // Not the full quick run (CI time): exercise the formatter
-            // against a synthetic record.
-            let mut report = BenchReport::new("E15", "test", true);
-            report.push(
-                BenchRecord::new("build_memory_model")
-                    .config("neurons", 100u64)
-                    .config("fixed_probability", 0.1f64)
-                    .metric("synapses", 42u64)
-                    .metric("legacy_loader_ms", 2.0f64)
-                    .metric("streaming_loader_ms", 1.0f64)
-                    .metric("loader_speedup", 2.0f64)
-                    .metric("full_build_ms", 1.5f64)
-                    .metric("build_speedup_vs_legacy_loader", 1.3f64)
-                    .metric("arena_resident_bytes", 168u64)
-                    .metric("bytes_per_synapse", 4.0f64)
-                    .metric("legacy_resident_bytes_est", 2184u64),
-            );
-            let text = format_report(&report);
-            assert!(text.contains("speedup"), "{text}");
-            assert!(report.to_json_string().contains("loader_speedup"));
-        }
-    }
-}
-
-/// E16 — checkpointable run sessions: warm multi-run serving against
-/// one resident build vs rebuild-per-job, and the cost of a
-/// deterministic checkpoint → serialize → rebuild → restore cycle, on
-/// the E15 100k-neuron `FixedProbability` workload. Emits
-/// `BENCH_e16.json` with end-to-end sweep rows config-compatible with
-/// E14/E15 so `scripts/bench_compare.py` can chain the trajectory
-/// E14 → E15 → E16.
-pub mod e16_sessions {
-    use super::*;
-    use crate::record::{BenchRecord, BenchReport};
-    use spinnaker::prelude::*;
-    use spinnaker::RunSession;
-    use std::time::Instant;
-
-    /// Per-job Poisson rate of the serving stream (a parameter sweep:
-    /// each job probes the resident network at a different drive).
-    fn job_rate_hz(job: u32) -> f64 {
-        4.0 + 2.0 * job as f64
-    }
-
-    /// The serving workload: E15's 100k-neuron `FixedProbability` chain
-    /// with the tonic bias removed and sub-critical synaptic weights —
-    /// activity is *stimulus-driven and transient*, as a served
-    /// network's is, so every job costs what its own probe injects
-    /// rather than what a free-running (or reverberating) network
-    /// accumulates between jobs.
-    pub fn serving_net(pops: u32, size: u32, p: f64) -> NetworkGraph {
-        let kind = NeuronKind::Izhikevich(IzhikevichParams::regular_spiking());
-        let mut net = NetworkGraph::new();
-        let ids: Vec<_> = (0..pops)
-            .map(|i| net.population(&format!("p{i}"), size, kind, 0.0))
-            .collect();
-        for (i, w) in ids.windows(2).enumerate() {
-            net.project(
-                w[0],
-                w[1],
-                Connector::FixedProbability(p),
-                Synapses::constant(520, 1 + (i % 4) as u8),
-                0xE16 ^ i as u64,
-            );
-        }
-        net
-    }
-
-    /// The E16 report: amortized build cost of warm serving,
-    /// checkpoint/restore overhead with a bit-exactness verdict, and
-    /// the E14-compatible spikes/sec sweep.
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E16",
-            "checkpointable run sessions: warm multi-run serving vs rebuild-per-job",
-            quick,
-        );
-        let (pops, size, p) = if quick {
-            (20u32, 5_000u32, 0.02)
-        } else {
-            (25, 8_000, 0.015)
-        };
-        let net = serving_net(pops, size, p);
-        let total_neurons = net.total_neurons();
-        let input = PopulationId::from_index(0);
-        let cfg = SimConfig::new(8, 8).with_neurons_per_core(256);
-        let (jobs, job_ms) = if quick { (6u32, 5u32) } else { (10, 10) };
-
-        // Warm path: build once, serve every job from the resident
-        // session (each job swaps the stimulus program and drains its
-        // own spikes).
-        let t0 = Instant::now();
-        let sim = Simulation::build(&net, cfg.clone()).expect("workload fits an 8x8 machine");
-        let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mut session = sim.into_session();
-        let t0 = Instant::now();
-        let mut warm_spikes = 0u64;
-        for job in 0..jobs {
-            session.clear_stimulus_sources();
-            session.add_poisson(input, job_rate_hz(job), job as u64 + 1);
-            session.run_for(job_ms);
-            warm_spikes += session.take_spikes().len() as u64;
-        }
-        let warm_serve_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let warm_total_ms = build_ms + warm_serve_ms;
-
-        // Cold path: the pre-session workflow — rebuild the machine for
-        // every job.
-        let t0 = Instant::now();
-        let mut cold_spikes = 0u64;
-        for job in 0..jobs {
-            let mut s = Simulation::build(&net, cfg.clone())
-                .expect("workload fits an 8x8 machine")
-                .into_session();
-            s.add_poisson(input, job_rate_hz(job), job as u64 + 1);
-            s.run_for(job_ms);
-            cold_spikes += s.take_spikes().len() as u64;
-        }
-        let cold_total_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        report.push(
-            BenchRecord::new("warm_serving")
-                .config("neurons", total_neurons)
-                .config("mesh", "8x8")
-                .config("jobs", jobs)
-                .config("job_bio_ms", job_ms)
-                .metric("build_ms", build_ms)
-                .metric("warm_serve_ms", warm_serve_ms)
-                .metric("warm_total_ms", warm_total_ms)
-                .metric("cold_total_ms", cold_total_ms)
-                .metric("warm_speedup", cold_total_ms / warm_total_ms)
-                .metric("warm_ms_per_job", warm_total_ms / jobs as f64)
-                .metric("cold_ms_per_job", cold_total_ms / jobs as f64)
-                .metric("warm_spikes", warm_spikes)
-                .metric("cold_spikes", cold_spikes),
-        );
-
-        // Checkpoint → serialize → rebuild → restore, with a
-        // bit-exactness verdict: both the live session and the restored
-        // one run the same extra probe segment and must produce
-        // identical spikes.
-        let t0 = Instant::now();
-        let snapshot = session.checkpoint();
-        let checkpoint_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = Instant::now();
-        let mut resumed = RunSession::restore(&net, cfg.clone(), &snapshot)
-            .expect("snapshot restores onto a fresh build");
-        let restore_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let probe_ms = job_ms;
-        session.clear_stimulus_sources();
-        session.add_poisson(input, 120.0, 0xE16);
-        session.run_for(probe_ms);
-        resumed.clear_stimulus_sources();
-        resumed.add_poisson(input, 120.0, 0xE16);
-        resumed.run_for(probe_ms);
-        let bit_exact = session.machine().spikes() == resumed.machine().spikes()
-            && session.elapsed_ms() == resumed.elapsed_ms();
-        report.push(
-            BenchRecord::new("snapshot_restore")
-                .config("neurons", total_neurons)
-                .config("elapsed_bio_ms", session.elapsed_ms())
-                .metric("snapshot_bytes", snapshot.len())
-                .metric(
-                    "snapshot_bytes_per_neuron",
-                    snapshot.len() as f64 / total_neurons as f64,
-                )
-                .metric("checkpoint_ms", checkpoint_ms)
-                .metric("restore_ms", restore_ms)
-                .metric("restore_over_build", restore_ms / build_ms)
-                .metric("resumed_bit_exact", bit_exact),
-        );
-
-        // The E14/E15-compatible spikes/sec sweep — the rows
-        // `scripts/bench_compare.py` chains across committed baselines.
-        let (edges, ms): (&[u32], u32) = if quick {
-            (&[8], 100)
-        } else {
-            (&[8, 16, 32], 200)
-        };
-        for &edge in edges {
-            let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-            for threads in [1u32, 2, 4, 16] {
-                super::e14_event_core::sweep_case_best_of(
-                    &mut report,
-                    &sweep_net,
-                    edge,
-                    threads,
-                    ms,
-                    3,
-                );
-            }
-        }
-        report
-    }
-
-    /// The E16 table.
-    pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
-    }
-
-    /// Formats a report as the human-readable E16 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        use super::e14_event_core::{num_field as num, str_field};
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E16: checkpointable run sessions — warm serving + deterministic pause/resume ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
-        );
-        let _ = writeln!(
-            out,
-            "   §5.2 shared-facility operation: load a network once, serve a stream of run\n   segments from the resident fabric, checkpoint/resume bit-exactly\n"
-        );
-        for r in report.records.iter().filter(|r| r.name == "warm_serving") {
-            let _ = writeln!(
-                out,
-                "{:>12.0} neurons, {:.0} jobs x {:.0} ms biological time each",
-                num(&r.config, "neurons"),
-                num(&r.config, "jobs"),
-                num(&r.config, "job_bio_ms"),
-            );
-            let _ = writeln!(
-                out,
-                "  build once: {:>8.1} ms   warm serving total {:>8.1} ms ({:>6.1} ms/job)",
-                num(&r.metrics, "build_ms"),
-                num(&r.metrics, "warm_total_ms"),
-                num(&r.metrics, "warm_ms_per_job"),
-            );
-            let _ = writeln!(
-                out,
-                "  rebuild-per-job total {:>8.1} ms ({:>6.1} ms/job)   warm speedup {:>5.1}x",
-                num(&r.metrics, "cold_total_ms"),
-                num(&r.metrics, "cold_ms_per_job"),
-                num(&r.metrics, "warm_speedup"),
-            );
-        }
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "snapshot_restore")
-        {
-            let _ = writeln!(
-                out,
-                "  checkpoint: {:>9.0} B snapshot ({:.1} B/neuron) in {:>6.1} ms;  restore {:>7.1} ms ({:.1}x build);  resumed bit-exact: {}",
-                num(&r.metrics, "snapshot_bytes"),
-                num(&r.metrics, "snapshot_bytes_per_neuron"),
-                num(&r.metrics, "checkpoint_ms"),
-                num(&r.metrics, "restore_ms"),
-                num(&r.metrics, "restore_over_build"),
-                str_field(&r.metrics, "resumed_bit_exact"),
-            );
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{:<8} {:>8} {:>10} {:>10} {:>14}",
-            "mesh", "queue", "threads", "wall ms", "spikes/sec"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "end_to_end_sweep")
-        {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>8} {:>10} {:>10.1} {:>14.0}",
-                str_field(&r.config, "mesh"),
-                str_field(&r.config, "queue"),
-                num(&r.config, "threads"),
-                num(&r.metrics, "wall_ms"),
-                num(&r.metrics, "spikes_per_sec"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\none resident machine serves the whole job stream: the place->route->minimize->\nstream-load cost is paid once, checkpoints capture only dynamic state (STDP\narena deltas, in-flight events, RNG streams), and tests/session_resume.rs pins\nevery cut to bit-exact replay. trajectory: scripts/bench_compare.py --chain\nBENCH_e14.json BENCH_e15.json BENCH_e16.json"
-        );
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn formatter_smoke_on_synthetic_records() {
-            let mut report = BenchReport::new("E16", "test", true);
-            report.push(
-                BenchRecord::new("warm_serving")
-                    .config("neurons", 1000u64)
-                    .config("jobs", 4u32)
-                    .config("job_bio_ms", 5u32)
-                    .metric("build_ms", 100.0f64)
-                    .metric("warm_total_ms", 140.0f64)
-                    .metric("cold_total_ms", 440.0f64)
-                    .metric("warm_speedup", 3.5f64)
-                    .metric("warm_ms_per_job", 35.0f64)
-                    .metric("cold_ms_per_job", 110.0f64),
-            );
-            report.push(
-                BenchRecord::new("snapshot_restore")
-                    .config("neurons", 1000u64)
-                    .metric("snapshot_bytes", 4096u64)
-                    .metric("snapshot_bytes_per_neuron", 4.1f64)
-                    .metric("checkpoint_ms", 1.0f64)
-                    .metric("restore_ms", 101.0f64)
-                    .metric("restore_over_build", 1.01f64)
-                    .metric("resumed_bit_exact", true),
-            );
-            let text = format_report(&report);
-            assert!(text.contains("warm speedup"), "{text}");
-            assert!(text.contains("bit-exact"), "{text}");
-            assert!(report.to_json_string().contains("warm_speedup"));
-        }
-
-        #[test]
-        fn warm_serving_beats_rebuilds_on_a_small_workload() {
-            // A miniature version of the headline claim (the committed
-            // BENCH_e16.json carries the 100k-neuron figures): the
-            // session serves jobs bit-deterministically and the
-            // snapshot round-trip is exact.
-            let net = super::super::e15_memory_model::prob_net(4, 200, 0.05);
-            let input = PopulationId::from_index(0);
-            let cfg = SimConfig::new(4, 4).with_neurons_per_core(64);
-            let mut session = Simulation::build(&net, cfg.clone()).unwrap().into_session();
-            session.add_poisson(input, 200.0, 1);
-            session.run_for(10);
-            let snap = session.checkpoint();
-            let mut resumed = RunSession::restore(&net, cfg, &snap).unwrap();
-            session.add_poisson(input, 90.0, 2);
-            resumed.add_poisson(input, 90.0, 2);
-            session.run_for(10);
-            resumed.run_for(10);
-            assert_eq!(session.machine().spikes(), resumed.machine().spikes());
-        }
-    }
-}
-
-/// E17 — low-overhead telemetry: the per-shard phase breakdown
-/// (ns/neuron, ns/synaptic-event, barrier-wait share) of the E15
-/// 100k-neuron workload at 1/4/16 threads, the counters-on overhead of
-/// the E14 sweep workload, and a determinism verdict (bit-identical
-/// spikes in every observability mode). Emits `BENCH_e17.json`; render
-/// or gate the artifact with `scripts/telemetry_report.py`.
-pub mod e17_telemetry {
-    use super::*;
-    use crate::record::{BenchRecord, BenchReport, Json};
-    use spinn_obs::{Counter, Phase};
-    use spinnaker::prelude::*;
-    use spinnaker::Completed;
-    use std::time::Instant;
-
-    /// Runs the phase-breakdown workload once under full telemetry.
-    fn run_traced(net: &NetworkGraph, threads: u32, ms: u32) -> (f64, Completed) {
-        let cfg = SimConfig::new(8, 8)
-            .with_neurons_per_core(256)
-            .with_threads(threads)
-            .with_observability(ObsMode::CountersAndTrace);
-        let sim = Simulation::build(net, cfg).expect("workload fits an 8x8 machine");
-        let t0 = Instant::now();
-        let done = sim.run(ms);
-        (t0.elapsed().as_secs_f64() * 1e3, done)
-    }
-
-    /// Best-of-`repeats` spikes/sec of the E14 sweep workload at the
-    /// given observability mode (the overhead measurement).
-    fn best_spikes_per_sec(
-        net: &NetworkGraph,
-        threads: u32,
-        ms: u32,
-        repeats: usize,
-        obs: ObsMode,
-    ) -> f64 {
-        let mut best = 0.0f64;
-        for _ in 0..repeats.max(1) {
-            let cfg = SimConfig::new(8, 8)
-                .with_neurons_per_core(128)
-                .with_placer(Placer::Random { seed: 0xE14 })
-                .with_threads(threads)
-                .with_observability(obs);
-            let sim = Simulation::build(net, cfg).expect("workload fits an 8x8 machine");
-            let t0 = Instant::now();
-            let done = sim.run(ms);
-            let sps = done.machine.spikes().len() as f64 / t0.elapsed().as_secs_f64();
-            best = best.max(sps);
-        }
-        best
-    }
-
-    /// The E17 report: phase-breakdown rows, per-shard skew rows, the
-    /// counters-on overhead rows, and the determinism verdict.
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E17",
-            "low-overhead telemetry: phase breakdown, shard skew, counter overhead",
-            quick,
-        );
-
-        // Phase breakdown: the E15 100k-neuron FixedProbability chain
-        // under full telemetry, across thread counts.
-        let (pops, size, p) = if quick {
-            (20u32, 5_000u32, 0.02)
-        } else {
-            (25, 8_000, 0.015)
-        };
-        let net = super::e15_memory_model::prob_net(pops, size, p);
-        let total_neurons = net.total_neurons();
-        let ms = if quick { 30u32 } else { 100 };
-        for threads in [1u32, 4, 16] {
-            let (wall_ms, done) = run_traced(&net, threads, ms);
-            let t = done.machine.telemetry();
-            report.push(
-                BenchRecord::new("phase_breakdown")
-                    .config("neurons", total_neurons)
-                    .config("mesh", "8x8")
-                    .config("threads", threads)
-                    .config("bio_ms", ms)
-                    .config("obs", t.mode().to_string())
-                    .metric("wall_ms", wall_ms)
-                    .metric("spikes", done.machine.spikes().len())
-                    .metric("events", t.total(Counter::Events))
-                    .metric("synaptic_events", t.total(Counter::SynapticEvents))
-                    .metric("ns_per_neuron", t.ns_per_neuron())
-                    .metric("ns_per_synaptic_event", t.ns_per_synaptic_event())
-                    .metric("barrier_wait_share", t.barrier_wait_share())
-                    .metric("shard_skew", t.shard_skew())
-                    .metric("queue_peak", t.total(Counter::QueuePeak))
-                    .metric("trace_len", t.trace().count())
-                    .metric("trace_overwritten", t.trace_overwritten()),
-            );
-            report.push(
-                BenchRecord::new("shard_skew")
-                    .config("threads", threads)
-                    .config("bio_ms", ms)
-                    .metric("skew", t.shard_skew())
-                    .metric(
-                        "per_shard_events",
-                        Json::Arr(
-                            t.shards()
-                                .iter()
-                                .map(|s| Json::Num(s.counters[Counter::Events as usize] as f64))
-                                .collect(),
-                        ),
-                    )
-                    .metric(
-                        "per_shard_barrier_ns",
-                        Json::Arr(
-                            t.shards()
-                                .iter()
-                                .map(|s| {
-                                    Json::Num(s.phases[Phase::BarrierWait as usize].sum_ns as f64)
-                                })
-                                .collect(),
-                        ),
-                    ),
-            );
-        }
-
-        // Counters-on overhead: the E14 sweep workload, best-of-N,
-        // Disabled vs Counters. The CI gate
-        // (`scripts/telemetry_report.py --check-overhead`) holds every
-        // row's overhead_frac under its bound.
-        let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-        let (sweep_ms, repeats) = if quick { (100u32, 3usize) } else { (200, 5) };
-        for threads in [1u32, 4] {
-            let off =
-                best_spikes_per_sec(&sweep_net, threads, sweep_ms, repeats, ObsMode::Disabled);
-            let on = best_spikes_per_sec(&sweep_net, threads, sweep_ms, repeats, ObsMode::Counters);
-            report.push(
-                BenchRecord::new("telemetry_overhead")
-                    .config("mesh", "8x8")
-                    .config("queue", "calendar")
-                    .config("threads", threads)
-                    .config("bio_ms", sweep_ms)
-                    .config("repeats", repeats)
-                    .metric("spikes_per_sec_off", off)
-                    .metric("spikes_per_sec_on", on)
-                    .metric("overhead_frac", 1.0 - on / off),
-            );
-        }
-
-        // Determinism: the same build must spike identically whatever
-        // is watching, and the spike counter must agree with the
-        // recorded raster.
-        let det_net = super::e15_memory_model::prob_net(4, 200, 0.05);
-        let det_run = |obs| {
-            let cfg = SimConfig::new(4, 4)
-                .with_neurons_per_core(64)
-                .with_threads(4)
-                .with_observability(obs);
-            Simulation::build(&det_net, cfg)
-                .expect("workload fits a 4x4 machine")
-                .run(20)
-        };
-        let base = det_run(ObsMode::Disabled);
-        let counted = det_run(ObsMode::Counters);
-        let traced = det_run(ObsMode::CountersAndTrace);
-        let bit_exact = base.machine.spikes() == counted.machine.spikes()
-            && base.machine.spikes() == traced.machine.spikes();
-        let spikes = base.machine.spikes().len() as u64;
-        let counter_spikes = counted.machine.telemetry().total(Counter::Spikes);
-        report.push(
-            BenchRecord::new("telemetry_determinism")
-                .config("neurons", det_net.total_neurons())
-                .config("bio_ms", 20u32)
-                .metric("bit_exact", bit_exact)
-                .metric("spikes", spikes)
-                .metric("counter_spikes", counter_spikes)
-                .metric("counter_matches", counter_spikes == spikes),
-        );
-        report
-    }
-
-    /// The E17 table.
-    pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
-    }
-
-    /// Formats a report as the human-readable E17 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        use super::e14_event_core::{num_field as num, str_field};
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E17: low-overhead telemetry — phase breakdown, shard skew, counter overhead ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
-        );
-        let _ = writeln!(
-            out,
-            "   observe without steering: relaxed per-shard counters, log2 phase\n   histograms and a bounded trace ring; every mode replays bit-exactly\n"
-        );
-        let _ = writeln!(
-            out,
-            "{:>8} {:>10} {:>12} {:>14} {:>10} {:>8}",
-            "threads", "wall ms", "ns/neuron", "ns/syn-event", "barrier%", "skew"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "phase_breakdown")
-        {
-            let _ = writeln!(
-                out,
-                "{:>8.0} {:>10.1} {:>12.1} {:>14.2} {:>9.1}% {:>8.2}",
-                num(&r.config, "threads"),
-                num(&r.metrics, "wall_ms"),
-                num(&r.metrics, "ns_per_neuron"),
-                num(&r.metrics, "ns_per_synaptic_event"),
-                100.0 * num(&r.metrics, "barrier_wait_share"),
-                num(&r.metrics, "shard_skew"),
-            );
-        }
-        let _ = writeln!(out);
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "telemetry_overhead")
-        {
-            let _ = writeln!(
-                out,
-                "  overhead: {:>2.0} thread(s)  counters on {:>12.0} spikes/s  off {:>12.0}  ({:+.2}%)",
-                num(&r.config, "threads"),
-                num(&r.metrics, "spikes_per_sec_on"),
-                num(&r.metrics, "spikes_per_sec_off"),
-                100.0 * num(&r.metrics, "overhead_frac"),
-            );
-        }
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "telemetry_determinism")
-        {
-            let _ = writeln!(
-                out,
-                "  determinism: bit-exact across modes: {};  spikes counter {:.0} vs recorded {:.0}",
-                str_field(&r.metrics, "bit_exact"),
-                num(&r.metrics, "counter_spikes"),
-                num(&r.metrics, "spikes"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\ntelemetry observes, it never steers: counters are relaxed per-shard atomics,\nphase timings are 32-bucket log2 histograms, the trace ring is bounded and\ndrop-counting, and Disabled mode costs one None-check per site\n(tests/telemetry_determinism.rs pins every mode to bit-identical spikes).\nrender or gate the artifact: scripts/telemetry_report.py BENCH_e17.json"
-        );
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn formatter_smoke_on_synthetic_records() {
-            let mut report = BenchReport::new("E17", "test", true);
-            report.push(
-                BenchRecord::new("phase_breakdown")
-                    .config("threads", 4u32)
-                    .metric("wall_ms", 10.0f64)
-                    .metric("ns_per_neuron", 120.0f64)
-                    .metric("ns_per_synaptic_event", 8.5f64)
-                    .metric("barrier_wait_share", 0.25f64)
-                    .metric("shard_skew", 1.2f64),
-            );
-            report.push(
-                BenchRecord::new("telemetry_overhead")
-                    .config("threads", 4u32)
-                    .metric("spikes_per_sec_off", 1_000_000.0f64)
-                    .metric("spikes_per_sec_on", 990_000.0f64)
-                    .metric("overhead_frac", 0.01f64),
-            );
-            report.push(
-                BenchRecord::new("telemetry_determinism")
-                    .metric("bit_exact", true)
-                    .metric("spikes", 42u64)
-                    .metric("counter_spikes", 42u64)
-                    .metric("counter_matches", true),
-            );
-            let text = format_report(&report);
-            assert!(text.contains("ns/neuron"), "{text}");
-            assert!(text.contains("bit-exact across modes: true"), "{text}");
-            assert!(report.to_json_string().contains("overhead_frac"));
-        }
-
-        #[test]
-        fn traced_run_yields_finite_phase_rows() {
-            // A miniature phase-breakdown measurement: full telemetry
-            // on a small net must produce finite per-loop rows and a
-            // spike counter that matches the recorded raster.
-            let net = super::super::e15_memory_model::prob_net(3, 200, 0.05);
-            let (_, done) = run_traced(&net, 4, 10);
-            let t = done.machine.telemetry();
-            assert!(t.is_enabled());
-            assert!(t.ns_per_neuron().is_finite(), "{}", t.ns_per_neuron());
-            assert!(
-                t.total(Counter::Spikes) == done.machine.spikes().len() as u64,
-                "counter {} vs raster {}",
-                t.total(Counter::Spikes),
-                done.machine.spikes().len()
-            );
-            assert!(t.total(Counter::Events) > 0);
-        }
-    }
-}
-
-/// E18 — collect the win: the vectorized fixed-point tick path, the
-/// compiled-router/flux-aware shard pipeline and the
-/// clamp-to-parallelism scheduler, measured together. Reports the E17
-/// phase-breakdown net (ns/neuron, ns/synaptic-event, barrier-wait
-/// share, window/exchange counts) at 1/4/16 threads plus the
-/// E14-compatible end-to-end sweep grid. Emits `BENCH_e18.json`;
-/// `scripts/bench_compare.py` gates the sweep rows against E14, the
-/// per-loop rows against E17, and (`--parallel-speedup`) holds the
-/// 4-thread wall strictly under the 1-thread wall with barrier share
-/// at most 0.5.
-pub mod e18_collected_win {
-    use super::*;
-    use crate::record::{BenchRecord, BenchReport, Json};
-    use spinn_obs::{Counter, Phase};
-    use spinnaker::prelude::*;
-    use spinnaker::Completed;
-    use std::time::Instant;
-
-    /// Runs the phase-breakdown workload once under full telemetry,
-    /// through the default scheduler (shard clamp included — that *is*
-    /// the measured configuration).
-    fn run_traced(net: &NetworkGraph, threads: u32, ms: u32) -> (f64, Completed) {
-        let cfg = SimConfig::new(8, 8)
-            .with_neurons_per_core(256)
-            .with_threads(threads)
-            .with_observability(ObsMode::CountersAndTrace);
-        let sim = Simulation::build(net, cfg).expect("workload fits an 8x8 machine");
-        let t0 = Instant::now();
-        let done = sim.run(ms);
-        (t0.elapsed().as_secs_f64() * 1e3, done)
-    }
-
-    /// The E18 report: phase-breakdown rows at 1/4/16 threads and the
-    /// E14 sweep grid (same net, mesh, queues and thread counts, so
-    /// the rows gate directly against the committed `BENCH_e14.json`).
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E18",
-            "collected win: wide tick lanes, flux-aware shards, clamp-to-parallelism scheduler",
-            quick,
-        );
-
-        let (pops, size, p) = if quick {
-            (20u32, 5_000u32, 0.02)
-        } else {
-            (25, 8_000, 0.015)
-        };
-        let net = super::e15_memory_model::prob_net(pops, size, p);
-        let total_neurons = net.total_neurons();
-        let ms = if quick { 30u32 } else { 100 };
-        for threads in [1u32, 4, 16] {
-            let (wall_ms, done) = run_traced(&net, threads, ms);
-            let t = done.machine.telemetry();
-            let par = done.machine.par_stats();
-            report.push(
-                BenchRecord::new("phase_breakdown")
-                    .config("neurons", total_neurons)
-                    .config("mesh", "8x8")
-                    .config("threads", threads)
-                    .config(
-                        "effective_threads",
-                        done.machine.effective_threads(threads as usize) as u64,
-                    )
-                    .config("host_cores", spinn_par::host_parallelism())
-                    .config("bio_ms", ms)
-                    .config("obs", t.mode().to_string())
-                    .metric("wall_ms", wall_ms)
-                    .metric("spikes", done.machine.spikes().len())
-                    .metric("events", t.total(Counter::Events))
-                    .metric("synaptic_events", t.total(Counter::SynapticEvents))
-                    .metric("ns_per_neuron", t.ns_per_neuron())
-                    .metric("ns_per_synaptic_event", t.ns_per_synaptic_event())
-                    .metric("barrier_wait_share", {
-                        let s = t.barrier_wait_share();
-                        if s.is_nan() {
-                            0.0
-                        } else {
-                            s
-                        }
-                    })
-                    .metric("shard_skew", t.shard_skew())
-                    .metric("windows", par.map_or(0, |s| s.windows))
-                    .metric("exchanged", par.map_or(0, |s| s.exchanged))
-                    .metric("queue_peak", t.total(Counter::QueuePeak))
-                    .metric("trace_overwrite_ratio", t.trace_overwrite_ratio()),
-            );
-            report.push(
-                BenchRecord::new("shard_skew")
-                    .config("threads", threads)
-                    .config("bio_ms", ms)
-                    .metric("skew", t.shard_skew())
-                    .metric(
-                        "per_shard_events",
-                        Json::Arr(
-                            t.shards()
-                                .iter()
-                                .map(|s| Json::Num(s.counters[Counter::Events as usize] as f64))
-                                .collect(),
-                        ),
-                    )
-                    .metric(
-                        "per_shard_barrier_ns",
-                        Json::Arr(
-                            t.shards()
-                                .iter()
-                                .map(|s| {
-                                    Json::Num(s.phases[Phase::BarrierWait as usize].sum_ns as f64)
-                                })
-                                .collect(),
-                        ),
-                    ),
-            );
-        }
-
-        // The E14 sweep grid, verbatim (same synfire net, mesh, queue
-        // kinds, thread counts and duration), so every row keys
-        // identically to the committed `BENCH_e14.json` and the gate
-        // measures the cumulative speedup of everything since.
-        let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-        let (edges, sweep_ms): (&[u32], u32) = if quick {
-            (&[8], 100)
-        } else {
-            (&[8, 16, 32], 200)
-        };
-        for &edge in edges {
-            for threads in [1u32, 2, 4, 16] {
-                super::e14_event_core::sweep_case(&mut report, &sweep_net, edge, threads, sweep_ms);
-            }
-        }
-        report
-    }
-
-    /// The E18 table.
-    pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
-    }
-
-    /// Formats a report as the human-readable E18 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        use super::e14_event_core::{num_field as num, str_field};
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E18: collected win — wide tick lanes, flux-aware shards, clamped scheduler ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
-        );
-        let _ = writeln!(
-            out,
-            "   the tick loop runs chunked fixed-point lanes with a clamp-free fast\n   path, shard cuts follow measured link flux, and shard counts collapse\n   to the host's parallelism — all bit-exact against the scalar engine\n"
-        );
-        let _ = writeln!(
-            out,
-            "{:>8} {:>10} {:>12} {:>14} {:>10} {:>9} {:>10}",
-            "threads", "wall ms", "ns/neuron", "ns/syn-event", "barrier%", "windows", "exchanged"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "phase_breakdown")
-        {
-            let _ = writeln!(
-                out,
-                "{:>8.0} {:>10.1} {:>12.1} {:>14.2} {:>9.1}% {:>9.0} {:>10.0}",
-                num(&r.config, "threads"),
-                num(&r.metrics, "wall_ms"),
-                num(&r.metrics, "ns_per_neuron"),
-                num(&r.metrics, "ns_per_synaptic_event"),
-                100.0 * num(&r.metrics, "barrier_wait_share"),
-                num(&r.metrics, "windows"),
-                num(&r.metrics, "exchanged"),
-            );
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{:<8} {:>8} {:>10} {:>10} {:>14}",
-            "mesh", "queue", "threads", "wall ms", "spikes/sec"
-        );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "end_to_end_sweep")
-        {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>8} {:>10.0} {:>10.1} {:>14.0}",
-                str_field(&r.config, "mesh"),
-                str_field(&r.config, "queue"),
-                num(&r.config, "threads"),
-                num(&r.metrics, "wall_ms"),
-                num(&r.metrics, "spikes_per_sec"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\ngate the artifact: scripts/bench_compare.py BENCH_e18.json BENCH_e14.json\n--kind sweep (cumulative end-to-end), BENCH_e18.json BENCH_e17.json --kind\nperf (per-loop costs), and --parallel-speedup BENCH_e18.json (4-thread wall\nstrictly under 1-thread, barrier share <= 0.5)."
-        );
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn formatter_smoke_on_synthetic_records() {
-            let mut report = BenchReport::new("E18", "test", true);
-            report.push(
-                BenchRecord::new("phase_breakdown")
-                    .config("threads", 4u32)
-                    .metric("wall_ms", 10.0f64)
-                    .metric("ns_per_neuron", 9.5f64)
-                    .metric("ns_per_synaptic_event", 30.1f64)
-                    .metric("barrier_wait_share", 0.0f64)
-                    .metric("windows", 1200u64)
-                    .metric("exchanged", 6800u64),
-            );
-            report.push(
-                BenchRecord::new("end_to_end_sweep")
-                    .config("mesh", "8x8")
-                    .config("queue", "calendar")
-                    .config("threads", 4u32)
-                    .metric("wall_ms", 100.0f64)
-                    .metric("spikes_per_sec", 1_000_000.0f64),
-            );
-            let text = format_report(&report);
-            assert!(text.contains("ns/neuron"), "{text}");
-            assert!(text.contains("spikes/sec"), "{text}");
-            assert!(report.to_json_string().contains("phase_breakdown"));
-        }
-
-        #[test]
-        fn traced_run_reports_windows_and_overwrite_ratio() {
-            // A miniature E18 measurement: the telemetry must yield
-            // finite per-loop rows and an overwrite ratio inside [0, 1].
-            let net = super::super::e15_memory_model::prob_net(3, 200, 0.05);
-            let (_, done) = run_traced(&net, 4, 10);
-            let t = done.machine.telemetry();
-            assert!(t.is_enabled());
-            assert!(t.ns_per_neuron().is_finite());
-            let ratio = t.trace_overwrite_ratio();
-            assert!((0.0..=1.0).contains(&ratio), "{ratio}");
-        }
-    }
-}
-
 /// E19 — Monte Carlo resilience campaigns (§6): spike-delivery
 /// degradation vs link-failure rate from ≥ 1000 sessions forked off one
 /// warm checkpoint, plus the repair arms (queued `RepairLink`, live
 /// re-route) that claw delivery back. See `crate::resil` for the
-/// harness; `scripts/bench_compare.py --resilience BENCH_e19.json`
-/// gates the committed artifact.
+/// harness; the quick campaign's delivery floors, paired recovery and
+/// replay verdict are this module's unit test.
 pub mod e19_resilience {
     use super::*;
-    use crate::record::{BenchRecord, BenchReport};
-    use crate::resil::{summarize, BucketSummary, Campaign, RepairPolicy};
+    use crate::resil::{summarize, BucketSummary, Campaign, ForkOutcome, RepairPolicy};
     use spinnaker::prelude::*;
     use std::time::Instant;
 
@@ -3032,76 +1465,76 @@ pub mod e19_resilience {
         Campaign::prepare(net, cfg, input, 20.0, 30, 90, (2, 30))
     }
 
-    /// The E19 report: the delivery-degradation curve, the repair
-    /// arms on matched fault schedules, and the campaign/determinism
-    /// verdict row.
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E19",
-            "resilience campaigns: Monte Carlo fault sweeps + live route repair from one warm checkpoint",
-            quick,
-        );
+    /// What one campaign measured.
+    struct Report {
+        quick: bool,
+        /// The delivery-degradation curve: one unrepaired bucket per
+        /// rate of [`RATES`].
+        curve: Vec<BucketSummary>,
+        /// The unrepaired, `repair_link` and `reroute` arms at
+        /// [`HEADLINE_RATE`], on matched fault schedules.
+        arms: Vec<BucketSummary>,
+        /// Mean delivery ratio of the unrepaired control arm.
+        unrepaired: f64,
+        /// Mean delivery ratio of the `repair_link` arm.
+        repair_link: f64,
+        /// Mean delivery ratio of the `reroute` arm.
+        reroute: f64,
+        /// Standing fault load (emergency legs + drops) per fork,
+        /// unrepaired.
+        unrepaired_load: f64,
+        /// The same, after the re-route.
+        reroute_load: f64,
+        /// Forks run, the baseline and the replays included.
+        forks: u64,
+        forks_per_sec: f64,
+        snapshot_bytes: usize,
+        /// Every 2- and 4-thread replay reproduced its fork's spikes.
+        bit_exact: bool,
+    }
+
+    impl Report {
+        /// Share of the standing fault load the re-route takes off.
+        fn reroute_load_cut(&self) -> f64 {
+            if self.unrepaired_load > 0.0 {
+                1.0 - self.reroute_load / self.unrepaired_load
+            } else {
+                0.0
+            }
+        }
+    }
+
+    /// Runs the campaign: the delivery-degradation curve, the repair
+    /// arms on matched fault schedules, and the determinism replays.
+    fn report(quick: bool) -> Report {
         // Full mode clears the 1000-fork acceptance bar:
-        // 1 baseline + 5*160 curve + 3*100 repair arms + 8*3 replays.
+        // 1 baseline + 6*160 curve + 3*100 repair arms + 8*3 replays.
         let (curve_forks, repair_forks, det_forks) = if quick {
             (4u32, 4u32, 2u32)
         } else {
             (160, 100, 8)
         };
 
-        let t0 = Instant::now();
         let campaign = prepare();
-        let prep_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mut forks_total = 1u64; // the baseline fork inside prepare()
+        let mut forks = 1u64; // the baseline fork inside prepare()
 
         let t0 = Instant::now();
         let curve = campaign.sweep(SEED, &RATES, RepairPolicy::Unrepaired, curve_forks, 0);
-        forks_total += curve.len() as u64;
-        for b in summarize(&curve) {
-            report.push(bucket_record("delivery_vs_failure_rate", &b));
-        }
+        forks += curve.len() as u64;
 
         // Repair arms on *matched* fault schedules: the same fork ids
         // (hence identical fault draws) run under each policy, so the
         // recovery deltas are paired, not resampled.
         const REPAIR_BASE: u32 = 50_000;
-        let control = campaign.sweep(
-            SEED,
-            &[HEADLINE_RATE],
-            RepairPolicy::Unrepaired,
-            repair_forks,
-            REPAIR_BASE,
-        );
-        let repaired = campaign.sweep(
-            SEED,
-            &[HEADLINE_RATE],
-            RepairPolicy::QueuedRepair { delay_ms: 15 },
-            repair_forks,
-            REPAIR_BASE,
-        );
-        let rerouted = campaign.sweep(
-            SEED,
-            &[HEADLINE_RATE],
-            RepairPolicy::Reroute { after_ms: 31 },
-            repair_forks,
-            REPAIR_BASE,
-        );
-        forks_total += (control.len() + repaired.len() + rerouted.len()) as u64;
-        for arm in [&control, &repaired, &rerouted] {
-            for b in summarize(arm) {
-                report.push(bucket_record("live_repair", &b));
-            }
-        }
-        let mean = |o: &[crate::resil::ForkOutcome]| -> f64 {
+        let arm =
+            |policy| campaign.sweep(SEED, &[HEADLINE_RATE], policy, repair_forks, REPAIR_BASE);
+        let control = arm(RepairPolicy::Unrepaired);
+        let repaired = arm(RepairPolicy::QueuedRepair { delay_ms: 15 });
+        let rerouted = arm(RepairPolicy::Reroute { after_ms: 31 });
+        forks += (control.len() + repaired.len() + rerouted.len()) as u64;
+        let mean = |o: &[ForkOutcome]| -> f64 {
             o.iter().map(|f| f.delivery_ratio).sum::<f64>() / o.len() as f64
         };
-        let load = |o: &[crate::resil::ForkOutcome]| -> f64 {
-            o.iter()
-                .map(|f| (f.emergency_reroutes + f.dropped) as f64)
-                .sum::<f64>()
-                / o.len() as f64
-        };
-        let (c_mean, q_mean, r_mean) = (mean(&control), mean(&repaired), mean(&rerouted));
         // Live repair has two observable effects, and the two arms split
         // them: restoring the cable (`repair_link`) rescues forks whose
         // topology was severed outright — a delivery-ratio gain that no
@@ -3110,33 +1543,17 @@ pub mod e19_resilience {
         // and drop load off the fabric (Fig. 8's mechanism is for
         // transient faults; permanent ones are supposed to be routed
         // around).
-        let (c_load, r_load) = (load(&control), load(&rerouted));
-        report.push(
-            BenchRecord::new("repair_recovery")
-                .config("failure_rate", HEADLINE_RATE)
-                .config("forks_per_arm", repair_forks)
-                .metric("unrepaired_ratio", c_mean)
-                .metric("repair_link_ratio", q_mean)
-                .metric("reroute_ratio", r_mean)
-                .metric("repair_link_gain", q_mean - c_mean)
-                .metric("reroute_gain", r_mean - c_mean)
-                .metric("unrepaired_fault_load", c_load)
-                .metric("reroute_fault_load", r_load)
-                .metric(
-                    "reroute_load_cut",
-                    if c_load > 0.0 {
-                        1.0 - r_load / c_load
-                    } else {
-                        0.0
-                    },
-                ),
-        );
+        let load = |o: &[ForkOutcome]| -> f64 {
+            o.iter()
+                .map(|f| (f.emergency_reroutes + f.dropped) as f64)
+                .sum::<f64>()
+                / o.len() as f64
+        };
 
         // Determinism: replay a slice of the control arm at other
         // thread counts; every replay must reproduce the fork's spike
         // stream bit-exactly (compared via the FNV fingerprint).
         let mut bit_exact = true;
-        let mut replays = 0u64;
         for i in 0..det_forks {
             let fork = REPAIR_BASE + i;
             let base = campaign.run_fork(SEED, fork, HEADLINE_RATE, RepairPolicy::Unrepaired, None);
@@ -3149,62 +1566,41 @@ pub mod e19_resilience {
                     Some(threads),
                 );
                 bit_exact &= replay.spike_hash == base.spike_hash && replay.spikes == base.spikes;
-                replays += 2;
             }
-            replays += 1;
+            forks += 3;
         }
-        forks_total += replays;
-        let sweep_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        report.push(
-            BenchRecord::new("campaign")
-                .config("seed", SEED)
-                .config("mesh", "4x4")
-                .config("stages", 8u32)
-                .config("neurons", 8u32 * 96)
-                .config("warm_ms", 30u32)
-                .config("fork_ms", 90u32)
-                .metric("forks_total", forks_total)
-                .metric("forks_per_sec", forks_total as f64 / (sweep_ms / 1e3))
-                .metric("prepare_ms", prep_ms)
-                .metric("sweep_ms", sweep_ms)
-                .metric("snapshot_bytes", campaign.snapshot_bytes())
-                .metric("baseline_spikes", campaign.baseline_spikes)
-                .metric("total_cables", campaign.total_cables())
-                .metric("determinism_bit_exact", bit_exact)
-                .metric("determinism_replays", replays),
-        );
-        report
-    }
-
-    /// One bucket as a benchmark record.
-    fn bucket_record(name: &str, b: &BucketSummary) -> BenchRecord {
-        BenchRecord::new(name)
-            .config("failure_rate", b.failure_rate)
-            .config("policy", b.policy)
-            .config("forks", b.forks)
-            .metric("delivery_ratio_mean", b.delivery_ratio_mean)
-            .metric("delivery_ratio_min", b.delivery_ratio_min)
-            .metric("links_failed_mean", b.links_failed_mean)
-            .metric("emergency_reroutes_mean", b.emergency_reroutes_mean)
-            .metric("dropped_mean", b.dropped_mean)
-            .metric("reissued_mean", b.reissued_mean)
+        Report {
+            quick,
+            curve: summarize(&curve),
+            arms: [&control, &repaired, &rerouted]
+                .into_iter()
+                .flat_map(|o| summarize(o))
+                .collect(),
+            unrepaired: mean(&control),
+            repair_link: mean(&repaired),
+            reroute: mean(&rerouted),
+            unrepaired_load: load(&control),
+            reroute_load: load(&rerouted),
+            forks,
+            forks_per_sec: forks as f64 / t0.elapsed().as_secs_f64(),
+            snapshot_bytes: campaign.snapshot_bytes(),
+            bit_exact,
+        }
     }
 
     /// The E19 table.
     pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
+        format(&report(quick))
     }
 
-    /// Formats a report as the human-readable E19 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        use super::e14_event_core::{num_field as num, str_field};
+    /// Formats a campaign as the human-readable E19 table.
+    fn format(r: &Report) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "E19: resilience campaigns — Monte Carlo fault sweeps + live repair ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
+            "E19: resilience campaigns — Monte Carlo fault sweeps + live repair ({} mode)",
+            if r.quick { "quick" } else { "full" },
         );
         let _ = writeln!(
             out,
@@ -3215,69 +1611,50 @@ pub mod e19_resilience {
             "{:>12} {:>8} {:>9} {:>10} {:>10} {:>10} {:>9}",
             "failure rate", "forks", "links", "delivery", "worst", "emergency", "dropped"
         );
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "delivery_vs_failure_rate")
-        {
+        for b in &r.curve {
             let _ = writeln!(
                 out,
-                "{:>12.3} {:>8.0} {:>9.1} {:>10.3} {:>10.3} {:>10.1} {:>9.1}",
-                num(&r.config, "failure_rate"),
-                num(&r.config, "forks"),
-                num(&r.metrics, "links_failed_mean"),
-                num(&r.metrics, "delivery_ratio_mean"),
-                num(&r.metrics, "delivery_ratio_min"),
-                num(&r.metrics, "emergency_reroutes_mean"),
-                num(&r.metrics, "dropped_mean"),
+                "{:>12.3} {:>8} {:>9.1} {:>10.3} {:>10.3} {:>10.1} {:>9.1}",
+                b.failure_rate,
+                b.forks,
+                b.links_failed_mean,
+                b.delivery_ratio_mean,
+                b.delivery_ratio_min,
+                b.emergency_reroutes_mean,
+                b.dropped_mean,
             );
         }
-        for r in report.records.iter().filter(|r| r.name == "live_repair") {
+        for b in &r.arms {
             let _ = writeln!(
                 out,
                 "  repair arm {:<12} at rate {:.3}: delivery {:.3} (worst {:.3})",
-                str_field(&r.config, "policy"),
-                num(&r.config, "failure_rate"),
-                num(&r.metrics, "delivery_ratio_mean"),
-                num(&r.metrics, "delivery_ratio_min"),
-            );
-        }
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "repair_recovery")
-        {
-            let _ = writeln!(
-                out,
-                "  recovery at rate {:.3}: unrepaired {:.3} -> repair_link {:.3} (+{:.3}), reroute {:.3} (+{:.3})",
-                num(&r.config, "failure_rate"),
-                num(&r.metrics, "unrepaired_ratio"),
-                num(&r.metrics, "repair_link_ratio"),
-                num(&r.metrics, "repair_link_gain"),
-                num(&r.metrics, "reroute_ratio"),
-                num(&r.metrics, "reroute_gain"),
-            );
-            let _ = writeln!(
-                out,
-                "  reroute cuts standing fault load (emergency legs + drops) {:.1} -> {:.1} per fork ({:.0}% off)",
-                num(&r.metrics, "unrepaired_fault_load"),
-                num(&r.metrics, "reroute_fault_load"),
-                num(&r.metrics, "reroute_load_cut") * 100.0,
-            );
-        }
-        for r in report.records.iter().filter(|r| r.name == "campaign") {
-            let _ = writeln!(
-                out,
-                "  campaign: {:.0} forks ({:.1}/s) from one {:.0}-byte checkpoint; replays bit-exact: {}",
-                num(&r.metrics, "forks_total"),
-                num(&r.metrics, "forks_per_sec"),
-                num(&r.metrics, "snapshot_bytes"),
-                str_field(&r.metrics, "determinism_bit_exact"),
+                b.policy, b.failure_rate, b.delivery_ratio_mean, b.delivery_ratio_min,
             );
         }
         let _ = writeln!(
             out,
-            "\ngate the artifact: scripts/bench_compare.py --resilience BENCH_e19.json\n(delivery floor per failure-rate bucket, paired repair recovery > 0,\nbit-exact replay verdict)."
+            "  recovery at rate {HEADLINE_RATE:.3}: unrepaired {:.3} -> repair_link {:.3} (+{:.3}), reroute {:.3} (+{:.3})",
+            r.unrepaired,
+            r.repair_link,
+            r.repair_link - r.unrepaired,
+            r.reroute,
+            r.reroute - r.unrepaired,
+        );
+        let _ = writeln!(
+            out,
+            "  reroute cuts standing fault load (emergency legs + drops) {:.1} -> {:.1} per fork ({:.0}% off)",
+            r.unrepaired_load,
+            r.reroute_load,
+            r.reroute_load_cut() * 100.0,
+        );
+        let _ = writeln!(
+            out,
+            "  campaign: {} forks ({:.1}/s) from one {}-byte checkpoint; replays bit-exact: {}",
+            r.forks, r.forks_per_sec, r.snapshot_bytes, r.bit_exact,
+        );
+        let _ = writeln!(
+            out,
+            "\nthe quick campaign is a unit test of this module: a delivery floor per\nfailure-rate bucket, paired repair recovery > 0, bit-exact replays."
         );
         out
     }
@@ -3286,48 +1663,88 @@ pub mod e19_resilience {
     mod tests {
         use super::*;
 
+        /// Minimum acceptable mean delivery ratio at a given cable-failure
+        /// rate. Linear in the failure rate with generous slack below the
+        /// measured curve (full mode measures ~1.0, 0.997, 0.974, 0.881,
+        /// 0.694, 0.497 at rates 0, 0.05, 0.1, 0.2, 0.35, 0.5): emergency
+        /// routing must keep absorbing sparse death, and heavy death must not
+        /// collapse below what detours + monitor reissue recover.
+        fn resilience_floor(rate: f64) -> f64 {
+            if rate == 0.0 {
+                return 0.999;
+            }
+            (0.92 - 1.3 * rate).max(0.15)
+        }
+
+        #[test]
+        fn quick_campaign_clears_the_floors() {
+            // The campaign is seeded, so the numbers are exact: the
+            // curve reads 1.000 / 1.000 / 1.000 / 0.679 / 0.891 / 0.743
+            // against floors 0.999 / 0.855 / 0.790 / 0.660 / 0.465 /
+            // 0.270, repair_link recovers +0.058 and the re-route cuts
+            // the fault load by 63 %. The 0.2 bucket's margin of 0.019
+            // is the floor doing its job, not slack to spend.
+            let r = report(true);
+            assert_eq!(r.curve.len(), RATES.len());
+            for b in &r.curve {
+                let floor = resilience_floor(b.failure_rate);
+                assert!(
+                    b.delivery_ratio_mean >= floor,
+                    "rate {}: delivery {:.3} under its floor {floor:.3}",
+                    b.failure_rate,
+                    b.delivery_ratio_mean
+                );
+            }
+            assert!(
+                r.repair_link > r.unrepaired,
+                "repair_link must recover delivery: {:.3} vs {:.3}",
+                r.repair_link,
+                r.unrepaired
+            );
+            assert!(
+                r.reroute_load_cut() > 0.0,
+                "the re-route must cut the fault load: {:.1} -> {:.1}",
+                r.unrepaired_load,
+                r.reroute_load
+            );
+            assert!(r.bit_exact, "a 2- or 4-thread replay diverged");
+        }
+
         #[test]
         fn formatter_smoke_on_synthetic_records() {
-            let mut report = BenchReport::new("E19", "test", true);
-            report.push(
-                BenchRecord::new("delivery_vs_failure_rate")
-                    .config("failure_rate", 0.1f64)
-                    .config("policy", "none")
-                    .config("forks", 4u32)
-                    .metric("delivery_ratio_mean", 0.8f64)
-                    .metric("delivery_ratio_min", 0.7f64)
-                    .metric("links_failed_mean", 5.0f64)
-                    .metric("emergency_reroutes_mean", 12.0f64)
-                    .metric("dropped_mean", 3.0f64)
-                    .metric("reissued_mean", 3.0f64),
-            );
-            report.push(
-                BenchRecord::new("repair_recovery")
-                    .config("failure_rate", 0.1f64)
-                    .config("forks_per_arm", 4u32)
-                    .metric("unrepaired_ratio", 0.8f64)
-                    .metric("repair_link_ratio", 0.95f64)
-                    .metric("reroute_ratio", 0.9f64)
-                    .metric("repair_link_gain", 0.15f64)
-                    .metric("reroute_gain", 0.1f64)
-                    .metric("unrepaired_fault_load", 120.0f64)
-                    .metric("reroute_fault_load", 60.0f64)
-                    .metric("reroute_load_cut", 0.5f64),
-            );
-            report.push(
-                BenchRecord::new("campaign")
-                    .config("seed", SEED)
-                    .metric("forks_total", 21u64)
-                    .metric("forks_per_sec", 50.0f64)
-                    .metric("snapshot_bytes", 123456u64)
-                    .metric("determinism_bit_exact", true)
-                    .metric("determinism_replays", 4u64),
-            );
-            let text = format_report(&report);
+            let bucket = BucketSummary {
+                failure_rate: 0.1,
+                policy: "none",
+                forks: 4,
+                links_failed_mean: 5.0,
+                delivery_ratio_mean: 0.8,
+                delivery_ratio_min: 0.7,
+                emergency_reroutes_mean: 12.0,
+                dropped_mean: 3.0,
+                reissued_mean: 3.0,
+            };
+            let report = Report {
+                quick: true,
+                curve: vec![bucket.clone()],
+                arms: vec![BucketSummary {
+                    policy: "repair_link",
+                    ..bucket
+                }],
+                unrepaired: 0.8,
+                repair_link: 0.95,
+                reroute: 0.9,
+                unrepaired_load: 120.0,
+                reroute_load: 60.0,
+                forks: 21,
+                forks_per_sec: 50.0,
+                snapshot_bytes: 123_456,
+                bit_exact: true,
+            };
+            let text = format(&report);
             assert!(text.contains("failure rate"), "{text}");
             assert!(text.contains("repair_link"), "{text}");
+            assert!(text.contains("(50% off)"), "{text}");
             assert!(text.contains("bit-exact: true"), "{text}");
-            assert!(report.to_json_string().contains("delivery_vs_failure_rate"));
         }
 
         #[test]
@@ -3343,17 +1760,10 @@ pub mod e19_resilience {
 /// population per chip on meshes from 32 x 32 up to the paper's full
 /// 256 x 256 machine (>10^6 cores loaded, >10^9 synapses), built
 /// through the streaming loader into compressed lazy arenas and run
-/// serially and sharded. Emits `BENCH_e20.json`;
-/// `scripts/bench_compare.py --memory` gates the scale/memory claims.
-/// (The committed artifact still carries the `work_stealing` rows of
-/// the chunk-stealing scheduler this experiment once compared with the
-/// static split; stealing lost on two real cores and was removed.)
+/// serially and sharded. Quick mode stops at 16 x 16; `SPINN_FULL=1`
+/// re-measures the whole ladder.
 pub mod e20_scaling {
     use super::*;
-    use crate::record::{BenchRecord, BenchReport};
-    use spinn_obs::Counter;
-    use spinnaker::map::loader::{BuildOptions, LazyMode, LoadedApp};
-    use spinnaker::map::place::Placement;
     use spinnaker::prelude::*;
     use std::time::Instant;
 
@@ -3369,25 +1779,16 @@ pub mod e20_scaling {
     /// `/proc/self/status` `VmHWM`; 0 where unavailable). Monotone over
     /// the process lifetime, so rows are ordered smallest mesh first
     /// and each row's value approximates that row's true peak.
-    pub fn peak_rss_bytes() -> u64 {
-        proc_status_kb("VmHWM:") * 1024
-    }
-
-    /// Current resident set of this process, bytes (`VmRSS`; 0 where
-    /// unavailable).
-    pub fn current_rss_bytes() -> u64 {
-        proc_status_kb("VmRSS:") * 1024
-    }
-
-    fn proc_status_kb(field: &str) -> u64 {
+    fn peak_rss_bytes() -> u64 {
         let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
             return 0;
         };
         status
             .lines()
-            .find_map(|l| l.strip_prefix(field))
-            .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse::<u64>().ok())
             .unwrap_or(0)
+            * 1024
     }
 
     /// The scaling workload: one `NEURONS_PER_CHIP`-neuron population
@@ -3422,17 +1823,26 @@ pub mod e20_scaling {
         net
     }
 
-    /// Builds and runs one scaling-sweep cell, recording build time,
-    /// wall clock, per-neuron cost, barrier share and the resident
-    /// memory per synapse next to the *post-clamp* thread count.
-    #[allow(clippy::cast_precision_loss)]
-    fn scaling_case(
-        report: &mut BenchReport,
-        net: &NetworkGraph,
+    /// One scaling-sweep cell.
+    struct Row {
         edge: u32,
+        loaded_cores: u64,
         threads: u32,
-        ms: u32,
-    ) {
+        /// The thread count after the clamp to host parallelism.
+        effective_threads: usize,
+        build_s: f64,
+        wall_ms: f64,
+        ns_per_neuron: f64,
+        bytes_per_synapse: f64,
+        resident_mb: f64,
+        peak_rss_mb: f64,
+    }
+
+    /// Builds and runs one scaling-sweep cell: build time, wall clock,
+    /// per-neuron cost and the resident memory per synapse next to the
+    /// *post-clamp* thread count.
+    #[allow(clippy::cast_precision_loss)]
+    fn scaling_case(net: &NetworkGraph, edge: u32, threads: u32, ms: u32) -> Row {
         let mut cfg = SimConfig::new(edge, edge)
             .with_neurons_per_core(NPC)
             .with_threads(threads)
@@ -3441,7 +1851,7 @@ pub mod e20_scaling {
         let t0 = Instant::now();
         let sim = Simulation::build(net, cfg).expect("ring net fits one pop per chip");
         let build_s = t0.elapsed().as_secs_f64();
-        let effective = sim.machine().effective_threads(threads as usize);
+        let effective_threads = sim.machine().effective_threads(threads as usize);
         let loaded_cores = sim
             .machine()
             .chip_occupancy()
@@ -3449,107 +1859,34 @@ pub mod e20_scaling {
             .map(|o| u64::from(o.loaded_cores))
             .sum::<u64>();
         let synapses = sim.machine().total_synapses();
-        let lazy_before = sim.machine().total_lazy_rows();
         let t1 = Instant::now();
         let done = sim.run(ms);
         let wall_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let t = done.machine.telemetry();
         let resident = done.machine.total_resident_bytes();
-        report.push(
-            BenchRecord::new("scaling")
-                .config("mesh", format!("{edge}x{edge}"))
-                .config("chips", u64::from(edge) * u64::from(edge))
-                .config(
-                    "machine_cores",
-                    (edge as u64) * (edge as u64) * CORES_PER_CHIP as u64,
-                )
-                .config("loaded_cores", loaded_cores)
-                .config("neurons", net.total_neurons())
-                .config("threads", threads)
-                .config("effective_threads", effective as u64)
-                .config("host_cores", spinn_par::host_parallelism() as u64)
-                .config("bio_ms", ms)
-                .metric("build_s", build_s)
-                .metric("wall_ms", wall_ms)
-                .metric("ns_per_neuron", t.ns_per_neuron())
-                .metric("barrier_wait_share", {
-                    let s = t.barrier_wait_share();
-                    if s.is_nan() {
-                        0.0
-                    } else {
-                        s
-                    }
-                })
-                .metric("spikes", done.machine.spikes().len())
-                .metric("events", t.total(Counter::Events))
-                .metric("synapses", synapses)
-                .metric("bytes_per_synapse", resident as f64 / synapses as f64)
-                .metric("resident_mb", resident as f64 / (1024.0 * 1024.0))
-                .metric(
-                    "sdram_model_mb",
-                    done.machine.total_sdram_bytes() as f64 / (1024.0 * 1024.0),
-                )
-                .metric("lazy_rows_before", lazy_before)
-                .metric("lazy_rows_after", done.machine.total_lazy_rows())
-                .metric("trace_cap", t.trace_cap())
-                .metric("trace_overwrite_ratio", t.trace_overwrite_ratio())
-                .metric("peak_rss_mb", peak_rss_bytes() as f64 / (1024.0 * 1024.0)),
-        );
+        Row {
+            edge,
+            loaded_cores,
+            threads,
+            effective_threads,
+            build_s,
+            wall_ms,
+            ns_per_neuron: done.machine.telemetry().ns_per_neuron(),
+            bytes_per_synapse: resident as f64 / synapses as f64,
+            resident_mb: resident as f64 / (1024.0 * 1024.0),
+            peak_rss_mb: peak_rss_bytes() as f64 / (1024.0 * 1024.0),
+        }
     }
 
-    /// Builds one loader arm (lazy forced on or off) and records its
-    /// memory/footprint row.
-    #[allow(clippy::cast_precision_loss)]
-    fn memory_case(
-        report: &mut BenchReport,
-        net: &NetworkGraph,
-        edge: u32,
-        lazy: LazyMode,
-        arm: &str,
-    ) {
-        let placement = Placement::compute(net, edge, edge, CORES_PER_CHIP, NPC, Placer::Locality)
-            .expect("ring net fits one pop per chip");
-        let t0 = Instant::now();
-        let app = LoadedApp::build_with(net, &placement, BuildOptions { threads: 1, lazy });
-        let build_s = t0.elapsed().as_secs_f64();
-        let resident: u64 = app.images.iter().map(|i| i.matrix.resident_bytes()).sum();
-        let lazy_rows: u64 = app.images.iter().map(|i| i.matrix.lazy_rows()).sum();
-        let synapses = app.total_synapses();
-        report.push(
-            BenchRecord::new("memory")
-                .config("mesh", format!("{edge}x{edge}"))
-                .config("chips", u64::from(edge) * u64::from(edge))
-                .config("arm", arm)
-                .metric("build_s", build_s)
-                .metric("synapses", synapses)
-                .metric("bytes_per_synapse", resident as f64 / synapses as f64)
-                .metric("resident_mb", resident as f64 / (1024.0 * 1024.0))
-                .metric(
-                    "sdram_model_mb",
-                    app.total_sdram_bytes() as f64 / (1024.0 * 1024.0),
-                )
-                .metric("lazy_rows", lazy_rows)
-                .metric("peak_rss_mb", peak_rss_bytes() as f64 / (1024.0 * 1024.0)),
-        );
-    }
-
-    /// The E20 report: the mesh x thread scaling grid (smallest first,
-    /// so the monotone peak-RSS counter approximates each row's own
-    /// peak), the lazy-vs-eager loader arms, and the E14 sweep grid so
-    /// the artifact chains against the
-    /// committed E14/E15/E16/E18 baselines.
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E20",
-            "compute beyond a million cores: streaming build, lazy arenas, sharded windows",
-            quick,
-        );
-
+    /// The E20 table: the mesh x thread scaling grid, smallest mesh
+    /// first so the monotone peak-RSS counter approximates each row's
+    /// own peak.
+    pub fn run(quick: bool) -> String {
         let (edges, thread_grid, ms): (&[u32], &[u32], u32) = if quick {
             (&[8, 16], &[1, 4], 20)
         } else {
             (&[32, 64, 128, 256], &[1, 4, 32], 10)
         };
+        let mut rows = Vec::new();
         for &edge in edges {
             let net = chip_ring_net(edge * edge);
             for &threads in thread_grid {
@@ -3559,56 +1896,19 @@ pub mod e20_scaling {
                 if edge >= 256 && threads > 1 && threads != thread_grid[thread_grid.len() - 1] {
                     continue;
                 }
-                scaling_case(&mut report, &net, edge, threads, ms);
+                rows.push(scaling_case(&net, edge, threads, ms));
             }
         }
-
-        let mem_edge = if quick { 16 } else { 64 };
-        let mem_net = chip_ring_net(mem_edge * mem_edge);
-        memory_case(&mut report, &mem_net, mem_edge, LazyMode::Force, "lazy");
-        memory_case(&mut report, &mem_net, mem_edge, LazyMode::Off, "eager");
-
-        // The E14 sweep grid, so BENCH_e20.json extends the committed
-        // trajectory chain E14 -> E15 -> E16 -> E18 -> E20. The quick
-        // cells (8x8, 100 bio-ms) run in BOTH modes: the committed
-        // upstream artifacts were recorded quick, and a full-mode E20
-        // must still share rows with them or the chain gate exits 2.
-        let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-        let sweep_grid: &[(&[u32], u32)] = if quick {
-            &[(&[8], 100)]
-        } else {
-            &[(&[8], 100), (&[16, 32], 200)]
-        };
-        for &(edges, sweep_ms) in sweep_grid {
-            for &edge in edges {
-                for threads in [1u32, 2, 4, 16] {
-                    super::e14_event_core::sweep_case(
-                        &mut report,
-                        &sweep_net,
-                        edge,
-                        threads,
-                        sweep_ms,
-                    );
-                }
-            }
-        }
-        report
+        format(quick, &rows)
     }
 
-    /// The E20 table.
-    pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
-    }
-
-    /// Formats a report as the human-readable E20 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        use super::e14_event_core::{num_field as num, str_field};
+    /// Formats the scaling rows as the human-readable E20 table.
+    fn format(quick: bool, rows: &[Row]) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "E20: scaling study — a million cores, a billion synapses, one host ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
+            "E20: scaling study — a million cores, a billion synapses, one host ({} mode)",
+            if quick { "quick" } else { "full" },
         );
         let _ = writeln!(
             out,
@@ -3628,44 +1928,22 @@ pub mod e20_scaling {
             "res MB",
             "RSS MB"
         );
-        for r in report.records.iter().filter(|r| r.name == "scaling") {
+        for r in rows {
             let _ = writeln!(
                 out,
-                "{:>9} {:>9.0} {:>8.0}/{:<4.0} {:>9.2} {:>9.1} {:>11.1} {:>10.2} {:>9.1} {:>9.1}",
-                str_field(&r.config, "mesh"),
-                num(&r.config, "loaded_cores"),
-                num(&r.config, "threads"),
-                num(&r.config, "effective_threads"),
-                num(&r.metrics, "build_s"),
-                num(&r.metrics, "wall_ms"),
-                num(&r.metrics, "ns_per_neuron"),
-                num(&r.metrics, "bytes_per_synapse"),
-                num(&r.metrics, "resident_mb"),
-                num(&r.metrics, "peak_rss_mb"),
+                "{:>9} {:>9} {:>8}/{:<4} {:>9.2} {:>9.1} {:>11.1} {:>10.2} {:>9.1} {:>9.1}",
+                format!("{0}x{0}", r.edge),
+                r.loaded_cores,
+                r.threads,
+                r.effective_threads,
+                r.build_s,
+                r.wall_ms,
+                r.ns_per_neuron,
+                r.bytes_per_synapse,
+                r.resident_mb,
+                r.peak_rss_mb,
             );
         }
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{:>9} {:>8} {:>10} {:>12} {:>11} {:>12}",
-            "mesh", "arm", "build s", "synapses", "B/synapse", "resident MB"
-        );
-        for r in report.records.iter().filter(|r| r.name == "memory") {
-            let _ = writeln!(
-                out,
-                "{:>9} {:>8} {:>10.2} {:>12.0} {:>11.2} {:>12.1}",
-                str_field(&r.config, "mesh"),
-                str_field(&r.config, "arm"),
-                num(&r.metrics, "build_s"),
-                num(&r.metrics, "synapses"),
-                num(&r.metrics, "bytes_per_synapse"),
-                num(&r.metrics, "resident_mb"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\ngate the artifact: scripts/bench_compare.py --memory BENCH_e20.json (scale,\nbytes/synapse and lazy < eager),\nand the chain BENCH_e14 -> e15 -> e16 -> e18 -> e20 (--kind sweep)."
-        );
         out
     }
 
@@ -3675,34 +1953,21 @@ pub mod e20_scaling {
 
         #[test]
         fn formatter_smoke_on_synthetic_records() {
-            let mut report = BenchReport::new("E20", "test", true);
-            report.push(
-                BenchRecord::new("scaling")
-                    .config("mesh", "32x32")
-                    .config("loaded_cores", 16384u64)
-                    .config("threads", 4u32)
-                    .config("effective_threads", 1u64)
-                    .config("host_cores", 1u64)
-                    .metric("build_s", 1.5f64)
-                    .metric("wall_ms", 220.0f64)
-                    .metric("ns_per_neuron", 80.0f64)
-                    .metric("bytes_per_synapse", 1.4f64)
-                    .metric("resident_mb", 22.0f64)
-                    .metric("peak_rss_mb", 310.0f64),
-            );
-            report.push(
-                BenchRecord::new("memory")
-                    .config("mesh", "64x64")
-                    .config("arm", "lazy")
-                    .metric("build_s", 0.8f64)
-                    .metric("synapses", 67108864u64)
-                    .metric("bytes_per_synapse", 1.3f64)
-                    .metric("resident_mb", 83.0f64),
-            );
-            let text = format_report(&report);
+            let row = Row {
+                edge: 32,
+                loaded_cores: 16384,
+                threads: 4,
+                effective_threads: 1,
+                build_s: 1.5,
+                wall_ms: 220.0,
+                ns_per_neuron: 80.0,
+                bytes_per_synapse: 1.4,
+                resident_mb: 22.0,
+                peak_rss_mb: 310.0,
+            };
+            let text = format(true, &[row]);
             assert!(text.contains("32x32"), "{text}");
-            assert!(text.contains("lazy"), "{text}");
-            assert!(report.to_json_string().contains("bytes_per_synapse"));
+            assert!(text.contains("4/1"), "{text}");
         }
 
         #[test]
@@ -3727,460 +1992,5 @@ pub mod e20_scaling {
             // Analytic constant rows: everything stays lazy at load.
             assert!(sim.machine().total_lazy_rows() > 0);
         }
-    }
-}
-
-/// E21 — multi-tenant serving under load: a seeded synthetic-client
-/// load generator driving `spinn-serve`'s bounded queue, warm-session
-/// pool and LRU eviction.
-///
-/// Three arms:
-///
-/// * **steady** — the resident budget fits the whole model fleet, at
-///   several closed-loop client-concurrency levels. Jobs/sec, p50/p99
-///   latency and the warm-hit ratio (> 0.8 is the gated floor: after
-///   each model's one cold build, every job must ride a warm session).
-/// * **churn** — the same job stream under a budget roughly half the
-///   fleet's footprint, forcing checkpoint-evictions and snapshot
-///   rehydrates. The per-job spike streams must match the steady arm
-///   bit-for-bit (`eviction_bit_exact`): eviction is a memory policy,
-///   never a result change.
-/// * **quota** — two tenants with tight in-flight and tick budgets
-///   under an open-loop burst; the accept/reject sequence must be
-///   identical across two replays (`deterministic`).
-///
-/// `scripts/bench_compare.py --serving` gates all three, and the
-/// E14-grid sweep rows keep E21 chainable after E20.
-pub mod e21_serving {
-    use super::*;
-    use crate::record::{BenchRecord, BenchReport};
-    use spinn_serve::{
-        AdmitError, JobId, JobSpec, ModelId, ServeConfig, Server, Stimulus, TenantId, TenantQuota,
-    };
-    use spinnaker::prelude::*;
-    use spinnaker::sim::Xoshiro256;
-    use std::time::Instant;
-
-    /// FNV-1a over a job's spike stream — the per-job fingerprint the
-    /// eviction bit-exactness verdict compares across arms.
-    fn spike_fp(spikes: &[PopSpike]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for s in spikes {
-            eat(u64::from(s.time_ms));
-            eat(s.pop.index() as u64);
-            eat(u64::from(s.neuron));
-        }
-        h
-    }
-
-    /// The model fleet: variants of E16's stimulus-driven serving
-    /// chain at staggered sizes, so slots have distinct footprints and
-    /// distinct (but deterministic) spike streams.
-    fn fleet(models: u32, pops: u32, size: u32, p: f64) -> Vec<NetworkGraph> {
-        (0..models)
-            .map(|m| super::e16_sessions::serving_net(pops, size + 64 * m, p))
-            .collect()
-    }
-
-    /// Everything one load-generator arm measures.
-    struct ArmOutcome {
-        jobs: u64,
-        wall_ms: f64,
-        latencies_ms: Vec<f64>,
-        warm_hit_ratio: f64,
-        coalesced_jobs: u64,
-        batches: u64,
-        cold_builds: u64,
-        evictions: u64,
-        rehydrates: u64,
-        peak_resident_bytes: u64,
-        /// `(job sequence number, spike fingerprint)`, sorted by
-        /// sequence — comparable across arms that share a seed.
-        fingerprints: Vec<(u64, u64)>,
-    }
-
-    /// Runs one closed-loop arm: `clients` synthetic clients, each
-    /// keeping exactly one job outstanding until it has submitted
-    /// `jobs_per_client` jobs. Which model a client's next job targets
-    /// is a pure function of `(seed, client, submission index)`, so
-    /// two arms sharing a seed see identical job streams whatever
-    /// their budgets do to the session pool.
-    #[allow(clippy::too_many_arguments)]
-    fn run_arm(
-        nets: &[NetworkGraph],
-        cfg: &SimConfig,
-        budget_bytes: u64,
-        clients: u32,
-        jobs_per_client: u32,
-        run_ms: u32,
-        seed: u64,
-    ) -> ArmOutcome {
-        let mut server = Server::new(ServeConfig {
-            queue_cap: (2 * clients as usize).max(8),
-            resident_budget_bytes: budget_bytes,
-            max_batch: 8,
-            threads: 1,
-        });
-        let tenants: Vec<TenantId> = (0..clients)
-            .map(|c| server.register_tenant(&format!("client{c}"), TenantQuota::unlimited()))
-            .collect();
-        let models: Vec<ModelId> = nets
-            .iter()
-            .map(|n| server.register_model(n.clone(), cfg.clone()))
-            .collect();
-        let input = PopulationId::from_index(0);
-        let mut rngs: Vec<Xoshiro256> = (0..u64::from(clients))
-            .map(|c| Xoshiro256::seed_from_u64(seed ^ (c + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-            .collect();
-        let mut submitted = vec![0u32; clients as usize];
-        let mut outstanding: Vec<Option<JobId>> = vec![None; clients as usize];
-        let mut latencies_ms = Vec::new();
-        let mut fingerprints = Vec::new();
-        let mut jobs = 0u64;
-        let t0 = Instant::now();
-        loop {
-            let mut progressed = false;
-            for c in 0..clients as usize {
-                if outstanding[c].is_some() || submitted[c] >= jobs_per_client {
-                    continue;
-                }
-                let spec = JobSpec {
-                    tenant: tenants[c],
-                    model: models[rngs[c].gen_range_usize(models.len())],
-                    run_ms,
-                    stimulus: vec![Stimulus {
-                        pop: input,
-                        rate_hz: 8.0 + 2.0 * f64::from(submitted[c] % 4),
-                        seed: seed ^ ((c as u64 + 1) << 32) ^ u64::from(submitted[c] + 1),
-                    }],
-                };
-                match server.submit(spec) {
-                    Ok(id) => {
-                        outstanding[c] = Some(id);
-                        submitted[c] += 1;
-                        progressed = true;
-                    }
-                    Err(AdmitError::QueueFull { .. }) => {} // serve first, retry next round
-                    Err(e) => panic!("closed-loop submission must admit: {e}"),
-                }
-            }
-            let results = server.poll().expect("serving batch runs");
-            if results.is_empty() && !progressed && outstanding.iter().all(Option::is_none) {
-                break;
-            }
-            for r in results {
-                jobs += 1;
-                latencies_ms.push(r.latency_ms());
-                fingerprints.push((r.job.sequence(), spike_fp(&r.spikes)));
-                for slot in outstanding.iter_mut() {
-                    if *slot == Some(r.job) {
-                        *slot = None;
-                    }
-                }
-            }
-        }
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        fingerprints.sort_unstable();
-        let stats = server.stats();
-        let pool = server.pool_stats();
-        assert_eq!(stats.jobs_completed, jobs, "every admitted job completes");
-        ArmOutcome {
-            jobs,
-            wall_ms,
-            latencies_ms,
-            warm_hit_ratio: stats.warm_hit_ratio(),
-            coalesced_jobs: stats.coalesced_jobs,
-            batches: stats.batches,
-            cold_builds: pool.cold_builds,
-            evictions: pool.evictions,
-            rehydrates: pool.rehydrates,
-            peak_resident_bytes: pool.peak_resident_bytes,
-            fingerprints,
-        }
-    }
-
-    /// Percentile over an unsorted latency sample (nearest-rank).
-    fn percentile_ms(samples: &[f64], q: f64) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    }
-
-    /// One serving row from an arm outcome.
-    fn serving_record(
-        arm: &str,
-        clients: u32,
-        models: u32,
-        run_ms: u32,
-        o: &ArmOutcome,
-    ) -> BenchRecord {
-        BenchRecord::new("serving")
-            .config("arm", arm)
-            .config("clients", clients)
-            .config("models", models)
-            .config("run_ms", run_ms)
-            .config("jobs", o.jobs)
-            .metric("wall_ms", o.wall_ms)
-            .metric("jobs_per_sec", o.jobs as f64 / (o.wall_ms / 1e3))
-            .metric("p50_latency_ms", percentile_ms(&o.latencies_ms, 0.50))
-            .metric("p99_latency_ms", percentile_ms(&o.latencies_ms, 0.99))
-            .metric("warm_hit_ratio", o.warm_hit_ratio)
-            .metric("cold_builds", o.cold_builds)
-            .metric("evictions", o.evictions)
-            .metric("rehydrates", o.rehydrates)
-            .metric("batches", o.batches)
-            .metric("coalesced_jobs", o.coalesced_jobs)
-            .metric(
-                "peak_resident_mb",
-                o.peak_resident_bytes as f64 / (1024.0 * 1024.0),
-            )
-    }
-
-    /// The open-loop quota burst: two tenants, tight quotas, polls
-    /// interleaved at fixed submission indices. Returns the admitted
-    /// count, the per-reason rejection counts and the compact
-    /// accept/reject trace replays are compared by.
-    fn run_quota_arm(
-        net: &NetworkGraph,
-        cfg: &SimConfig,
-        run_ms: u32,
-        seed: u64,
-    ) -> (u64, u64, u64, u64, String) {
-        let mut server = Server::new(ServeConfig {
-            queue_cap: 4,
-            resident_budget_bytes: u64::MAX,
-            max_batch: 4,
-            threads: 1,
-        });
-        // "bounded" trips the in-flight and tick-budget limits;
-        // "greedy" mostly trips the shared queue cap.
-        let bounded = server.register_tenant("bounded", TenantQuota::new(2, u64::from(run_ms) * 6));
-        let greedy = server.register_tenant("greedy", TenantQuota::new(8, u64::MAX));
-        let model = server.register_model(net.clone(), cfg.clone());
-        let input = PopulationId::from_index(0);
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let (mut admitted, mut q_full, mut in_flight, mut budget) = (0u64, 0u64, 0u64, 0u64);
-        let mut trace = String::new();
-        for i in 0..28u32 {
-            let tenant = if rng.gen_bool(0.5) { bounded } else { greedy };
-            let spec = JobSpec {
-                tenant,
-                model,
-                run_ms,
-                stimulus: vec![Stimulus {
-                    pop: input,
-                    rate_hz: 10.0,
-                    seed: seed ^ u64::from(i + 1),
-                }],
-            };
-            trace.push(if tenant == bounded { 'b' } else { 'g' });
-            match server.submit(spec) {
-                Ok(_) => {
-                    admitted += 1;
-                    trace.push('A');
-                }
-                Err(AdmitError::QueueFull { .. }) => {
-                    q_full += 1;
-                    trace.push('Q');
-                }
-                Err(AdmitError::InFlightLimit { .. }) => {
-                    in_flight += 1;
-                    trace.push('F');
-                }
-                Err(AdmitError::TickBudget { .. }) => {
-                    budget += 1;
-                    trace.push('T');
-                }
-                Err(e) => panic!("unexpected admission failure: {e}"),
-            }
-            // Serve a batch every few submissions so slots free up and
-            // the queue refills — interleaving acceptance and each
-            // rejection class along one deterministic trace.
-            if i % 7 == 6 {
-                let served = server.poll().expect("quota-arm batch runs");
-                trace.push_str(&format!("p{}", served.len()));
-            }
-        }
-        server.drain().expect("quota-arm drain runs");
-        (admitted, q_full, in_flight, budget, trace)
-    }
-
-    /// The E21 report: steady-state serving at several concurrency
-    /// levels, the eviction-churn arm with its bit-exactness verdict,
-    /// the quota-determinism arm, and the E14-grid sweep rows.
-    pub fn report(quick: bool) -> BenchReport {
-        let mut report = BenchReport::new(
-            "E21",
-            "multi-tenant serving: warm-pool throughput, LRU eviction, quota admission",
-            quick,
-        );
-        let models = 3u32;
-        let (pops, size, p) = if quick {
-            (6u32, 400u32, 0.03)
-        } else {
-            (8, 800, 0.02)
-        };
-        let run_ms = 5u32;
-        let nets = fleet(models, pops, size, p);
-        let cfg = SimConfig::new(4, 4).with_neurons_per_core(256);
-        let seed = 0xE21;
-
-        // Steady arm: unbounded budget, >= 3 client-concurrency
-        // levels. jobs-per-client scales down as clients scale up so
-        // every level serves a comparable total.
-        let client_levels: &[u32] = if quick { &[1, 4, 16] } else { &[1, 4, 16, 32] };
-        let total_jobs = if quick { 48u32 } else { 96 };
-        let mut steady_c4: Option<ArmOutcome> = None;
-        for &clients in client_levels {
-            let per_client = (total_jobs / clients).max(1);
-            let o = run_arm(&nets, &cfg, u64::MAX, clients, per_client, run_ms, seed);
-            report.push(serving_record("steady", clients, models, run_ms, &o));
-            if clients == 4 {
-                steady_c4 = Some(o);
-            }
-        }
-        let steady_c4 = steady_c4.expect("client level 4 always runs");
-
-        // Churn arm: same seed and client level as steady's clients=4
-        // run, under a budget of roughly half the fleet's footprint —
-        // evictions and rehydrates become mandatory, the spike streams
-        // must not notice.
-        let churn_budget = (steady_c4.peak_resident_bytes / 2).max(1);
-        let o = run_arm(
-            &nets,
-            &cfg,
-            churn_budget,
-            4,
-            (total_jobs / 4).max(1),
-            run_ms,
-            seed,
-        );
-        let eviction_bit_exact = o.fingerprints == steady_c4.fingerprints;
-        report.push(
-            serving_record("churn", 4, models, run_ms, &o)
-                .config("budget_mb", churn_budget as f64 / (1024.0 * 1024.0)),
-        );
-        report.push(
-            BenchRecord::new("serving_determinism")
-                .config("clients", 4u32)
-                .config("jobs", o.jobs)
-                .metric("eviction_bit_exact", eviction_bit_exact)
-                .metric("evictions", o.evictions)
-                .metric("rehydrates", o.rehydrates),
-        );
-
-        // Quota arm, replayed: the accept/reject trace must be
-        // identical run-to-run.
-        let (admitted, q_full, in_flight, budget, trace_a) =
-            run_quota_arm(&nets[0], &cfg, run_ms, seed);
-        let (_, _, _, _, trace_b) = run_quota_arm(&nets[0], &cfg, run_ms, seed);
-        report.push(
-            BenchRecord::new("serving_quota")
-                .config("tenants", 2u32)
-                .config("submissions", 28u32)
-                .metric("admitted", admitted)
-                .metric("rejected_total", q_full + in_flight + budget)
-                .metric("rejected_queue_full", q_full)
-                .metric("rejected_in_flight", in_flight)
-                .metric("rejected_tick_budget", budget)
-                .metric("deterministic", trace_a == trace_b),
-        );
-
-        // The E14/E16/E20-compatible spikes/sec sweep — the rows the
-        // benchmark trajectory chains across committed baselines.
-        let (edges, ms): (&[u32], u32) = if quick {
-            (&[8], 100)
-        } else {
-            (&[8, 16, 32], 200)
-        };
-        for &edge in edges {
-            let sweep_net = super::e12_parallel_execution::synfire_net(16, 512);
-            for threads in [1u32, 2, 4, 16] {
-                super::e14_event_core::sweep_case_best_of(
-                    &mut report,
-                    &sweep_net,
-                    edge,
-                    threads,
-                    ms,
-                    3,
-                );
-            }
-        }
-        report
-    }
-
-    /// The E21 table.
-    pub fn run(quick: bool) -> String {
-        format_report(&report(quick))
-    }
-
-    /// Formats a report as the human-readable E21 table.
-    pub fn format_report(report: &BenchReport) -> String {
-        use super::e14_event_core::{num_field as num, str_field};
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E21: multi-tenant serving — warm-pool throughput, LRU eviction, quota admission ({} mode, commit {})",
-            report.mode,
-            &report.commit[..report.commit.len().min(12)],
-        );
-        let _ = writeln!(
-            out,
-            "   the machine as a shared instrument: seeded synthetic clients against a\n   bounded queue over warm RunSessions, evicting under a resident-byte budget\n"
-        );
-        let _ = writeln!(
-            out,
-            "{:>8} {:>8} {:>6} {:>10} {:>10} {:>10} {:>9} {:>7} {:>7}",
-            "arm", "clients", "jobs", "jobs/sec", "p50 ms", "p99 ms", "warm-hit", "evict", "rehydr"
-        );
-        for r in report.records.iter().filter(|r| r.name == "serving") {
-            let _ = writeln!(
-                out,
-                "{:>8} {:>8.0} {:>6.0} {:>10.1} {:>10.2} {:>10.2} {:>8.0}% {:>7.0} {:>7.0}",
-                str_field(&r.config, "arm"),
-                num(&r.config, "clients"),
-                num(&r.config, "jobs"),
-                num(&r.metrics, "jobs_per_sec"),
-                num(&r.metrics, "p50_latency_ms"),
-                num(&r.metrics, "p99_latency_ms"),
-                100.0 * num(&r.metrics, "warm_hit_ratio"),
-                num(&r.metrics, "evictions"),
-                num(&r.metrics, "rehydrates"),
-            );
-        }
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.name == "serving_determinism")
-        {
-            let _ = writeln!(
-                out,
-                "\n  eviction bit-exact: {} ({:.0} evictions, {:.0} rehydrates across the churn arm)",
-                str_field(&r.metrics, "eviction_bit_exact"),
-                num(&r.metrics, "evictions"),
-                num(&r.metrics, "rehydrates"),
-            );
-        }
-        for r in report.records.iter().filter(|r| r.name == "serving_quota") {
-            let _ = writeln!(
-                out,
-                "  quota burst: {:.0} admitted / {:.0} rejected ({:.0} queue-full, {:.0} in-flight, {:.0} tick-budget), deterministic: {}",
-                num(&r.metrics, "admitted"),
-                num(&r.metrics, "rejected_total"),
-                num(&r.metrics, "rejected_queue_full"),
-                num(&r.metrics, "rejected_in_flight"),
-                num(&r.metrics, "rejected_tick_budget"),
-                str_field(&r.metrics, "deterministic"),
-            );
-        }
-        out
     }
 }

@@ -16,7 +16,7 @@
 //!   sources, toggle STDP, queue mid-run link faults: one resident
 //!   machine serves a stream of jobs without paying the
 //!   place/route/minimize/load cost again (`examples/session_server.rs`,
-//!   experiment E16).
+//!   `spinn-serve`).
 //! * **Deterministic pause/resume** — [`RunSession::checkpoint`]
 //!   serializes the session into a compact [`Snapshot`] (core state,
 //!   STDP arena deltas, in-flight events, stimulus RNG streams);

@@ -388,9 +388,9 @@ impl SynapticMatrix {
 
     /// Host-resident bytes of the matrix itself (arena + descriptors +
     /// table + compressed recipes) — the "resident synapse bytes"
-    /// figure of experiments E15/E20. Only *materialized* words count:
-    /// a lazy matrix's untouched rows cost their recipe, not their
-    /// expansion.
+    /// figure of experiment E20 and the benchmark. Only *materialized*
+    /// words count: a lazy matrix's untouched rows cost their recipe,
+    /// not their expansion.
     pub fn resident_bytes(&self) -> u64 {
         (self.words.len() * std::mem::size_of::<SynapticWord>()
             + self.rows.len() * std::mem::size_of::<RowRef>()

@@ -61,9 +61,8 @@
 //! Wall-clock shows up only in the latency fields of [`JobResult`].
 //! Combined with the session layer's bit-exact segment and snapshot
 //! contracts, an identical job stream yields identical spike streams —
-//! whatever the byte budget, batch width or eviction pattern. E21
-//! (`spinn-bench`) locks this down and `tests/serving_invariants.rs`
-//! replays it on every CI run.
+//! whatever the byte budget, batch width or eviction pattern.
+//! `tests/serving_invariants.rs` locks this down on every CI run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -49,8 +49,8 @@ fn tname(server: &Server, t: TenantId) -> &str {
 fn main() {
     // A bounded queue and batches of up to 4 compatible jobs. The
     // resident budget is left unbounded here; the evict -> rehydrate
-    // path is demonstrated explicitly below (E21 measures it under a
-    // real byte budget, at load).
+    // path is demonstrated explicitly below (the benchmark's
+    // `serve_churn` measures it under a real byte budget, at load).
     let mut server = Server::new(ServeConfig {
         queue_cap: 32,
         resident_budget_bytes: u64::MAX,

@@ -160,25 +160,42 @@ fn eviction_and_rehydrate_are_bit_exact() {
 #[test]
 fn tight_budget_really_evicts() {
     // The bit-exactness above is vacuous if the tight arm never took
-    // the eviction path; pin that it does.
+    // the eviction path; pin that it does. The roomy arm is the pool's
+    // other half: after each model's one cold build every job rides a
+    // warm session, batch followers included.
     let stream = job_stream(18, 3);
-    let cfg = ServeConfig {
-        queue_cap: stream.len(),
-        resident_budget_bytes: 1,
-        max_batch: 4,
-        threads: 1,
-    };
-    let (mut server, tenant, ids) = server_with_fleet(cfg, 3);
-    for &job in &stream {
-        server.submit(spec_for(tenant, &ids, job)).expect("admit");
+    for budget in [1, u64::MAX] {
+        let cfg = ServeConfig {
+            queue_cap: stream.len(),
+            resident_budget_bytes: budget,
+            max_batch: 4,
+            threads: 1,
+        };
+        let (mut server, tenant, ids) = server_with_fleet(cfg, 3);
+        for &job in &stream {
+            server.submit(spec_for(tenant, &ids, job)).expect("admit");
+        }
+        server.drain().expect("drain");
+        let (pool, stats) = (server.pool_stats(), server.stats());
+        if budget == 1 {
+            assert!(pool.evictions > 0, "1-byte budget must evict: {pool:?}");
+            assert!(
+                pool.rehydrates > 0,
+                "evicted models must rehydrate: {pool:?}"
+            );
+        } else {
+            assert_eq!(pool.cold_builds, 3, "one cold build per model: {pool:?}");
+            assert_eq!(
+                (pool.evictions, pool.rehydrates),
+                (0, 0),
+                "a roomy budget never evicts: {pool:?}"
+            );
+            // Six batches of up to four jobs: every job but the three
+            // cold leaders is warm.
+            assert_eq!(stats.warm_hits, 15, "{stats:?}");
+            assert!(stats.warm_hit_ratio() > 0.8, "{stats:?}");
+        }
     }
-    server.drain().expect("drain");
-    let pool = server.pool_stats();
-    assert!(pool.evictions > 0, "1-byte budget must evict: {pool:?}");
-    assert!(
-        pool.rehydrates > 0,
-        "evicted models must rehydrate: {pool:?}"
-    );
 }
 
 #[test]

@@ -94,6 +94,23 @@ fn full_telemetry_yields_phases_and_trace() {
     assert!(!quiet.machine.telemetry().is_enabled());
 }
 
+/// A traced run reports finite per-loop rows, and the share of trace
+/// entries lost to ring overwrites is a fraction in [0, 1].
+#[test]
+fn traced_run_reports_windows_and_overwrite_ratio() {
+    for threads in [1u32, 4] {
+        let done = run_synfire(ObsMode::CountersAndTrace, threads);
+        let t = done.machine.telemetry();
+        assert!(t.is_enabled());
+        assert!(t.ns_per_neuron().is_finite(), "{}", t.ns_per_neuron());
+        let ratio = t.trace_overwrite_ratio();
+        assert!(
+            (0.0..=1.0).contains(&ratio),
+            "{threads} thread(s): overwrite ratio {ratio}"
+        );
+    }
+}
+
 /// Segment summaries partition the session's totals: per-segment spike
 /// deltas sum to the run's spike count, whatever the segment cuts (and
 /// telemetry accumulates across segments rather than resetting).

@@ -1,0 +1,225 @@
+//! Deterministic work counts: how much the machine did, not how long it
+//! took. Wall-clock cannot gate on a one-core runner; these counts are
+//! exact at any host parallelism, so a change that undoes an event diet
+//! or walks a row twice fails `cargo test`, not a benchmark someone has
+//! to remember to run.
+//!
+//! Two nets shrunk from the benchmark's workloads, each run for
+//! `RUN_MS` in one segment at 1 and 2 forced shards:
+//!
+//! * `cortex`: a ring of `FixedProbability` projections, every
+//!   population Poisson-driven (the shape of `cortex_stim`);
+//! * `idle`: an 8 × 8 mesh with every application core loaded, lazy
+//!   all-to-all rows and one Poisson-driven population (the shape of
+//!   `idle_mesh`).
+//!
+//! The literals were recorded from the code as it stood when this file
+//! was added. A change that moves one on purpose updates it and says
+//! why.
+
+use spinnaker::obs::{Counter, Phase};
+use spinnaker::prelude::*;
+
+/// What one run did.
+#[derive(Debug, PartialEq, Eq)]
+struct Counts {
+    spikes: u64,
+    events: u64,
+    neurons_ticked: u64,
+    synaptic_events: u64,
+    dma_bytes: u64,
+    /// Queue-pop phase samples: one per event the queue handed out.
+    queue_pops: u64,
+    /// Neuron-tick phase samples: one per pool update.
+    pool_ticks: u64,
+    /// Rows still held as generator recipes after the run.
+    lazy_rows: u64,
+    /// Barrier windows of the sharded run (0 on one shard).
+    windows: u64,
+    /// Busy shard-windows of the sharded run (0 on one shard).
+    busy: u64,
+}
+
+impl Counts {
+    /// The counts no shard cut may change. The others are queue traffic
+    /// (every shard replays the broadcast timer) and the window counters.
+    fn shard_invariant(&self) -> [u64; 6] {
+        [
+            self.spikes,
+            self.neurons_ticked,
+            self.synaptic_events,
+            self.dma_bytes,
+            self.pool_ticks,
+            self.lazy_rows,
+        ]
+    }
+}
+
+const RUN_MS: u32 = 40;
+
+fn rs() -> NeuronKind {
+    NeuronKind::Izhikevich(IzhikevichParams::regular_spiking())
+}
+
+/// Builds `net` on `cfg` at `shards` forced shards, attaches the
+/// Poisson sources and runs one `RUN_MS` segment.
+fn count(
+    net: &NetworkGraph,
+    cfg: SimConfig,
+    poisson: &[(PopulationId, f64, u64)],
+    shards: u32,
+) -> Counts {
+    let cfg = cfg
+        .with_threads(shards)
+        .with_force_shards(true)
+        .with_observability(ObsMode::CountersAndTrace);
+    let mut session = Simulation::build(net, cfg)
+        .expect("net fits the machine")
+        .into_session();
+    for &(pop, hz, seed) in poisson {
+        session.add_poisson(pop, hz, seed);
+    }
+    session.run_for(RUN_MS);
+    let m = session.machine();
+    let t = session.telemetry();
+    let par = m.par_stats().cloned().unwrap_or_default();
+    Counts {
+        spikes: session.spikes().len() as u64,
+        events: t.total(Counter::Events),
+        neurons_ticked: t.total(Counter::NeuronsTicked),
+        synaptic_events: t.total(Counter::SynapticEvents),
+        dma_bytes: t.total(Counter::DmaBytes),
+        queue_pops: t.phase_total(Phase::QueuePop).count,
+        pool_ticks: t.phase_total(Phase::NeuronTick).count,
+        lazy_rows: m.total_lazy_rows(),
+        windows: par.windows,
+        busy: par.busy,
+    }
+}
+
+/// 8 × 1000 neurons in a ring of sparse random projections (≈100 inputs
+/// per neuron), every population Poisson-driven at 5 Hz, on a 4 × 4
+/// mesh. The weights let the stimulus through to ≈2.5 Hz of firing.
+fn cortex(shards: u32) -> Counts {
+    let mut net = NetworkGraph::new();
+    let pops: Vec<_> = (0..8)
+        .map(|i| net.population(&format!("p{i}"), 1000, rs(), 0.0))
+        .collect();
+    for (i, &src) in pops.iter().enumerate() {
+        net.project(
+            src,
+            pops[(i + 1) % pops.len()],
+            Connector::FixedProbability(0.1),
+            Synapses::constant(700, 1 + (i % 4) as u8),
+            0xC0 + i as u64,
+        );
+    }
+    let poisson: Vec<_> = pops
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (p, 5.0, 0x5EED + i as u64))
+        .collect();
+    let cfg = SimConfig::new(4, 4).with_neurons_per_core(256);
+    count(&net, cfg, &poisson, shards)
+}
+
+/// 8 × 8 chips × 16 application cores × 8 neurons: one 128-neuron
+/// population per chip in an all-to-all ring (lazy generator rows),
+/// only chip 0's population Poisson-driven.
+fn idle(shards: u32) -> Counts {
+    let mut net = NetworkGraph::new();
+    let pops: Vec<_> = (0..64)
+        .map(|i| net.population(&format!("c{i}"), 128, rs(), 0.0))
+        .collect();
+    for (i, &src) in pops.iter().enumerate() {
+        net.project(
+            src,
+            pops[(i + 1) % pops.len()],
+            Connector::AllToAll { allow_self: false },
+            Synapses::constant(40, 1),
+            0x1D + i as u64,
+        );
+    }
+    let mut cfg = SimConfig::new(8, 8).with_neurons_per_core(8);
+    cfg.machine.cores_per_chip = 17;
+    count(&net, cfg, &[(pops[0], 20.0, 0x1D1E)], shards)
+}
+
+/// Runs `net` at 1 and 2 shards and compares with the pinned counts.
+fn check(name: &str, net: fn(u32) -> Counts, want: [Counts; 2]) {
+    let got = [net(1), net(2)];
+    assert_eq!(
+        got[0].shard_invariant(),
+        got[1].shard_invariant(),
+        "{name}: the shard cut moved a count that must not depend on it"
+    );
+    assert_eq!(got, want, "{name}: work counts moved");
+}
+
+#[test]
+fn cortex_work_counts() {
+    check(
+        "cortex",
+        cortex,
+        [
+            Counts {
+                spikes: 793,
+                events: 35_230,
+                neurons_ticked: 320_000,
+                synaptic_events: 240_463,
+                dma_bytes: 1_000_364,
+                queue_pops: 5_206,
+                pool_ticks: 1_280,
+                lazy_rows: 23_516,
+                windows: 0,
+                busy: 0,
+            },
+            Counts {
+                spikes: 793,
+                events: 35_270,
+                neurons_ticked: 320_000,
+                synaptic_events: 240_463,
+                dma_bytes: 1_000_364,
+                queue_pops: 5_246,
+                pool_ticks: 1_280,
+                lazy_rows: 23_516,
+                windows: 538,
+                busy: 1_008,
+            },
+        ],
+    );
+}
+
+#[test]
+fn idle_mesh_work_counts() {
+    check(
+        "idle",
+        idle,
+        [
+            Counts {
+                spikes: 0,
+                events: 45_692,
+                neurons_ticked: 327_680,
+                synaptic_events: 11_776,
+                dma_bytes: 52_992,
+                queue_pops: 316,
+                pool_ticks: 40_960,
+                lazy_rows: 129_952,
+                windows: 0,
+                busy: 0,
+            },
+            Counts {
+                spikes: 0,
+                events: 45_732,
+                neurons_ticked: 327_680,
+                synaptic_events: 11_776,
+                dma_bytes: 52_992,
+                queue_pops: 356,
+                pool_ticks: 40_960,
+                lazy_rows: 129_952,
+                windows: 78,
+                busy: 118,
+            },
+        ],
+    );
+}
