@@ -953,7 +953,7 @@ pub mod e12_parallel_execution {
     }
 
     /// Wall-clock ms, spike stream and `(windows, exchanged)` counters
-    /// (zeros for a serial run) of one run.
+    /// of one run (one window and no exchange for a one-shard run).
     fn timed_run(
         net: &NetworkGraph,
         cfg: SimConfig,

@@ -26,9 +26,9 @@ pub struct SimConfig {
     /// Enable pair-based STDP with these parameters (modified rows are
     /// DMAed back to SDRAM, §5.3).
     pub stdp: Option<spinn_neuron::stdp::StdpParams>,
-    /// Worker threads for the run (1 = the serial engine; more runs the
-    /// machine sharded via `spinn-par`, with bit-identical spike
-    /// output).
+    /// Worker threads for the run: the machine runs as this many
+    /// `spinn-par` shards (one when 1), with bit-identical spike output
+    /// at every count.
     pub threads: u32,
 }
 
@@ -46,8 +46,8 @@ impl SimConfig {
     }
 
     /// Runs the machine sharded across `threads` worker threads
-    /// (clamped to at least 1). Spike output is bit-identical to the
-    /// serial engine; only wall-clock time changes.
+    /// (clamped to at least 1). Spike output is bit-identical to a
+    /// one-thread run; only wall-clock time changes.
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.threads = threads.max(1);
         self
@@ -77,15 +77,6 @@ impl SimConfig {
     /// [`spinn_obs::ObsMode::Disabled`].
     pub fn with_observability(mut self, obs: spinn_obs::ObsMode) -> Self {
         self.machine.obs = obs;
-        self
-    }
-
-    /// Sets the per-shard trace ring capacity, in records (only read in
-    /// [`spinn_obs::ObsMode::CountersAndTrace`]). `0` — the default —
-    /// scales the ring with the loaded neuron count; a nonzero value
-    /// pins it exactly (see [`MachineConfig::trace_cap`]).
-    pub fn with_trace_cap(mut self, records: usize) -> Self {
-        self.machine.trace_cap = records;
         self
     }
 
@@ -235,15 +226,11 @@ impl Simulation {
         self.machine.fail_link(chip, d);
     }
 
-    /// Runs `ms` milliseconds of biological time, on the serial engine
-    /// or sharded across [`SimConfig::with_threads`] worker threads —
-    /// the spike output is identical either way.
+    /// Runs `ms` milliseconds of biological time, sharded across
+    /// [`SimConfig::with_threads`] worker threads — the spike output is
+    /// identical at every thread count.
     pub fn run(self, ms: u32) -> Completed {
-        let machine = if self.threads > 1 {
-            self.machine.run_parallel(ms, self.threads as usize)
-        } else {
-            self.machine.run(ms)
-        };
+        let machine = self.machine.run_parallel(ms, self.threads as usize);
         Completed {
             machine,
             route_stats: self.route_stats,

@@ -42,15 +42,6 @@ pub struct MachineConfig {
     /// no mode changes simulation results (golden-trace conformance
     /// suite), only what is observed about them.
     pub obs: ObsMode,
-    /// Per-shard trace ring capacity, records (only read in
-    /// [`ObsMode::CountersAndTrace`]). `0` — the default — means
-    /// **auto**: the machine scales the ring with the loaded neuron
-    /// count (bounded between [`spinn_obs::DEFAULT_TRACE_CAP`] and
-    /// 1 Mi records), so 100k-neuron runs no longer lose ~94% of their
-    /// trace to a ring sized for toy nets. Set a nonzero value to pin
-    /// the capacity exactly (memory-sensitive sweeps, conformance
-    /// replay).
-    pub trace_cap: usize,
     /// Lets sharded runs cut more shards than the host has cores.
     /// Sharding exists to occupy cores — by default the shard count is
     /// clamped to the host's parallelism, because extra shards buy no
@@ -86,7 +77,6 @@ impl MachineConfig {
             costs: CostModel::default(),
             energy: EnergyModel::default(),
             obs: ObsMode::default(),
-            trace_cap: 0,
             force_shards: false,
         }
     }
@@ -94,13 +84,6 @@ impl MachineConfig {
     /// Selects the telemetry level for runs on this machine.
     pub fn with_observability(mut self, obs: ObsMode) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Sets the per-shard trace ring capacity, in records (`0` restores
-    /// the neuron-scaled auto sizing; see [`MachineConfig::trace_cap`]).
-    pub fn with_trace_cap(mut self, records: usize) -> Self {
-        self.trace_cap = records;
         self
     }
 

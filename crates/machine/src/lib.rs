@@ -47,6 +47,8 @@ mod events;
 pub mod flood;
 mod handlers;
 pub mod machine;
+mod partition;
+mod segment;
 pub mod snapshot;
 
 pub use boot::{BootConfig, BootOutcome, BootSim};

@@ -20,10 +20,12 @@
 //! while the previous tick is still being processed counts as a
 //! **real-time violation** (the machine's defining constraint, §3.1).
 //!
-//! This module holds the machine's state, loading API and run segments
-//! (serial and sharded). The events are in `events.rs`; the handlers,
-//! and the per-chip agendas on which handler and DMA completions
-//! resolve without passing through the machine-wide event queue, are in
+//! This module holds the machine's state and loading API. The run
+//! segments — one path, on as many shards as the run gets — are in
+//! `segment.rs`, and how a segment cuts the chips into shards is in
+//! `partition.rs`. The events are in `events.rs`; the handlers, and the
+//! per-chip agendas on which handler and DMA completions resolve
+//! without passing through the machine-wide event queue, are in
 //! `handlers.rs`. The queue holds what another chip can observe —
 //! fabric events, the timer, spike injections, link faults, and a wake
 //! for each completion that can emit a packet; a run segment moves
@@ -39,18 +41,16 @@ use spinn_neuron::ring::InputRing;
 use spinn_neuron::stdp::StdpParams;
 use spinn_neuron::synmatrix::SynapticMatrix;
 use spinn_noc::direction::Direction;
-use spinn_noc::fabric::{Delivery, DroppedPacket, Fabric, Partition};
+use spinn_noc::fabric::{Delivery, DroppedPacket, Fabric};
 use spinn_noc::mesh::NodeCoord;
 use spinn_noc::router::RouterStats;
-use spinn_obs::{Counter, Observability, RunTelemetry};
-use spinn_par::{ParEngine, ShardModel};
-use spinn_sim::{CalendarQueue, Engine, Histogram, Model, SimTime};
+use spinn_obs::{Observability, RunTelemetry};
+use spinn_sim::Histogram;
 
 use crate::config::MachineConfig;
 use crate::energy::EnergyMeter;
 
 pub use crate::events::MachineEvent;
-use crate::events::{canonical_pending, event_chip};
 use crate::handlers::Agenda;
 
 /// Nanoseconds per millisecond tick.
@@ -244,16 +244,19 @@ pub struct NeuralMachine {
     pub(crate) stdp: Option<StdpParams>,
     pub(crate) reissued_packets: u64,
     pub(crate) weight_writebacks: u64,
-    par_stats: Option<spinn_par::ParStats>,
+    /// Window counters summed over every segment since build or
+    /// restore ([`NeuralMachine::par_stats`]).
+    pub(crate) par_stats: Option<spinn_par::ParStats>,
     /// The `(chip, core)` pairs this machine's coalesced
     /// [`MachineEvent::Timer`] services, in ascending `(chip, core)`
     /// order — exactly the order the per-slot scan used to visit loaded
     /// cores, so the replay is bit-identical. Rebuilt from the loaded
-    /// slots at every segment start (all loaded cores serially; the
-    /// owned cores when running as one shard), so a tick costs the
-    /// loaded-core count, not `chips × cores_per_chip` slot checks —
-    /// the difference between a million-chip mesh idling for free and
-    /// every tick scanning 1.1 M empty `Option`s.
+    /// slots at every segment start by every shard (its owned cores;
+    /// all of them when the segment runs on one shard) and read only
+    /// inside the segment, so a tick costs the loaded-core count, not
+    /// `chips × cores_per_chip` slot checks — the difference between a
+    /// million-chip mesh idling for free and every tick scanning 1.1 M
+    /// empty `Option`s.
     pub(crate) timer_cores: Vec<(u32, u8)>,
     /// Reusable per-tick buffers (ring-slot snapshot) and per-event
     /// drain buffers (delivered/dropped packets): the hot path runs
@@ -266,7 +269,7 @@ pub struct NeuralMachine {
     pub(crate) obs: Observability,
     /// Telemetry accumulated across completed segments
     /// ([`NeuralMachine::telemetry`]).
-    telemetry: RunTelemetry,
+    pub(crate) telemetry: RunTelemetry,
     /// Events handled per chip, accumulated across segments — the
     /// measured load that seeds [`NeuralMachine::event_weighted_owner`]
     /// once a first segment has run (static estimates only predict
@@ -290,8 +293,7 @@ impl NeuralMachine {
     pub fn new(cfg: MachineConfig) -> Self {
         let chips = cfg.chips();
         let per = cfg.cores_per_chip as usize;
-        let obs =
-            Observability::for_shard_with_cap(cfg.obs, 0, Self::auto_trace_cap(cfg.trace_cap, 0));
+        let obs = Observability::for_shard_with_cap(cfg.obs, 0, Self::auto_trace_cap(0));
         let mut fabric = Fabric::new(cfg.fabric);
         fabric.set_observability(obs.counters().clone());
         NeuralMachine {
@@ -327,24 +329,21 @@ impl NeuralMachine {
     /// re-registers the counter handle with the fabric (which may have
     /// been replaced wholesale, e.g. by the shard-split clone). Called
     /// at segment start, when the loaded neuron count — which sizes the
-    /// auto trace ring — is known.
-    fn install_observability(&mut self, shard: u32) {
+    /// trace ring — is known.
+    pub(crate) fn install_observability(&mut self, shard: u32) {
         let neurons: usize = self.cores.iter().flatten().map(|c| c.neurons.len()).sum();
-        let cap = Self::auto_trace_cap(self.cfg.trace_cap, neurons);
+        let cap = Self::auto_trace_cap(neurons);
         self.obs = Observability::for_shard_with_cap(self.cfg.obs, shard, cap);
         self.fabric.set_observability(self.obs.counters().clone());
     }
 
-    /// Resolves [`MachineConfig::trace_cap`]: a nonzero configured value
-    /// is used as-is; `0` (auto) scales the ring to ~4 records per
-    /// loaded neuron, rounded to a power of two and bounded to
+    /// The per-shard trace ring capacity (only used in
+    /// [`spinn_obs::ObsMode::CountersAndTrace`]): ~4 records per loaded
+    /// neuron, rounded to a power of two and bounded to
     /// `[DEFAULT_TRACE_CAP, 1 Mi]`. Small nets keep the historical
     /// default; a 100k-neuron run gets a 512 Ki ring instead of losing
     /// ~94% of its records to a 16 Ki one.
-    fn auto_trace_cap(configured: usize, neurons: usize) -> usize {
-        if configured != 0 {
-            return configured;
-        }
+    fn auto_trace_cap(neurons: usize) -> usize {
         neurons
             .saturating_mul(4)
             .next_power_of_two()
@@ -353,7 +352,7 @@ impl NeuralMachine {
 
     /// Rebuilds the coalesced timer's dense service list from the
     /// loaded slots (ascending `(chip, core)` — slot order).
-    fn rebuild_timer_cores(&mut self) {
+    pub(crate) fn rebuild_timer_cores(&mut self) {
         let per = self.cfg.cores_per_chip as usize;
         self.timer_cores.clear();
         self.timer_cores.extend(
@@ -371,8 +370,9 @@ impl NeuralMachine {
         &self.telemetry
     }
 
-    /// Window/exchange counters of the last [`NeuralMachine::run_parallel`]
-    /// call (`None` after a serial run).
+    /// Window/exchange counters summed over every run segment since the
+    /// machine was built or restored from a snapshot (`None` before the
+    /// first). A one-shard segment counts one window.
     pub fn par_stats(&self) -> Option<&spinn_par::ParStats> {
         self.par_stats.as_ref()
     }
@@ -385,11 +385,10 @@ impl NeuralMachine {
     }
 
     /// Resets run-mode bookkeeping after a snapshot install: the
-    /// restored machine behaves like one that has only run serially so
-    /// far, whatever sharding produced the checkpoint.
+    /// restored machine counts windows from zero, whatever sharding
+    /// produced the checkpoint.
     pub(crate) fn clear_par_stats(&mut self) {
         self.par_stats = None;
-        self.rebuild_timer_cores();
         // Telemetry describes *this* process's run, not the restored
         // machine state: start the restored run's accounting fresh.
         self.telemetry = RunTelemetry::default();
@@ -670,538 +669,6 @@ impl NeuralMachine {
         self.repair_plan.clear();
     }
 
-    /// Runs the machine for `ms` milliseconds of biological time and
-    /// returns it with all statistics populated.
-    pub fn run(self, ms: u32) -> NeuralMachine {
-        self.run_segment(Vec::new(), 0, ms, 1).0
-    }
-
-    /// Runs the machine for `ms` milliseconds across `threads` worker
-    /// threads (`spinn-par`), producing the same [`SpikeRecord`] stream
-    /// as [`NeuralMachine::run`].
-    ///
-    /// The chips are partitioned into contiguous, *event-weighted*
-    /// blocks of dense ids — one shard per thread — and each shard
-    /// advances its own event queue inside conservative windows bounded
-    /// by the minimum inter-chip link latency
-    /// ([`spinn_noc::fabric::FabricConfig::min_remote_delay_ns`]).
-    /// Spike packets crossing a shard boundary are exchanged at window
-    /// barriers with their exact arrival timestamps, so the parallel run
-    /// is an event-exact replay of the serial one. `threads` is clamped
-    /// to `[1, chips]`; with one thread this is exactly
-    /// [`NeuralMachine::run`].
-    ///
-    /// The run is cut into rebalance epochs (segment chaining is
-    /// bit-exact, so the cuts are invisible in the results): each
-    /// epoch's measured per-chip event counts reseed the partition for
-    /// the next, so a hot region that no static estimate could predict
-    /// stops serializing the shards after the first epoch.
-    ///
-    /// Within an epoch the split is static: exactly one shard per
-    /// worker, owned by that worker from the epoch's first window to
-    /// its last (`spinn-par`). The requested `threads` is first clamped
-    /// by [`NeuralMachine::effective_threads`].
-    pub fn run_parallel(self, ms: u32, threads: usize) -> NeuralMachine {
-        /// Epoch length: long enough to amortize the shard split/merge,
-        /// short enough that a run settles onto measured weights early.
-        const EPOCH_MS: u32 = 5;
-        if self.effective_threads(threads) <= 1 {
-            // The shard clamp collapsed the run to one worker: rebalance
-            // epochs would only cut the segment (and pay the drain /
-            // canonicalize cost at every boundary) for a partition that
-            // no longer exists. One serial segment is the same result.
-            return self.run_segment(Vec::new(), 0, ms, 1).0;
-        }
-        let mut machine = self;
-        let mut pending = Vec::new();
-        let mut done = 0u32;
-        while done < ms {
-            let step = EPOCH_MS.min(ms - done);
-            let (m, p) = machine.run_segment(pending, done, step, threads);
-            machine = m;
-            pending = p;
-            done += step;
-        }
-        machine
-    }
-
-    /// Advances the machine by one **run segment**: `ms` milliseconds of
-    /// biological time starting at `from_ms` (the machine must already
-    /// hold the state of a run up to `from_ms`; pass 0 for a fresh
-    /// machine). `pending` carries the events a previous segment left
-    /// queued; the returned vector carries the events this segment
-    /// leaves queued — in-flight packets, busy-link retries, handler
-    /// completions — in canonical `(time, rank)` order.
-    ///
-    /// Chaining segments is **bit-exact**: `run_segment(p, 0, a+b, t)`
-    /// produces the same machine as `run_segment(p, 0, a, t)` followed
-    /// by `run_segment(p', a, b, t')`, for any segment lengths and any
-    /// (possibly different) thread counts per segment.
-    /// Segment `k` processes exactly the events in
-    /// `(boundary(from), boundary(from + ms)]` with
-    /// `boundary(x) = (x + 1) ms − 1 ns`, so the union over segments is
-    /// independent of where the cuts fall; the boundary never coincides
-    /// with a timer tick, and the coalesced 1 ms timer chain (which ends
-    /// at `from + ms`) is restarted by the next segment at the same
-    /// instant and tie rank it would have fired at in an unbroken run.
-    ///
-    /// [`NeuralMachine::run`] is `run_segment(vec![], 0, ms, 1)` with
-    /// the leftover events discarded.
-    pub fn run_segment(
-        self,
-        pending: Vec<PendingEvent>,
-        from_ms: u32,
-        ms: u32,
-        threads: usize,
-    ) -> (NeuralMachine, Vec<PendingEvent>) {
-        if ms == 0 {
-            return (self, pending);
-        }
-        match self.effective_threads(threads) {
-            1 => self.segment_serial(pending, from_ms, ms),
-            t => self.segment_parallel(pending, from_ms, ms, t),
-        }
-    }
-
-    /// The instant a segment starting at `from_ms` resumes from: time
-    /// zero for a fresh run, else the previous segment's end boundary.
-    pub(crate) fn segment_start_ns(from_ms: u32) -> u64 {
-        if from_ms == 0 {
-            0
-        } else {
-            (from_ms as u64 + 1) * MS - 1
-        }
-    }
-
-    /// The inclusive event horizon of a segment ending at `target_ms`:
-    /// one drain millisecond past the last timer tick, stopping one
-    /// nanosecond short of the next tick's instant so a later segment
-    /// can still interleave its restarted timer by rank.
-    fn segment_end_ns(target_ms: u32) -> u64 {
-        (target_ms as u64 + 1) * MS - 1
-    }
-
-    /// [`NeuralMachine::run_segment`] on one serial engine.
-    fn segment_serial(
-        mut self,
-        pending: Vec<PendingEvent>,
-        from_ms: u32,
-        ms: u32,
-    ) -> (NeuralMachine, Vec<PendingEvent>) {
-        let target = from_ms + ms;
-        self.duration_ms = target;
-        self.rebuild_timer_cores();
-        // Fresh segment-scoped telemetry: the previous segment's handles
-        // were absorbed at its end, and the auto trace cap must be
-        // re-resolved against whatever is loaded *now*.
-        self.install_observability(0);
-        let stimuli = std::mem::take(&mut self.stimuli);
-        let faults = std::mem::take(&mut self.fault_plan);
-        let repairs = std::mem::take(&mut self.repair_plan);
-        // Carried-over completions go back on their chips' agendas; the
-        // queue gets the rest, and a wake for each that it must see.
-        let pending: Vec<PendingEvent> = pending
-            .into_iter()
-            .filter(|p| !self.absorb_completion(p))
-            .collect();
-        let wakes = self.wakes();
-        let start = Self::segment_start_ns(from_ms);
-        let mut engine: Engine<NeuralMachine, CalendarQueue<MachineEvent>> =
-            Engine::resume_at(self, SimTime::new(start));
-        // The queue snapshot goes back first (Queue::restore resets the
-        // insertion counter, so a restored queue replays like the one it
-        // was drained from), then the timer restart and the newly queued
-        // stimuli/faults — all ordered by content rank, never by which
-        // call staged them.
-        engine.restore_events(
-            pending
-                .into_iter()
-                .map(|p| (SimTime::new(p.at_ns), Self::tie_rank(&p.event), p.event))
-                .collect(),
-        );
-        engine.schedule_at(SimTime::new((from_ms as u64 + 1) * MS), MachineEvent::Timer);
-        for (at, wake) in wakes {
-            engine.schedule_at(at, wake);
-        }
-        for (t, chip, key) in stimuli {
-            engine.schedule_at(SimTime::new(t), MachineEvent::InjectSpike { chip, key });
-        }
-        for (t, chip, dir) in faults {
-            engine.schedule_at(SimTime::new(t), MachineEvent::FailLink { chip, dir });
-        }
-        for (t, chip, dir) in repairs {
-            engine.schedule_at(SimTime::new(t), MachineEvent::RepairLink { chip, dir });
-        }
-        let end = SimTime::new(Self::segment_end_ns(target));
-        engine.run_until(end);
-        engine.model_mut().quiesce(end);
-        let queue_peak = engine.queue_peak() as u64;
-        let (mut m, drained) = engine.into_parts();
-        let pending_out = canonical_pending(vec![m.agenda_into_pending(drained)]);
-        m.obs.counters().gauge_max(Counter::QueuePeak, queue_peak);
-        let mut telemetry = std::mem::take(&mut m.telemetry);
-        telemetry.absorb(&mut m.obs);
-        m.telemetry = telemetry;
-        m.finalize();
-        (m, pending_out)
-    }
-
-    /// The worker count — and shard count — a run request actually
-    /// gets: clamped to `[1, chips]`, and — unless
-    /// [`MachineConfig::force_shards`] asks otherwise — to the host's
-    /// parallelism. Workers exist to occupy cores; more shards buy no
-    /// parallelism yet still pay the window/exchange machinery, and
-    /// results are shard-count-invariant, so the collapse is free.
-    /// Public so benchmark rows can record the post-clamp parallelism
-    /// honestly next to the requested one.
-    pub fn effective_threads(&self, threads: usize) -> usize {
-        if threads <= 1 {
-            return 1;
-        }
-        let threads = threads.min(self.cfg.chips());
-        if self.cfg.force_shards {
-            threads
-        } else {
-            threads.min(spinn_par::host_parallelism())
-        }
-    }
-
-    /// Event-weighted contiguous chip partition: the cut of the dense
-    /// chip-id axis into `threads` blocks that minimises the busiest
-    /// shard's predicted work.
-    ///
-    /// Chip weights come from *measured* load when available — the
-    /// per-chip event counts accumulated by every previous segment —
-    /// because activity (which chips the spike traffic actually hammers)
-    /// is what the partition has to balance, and no static estimate
-    /// predicts it. A fresh machine falls back to a structural estimate:
-    /// every mapped neuron costs a tick event per millisecond and every
-    /// synapse feeds the packet/DMA/row-walk path in proportion to
-    /// activity, while empty chips only see the coalesced timer scan.
-    ///
-    /// The partition is a heuristic and part of no result (every cut
-    /// replays the serial run bit for bit); it is deterministic — a
-    /// pure function of the weights and the measured link traffic, in
-    /// integer arithmetic, ties to the earliest cut — so run traces
-    /// stay comparable.
-    fn event_weighted_owner(&self, threads: usize) -> Vec<u32> {
-        let chips = self.cfg.chips();
-        debug_assert!(threads >= 2 && threads <= chips);
-        let per = self.cfg.cores_per_chip as usize;
-        // Floor of 16 per chip: timer scans keep even empty chips
-        // slightly warm, and a nonzero floor keeps the split total-order
-        // stable when whole regions are unmapped.
-        let mut weight = vec![16u64; chips];
-        let measured: u64 = self.chip_events.iter().sum();
-        if measured >= 1024 {
-            for (w, &n) in weight.iter_mut().zip(&self.chip_events) {
-                *w += n;
-            }
-        } else {
-            for (idx, slot) in self.cores.iter().enumerate() {
-                if let Some(core) = slot.as_ref() {
-                    weight[idx / per] +=
-                        core.neurons.len() as u64 + core.matrix.total_synapses() / 64;
-                }
-            }
-        }
-        // The DP below is O(shards · B²) with a B² flux matrix over the
-        // cut axis. Exact per-chip resolution is affordable to ~1k
-        // chips; beyond that the dense-id axis is grouped into at most
-        // 1024 contiguous *blocks* (cuts then land on block edges —
-        // plenty for balancing, since any shard spans many blocks). At
-        // or below 1024 chips the stride is 1 and the partition is
-        // bit-identical to the exact DP; a 65k-chip mesh costs a
-        // 1024-block DP instead of a 4-billion-entry flux matrix.
-        let stride = chips.div_ceil(1024).min((chips / threads).max(1)).max(1);
-        let nb = chips.div_ceil(stride);
-        debug_assert!(nb >= threads);
-        let mut prefix = vec![0u64; nb + 1];
-        for (chip, w) in weight.iter().enumerate() {
-            prefix[chip / stride + 1] += *w;
-        }
-        for b in 0..nb {
-            prefix[b + 1] += prefix[b];
-        }
-        // The objective is a makespan in units of one handled event:
-        // the workers meet at a barrier every window, so a segment takes
-        // as long as its busiest shard, and a shard's work is
-        //
-        //     events it handles + CROSS_HOP_COST * hops it exchanges,
-        //
-        // a hop being exchanged by both shards it joins (`link_flux`
-        // entries whose endpoints the cut separates). Kept inside a
-        // shard a hop is one queue push, already counted among the
-        // events. Across shards the sender also stages it and pushes an
-        // envelope under the destination's mailbox lock, and the
-        // receiver sorts it into canonical order and schedules it: about
-        // one more event's worth of work on each side, hence 2 for the
-        // pair. So a chatty cluster is kept whole when that costs less
-        // imbalance than twice the hops a cut through it would exchange,
-        // and is split when it does not; before any traffic is measured
-        // the flux is zero and the cut is pure load balance.
-        const CROSS_HOP_COST: u64 = 2;
-        let torus = *self.fabric.torus();
-        // Block-to-block hop counts as 2-D prefix sums, so the traffic
-        // inside, into and out of a contiguous block range is O(1) per
-        // DP transition.
-        let side = nb + 1;
-        let mut fpre = vec![0u64; side * side];
-        for node in 0..chips {
-            for port in 0..6 {
-                let hops = self.link_flux[node * 6 + port];
-                if hops > 0 {
-                    let from = torus
-                        .id_of(torus.neighbour(torus.coord_of(node), Direction::from_index(port)));
-                    fpre[(from / stride + 1) * side + node / stride + 1] += hops;
-                }
-            }
-        }
-        for i in 1..side {
-            for j in 1..side {
-                fpre[i * side + j] += fpre[(i - 1) * side + j] + fpre[i * side + j - 1]
-                    - fpre[(i - 1) * side + j - 1];
-            }
-        }
-        // Hops between block ranges [r0, r1) -> [c0, c1).
-        let hops = |r0: usize, r1: usize, c0: usize, c1: usize| {
-            fpre[r1 * side + c1] + fpre[r0 * side + c0]
-                - fpre[r0 * side + c1]
-                - fpre[r1 * side + c0]
-        };
-        let work = |a: usize, b: usize| {
-            let exchanged = hops(a, b, 0, nb) + hops(0, nb, a, b) - 2 * hops(a, b, a, b);
-            prefix[b] - prefix[a] + CROSS_HOP_COST * exchanged
-        };
-        // dp[s][c]: least makespan splitting blocks [0, c) into s+1
-        // non-empty shards (every prefix is itself split optimally, so
-        // the shards below the busiest one are balanced too).
-        let mut dp = vec![vec![u64::MAX; nb + 1]; threads];
-        let mut cut_at = vec![vec![0usize; nb + 1]; threads];
-        #[allow(clippy::needless_range_loop)] // indexes two tables in lockstep
-        for c in 1..=nb {
-            dp[0][c] = work(0, c);
-        }
-        for s in 1..threads {
-            for c in (s + 1)..=nb {
-                let mut best = u64::MAX;
-                let mut best_b = s;
-                #[allow(clippy::needless_range_loop)] // reads dp[s-1][b], not an iterable
-                for b in s..c {
-                    let cost = dp[s - 1][b].max(work(b, c));
-                    if cost < best {
-                        best = cost;
-                        best_b = b;
-                    }
-                }
-                dp[s][c] = best;
-                cut_at[s][c] = best_b;
-            }
-        }
-        let mut owner = vec![0u32; chips];
-        let mut end = nb;
-        for s in (1..threads).rev() {
-            let start = cut_at[s][end];
-            for o in owner
-                .iter_mut()
-                .take((end * stride).min(chips))
-                .skip(start * stride)
-            {
-                *o = s as u32;
-            }
-            end = start;
-        }
-        owner
-    }
-
-    /// [`NeuralMachine::run_segment`] sharded across worker threads.
-    fn segment_parallel(
-        mut self,
-        pending: Vec<PendingEvent>,
-        from_ms: u32,
-        ms: u32,
-        threads: usize,
-    ) -> (NeuralMachine, Vec<PendingEvent>) {
-        debug_assert!(threads >= 2);
-        let target = from_ms + ms;
-        let lookahead = self.cfg.fabric.min_remote_delay_ns().max(1);
-        let owner = self.event_weighted_owner(threads);
-        let stimuli = std::mem::take(&mut self.stimuli);
-        let faults = std::mem::take(&mut self.fault_plan);
-        let repairs = std::mem::take(&mut self.repair_plan);
-        // Results accumulated by earlier segments are carried across the
-        // shard split and merged back afterwards (fabric/router state
-        // rides inside the cloned fabric instead).
-        let carry_spikes = std::mem::take(&mut self.spikes);
-        let carry_meter = std::mem::replace(&mut self.meter, EnergyMeter::new());
-        let carry_latency = std::mem::replace(&mut self.spike_latency, Histogram::new(4000, 250));
-        let carry_reissued = self.reissued_packets;
-        let carry_writebacks = self.weight_writebacks;
-        let mut carry_telemetry = std::mem::take(&mut self.telemetry);
-        let carry_chip_events = std::mem::take(&mut self.chip_events);
-        let carry_link_flux = std::mem::take(&mut self.link_flux);
-        let carry_par = self.par_stats.take();
-        let dma_free_at = self.dma_free_at.clone();
-        let cfg = self.cfg;
-        let per = cfg.cores_per_chip as usize;
-        let mut shards: Vec<NeuralMachine> = (0..threads)
-            .map(|s| {
-                let mut m = NeuralMachine::new(cfg);
-                m.fabric = self.fabric.clone();
-                m.fabric
-                    .set_partition(Partition::new(owner.clone(), s as u32));
-                m.stdp = self.stdp;
-                m.duration_ms = target;
-                m.dma_free_at = dma_free_at.clone();
-                m
-            })
-            .collect();
-        for (idx, slot) in self.cores.iter_mut().enumerate() {
-            if let Some(core) = slot.take() {
-                shards[owner[idx / per] as usize].cores[idx] = Some(core);
-            }
-        }
-        for (s, m) in shards.iter_mut().enumerate() {
-            // Each shard's coalesced timer services exactly its owned
-            // loaded cores; the shard-scoped telemetry handles replace
-            // the ones `new` wired up against the replaced fabric —
-            // both only computable now that the cores have moved in,
-            // and both needed before the engines are built (which
-            // capture the phase probe).
-            m.rebuild_timer_cores();
-            m.install_observability(s as u32);
-        }
-
-        // Carried-over completions go back on the agenda of the shard
-        // owning their chip; its queue gets a wake for each it must see.
-        let pending: Vec<PendingEvent> = pending
-            .into_iter()
-            .filter(|p| {
-                !event_chip(&p.event)
-                    .is_some_and(|chip| shards[owner[chip as usize] as usize].absorb_completion(p))
-            })
-            .collect();
-        let wakes: Vec<_> = shards.iter().map(NeuralMachine::wakes).collect();
-        let start = Self::segment_start_ns(from_ms);
-        let mut par: ParEngine<NeuralMachine, CalendarQueue<MachineEvent>> =
-            ParEngine::resume_in(shards, SimTime::new(start));
-        for shard in 0..threads {
-            par.schedule(
-                shard,
-                SimTime::new((from_ms as u64 + 1) * MS),
-                MachineEvent::Timer,
-            );
-        }
-        for (shard, wakes) in wakes.into_iter().enumerate() {
-            for (at, wake) in wakes {
-                par.schedule(shard, at, wake);
-            }
-        }
-        // Carried-over events go to the shard owning their chip; events
-        // that mutate replicated state (link failures, the coalesced
-        // timer) are broadcast, exactly as a fresh schedule would be.
-        for p in pending {
-            let at = SimTime::new(p.at_ns);
-            match event_chip(&p.event) {
-                Some(chip) => par.schedule(owner[chip as usize] as usize, at, p.event),
-                None => {
-                    for shard in 0..threads {
-                        par.schedule(shard, at, p.event);
-                    }
-                }
-            }
-        }
-        for (t, chip, key) in stimuli {
-            par.schedule(
-                owner[chip as usize] as usize,
-                SimTime::new(t),
-                MachineEvent::InjectSpike { chip, key },
-            );
-        }
-        // Link failures and repairs mutate every shard's fabric replica:
-        // broadcast the schedules so all replicas stay consistent at `t`.
-        for (t, chip, dir) in faults {
-            for shard in 0..threads {
-                par.schedule(shard, SimTime::new(t), MachineEvent::FailLink { chip, dir });
-            }
-        }
-        for (t, chip, dir) in repairs {
-            for shard in 0..threads {
-                par.schedule(
-                    shard,
-                    SimTime::new(t),
-                    MachineEvent::RepairLink { chip, dir },
-                );
-            }
-        }
-        par.run_until(SimTime::new(Self::segment_end_ns(target)), lookahead);
-        let stats = par.stats().clone();
-        let queue_peaks = par.queue_peaks();
-
-        let mut parts = par.into_parts().into_iter();
-        let (mut base, first_drained) = parts.next().expect("threads >= 2");
-        base.obs
-            .counters()
-            .gauge_max(Counter::QueuePeak, queue_peaks[0] as u64);
-        carry_telemetry.absorb(&mut base.obs);
-        let mut drained = vec![base.agenda_into_pending(first_drained)];
-        for (i, (mut m, d)) in parts.enumerate() {
-            drained.push(m.agenda_into_pending(d));
-            m.obs
-                .counters()
-                .gauge_max(Counter::QueuePeak, queue_peaks[i + 1] as u64);
-            carry_telemetry.absorb(&mut m.obs);
-            base.fabric.adopt_owned(&mut m.fabric, (i + 1) as u32);
-            for (idx, slot) in m.cores.iter_mut().enumerate() {
-                if let Some(core) = slot.take() {
-                    base.cores[idx] = Some(core);
-                }
-            }
-            base.spikes.extend(m.spikes);
-            base.meter.merge(&m.meter);
-            base.spike_latency.merge(&m.spike_latency);
-            base.reissued_packets += m.reissued_packets;
-            base.weight_writebacks += m.weight_writebacks;
-            for (a, b) in base.chip_events.iter_mut().zip(&m.chip_events) {
-                *a += *b;
-            }
-            for (a, b) in base.link_flux.iter_mut().zip(&m.link_flux) {
-                *a += *b;
-            }
-            // Only a chip's owner advances its DMA port clock; everyone
-            // else still holds the segment-start value.
-            for (a, b) in base.dma_free_at.iter_mut().zip(&m.dma_free_at) {
-                *a = (*a).max(*b);
-            }
-        }
-        base.fabric.clear_partition();
-        base.duration_ms = target;
-        // Window counters accumulate across segments (rebalance epochs
-        // included), like every other run statistic.
-        let mut par_stats = carry_par.unwrap_or_default();
-        par_stats.windows += stats.windows;
-        par_stats.events += stats.events;
-        par_stats.exchanged += stats.exchanged;
-        par_stats.busy += stats.busy;
-        base.par_stats = Some(par_stats);
-        base.rebuild_timer_cores();
-        for (a, b) in base.chip_events.iter_mut().zip(&carry_chip_events) {
-            *a += *b;
-        }
-        for (a, b) in base.link_flux.iter_mut().zip(&carry_link_flux) {
-            *a += *b;
-        }
-        base.spikes.extend(carry_spikes);
-        base.meter.merge(&carry_meter);
-        base.spike_latency.merge(&carry_latency);
-        base.reissued_packets += carry_reissued;
-        base.weight_writebacks += carry_writebacks;
-        base.telemetry = carry_telemetry;
-        let pending_out = canonical_pending(drained);
-        base.finalize();
-        (base, pending_out)
-    }
-
     /// All recorded spikes, in canonical `(time_ms, key)` order.
     pub fn spikes(&self) -> &[SpikeRecord] {
         &self.spikes
@@ -1331,7 +798,7 @@ impl NeuralMachine {
         self.fabric.torus().id_of(chip) * self.cfg.cores_per_chip as usize + core as usize
     }
 
-    fn finalize(&mut self) {
+    pub(crate) fn finalize(&mut self) {
         // Canonical spike order: `(time_ms, key)` is unique (a neuron
         // fires at most once per tick), so serial and sharded runs
         // produce bit-identical streams whenever they record the same
@@ -1858,105 +1325,6 @@ mod tests {
                 "{threads}-shard RouterStats diverge from serial"
             );
         }
-    }
-
-    /// A bare 4x4 machine carrying a measured load: chip `i` weighs
-    /// `weight[i]` in the partition (its event count plus the per-chip
-    /// floor of 16), every link carries `background` hops, and each
-    /// `(chip, hops)` of `eastward` adds hops sent by `chip` to its
-    /// East neighbour and as many coming back.
-    fn measured_machine(
-        weight: [u64; 16],
-        background: u64,
-        eastward: &[(usize, u64)],
-    ) -> NeuralMachine {
-        let mut m = NeuralMachine::new(MachineConfig::new(4, 4));
-        for (events, w) in m.chip_events.iter_mut().zip(weight) {
-            *events = w - 16;
-        }
-        m.link_flux.fill(background);
-        for &(chip, hops) in eastward {
-            assert!(chip % 4 < 3, "East of a row's last chip wraps around");
-            // A packet sent East arrives through the receiver's West
-            // port, and the other way round.
-            m.link_flux[(chip + 1) * 6 + Direction::West.index()] += hops;
-            m.link_flux[chip * 6 + Direction::East.index()] += hops;
-        }
-        m
-    }
-
-    /// Where a two-shard owner vector switches from shard 0 to shard 1.
-    fn cut_of(owner: &[u32]) -> usize {
-        let cut = owner.iter().position(|&o| o == 1).expect("two shards");
-        assert!(owner[..cut].iter().all(|&o| o == 0) && owner[cut..].iter().all(|&o| o == 1));
-        cut
-    }
-
-    #[test]
-    fn partition_balances_measured_load_despite_uniform_traffic() {
-        // The benchmark net in miniature: load spread evenly, every
-        // link carrying about 0.06 hops per event. Every cut crosses
-        // some traffic; a cut that sheds one chip crosses the least.
-        // Balance must win: a 15 | 1 cut saves a few percent of
-        // exchange work and idles one worker.
-        let m = measured_machine([10_000; 16], 100, &[]);
-        let owner = m.event_weighted_owner(2);
-        let left = cut_of(&owner) as f64 / 16.0;
-        assert!((0.45..=0.55).contains(&left), "cut at {left}");
-        // A pure function of the measurements.
-        assert_eq!(owner, m.event_weighted_owner(2));
-        assert_eq!(
-            owner,
-            measured_machine([10_000; 16], 100, &[]).event_weighted_owner(2)
-        );
-        // More shards: every one gets its quarter.
-        let owner = m.event_weighted_owner(4);
-        for shard in 0..4 {
-            assert_eq!(owner.iter().filter(|&&o| o == shard).count(), 4);
-        }
-    }
-
-    #[test]
-    fn partition_keeps_a_chatty_cluster_whole_when_balance_allows() {
-        // Chips 0..6 and 7..16 weigh 9000 each, so cutting before or
-        // after chip 6 is equally (un)balanced: 9000 | 12000 either way.
-        let mut weight = [1000; 16];
-        weight[5] = 4000;
-        weight[6] = 3000;
-        // Chips 5 and 6 talk to each other: only the cut after chip 6
-        // keeps the pair on one shard.
-        let owner = measured_machine(weight, 10, &[(5, 2000)]).event_weighted_owner(2);
-        assert_eq!(cut_of(&owner), 7);
-        // Without that traffic nothing separates the two cuts and the
-        // tie goes to the earlier one — the flux is what decided.
-        let owner = measured_machine(weight, 10, &[]).event_weighted_owner(2);
-        assert_eq!(cut_of(&owner), 6);
-        // A cluster is not kept whole at any price: when the balanced
-        // cut runs through a pair whose traffic costs less than the
-        // imbalance of sparing it, the pair is split.
-        let mut weight = [1000; 16];
-        weight[..5].fill(1800);
-        weight[5] = 5000;
-        weight[6] = 5000;
-        let owner = measured_machine(weight, 10, &[(5, 500)]).event_weighted_owner(2);
-        assert_eq!(cut_of(&owner), 6);
-    }
-
-    #[test]
-    fn partition_of_a_fresh_machine_uses_the_structural_estimate() {
-        // Nothing measured yet: loaded neurons stand in for load. Two
-        // 50-neuron cores on chips 1 and 2 weigh 66 each against 16 for
-        // an empty chip, which moves the even cut from 8 down to 5
-        // (180 | 176).
-        let mut m = NeuralMachine::new(MachineConfig::new(4, 4));
-        for (x, key) in [(1, 0x1000), (2, 0x2000)] {
-            m.load_core(NodeCoord::new(x, 0), 1, rs_neurons(50), vec![0.0; 50], key)
-                .unwrap();
-        }
-        assert_eq!(cut_of(&m.event_weighted_owner(2)), 5);
-        // Once a segment has been measured, the measurement rules.
-        m.chip_events[15] = 5000;
-        assert_eq!(cut_of(&m.event_weighted_owner(2)), 15);
     }
 
     /// A 4x4 machine under steady stimulus: six packets per chip at

@@ -673,8 +673,8 @@ pub struct RunTelemetry {
     trace: VecDeque<TraceRecord>,
     trace_overwritten: u64,
     /// Largest per-shard trace ring capacity seen across absorbed
-    /// segments — records which bound (configured or auto-scaled) the
-    /// run actually traced under.
+    /// segments — records which bound (sized from the loaded neuron
+    /// count) the run actually traced under.
     trace_cap: u64,
 }
 
@@ -742,8 +742,8 @@ impl RunTelemetry {
 
     /// The per-shard trace ring capacity the run traced under (the
     /// largest across absorbed segments; 0 when nothing traced). This
-    /// is the *resolved* bound — when the machine config leaves
-    /// `trace_cap` at auto, this reports what the auto-scaling chose.
+    /// is the *resolved* bound: what the machine sized the ring to from
+    /// its loaded neuron count.
     pub fn trace_cap(&self) -> u64 {
         self.trace_cap
     }
@@ -751,8 +751,9 @@ impl RunTelemetry {
     /// Fraction of all recorded trace events lost to ring overwrites,
     /// in `[0, 1]` — `0.0` when nothing was recorded. A ratio near 1
     /// means the retained trace is a thin recent-history window of the
-    /// run; size the ring up (machine `trace_cap`) before reading the
-    /// trace as a record of the whole run.
+    /// run, not a record of the whole run: each shard's ring holds ~4
+    /// records per loaded neuron per segment, and the merged trace the
+    /// last 64 Ki records.
     pub fn trace_overwrite_ratio(&self) -> f64 {
         let recorded = self.trace_overwritten + self.trace.len() as u64;
         if recorded == 0 {

@@ -57,7 +57,10 @@
 //! is staged: `next_i + 2L`). As that bound relaxes the horizon is
 //! extended, never past `cap`: a shard that emits nothing covers its
 //! whole `cap` in a single barrier round, which collapses the barrier
-//! count on skewed workloads from O(events) to O(interactions).
+//! count on skewed workloads from O(events) to O(interactions). A lone
+//! shard has no other shard to reply to it, so its horizon starts at
+//! `cap` — `deadline + 1` — and one engine pass covers the whole run,
+//! as a plain [`Engine::run_until`] would.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -512,8 +515,13 @@ fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
                 .min(t_other.max(my_next.saturating_add(lookahead_ns)));
             // Replies to own emissions (before anything is staged): the
             // earliest event this shard could emit is `next + L`, so
-            // the earliest reply is `next + 2L`.
-            let mut horizon = cap.min(my_next.saturating_add(lookahead_ns.saturating_mul(2)));
+            // the earliest reply is `next + 2L`. A lone shard has no one
+            // to reply and covers its whole `cap` in one pass.
+            let mut horizon = if times.len() == 1 {
+                cap
+            } else {
+                cap.min(my_next.saturating_add(lookahead_ns.saturating_mul(2)))
+            };
             if my_next >= horizon {
                 // Nothing pending inside this shard's window: skip the
                 // engine entirely (its clock catches up lazily).
@@ -781,6 +789,41 @@ mod tests {
             "expected horizon extension, got {} windows",
             par.stats().windows
         );
+    }
+
+    /// A lone shard has no one to reply to it: a dense cascade — far
+    /// denser than the lookahead — runs in one window and one engine
+    /// pass, so its outbox is drained once per window, not once per
+    /// `2L` of simulated time.
+    #[test]
+    fn a_lone_shard_runs_each_window_in_one_pass() {
+        struct Counted {
+            left: u32,
+            drains: u64,
+        }
+        impl Model for Counted {
+            type Event = u32;
+            fn handle(&mut self, ctx: &mut Context<u32>, _: u32) {
+                if self.left > 0 {
+                    self.left -= 1;
+                    ctx.schedule_in(1, 0);
+                }
+            }
+        }
+        impl ShardModel for Counted {
+            fn drain_outbox(&mut self, _: &mut Vec<RemoteEvent<u32>>) {
+                self.drains += 1;
+            }
+        }
+        let mut par = ParEngine::new(vec![Counted {
+            left: 999,
+            drains: 0,
+        }]);
+        par.schedule(0, SimTime::ZERO, 0);
+        par.run_until(SimTime::new(100_000), 2);
+        let stats = par.stats().clone();
+        assert_eq!((stats.events, stats.windows, stats.busy), (1000, 1, 1));
+        assert_eq!(par.into_models()[0].drains, stats.windows);
     }
 
     /// Marks a [`Dense`] shard's local cascade event; any other value is

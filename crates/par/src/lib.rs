@@ -15,7 +15,10 @@
 //!    [`spinn_sim::Engine`] each. Every worker thread owns a contiguous
 //!    block of shards for the whole run — the machine cuts one shard
 //!    per worker, so normally a block is one shard — and the calling
-//!    thread is one of the workers.
+//!    thread is one of the workers. The machine runs *every* segment
+//!    this way, a serial run as one shard on the calling thread: a lone
+//!    shard has no other shard to hear from, so it covers the whole
+//!    run in one window and one engine pass.
 //! 2. All shards advance in lockstep **conservative windows**. At each
 //!    barrier the workers agree on the global minimum pending timestamp
 //!    `m`; every shard may then safely simulate all events in

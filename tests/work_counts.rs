@@ -15,7 +15,11 @@
 //!
 //! The literals were recorded from the code as it stood when this file
 //! was added. A change that moves one on purpose updates it and says
-//! why.
+//! why:
+//!
+//! * one-shard `windows` and `busy` went from 0 to 1 when serial runs
+//!   became one-shard runs of the parallel engine: a lone shard runs its
+//!   segment in a single window, in which it is busy.
 
 use spinnaker::obs::{Counter, Phase};
 use spinnaker::prelude::*;
@@ -34,9 +38,10 @@ struct Counts {
     pool_ticks: u64,
     /// Rows still held as generator recipes after the run.
     lazy_rows: u64,
-    /// Barrier windows of the sharded run (0 on one shard).
+    /// Barrier windows of the run. One shard has no one to wait for:
+    /// its one segment is one window.
     windows: u64,
-    /// Busy shard-windows of the sharded run (0 on one shard).
+    /// Busy shard-windows of the run (1 per window on one shard).
     busy: u64,
 }
 
@@ -171,8 +176,8 @@ fn cortex_work_counts() {
                 queue_pops: 5_206,
                 pool_ticks: 1_280,
                 lazy_rows: 23_516,
-                windows: 0,
-                busy: 0,
+                windows: 1,
+                busy: 1,
             },
             Counts {
                 spikes: 793,
@@ -205,8 +210,8 @@ fn idle_mesh_work_counts() {
                 queue_pops: 316,
                 pool_ticks: 40_960,
                 lazy_rows: 129_952,
-                windows: 0,
-                busy: 0,
+                windows: 1,
+                busy: 1,
             },
             Counts {
                 spikes: 0,
