@@ -240,25 +240,24 @@ impl NeuralMachine {
         } else if c.timer_pending > 0 {
             c.timer_pending -= 1;
             // Advance the neural dynamics now; emit the spikes when the
-            // handler's compute time has elapsed. The ring-slot snapshot
-            // reuses a machine-level buffer (allocation-free per tick).
+            // handler's compute time has elapsed.
             let tick_ms = (now / MS) as u32;
-            let mut inputs = std::mem::take(&mut self.tick_inputs);
             let c = self.cores[idx].as_mut().expect("checked above");
-            inputs.clear();
-            inputs.extend_from_slice(c.ring.tick());
             debug_assert!(c.pending_spikes.is_empty());
             // The SoA pool walks flat state arrays; the split borrow
-            // keeps the spike/bias buffers out of the pool's way.
+            // reads the drained ring slot in place and keeps the
+            // spike/bias buffers out of the pool's way.
             let AppCore {
                 neurons,
                 bias_na,
+                ring,
                 pending_spikes,
                 last_post_ms,
                 base_key,
                 ..
             } = &mut **c;
             let base_key = *base_key;
+            let inputs = ring.tick();
             let tok = self.obs.phases().start();
             neurons.step_tick(
                 |i| bias_na[i] + inputs[i] as f32 / 256.0,
@@ -285,7 +284,6 @@ impl NeuralMachine {
                     self.obs.trace(now, TraceKind::Spike, key, tick_ms);
                 }
             }
-            self.tick_inputs = inputs;
             self.charge(
                 costs.timer_fixed_instr
                     + costs.per_neuron_instr * n_neurons
@@ -352,6 +350,9 @@ impl NeuralMachine {
                         // *previous* pre-spike against any post that
                         // followed it. Weights are rewritten in place in
                         // the arena, as on hardware.
+                        if c.row_last_pre_ms.is_empty() {
+                            c.row_last_pre_ms = vec![f64::NEG_INFINITY; c.matrix.n_rows()];
+                        }
                         let last_pre =
                             std::mem::replace(&mut c.row_last_pre_ms[row as usize], now_ms);
                         let last_post_ms = &c.last_post_ms;

@@ -122,11 +122,12 @@ pub(crate) struct AppCore {
     pub(crate) spikes_emitted: u64,
     pub(crate) overruns: u64,
     pub(crate) row_misses: u64,
-    /// STDP state (when plasticity is enabled): per-row time of the
-    /// previous pre-spike (indexed like the matrix rows, and sized to
-    /// them once, when the matrix is installed), and per-neuron time of
-    /// the last post-spike. Updates are applied synapse-centrically when
-    /// a row is fetched, as on the real machine.
+    /// STDP state: per-row time of the previous pre-spike (indexed like
+    /// the matrix rows; empty until the core's first row fetch under
+    /// plasticity sizes it), and per-neuron time of the last post-spike
+    /// (kept by every tick, so plasticity can be switched on mid-run).
+    /// Updates are applied synapse-centrically when a row is fetched, as
+    /// on the real machine.
     pub(crate) row_last_pre_ms: Vec<f64>,
     pub(crate) last_post_ms: Vec<f64>,
     /// Rows whose weights STDP has rewritten since load (may contain
@@ -258,10 +259,9 @@ pub struct NeuralMachine {
     /// million-chip mesh idling for free and every tick scanning 1.1 M
     /// empty `Option`s.
     pub(crate) timer_cores: Vec<(u32, u8)>,
-    /// Reusable per-tick buffers (ring-slot snapshot) and per-event
-    /// drain buffers (delivered/dropped packets): the hot path runs
-    /// allocation-free once they reach steady-state capacity.
-    pub(crate) tick_inputs: Vec<i32>,
+    /// Reusable per-event drain buffers (delivered/dropped packets):
+    /// the hot path runs allocation-free once they reach steady-state
+    /// capacity.
     pub(crate) delivery_scratch: Vec<Delivery>,
     pub(crate) dropped_scratch: Vec<DroppedPacket>,
     /// Live telemetry handles for the current segment (shard-scoped
@@ -314,7 +314,6 @@ impl NeuralMachine {
             weight_writebacks: 0,
             par_stats: None,
             timer_cores: Vec::new(),
-            tick_inputs: Vec::new(),
             delivery_scratch: Vec::new(),
             dropped_scratch: Vec::new(),
             obs,
@@ -525,7 +524,9 @@ impl NeuralMachine {
     /// # Panics
     ///
     /// Panics if `core` is 0 (the Monitor) or out of range, if the core
-    /// is already loaded, or if `bias_na` length differs from `neurons`.
+    /// is already loaded, if `bias_na` length differs from `neurons`, or
+    /// if `neurons` mixes models (a core runs one population slice; see
+    /// [`NeuronPool::from_neurons`]).
     pub fn load_core(
         &mut self,
         chip: NodeCoord,
@@ -577,7 +578,8 @@ impl NeuralMachine {
     /// matrix off-machine with a
     /// [`SynapticMatrixBuilder`](spinn_neuron::synmatrix::SynapticMatrixBuilder)
     /// and hand it over without per-row copies. The core's row structure
-    /// is fixed from here on; its STDP history starts empty.
+    /// is fixed from here on; its STDP history starts empty, and its
+    /// per-row pre-spike times are sized on the first plastic fetch.
     ///
     /// # Panics
     ///
@@ -586,7 +588,7 @@ impl NeuralMachine {
         let idx = self.core_index(chip, core);
         let c = self.cores[idx].as_mut().expect("core not loaded");
         c.matrix = matrix;
-        c.row_last_pre_ms = vec![f64::NEG_INFINITY; c.matrix.n_rows()];
+        c.row_last_pre_ms = Vec::new();
         c.dirty_rows.clear();
     }
 
@@ -999,6 +1001,15 @@ mod tests {
     fn monitor_core_rejected() {
         let mut m = NeuralMachine::new(MachineConfig::new(2, 2));
         let _ = m.load_core(NodeCoord::new(0, 0), 0, rs_neurons(1), vec![0.0], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed neuron models")]
+    fn mixed_models_on_one_core_rejected() {
+        let mut m = NeuralMachine::new(MachineConfig::new(2, 2));
+        let mut neurons = rs_neurons(2);
+        neurons.push(spinn_neuron::lif::LifNeuron::new(Default::default()).into());
+        let _ = m.load_core(NodeCoord::new(0, 0), 1, neurons, vec![0.0; 3], 0);
     }
 
     #[test]

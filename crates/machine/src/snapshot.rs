@@ -298,11 +298,11 @@ fn decode_event(dec: &mut Dec<'_>) -> Result<MachineEvent, WireError> {
     })
 }
 
-/// Writes the values of a sparse `f64` vector whose default is −∞ (the
-/// STDP "never seen a spike" timestamps): only finite entries cost
-/// bytes.
-fn encode_sparse_times(times: &[f64], enc: &mut Enc) {
-    enc.seq(times.len());
+/// Writes the values of a sparse `f64` vector of logical length `len`
+/// whose default is −∞ (the STDP "never seen a spike" timestamps; an
+/// unsized `times` reads as all −∞): only finite entries cost bytes.
+fn encode_sparse_times(times: &[f64], len: usize, enc: &mut Enc) {
+    enc.seq(len);
     let finite = times.iter().filter(|t| t.is_finite()).count();
     enc.seq(finite);
     for (i, &t) in times.iter().enumerate() {
@@ -313,7 +313,8 @@ fn encode_sparse_times(times: &[f64], enc: &mut Enc) {
 }
 
 /// Reads an [`encode_sparse_times`] vector that must hold `len` entries
-/// (`what` names them in the mismatch error).
+/// (`what` names them in the mismatch error). It comes back unsized
+/// (empty) when no entry is finite.
 fn decode_sparse_times(
     dec: &mut Dec<'_>,
     len: usize,
@@ -326,12 +327,15 @@ fn decode_sparse_times(
     if dec.u64()? != len as u64 {
         return Err(SnapshotError::Mismatch(what()));
     }
-    let mut out = vec![f64::NEG_INFINITY; len];
+    let mut out = Vec::new();
     let finite = dec.seq(12)?;
     for _ in 0..finite {
         let i = dec.u32()? as usize;
         if i >= len {
             return Err(WireError::Corrupt("sparse time index").into());
+        }
+        if out.is_empty() {
+            out = vec![f64::NEG_INFINITY; len];
         }
         out[i] = dec.f64()?;
     }
@@ -431,8 +435,8 @@ impl NeuralMachine {
                 enc.u32(k);
             }
             enc.u64(c.spikes_emitted).u64(c.overruns).u64(c.row_misses);
-            encode_sparse_times(&c.row_last_pre_ms, &mut enc);
-            encode_sparse_times(&c.last_post_ms, &mut enc);
+            encode_sparse_times(&c.row_last_pre_ms, c.matrix.n_rows(), &mut enc);
+            encode_sparse_times(&c.last_post_ms, c.neurons.len(), &mut enc);
             // Synaptic arena deltas: the rows STDP rewrote, deduplicated.
             let mut dirty = c.dirty_rows.clone();
             dirty.sort_unstable();
@@ -653,6 +657,8 @@ impl NeuralMachine {
             c.last_post_ms = decode_sparse_times(&mut dec, c.neurons.len(), || {
                 format!("core {idx} neuron count differs")
             })?;
+            // Every tick's spikes index it: sized even when none is finite.
+            c.last_post_ms.resize(c.neurons.len(), f64::NEG_INFINITY);
             // The applied rows stay dirty: the *next* checkpoint's
             // baseline is still the fresh build, so previously rewritten
             // rows must keep riding every later delta.

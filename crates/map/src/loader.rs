@@ -45,9 +45,12 @@ use crate::place::{Placement, Slice};
 /// When the loader may store generator recipes instead of expanded
 /// synaptic words (laziness is decided per *destination population*: a
 /// core's matrix is entirely lazy or entirely eager, never mixed).
+/// `Auto` is the one public policy; this crate's unit tests pin the
+/// choice either way.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum LazyMode {
     /// Always expand eagerly.
+    #[cfg(test)]
     Off,
     /// Go lazy where every incoming projection is replayable **and**
     /// the recipe (per-source RNG states for stochastic connectors) is
@@ -57,8 +60,8 @@ pub enum LazyMode {
     #[default]
     Auto,
     /// Go lazy wherever replay is possible, even when the recipe is
-    /// bigger than the words (used by conformance tests to force the
-    /// stateful replay paths).
+    /// bigger than the words (forces the stateful replay paths).
+    #[cfg(test)]
     Force,
 }
 
@@ -136,7 +139,9 @@ impl LoadedApp {
         // stochastic connectors pay one RNG state per (source, dst
         // slice), which loses to eager words on sparse fan-in.
         let n_pops = net.populations().len();
-        let mut lazy_pop = vec![opts.lazy != LazyMode::Off; n_pops];
+        let mut lazy_pop = vec![true; n_pops];
+        #[cfg(test)]
+        lazy_pop.fill(opts.lazy != LazyMode::Off);
         let mut state_est = vec![0u64; n_pops];
         let mut word_est = vec![0u64; n_pops];
         for proj in net.projections() {

@@ -1,4 +1,4 @@
-//! The host's prefetch instruction — the workspace's one `unsafe` block.
+//! The host's prefetch instruction — the library's one `unsafe` block.
 //!
 //! The modelled core never waits for SDRAM: it starts a DMA and walks
 //! the row when the transfer is done (§5.2–5.3, Fig. 7). The simulator

@@ -13,8 +13,9 @@
 //! which remain the one scalar statement of each model and which this
 //! module's tests compare every pool against, bit for bit.
 //!
-//! Mixed-model cores (possible through the manual machine API, never
-//! produced by the loader) fall back to the enum-dispatch path.
+//! A pool holds one model kind, as a core holds one population slice:
+//! [`NeuronPool::from_neurons`] panics on a mixed vector and
+//! [`NeuronPool::decode`] refuses one as corrupt.
 //!
 //! # Wide tick path
 //!
@@ -31,7 +32,7 @@
 use crate::fixed::Fix1616;
 use crate::izhikevich::{IzhikevichNeuron, IzhikevichParams};
 use crate::lif::{LifNeuron, LifParams};
-use crate::model::{AnyNeuron, NeuronModel};
+use crate::model::AnyNeuron;
 
 /// Chunk width of the wide tick path. Eight 32-bit lanes span one
 /// 256-bit vector register; the update loops are written per-chunk so
@@ -39,7 +40,7 @@ use crate::model::{AnyNeuron, NeuronModel};
 const LANES: usize = 8;
 
 /// Izhikevich state as parallel 16.16 fixed-point arrays.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct IzhikevichPool {
     params: Vec<IzhikevichParams>,
     a: Vec<Fix1616>,
@@ -51,21 +52,30 @@ pub struct IzhikevichPool {
     /// Set when any neuron's `|a|` or `|b|` reaches 1.0 — outside the
     /// clamp-free fast path's range proof (biological presets sit well
     /// below; only the manual API can get here). Checked once per
-    /// chunk, not per tick, since parameters are fixed after `push`.
+    /// chunk, not per tick, since parameters are fixed once built.
     params_wild: bool,
 }
 
 impl IzhikevichPool {
-    fn push(&mut self, n: IzhikevichNeuron) {
-        self.params_wild |=
-            n.a.to_bits().unsigned_abs() >= 1 << 16 || n.b.to_bits().unsigned_abs() >= 1 << 16;
-        self.params.push(n.params);
-        self.a.push(n.a);
-        self.b.push(n.b);
-        self.c.push(n.c);
-        self.d.push(n.d);
-        self.v.push(n.v);
-        self.u.push(n.u);
+    /// One exactly sized array per field of `neurons`, all Izhikevich.
+    fn new(neurons: &[AnyNeuron]) -> Self {
+        let ns = neurons.iter().map(|n| match n {
+            AnyNeuron::Izhikevich(n) => n,
+            AnyNeuron::Lif(_) => unreachable!("one model per pool"),
+        });
+        let field = |f: fn(&IzhikevichNeuron) -> Fix1616| ns.clone().map(f).collect();
+        IzhikevichPool {
+            params: ns.clone().map(|n| n.params).collect(),
+            a: field(|n| n.a),
+            b: field(|n| n.b),
+            c: field(|n| n.c),
+            d: field(|n| n.d),
+            v: field(|n| n.v),
+            u: field(|n| n.u),
+            params_wild: ns.clone().any(|n| {
+                n.a.to_bits().unsigned_abs() >= 1 << 16 || n.b.to_bits().unsigned_abs() >= 1 << 16
+            }),
+        }
     }
 
     fn neuron(&self, i: usize) -> IzhikevichNeuron {
@@ -179,13 +189,13 @@ impl IzhikevichPool {
 }
 
 /// LIF state as parallel arrays.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LifPool {
     params: Vec<LifParams>,
     v: Vec<f32>,
     refract_left: Vec<u32>,
     /// Cached membrane decay `exp(-1/tau_m)` per neuron. Parameters are
-    /// fixed after `push`, and this is the very expression
+    /// fixed once built, and this is the very expression
     /// [`LifNeuron::step_1ms`] evaluates, so caching it cannot change a
     /// bit of the dynamics — it only lifts a transcendental out of the
     /// per-tick loop.
@@ -193,11 +203,18 @@ pub struct LifPool {
 }
 
 impl LifPool {
-    fn push(&mut self, n: LifNeuron) {
-        self.alpha.push((-1.0 / n.params.tau_m).exp());
-        self.params.push(n.params);
-        self.v.push(n.v);
-        self.refract_left.push(n.refract_left);
+    /// One exactly sized array per field of `neurons`, all LIF.
+    fn new(neurons: &[AnyNeuron]) -> Self {
+        let ns = neurons.iter().map(|n| match n {
+            AnyNeuron::Lif(n) => n,
+            AnyNeuron::Izhikevich(_) => unreachable!("one model per pool"),
+        });
+        LifPool {
+            params: ns.clone().map(|n| n.params).collect(),
+            v: ns.clone().map(|n| n.v).collect(),
+            refract_left: ns.clone().map(|n| n.refract_left).collect(),
+            alpha: ns.map(|n| (-1.0 / n.params.tau_m).exp()).collect(),
+        }
     }
 
     fn neuron(&self, i: usize) -> LifNeuron {
@@ -268,38 +285,29 @@ pub enum NeuronPool {
     Izhikevich(IzhikevichPool),
     /// All neurons LIF.
     Lif(LifPool),
-    /// Heterogeneous models on one core: enum-dispatch fallback.
-    Mixed(Vec<AnyNeuron>),
+}
+
+/// Whether `neurons` holds more than one model.
+fn mixed(neurons: &[AnyNeuron]) -> bool {
+    use std::mem::discriminant;
+    neurons
+        .windows(2)
+        .any(|w| discriminant(&w[0]) != discriminant(&w[1]))
 }
 
 impl NeuronPool {
-    /// Converts a neuron vector into SoA form (or the mixed fallback
-    /// when models are heterogeneous).
+    /// Converts a neuron vector of one model into SoA form, one exactly
+    /// sized array per state field. An empty vector gives an empty
+    /// Izhikevich pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector mixes models.
     pub fn from_neurons(neurons: Vec<AnyNeuron>) -> Self {
-        let all_izh = neurons
-            .iter()
-            .all(|n| matches!(n, AnyNeuron::Izhikevich(_)));
-        let all_lif = neurons.iter().all(|n| matches!(n, AnyNeuron::Lif(_)));
-        if all_izh {
-            let mut pool = IzhikevichPool::default();
-            for n in neurons {
-                match n {
-                    AnyNeuron::Izhikevich(n) => pool.push(n),
-                    AnyNeuron::Lif(_) => unreachable!(),
-                }
-            }
-            NeuronPool::Izhikevich(pool)
-        } else if all_lif {
-            let mut pool = LifPool::default();
-            for n in neurons {
-                match n {
-                    AnyNeuron::Lif(n) => pool.push(n),
-                    AnyNeuron::Izhikevich(_) => unreachable!(),
-                }
-            }
-            NeuronPool::Lif(pool)
-        } else {
-            NeuronPool::Mixed(neurons)
+        assert!(!mixed(&neurons), "mixed neuron models in one pool");
+        match neurons.first() {
+            Some(AnyNeuron::Lif(_)) => NeuronPool::Lif(LifPool::new(&neurons)),
+            _ => NeuronPool::Izhikevich(IzhikevichPool::new(&neurons)),
         }
     }
 
@@ -313,7 +321,6 @@ impl NeuronPool {
             NeuronPool::Lif(p) => (0..p.v.len())
                 .map(|i| AnyNeuron::Lif(p.neuron(i)))
                 .collect(),
-            NeuronPool::Mixed(v) => v,
         }
     }
 
@@ -322,7 +329,6 @@ impl NeuronPool {
         match self {
             NeuronPool::Izhikevich(p) => p.v.len(),
             NeuronPool::Lif(p) => p.v.len(),
-            NeuronPool::Mixed(v) => v.len(),
         }
     }
 
@@ -350,11 +356,6 @@ impl NeuronPool {
                     AnyNeuron::Lif(p.neuron(i)).encode(enc);
                 }
             }
-            NeuronPool::Mixed(v) => {
-                for n in v {
-                    n.encode(enc);
-                }
-            }
         }
     }
 
@@ -363,7 +364,7 @@ impl NeuronPool {
     /// # Errors
     ///
     /// Returns a [`spinn_sim::wire::WireError`] on truncated or corrupt
-    /// input.
+    /// input, a vector that mixes models included.
     pub fn decode(
         dec: &mut spinn_sim::wire::Dec<'_>,
     ) -> Result<NeuronPool, spinn_sim::wire::WireError> {
@@ -372,26 +373,21 @@ impl NeuronPool {
         for _ in 0..n {
             neurons.push(AnyNeuron::decode(dec)?);
         }
+        if mixed(&neurons) {
+            return Err(spinn_sim::wire::WireError::Corrupt("mixed neuron models"));
+        }
         Ok(NeuronPool::from_neurons(neurons))
     }
 
     /// Advances every neuron by 1 ms: `input(i)` supplies the summed
     /// drive in nA, `on_spike(i)` fires for each neuron that crossed
-    /// threshold, in ascending index order.
-    /// Homogeneous pools take the chunked wide path (see the module
-    /// docs); mixed pools step neuron by neuron.
+    /// threshold, in ascending index order, through the chunked wide
+    /// path (see the module docs).
     #[inline]
     pub fn step_tick(&mut self, input: impl Fn(usize) -> f32, mut on_spike: impl FnMut(usize)) {
         match self {
             NeuronPool::Izhikevich(p) => p.step_tick_wide(&input, &mut on_spike),
             NeuronPool::Lif(p) => p.step_tick_wide(&input, &mut on_spike),
-            NeuronPool::Mixed(v) => {
-                for (i, n) in v.iter_mut().enumerate() {
-                    if n.step_1ms(input(i)) {
-                        on_spike(i);
-                    }
-                }
-            }
         }
     }
 }
@@ -399,6 +395,7 @@ impl NeuronPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::NeuronModel;
 
     fn drive(t: usize, i: usize) -> f32 {
         match (t + i) % 4 {
@@ -513,18 +510,18 @@ mod tests {
         assert!(spikes > 0);
     }
 
+    /// A snapshot whose pool mixes models is corrupt, not a panic: the
+    /// encoding of an Izhikevich pool with one LIF neuron spliced in.
     #[test]
-    fn mixed_pool_falls_back_to_enum_dispatch() {
-        let mk = |i: usize| -> AnyNeuron {
-            if i.is_multiple_of(2) {
-                IzhikevichNeuron::new(IzhikevichParams::regular_spiking()).into()
-            } else {
-                LifNeuron::new(LifParams::default()).into()
-            }
-        };
-        let pool = NeuronPool::from_neurons((0..6).map(mk).collect());
-        assert!(matches!(pool, NeuronPool::Mixed(_)));
-        assert_pool_matches_aos(mk, 300);
+    fn decode_refuses_a_mixed_pool() {
+        let mut enc = spinn_sim::wire::Enc::new();
+        enc.seq(2);
+        AnyNeuron::from(IzhikevichNeuron::new(IzhikevichParams::regular_spiking()))
+            .encode(&mut enc);
+        AnyNeuron::from(LifNeuron::new(LifParams::default())).encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let got = NeuronPool::decode(&mut spinn_sim::wire::Dec::new(&bytes));
+        assert!(matches!(got, Err(spinn_sim::wire::WireError::Corrupt(_))));
     }
 
     #[test]

@@ -21,7 +21,14 @@ use crate::hint::prefetch_read;
 pub const RING_SLOTS: usize = 16;
 
 /// The per-core input ring buffer: `RING_SLOTS` slots × one 8.8
-/// fixed-point accumulator per neuron.
+/// fixed-point accumulator per neuron, plus the slot the last tick
+/// drained.
+///
+/// All of it is one allocation of `(RING_SLOTS + 1) × neurons`
+/// accumulators, slot-major: rows `0..RING_SLOTS` are the delay slots,
+/// row `RING_SLOTS` is the drained slot. A tick copies the current slot
+/// into the drained row and zeroes it, so the drive the neurons read
+/// and the charge still queued sit side by side in one slice.
 ///
 /// # Example
 ///
@@ -36,26 +43,29 @@ pub const RING_SLOTS: usize = 16;
 /// ```
 #[derive(Clone, Debug)]
 pub struct InputRing {
-    slots: Vec<Vec<i32>>,
+    acc: Vec<i32>,
     cursor: usize,
     neurons: usize,
-    drained: Vec<i32>,
 }
 
 impl InputRing {
     /// Creates a ring for `neurons` accumulators per slot.
     pub fn new(neurons: usize) -> Self {
         InputRing {
-            slots: vec![vec![0; neurons]; RING_SLOTS],
+            acc: vec![0; (RING_SLOTS + 1) * neurons],
             cursor: 0,
             neurons,
-            drained: vec![0; neurons],
         }
     }
 
     /// Number of neurons per slot.
     pub fn neurons(&self) -> usize {
         self.neurons
+    }
+
+    /// Index of `neuron`'s accumulator in the slot `delay_ms` ticks out.
+    fn index(&self, delay_ms: u8, neuron: usize) -> usize {
+        (self.cursor + delay_ms as usize) % RING_SLOTS * self.neurons + neuron
     }
 
     /// Adds `weight_raw` (8.8 fixed point) to `neuron`'s accumulator
@@ -71,8 +81,8 @@ impl InputRing {
             "delay {delay_ms} outside 1..=16"
         );
         assert!(neuron < self.neurons, "neuron {neuron} out of range");
-        let slot = (self.cursor + delay_ms as usize) % RING_SLOTS;
-        self.slots[slot][neuron] = self.slots[slot][neuron].saturating_add(weight_raw);
+        let i = self.index(delay_ms, neuron);
+        self.acc[i] = self.acc[i].saturating_add(weight_raw);
     }
 
     /// Hint, when a row's DMA completes: walking it will
@@ -81,9 +91,8 @@ impl InputRing {
     /// the hint miss by one slot and changes nothing else.
     #[inline]
     pub fn hint_deposit(&self, delay_ms: u8, neuron: usize) {
-        let slot = (self.cursor + delay_ms as usize) % RING_SLOTS;
-        if let Some(acc) = self.slots[slot].get(neuron) {
-            prefetch_read(acc);
+        if neuron < self.neurons {
+            prefetch_read(&self.acc[self.index(delay_ms, neuron)]);
         }
     }
 
@@ -92,21 +101,23 @@ impl InputRing {
     /// slice is valid until the next call.
     pub fn tick(&mut self) -> &[i32] {
         self.cursor = (self.cursor + 1) % RING_SLOTS;
-        std::mem::swap(&mut self.drained, &mut self.slots[self.cursor]);
-        self.slots[self.cursor].fill(0);
-        &self.drained
+        let n = self.neurons;
+        let (slots, drained) = self.acc.split_at_mut(RING_SLOTS * n);
+        let slot = &mut slots[self.cursor * n..][..n];
+        drained.copy_from_slice(slot);
+        slot.fill(0);
+        drained
     }
 
     /// The input drained by the most recent [`InputRing::tick`].
     pub fn current(&self) -> &[i32] {
-        &self.drained
+        &self.acc[RING_SLOTS * self.neurons..]
     }
 
     /// Total absolute charge currently queued (diagnostics).
     pub fn queued_magnitude(&self) -> i64 {
-        self.slots
+        self.acc[..RING_SLOTS * self.neurons]
             .iter()
-            .flat_map(|s| s.iter())
             .map(|&w| (w as i64).abs())
             .sum()
     }
@@ -122,21 +133,21 @@ impl InputRing {
     /// entries), so a quiet ring costs a handful of bytes regardless of
     /// neuron count.
     pub fn encode(&self, enc: &mut spinn_sim::wire::Enc) {
-        enc.seq(self.neurons);
-        enc.u8(self.cursor as u8);
+        let n = self.neurons;
+        let (slots, drained) = self.acc.split_at(RING_SLOTS * n);
         let nonzero = |v: &[i32]| v.iter().filter(|&&w| w != 0).count();
-        enc.seq(self.slots.iter().map(|s| nonzero(s)).sum());
-        for (si, slot) in self.slots.iter().enumerate() {
-            for (n, &w) in slot.iter().enumerate() {
-                if w != 0 {
-                    enc.u8(si as u8).u32(n as u32).i32(w);
-                }
+        enc.seq(n);
+        enc.u8(self.cursor as u8);
+        enc.seq(nonzero(slots));
+        for (i, &w) in slots.iter().enumerate() {
+            if w != 0 {
+                enc.u8((i / n) as u8).u32((i % n) as u32).i32(w);
             }
         }
-        enc.seq(nonzero(&self.drained));
-        for (n, &w) in self.drained.iter().enumerate() {
+        enc.seq(nonzero(drained));
+        for (i, &w) in drained.iter().enumerate() {
             if w != 0 {
-                enc.u32(n as u32).i32(w);
+                enc.u32(i as u32).i32(w);
             }
         }
     }
@@ -172,7 +183,7 @@ impl InputRing {
             if slot >= RING_SLOTS || neuron >= neurons {
                 return Err(WireError::Corrupt("ring entry index"));
             }
-            ring.slots[slot][neuron] = dec.i32()?;
+            ring.acc[slot * neurons + neuron] = dec.i32()?;
         }
         let n_drained = dec.seq(8)?;
         for _ in 0..n_drained {
@@ -180,7 +191,7 @@ impl InputRing {
             if neuron >= neurons {
                 return Err(WireError::Corrupt("ring drained index"));
             }
-            ring.drained[neuron] = dec.i32()?;
+            ring.acc[RING_SLOTS * neurons + neuron] = dec.i32()?;
         }
         Ok(ring)
     }
@@ -299,6 +310,49 @@ mod tests {
         let empty = InputRing::new(0);
         empty.hint_deposit(1, 0);
         assert_eq!(empty.queued_magnitude(), 0);
+    }
+
+    /// The checkpoint layout at every cursor position: a scripted run of
+    /// deposits at every delay, one tick per turn, through all 16 cursor
+    /// positions. The final bytes were recorded from the
+    /// one-`Vec`-per-slot ring the flat layout replaced; decode → encode
+    /// reproduces them at every turn, and the slot a tick drains leaves
+    /// the queued charge at once (the drained row is not queued).
+    #[test]
+    fn encoding_is_pinned_through_every_cursor_position() {
+        let encoded = |ring: &InputRing| {
+            let mut enc = spinn_sim::wire::Enc::new();
+            ring.encode(&mut enc);
+            enc.into_bytes()
+        };
+        let mut ring = InputRing::new(3);
+        for turn in 0..RING_SLOTS {
+            for d in 1..=RING_SLOTS {
+                let w = (turn * 37 + d * 11) as i32 % 97 - 48;
+                ring.deposit(d as u8, (turn + d) % 3, w);
+            }
+            let queued = ring.queued_magnitude();
+            let drained: i64 = ring.tick().iter().map(|&w| (w as i64).abs()).sum();
+            assert!(drained > 0, "turn {turn}");
+            assert_eq!(ring.queued_magnitude(), queued - drained, "turn {turn}");
+            let bytes = encoded(&ring);
+            let back = InputRing::decode(&mut spinn_sim::wire::Dec::new(&bytes), 3).unwrap();
+            assert_eq!(encoded(&back), bytes, "turn {turn}");
+            assert_eq!(back.queued_magnitude(), ring.queued_magnitude());
+        }
+        let hex: String = encoded(&ring).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "0300000000000000000f00000000000000",
+                "0102000000dfffffff0200000000350000000301000000faffffff",
+                "0402000000f0ffffff05000000001700000006010000000e000000",
+                "0702000000d5ffffff08000000002e0000000901000000f6ffffff",
+                "0a02000000500000000b00000000b8ffffff0c0100000013000000",
+                "0d02000000ddffffff0e00000000d8ffffff0f0100000004000000",
+                "0100000000000000010000001b000000",
+            )
+        );
     }
 
     #[test]
