@@ -46,12 +46,37 @@
 //! In between, the chip's other cores resolve a completion each — the
 //! time a line takes to arrive.
 //!
+//! # Settled cores leave the timer walk
+//!
+//! The paper's cores sleep until an interrupt; the timer is one, but a
+//! core whose tick cannot change anything need not take it. A core
+//! *settles* after a timer handler when that tick moved no state bit
+//! and fired nothing (`NeuronPool::step_tick` says so), no row walked
+//! in the 16 ticks before it (so every slot of its ring is zero and the
+//! next drive is the bias again), and nothing is queued or owed. Its
+//! next tick would then be the same tick again, so it leaves the
+//! per-chip [`NeuralMachine::awake`] mask the timer walks.
+//!
+//! Work reaches a core at two points only — a packet delivered, a row
+//! transfer done — and both first *wake* it: it is caught up through
+//! the last tick the timer handled, as if it had run every one (the
+//! handlers it skipped charged, its ring turned), the last one's
+//! handler interval is put back on the agenda if the work arrives
+//! inside it, and it rejoins the walk. At segment end the meter is
+//! charged the skipped handlers of every core still settled, one
+//! closed form per chip ([`QuietCharge`]); a snapshot writes a settled
+//! core's ring as it would stand. Spikes, meters, checkpoint bytes and
+//! the pending list are what ticking every core produces; only the
+//! host-work counts (`Counter::Events`, `Counter::NeuronsTicked`, the
+//! `NeuronTick` phase) drop, as they count what ran.
+//!
 //! [`SynapticMatrix::hint_descriptor`]: spinn_neuron::SynapticMatrix::hint_descriptor
 //! [`SynapticMatrix::hint_row`]: spinn_neuron::SynapticMatrix::hint_row
 //! [`InputRing::hint_deposit`]: spinn_neuron::InputRing::hint_deposit
 
 use std::collections::VecDeque;
 
+use spinn_neuron::ring::{InputRing, RING_SLOTS};
 use spinn_neuron::stdp::apply_bounded;
 use spinn_noc::fabric::{CtxScheduler, NocEvent};
 use spinn_noc::packet::{Packet, PacketKind};
@@ -81,6 +106,60 @@ impl DmaInFlight {
     /// Pop order among a chip's transfers: `DmaDone`'s `(time, rank)`.
     fn order(&self) -> (u64, u8, u32) {
         (self.done_ns, self.core, self.key)
+    }
+}
+
+/// Turns a settled core's ring by `ticks`, as that many ticks would
+/// have: every slot is zero, so only the cursor moves, and it wraps at
+/// `RING_SLOTS`.
+pub(crate) fn turn_quiet_ring(ring: &mut InputRing, ticks: u32) {
+    for _ in 0..ticks % RING_SLOTS as u32 {
+        ring.tick();
+    }
+}
+
+/// What the settled cores of one chip owe the energy meter: each would
+/// have charged one quiet handler ([`NeuralMachine::quiet_handler`]) per
+/// tick. `paid` weights each core's handler by the tick through which
+/// the meter holds it, so the chip owes `tick × per_tick − paid` through
+/// `tick`, whatever tick each core settled at.
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct QuietCharge {
+    /// `[instructions, busy ns]` of one quiet handler, summed over the
+    /// chip's settled cores.
+    per_tick: [u64; 2],
+    /// The same, each core's weighted by the tick it is paid through.
+    paid: [u64; 2],
+}
+
+impl QuietCharge {
+    /// A core whose quiet handler costs `handler` joins, paid through
+    /// `tick`.
+    fn join(&mut self, handler: [u64; 2], tick: u32) {
+        for ((per, paid), h) in self.per_tick.iter_mut().zip(&mut self.paid).zip(handler) {
+            *per += h;
+            *paid += u64::from(tick) * h;
+        }
+    }
+
+    /// The inverse of [`QuietCharge::join`].
+    fn leave(&mut self, handler: [u64; 2], tick: u32) {
+        for ((per, paid), h) in self.per_tick.iter_mut().zip(&mut self.paid).zip(handler) {
+            *per -= h;
+            *paid -= u64::from(tick) * h;
+        }
+    }
+
+    /// What the chip's settled cores owe through `tick`, as
+    /// `[instructions, busy ns]`; from here on it counts as paid.
+    fn pay_through(&mut self, tick: u32) -> [u64; 2] {
+        let tick = u64::from(tick);
+        let mut owed = [0; 2];
+        for ((owed, per), paid) in owed.iter_mut().zip(self.per_tick).zip(&mut self.paid) {
+            *owed = tick * per - *paid;
+            *paid = tick * per;
+        }
+        owed
     }
 }
 
@@ -124,6 +203,11 @@ impl Agenda {
         self.busy_until[chip as usize * self.cores_per_chip + core as usize] = done_ns;
         let due = &mut self.next_due[chip as usize];
         *due = (*due).min(done_ns);
+    }
+
+    /// Whether a transfer is in flight on `chip`'s SDRAM port.
+    fn dma_in_flight(&self, chip: usize) -> bool {
+        !self.dma[chip].is_empty()
     }
 
     fn start_dma(&mut self, chip: u32, dma: DmaInFlight) {
@@ -259,7 +343,7 @@ impl NeuralMachine {
             let base_key = *base_key;
             let inputs = ring.tick();
             let tok = self.obs.phases().start();
-            neurons.step_tick(
+            let moved = neurons.step_tick(
                 |i| bias_na[i] + inputs[i] as f32 / 256.0,
                 |i| {
                     pending_spikes.push(base_key + i as u32);
@@ -284,11 +368,21 @@ impl NeuralMachine {
                     self.obs.trace(now, TraceKind::Spike, key, tick_ms);
                 }
             }
-            self.charge(
+            let ns = self.charge(
                 costs.timer_fixed_instr
                     + costs.per_neuron_instr * n_neurons
                     + costs.spike_emit_instr * n_spikes,
-            )
+            );
+            // The settle test, cheapest condition first: a core that
+            // fires or moves pays one compare. The queues are empty —
+            // they outrank the timer — and no tick is owed, so the next
+            // tick would drain an empty slot into the same fixed point,
+            // and finish before the one after it.
+            let c = self.cores[idx].as_ref().expect("checked above");
+            if !moved && c.timer_pending == 0 && tick_ms >= c.ring_quiet_ms && ns < MS {
+                self.settle(chip, core, tick_ms, self.quiet_handler(n_neurons as usize));
+            }
+            ns
         } else {
             return; // Nothing to do — wait-for-interrupt sleep.
         };
@@ -394,6 +488,7 @@ impl NeuralMachine {
                         writeback_bytes = Some(matrix.row_bytes(row) as u64);
                     }
                 }
+                c.ring_quiet_ms = (now / MS) as u32 + RING_SLOTS as u32 + 1;
                 self.obs.phases().record(Phase::RowWalk, tok);
                 self.obs.counters().add(Counter::SynapticEvents, row_events);
                 if let Some(bytes) = writeback_bytes {
@@ -425,8 +520,17 @@ impl NeuralMachine {
         self.dispatch(chip, core, now);
     }
 
-    /// A row transfer lands in the core's DTCM at `now`.
+    /// A row transfer lands in the core's DTCM at `now`. A handler
+    /// ending at `now` has finished first (`CoreDone` outranks
+    /// `DmaDone`), hence the wake's limit.
     fn on_dma_done(&mut self, chip: u32, dma: DmaInFlight, now: u64) {
+        // Every tick advances a chip with a transfer in flight, so one
+        // landing on a settled core lands after the last tick handled.
+        debug_assert!(
+            self.settled[chip as usize] & (1 << dma.core) == 0
+                || now / MS == u64::from(self.timer_ms)
+        );
+        self.wake(chip, dma.core, now + 1);
         let idx = chip as usize * self.cfg.cores_per_chip as usize + dma.core as usize;
         if let Some(c) = self.cores[idx].as_mut() {
             // Hint 3: the words have arrived; where they will deposit.
@@ -436,6 +540,107 @@ impl NeuralMachine {
             c.q_rows.push_back(dma.row);
             self.dispatch(chip, dma.core, now);
         }
+    }
+
+    /// `[instructions, busy ns]` of one timer handler that fires
+    /// nothing, on a core of `neurons` neurons — what `dispatch`
+    /// charges for such a tick.
+    fn quiet_handler(&self, neurons: usize) -> [u64; 2] {
+        let costs = self.cfg.costs;
+        let instr = costs.timer_fixed_instr + costs.per_neuron_instr * neurons as u64;
+        [instr, self.cfg.instr_ns(instr)]
+    }
+
+    /// Takes core `core` of `chip` out of the timer walk after its tick
+    /// `tick`, whose handler cost `handler`: from here on its handlers
+    /// accrue on the chip's [`QuietCharge`].
+    fn settle(&mut self, chip: u32, core: u8, tick: u32, handler: [u64; 2]) {
+        let chip = chip as usize;
+        self.awake[chip] &= !(1 << core);
+        self.settled[chip] |= 1 << core;
+        self.quiet[chip].join(handler, tick);
+        let idx = chip * self.cfg.cores_per_chip as usize + core as usize;
+        self.cores[idx]
+            .as_mut()
+            .expect("a settling core is loaded")
+            .settled_ms = Some(tick);
+    }
+
+    /// Puts settled core `core` of `chip` back in the timer walk,
+    /// caught up through `tick` as if it had run every tick since it
+    /// settled: the handlers the meter does not hold yet are charged,
+    /// and the ring turns one slot per tick (every slot of a settled
+    /// core's ring is zero, so only its cursor moves). Returns the
+    /// ticks it skipped and one handler's duration.
+    pub(crate) fn unsettle(&mut self, chip: u32, core: u8, tick: u32) -> (u32, u64) {
+        let chip = chip as usize;
+        self.settled[chip] &= !(1 << core);
+        self.awake[chip] |= 1 << core;
+        let idx = chip * self.cfg.cores_per_chip as usize + core as usize;
+        let c = self.cores[idx].as_mut().expect("a settled core is loaded");
+        let since = c.settled_ms.take().expect("the core is settled");
+        turn_quiet_ring(&mut c.ring, tick - since);
+        let neurons = c.neurons.len();
+        let handler = self.quiet_handler(neurons);
+        // `charge_settled` has paid every handler through the segment's
+        // start.
+        let paid = since.max(self.charged_ms);
+        let owed = u64::from(tick - paid);
+        self.meter.instructions += owed * handler[0];
+        self.meter.core_active_ns += owed * handler[1];
+        self.quiet[chip].leave(handler, paid);
+        (tick - since, handler[1])
+    }
+
+    /// Puts a settled core back in the timer walk as work reaches it —
+    /// a packet delivered, a row transfer done — with `limit_ns` the
+    /// instant from which completions are not yet resolved (see
+    /// [`NeuralMachine::advance_chip`]). It is caught up through the
+    /// last tick the timer has handled; if that tick's handler, had it
+    /// run, would still be busy at `limit_ns`, it is put back on the
+    /// agenda, so the work waits for it as it would have. Does nothing
+    /// to a core that is awake.
+    fn wake(&mut self, chip: u32, core: u8, limit_ns: u64) {
+        if self.settled[chip as usize] & (1 << core) == 0 {
+            return;
+        }
+        let tick = self.timer_ms;
+        let (skipped, handler_ns) = self.unsettle(chip, core, tick);
+        let end = u64::from(tick) * MS + handler_ns;
+        // With none skipped, the handler of `tick` really ran and its
+        // completion is on the agenda already (or resolved).
+        if skipped > 0 && end >= limit_ns {
+            let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
+            let c = self.cores[idx].as_mut().expect("a woken core is loaded");
+            debug_assert!(c.current.is_none(), "a settled core sleeps");
+            c.current = Some(WorkItem::Timer);
+            self.agenda.start_core(chip, core, end);
+        }
+    }
+
+    /// Puts every settled core back in the timer walk, caught up
+    /// through the last tick handled — before a restore overwrites
+    /// them, or a run restarts from another instant.
+    pub(crate) fn wake_all(&mut self) {
+        for chip in 0..self.settled.len() {
+            while self.settled[chip] != 0 {
+                let core = self.settled[chip].trailing_zeros() as u8;
+                self.unsettle(chip as u32, core, self.timer_ms);
+            }
+        }
+    }
+
+    /// Charges the meter, at segment end, every handler the settled
+    /// cores skipped through the segment's last tick. It costs one
+    /// closed form per chip; the cores stay settled, and their rings
+    /// turn only when they wake (or in a snapshot's copy).
+    pub(crate) fn charge_settled(&mut self) {
+        for q in &mut self.quiet {
+            let [instructions, ns] = q.pay_through(self.timer_ms);
+            self.meter.instructions += instructions;
+            self.meter.core_active_ns += ns;
+        }
+        self.charged_ms = self.timer_ms;
     }
 
     /// Resolves every completion on `chip`'s agenda that falls before
@@ -512,15 +717,24 @@ impl NeuralMachine {
     /// state after [`NeuralMachine::absorb_completion`].
     pub(crate) fn wakes(&self) -> Vec<(SimTime, MachineEvent)> {
         let per = self.cfg.cores_per_chip as usize;
-        self.timer_cores
-            .iter()
-            .filter_map(|&(chip, core)| {
-                let c = self.cores[chip as usize * per + core as usize].as_ref()?;
+        let mut wakes = Vec::new();
+        for (chip, (&awake, &settled)) in self.awake.iter().zip(&self.settled).enumerate() {
+            if self.agenda.next_due[chip] == IDLE {
+                continue;
+            }
+            let mut cores = awake | settled;
+            while cores != 0 {
+                let core = cores.trailing_zeros() as u8;
+                cores &= cores - 1;
+                let chip = chip as u32;
                 let done = self.agenda.busy_until(chip, core);
-                (done != IDLE && c.wakes_on_done())
-                    .then(|| (SimTime::new(done), MachineEvent::CoreDone { chip, core }))
-            })
-            .collect()
+                let c = self.cores[chip as usize * per + core as usize].as_ref();
+                if done != IDLE && c.is_some_and(|c| c.wakes_on_done()) {
+                    wakes.push((SimTime::new(done), MachineEvent::CoreDone { chip, core }));
+                }
+            }
+        }
+        wakes
     }
 
     /// Empties the agenda into the checkpoint form of a paused run:
@@ -539,25 +753,37 @@ impl NeuralMachine {
         drained
     }
 
-    /// The coalesced 1 ms timer: services every *loaded* core in
-    /// `self.timer_cores` in ascending `(chip, core)` order — the same
-    /// order per-chip timer events used to pop in (their tie rank was
-    /// the chip id, then cores ascending within the chip), so the
-    /// replay is bit-identical while the per-tick cost tracks loaded
-    /// cores, not mesh size: a million-core mesh with ten loaded cores
-    /// pays for ten, not for 1.3 M empty `Option` probes.
+    /// The coalesced 1 ms timer: services every *awake* core — loaded
+    /// and not settled, its chip's [`NeuralMachine::awake`] bit set — in
+    /// ascending `(chip, core)` order, the same order per-chip timer
+    /// events used to pop in (their tie rank was the chip id, then
+    /// cores ascending within the chip), so the replay is bit-identical
+    /// while the per-tick cost tracks the cores that have something to
+    /// do: a mesh of settled cores pays one word per chip.
     ///
-    /// Each chip is first advanced to the tick instant, so the handler
-    /// sees the true core state. A core found busy has its completion
-    /// made a wake: finishing may now start the timer handler.
+    /// Each such chip is first advanced to the tick instant, so the
+    /// handler sees the true core state; so is a chip of settled cores
+    /// with a row transfer in flight, whose completion wakes its core
+    /// before this tick. A core found busy has its completion made a
+    /// wake: finishing may now start the timer handler.
     fn on_timer(&mut self, ctx: &mut Context<MachineEvent>) {
         let now = ctx.now().ticks();
         let tick_ms = now / MS;
-        for i in 0..self.timer_cores.len() {
-            let (chip, core) = self.timer_cores[i];
-            self.advance_chip(chip, now);
-            let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
-            if let Some(c) = self.cores[idx].as_mut() {
+        let per = self.cfg.cores_per_chip as usize;
+        for chip in 0..self.awake.len() {
+            if self.awake[chip] == 0 && !self.agenda.dma_in_flight(chip) {
+                continue;
+            }
+            self.advance_chip(chip as u32, now);
+            // Read after the advance: it may have woken a core.
+            let mut cores = self.awake[chip];
+            while cores != 0 {
+                let core = cores.trailing_zeros() as u8;
+                cores &= cores - 1;
+                let chip = chip as u32;
+                let c = self.cores[chip as usize * per + core as usize]
+                    .as_mut()
+                    .expect("an awake core is loaded");
                 let woke_already = c.wakes_on_done();
                 c.timer_pending += 1;
                 if c.timer_pending > 1 {
@@ -574,6 +800,7 @@ impl NeuralMachine {
                 }
             }
         }
+        self.timer_ms = tick_ms as u32;
         if tick_ms < self.duration_ms as u64 {
             ctx.schedule_in(MS, MachineEvent::Timer);
         }
@@ -624,6 +851,7 @@ impl NeuralMachine {
             self.advance_chip(chip, limit_ns);
             for core in 1..self.cfg.cores_per_chip {
                 if d.cores & (1 << core) != 0 {
+                    self.wake(chip, core, limit_ns);
                     let idx = chip as usize * self.cfg.cores_per_chip as usize + core as usize;
                     if let Some(c) = self.cores[idx].as_mut() {
                         c.q_packets.push_back(d.packet.key);
@@ -811,7 +1039,7 @@ mod tests {
     /// The machine inside a serial engine, as a run segment sets it up.
     fn engine(mut m: NeuralMachine, run_ms: u32) -> MachineEngine {
         m.duration_ms = run_ms;
-        m.timer_cores = vec![(0, 1), (0, 2)];
+        m.begin_segment(0, 0);
         Engine::resume_at(m, SimTime::ZERO)
     }
 

@@ -44,14 +44,14 @@ use spinn_noc::direction::Direction;
 use spinn_noc::fabric::{Delivery, DroppedPacket, Fabric};
 use spinn_noc::mesh::NodeCoord;
 use spinn_noc::router::RouterStats;
-use spinn_obs::{Observability, RunTelemetry};
+use spinn_obs::{ObsMode, Observability, RunTelemetry};
 use spinn_sim::Histogram;
 
 use crate::config::MachineConfig;
 use crate::energy::EnergyMeter;
 
 pub use crate::events::MachineEvent;
-use crate::handlers::Agenda;
+use crate::handlers::{Agenda, QuietCharge};
 
 /// Nanoseconds per millisecond tick.
 pub(crate) const MS: u64 = 1_000_000;
@@ -134,6 +134,16 @@ pub(crate) struct AppCore {
     /// duplicates; deduplicated at checkpoint). Snapshots serialize
     /// only these rows as arena deltas against the loader's matrix.
     pub(crate) dirty_rows: Vec<u32>,
+    /// `Some(tick)` while the core is *settled*: its tick `tick` changed
+    /// nothing and nothing was queued for it, so it has left the timer
+    /// walk and its ring has turned through `tick` (see `handlers.rs`).
+    /// Derived, never serialized: a loaded or restored core starts in
+    /// the walk.
+    pub(crate) settled_ms: Option<u32>,
+    /// The first tick whose handler finds every slot of the ring empty:
+    /// a row walk during tick `t` deposits at most `RING_SLOTS` ticks
+    /// out, so it is `t + RING_SLOTS + 1` after the last walk.
+    pub(crate) ring_quiet_ms: u32,
 }
 
 /// DTCM bytes a core with this ring buffer and neuron count occupies —
@@ -248,17 +258,28 @@ pub struct NeuralMachine {
     /// Window counters summed over every segment since build or
     /// restore ([`NeuralMachine::par_stats`]).
     pub(crate) par_stats: Option<spinn_par::ParStats>,
-    /// The `(chip, core)` pairs this machine's coalesced
-    /// [`MachineEvent::Timer`] services, in ascending `(chip, core)`
-    /// order — exactly the order the per-slot scan used to visit loaded
-    /// cores, so the replay is bit-identical. Rebuilt from the loaded
-    /// slots at every segment start by every shard (its owned cores;
-    /// all of them when the segment runs on one shard) and read only
-    /// inside the segment, so a tick costs the loaded-core count, not
-    /// `chips × cores_per_chip` slot checks — the difference between a
-    /// million-chip mesh idling for free and every tick scanning 1.1 M
-    /// empty `Option`s.
-    pub(crate) timer_cores: Vec<(u32, u8)>,
+    /// Per chip, bit `core` set for each loaded core this machine's
+    /// coalesced [`MachineEvent::Timer`] services — those not settled.
+    /// Walked in ascending `(chip, core)` order, exactly the order the
+    /// per-slot scan used to visit loaded cores, so a tick costs the
+    /// awake-core count plus one word per chip, not `chips ×
+    /// cores_per_chip` slot checks. A shard holds the words of the
+    /// chips it owns for the segment; the machine keeps them between
+    /// segments.
+    pub(crate) awake: Vec<u32>,
+    /// Per chip, the loaded cores that are settled: the complement of
+    /// [`NeuralMachine::awake`] among the loaded ones. Kept like it.
+    pub(crate) settled: Vec<u32>,
+    /// Per chip, what its settled cores' skipped timer handlers owe the
+    /// meter, in closed form. Kept like [`NeuralMachine::awake`].
+    pub(crate) quiet: Vec<QuietCharge>,
+    /// The last tick the timer has handled: the segment's start before
+    /// its first tick, the segment's last tick after it. A settled core
+    /// is caught up through it when work reaches it.
+    pub(crate) timer_ms: u32,
+    /// The tick through which the meter holds every settled core's
+    /// skipped handlers: the segment's start.
+    pub(crate) charged_ms: u32,
     /// Reusable per-event drain buffers (delivered/dropped packets):
     /// the hot path runs allocation-free once they reach steady-state
     /// capacity.
@@ -313,7 +334,11 @@ impl NeuralMachine {
             reissued_packets: 0,
             weight_writebacks: 0,
             par_stats: None,
-            timer_cores: Vec::new(),
+            awake: vec![0; chips],
+            settled: vec![0; chips],
+            quiet: vec![QuietCharge::default(); chips],
+            timer_ms: 0,
+            charged_ms: 0,
             delivery_scratch: Vec::new(),
             dropped_scratch: Vec::new(),
             obs,
@@ -329,8 +354,7 @@ impl NeuralMachine {
     /// been replaced wholesale, e.g. by the shard-split clone). Called
     /// at segment start, when the loaded neuron count — which sizes the
     /// trace ring — is known.
-    pub(crate) fn install_observability(&mut self, shard: u32) {
-        let neurons: usize = self.cores.iter().flatten().map(|c| c.neurons.len()).sum();
+    fn install_observability(&mut self, shard: u32, neurons: usize) {
         let cap = Self::auto_trace_cap(neurons);
         self.obs = Observability::for_shard_with_cap(self.cfg.obs, shard, cap);
         self.fabric.set_observability(self.obs.counters().clone());
@@ -349,18 +373,18 @@ impl NeuralMachine {
             .clamp(spinn_obs::DEFAULT_TRACE_CAP, 1 << 20)
     }
 
-    /// Rebuilds the coalesced timer's dense service list from the
-    /// loaded slots (ascending `(chip, core)` — slot order).
-    pub(crate) fn rebuild_timer_cores(&mut self) {
-        let per = self.cfg.cores_per_chip as usize;
-        self.timer_cores.clear();
-        self.timer_cores.extend(
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| slot.is_some())
-                .map(|(idx, _)| ((idx / per) as u32, (idx % per) as u8)),
-        );
+    /// Readies this machine (one shard of the segment) to run from
+    /// `from_ms`: the timer starts there, and the telemetry handles are
+    /// scoped to `shard`. The trace ring is sized by the loaded neurons,
+    /// so only a traced segment walks the core slots.
+    pub(crate) fn begin_segment(&mut self, shard: u32, from_ms: u32) {
+        self.timer_ms = from_ms;
+        let neurons = if self.cfg.obs == ObsMode::CountersAndTrace {
+            self.cores.iter().flatten().map(|c| c.neurons.len()).sum()
+        } else {
+            0
+        };
+        self.install_observability(shard, neurons);
     }
 
     /// Telemetry accumulated by completed run segments (empty unless
@@ -391,7 +415,7 @@ impl NeuralMachine {
         // Telemetry describes *this* process's run, not the restored
         // machine state: start the restored run's accounting fresh.
         self.telemetry = RunTelemetry::default();
-        self.install_observability(0);
+        self.install_observability(0, 0);
     }
 
     /// Enables pair-based STDP on every loaded core. Weight updates are
@@ -536,7 +560,7 @@ impl NeuralMachine {
         base_key: u32,
     ) -> Result<(), DtcmOverflow> {
         assert!(
-            core != 0 && core < self.cfg.cores_per_chip,
+            core != 0 && core < self.cfg.cores_per_chip && u32::from(core) < u32::BITS,
             "core {core} is not an application core"
         );
         assert_eq!(neurons.len(), bias_na.len(), "bias length mismatch");
@@ -550,6 +574,7 @@ impl NeuralMachine {
         }
         let idx = self.core_index(chip, core);
         assert!(self.cores[idx].is_none(), "core already loaded");
+        self.awake[idx / self.cfg.cores_per_chip as usize] |= 1 << core;
         let n = neurons.len();
         self.cores[idx] = Some(Box::new(AppCore {
             ring,
@@ -568,6 +593,8 @@ impl NeuralMachine {
             row_last_pre_ms: Vec::new(),
             last_post_ms: vec![f64::NEG_INFINITY; n],
             dirty_rows: Vec::new(),
+            settled_ms: None,
+            ring_quiet_ms: 0,
         }));
         Ok(())
     }
@@ -596,6 +623,11 @@ impl NeuralMachine {
     /// functional migration after a fault, §5.3).
     pub fn evict_core(&mut self, chip: NodeCoord, core: u8) -> Option<CorePayload> {
         let idx = self.core_index(chip, core);
+        let id = idx / self.cfg.cores_per_chip as usize;
+        if self.settled[id] & (1 << core) != 0 {
+            self.unsettle(id as u32, core, self.timer_ms);
+        }
+        self.awake[id] &= !(1 << core);
         self.cores[idx].take().map(|c| {
             let c = *c;
             CorePayload {
@@ -807,7 +839,9 @@ impl NeuralMachine {
         // spikes.
         self.spikes.sort_unstable_by_key(|s| (s.time_ms, s.key));
         let duration = self.duration_ns();
-        let loaded = self.cores.iter().flatten().count() as u64;
+        let loaded: u64 = (self.awake.iter().zip(&self.settled))
+            .map(|(a, s)| u64::from((a | s).count_ones()))
+            .sum();
         let busy = self.meter.core_active_ns;
         self.meter.core_sleep_ns = (loaded * duration).saturating_sub(busy);
         self.meter.chip_overhead_ns = self.cfg.chips() as u64 * duration;

@@ -107,6 +107,12 @@ impl NeuralMachine {
         if ms == 0 {
             return (self, pending);
         }
+        if from_ms != self.timer_ms {
+            // A run restarted from another instant: its settled cores
+            // were caught up to a clock this segment does not continue.
+            self.wake_all();
+            self.charged_ms = from_ms;
+        }
         let shards = self.effective_threads(threads);
         let target = from_ms + ms;
         let lookahead = self.cfg.fabric.min_remote_delay_ns().max(1);
@@ -128,12 +134,11 @@ impl NeuralMachine {
         machines.insert(0, self);
         for (s, m) in machines.iter_mut().enumerate() {
             // Each shard's coalesced timer services exactly its owned
-            // loaded cores, and its telemetry handles are scoped to it
+            // awake cores, and its telemetry handles are scoped to it
             // (the trace ring is sized against what it holds
             // *now*) — both needed before the engines are built, which
             // capture the phase probe.
-            m.rebuild_timer_cores();
-            m.install_observability(s as u32);
+            m.begin_segment(s as u32, from_ms);
         }
 
         // Carried-over completions go back on the agenda of the shard
@@ -194,10 +199,14 @@ impl NeuralMachine {
 
         let mut parts = par.into_parts().into_iter().zip(queue_peaks);
         let ((mut m, queued), peak) = parts.next().expect("at least one shard");
+        // Settled cores skipped the segment's ticks: charge them before
+        // anything reads the meter.
+        m.charge_settled();
         m.obs.counters().gauge_max(Counter::QueuePeak, peak as u64);
         m.telemetry.absorb(&mut m.obs);
         let mut drained = vec![m.agenda_into_pending(queued)];
         for (s, ((mut shard, queued), peak)) in (1..).zip(parts) {
+            shard.charge_settled();
             drained.push(shard.agenda_into_pending(queued));
             shard
                 .obs
@@ -248,7 +257,13 @@ impl NeuralMachine {
             .set_partition(Partition::new(owner.to_vec(), shard));
         m.stdp = self.stdp;
         m.duration_ms = self.duration_ms;
+        m.charged_ms = self.charged_ms;
         m.dma_free_at = self.dma_free_at.clone();
+        for (chip, _) in owner.iter().enumerate().filter(|&(_, &o)| o == shard) {
+            m.awake[chip] = std::mem::take(&mut self.awake[chip]);
+            m.settled[chip] = std::mem::take(&mut self.settled[chip]);
+            m.quiet[chip] = std::mem::take(&mut self.quiet[chip]);
+        }
         let per = self.cfg.cores_per_chip as usize;
         for (idx, slot) in self.cores.iter_mut().enumerate() {
             if owner[idx / per] == shard && slot.is_some() {
@@ -265,6 +280,13 @@ impl NeuralMachine {
         for (mine, theirs) in self.cores.iter_mut().zip(&mut shard.cores) {
             if theirs.is_some() {
                 *mine = theirs.take();
+            }
+        }
+        for chip in 0..self.awake.len() {
+            if shard.awake[chip] | shard.settled[chip] != 0 {
+                self.awake[chip] = shard.awake[chip];
+                self.settled[chip] = shard.settled[chip];
+                self.quiet[chip] = shard.quiet[chip];
             }
         }
         self.spikes.extend(shard.spikes);

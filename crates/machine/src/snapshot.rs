@@ -31,7 +31,7 @@
 //! any thread count without loss.
 
 use spinn_neuron::pool::NeuronPool;
-use spinn_neuron::ring::InputRing;
+use spinn_neuron::ring::{InputRing, RING_SLOTS};
 use spinn_neuron::stdp::StdpParams;
 use spinn_noc::direction::Direction;
 use spinn_noc::fabric::{decode_flight, encode_flight, NocEvent};
@@ -39,6 +39,7 @@ use spinn_sim::wire::{Dec, Enc, WireError};
 use spinn_sim::Histogram;
 
 use crate::config::MachineConfig;
+use crate::handlers::turn_quiet_ring;
 use crate::machine::{MachineEvent, NeuralMachine, PendingEvent, SpikeRecord, WorkItem};
 
 /// Snapshot format magic + version. Version 2 added the repair plan
@@ -414,7 +415,16 @@ impl NeuralMachine {
                 enc.f32(b);
             }
             c.neurons.encode(&mut enc);
-            c.ring.encode(&mut enc);
+            match c.settled_ms {
+                // A settled core's ring turns when it wakes; the
+                // checkpoint holds it as it would be.
+                Some(since) => {
+                    let mut ring = c.ring.clone();
+                    turn_quiet_ring(&mut ring, self.timer_ms - since);
+                    ring.encode(&mut enc);
+                }
+                None => c.ring.encode(&mut enc),
+            }
             enc.seq(c.q_packets.len());
             for &k in &c.q_packets {
                 enc.u32(k);
@@ -494,7 +504,11 @@ impl NeuralMachine {
             }
             dec = Dec::new(&bytes[start + mine.len()..]);
         }
+        // Every core restarts in the timer walk.
+        self.wake_all();
         self.duration_ms = dec.u32()?;
+        self.timer_ms = self.duration_ms;
+        self.charged_ms = self.duration_ms;
         // Everything still to happen lies at or after the instant the
         // next segment resumes from; an earlier time could only be
         // scheduled into the past.
@@ -587,6 +601,8 @@ impl NeuralMachine {
                 "snapshot has {n_loaded} loaded core(s), this machine has {actually_loaded}"
             )));
         }
+        // A restored ring may hold charge deposited up to the cut.
+        let ring_quiet_ms = self.duration_ms.saturating_add(RING_SLOTS as u32 + 1);
         for _ in 0..n_loaded {
             let idx = dec.u64()? as usize;
             let base_key = dec.u32()?;
@@ -617,6 +633,7 @@ impl NeuralMachine {
             }
             c.neurons = pool;
             c.ring = InputRing::decode(&mut dec, c.ring.neurons())?;
+            c.ring_quiet_ms = ring_quiet_ms;
             let nq = dec.seq(4)?;
             c.q_packets.clear();
             for _ in 0..nq {

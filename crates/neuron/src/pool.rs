@@ -110,8 +110,16 @@ impl IzhikevichPool {
     /// window covers rest (≈ -65), reset and hyperpolarized states;
     /// the spike upstroke past +96 (which genuinely saturates around
     /// `v ≈ 1,500`) falls back to the clamped walk for that chunk.
-    fn step_tick_wide(&mut self, input: &impl Fn(usize) -> f32, on_spike: &mut impl FnMut(usize)) {
+    ///
+    /// Returns whether any lane's `v` or `u` moved or any lane fired.
+    fn step_tick_wide(
+        &mut self,
+        input: &impl Fn(usize) -> f32,
+        on_spike: &mut impl FnMut(usize),
+    ) -> bool {
         let n = self.v.len();
+        // OR of `old ^ new` over every lane's `v` and `u`.
+        let mut moved = 0;
         let half = Fix1616::from_f32(0.5);
         let k004 = Fix1616::from_f32(0.04);
         let k5 = Fix1616::from_int(5);
@@ -153,8 +161,10 @@ impl IzhikevichPool {
                     }
                     u += (a * (((b * v) >> 16) - u)) >> 16;
                     fired |= u32::from(v >= (30 << 16)) << k;
-                    self.v[i] = Fix1616::from_bits(v as i32);
-                    self.u[i] = Fix1616::from_bits(u as i32);
+                    let (v, u) = (v as i32, u as i32);
+                    moved |= (v ^ self.v[i].to_bits()) | (u ^ self.u[i].to_bits());
+                    self.v[i] = Fix1616::from_bits(v);
+                    self.u[i] = Fix1616::from_bits(u);
                 }
             } else {
                 for (k, &inj_k) in inj.iter().enumerate().take(m) {
@@ -170,10 +180,13 @@ impl IzhikevichPool {
                     // sides agree for saturated magnitudes, so the
                     // integer compare decides identically.
                     fired |= u32::from(v.to_bits() >= 30 << 16) << k;
+                    moved |=
+                        (v.to_bits() ^ self.v[i].to_bits()) | (u.to_bits() ^ self.u[i].to_bits());
                     self.v[i] = v;
                     self.u[i] = u;
                 }
             }
+            moved |= fired as i32;
             // Spike sweep: resets and callbacks only for set lanes, in
             // ascending index order (the scalar path's order).
             while fired != 0 {
@@ -185,6 +198,7 @@ impl IzhikevichPool {
             }
             base += m;
         }
+        moved != 0
     }
 }
 
@@ -230,8 +244,17 @@ impl LifPool {
     /// threshold crossings gathered into a bitmask before the reset
     /// sweep. Refractory bookkeeping stays inline — it is a counter
     /// decrement, not worth a separate pass.
-    fn step_tick_wide(&mut self, input: &impl Fn(usize) -> f32, on_spike: &mut impl FnMut(usize)) {
+    ///
+    /// Returns whether any lane's `v` or refractory count moved or any
+    /// lane fired.
+    fn step_tick_wide(
+        &mut self,
+        input: &impl Fn(usize) -> f32,
+        on_spike: &mut impl FnMut(usize),
+    ) -> bool {
         let n = self.v.len();
+        // OR of `old ^ new` over every lane's `v` and refractory count.
+        let mut moved = 0;
         let mut base = 0;
         while base < n {
             let m = LANES.min(n - base);
@@ -240,6 +263,7 @@ impl LifPool {
                 let i = base + k;
                 if self.refract_left[i] > 0 {
                     self.refract_left[i] -= 1;
+                    moved |= 1;
                     continue;
                 }
                 let p = &self.params[i];
@@ -248,9 +272,11 @@ impl LifPool {
                 if v >= p.v_thresh {
                     fired |= 1 << k;
                 } else {
+                    moved |= v.to_bits() ^ self.v[i].to_bits();
                     self.v[i] = v;
                 }
             }
+            moved |= fired;
             while fired != 0 {
                 let i = base + fired.trailing_zeros() as usize;
                 fired &= fired - 1;
@@ -260,6 +286,7 @@ impl LifPool {
             }
             base += m;
         }
+        moved != 0
     }
 }
 
@@ -383,8 +410,17 @@ impl NeuronPool {
     /// drive in nA, `on_spike(i)` fires for each neuron that crossed
     /// threshold, in ascending index order, through the chunked wide
     /// path (see the module docs).
+    ///
+    /// Returns `true` if the tick changed anything: a state bit moved
+    /// (the pool's [`encode`](NeuronPool::encode) bytes differ) or a
+    /// neuron fired. `false` means the pool sits at a fixed point of
+    /// this drive — the same drive again changes nothing.
     #[inline]
-    pub fn step_tick(&mut self, input: impl Fn(usize) -> f32, mut on_spike: impl FnMut(usize)) {
+    pub fn step_tick(
+        &mut self,
+        input: impl Fn(usize) -> f32,
+        mut on_spike: impl FnMut(usize),
+    ) -> bool {
         match self {
             NeuronPool::Izhikevich(p) => p.step_tick_wide(&input, &mut on_spike),
             NeuronPool::Lif(p) => p.step_tick_wide(&input, &mut on_spike),
@@ -508,6 +544,125 @@ mod tests {
             600,
         );
         assert!(spikes > 0);
+    }
+
+    fn encoded(pool: &NeuronPool) -> Vec<u8> {
+        let mut enc = spinn_sim::wire::Enc::new();
+        pool.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// One tick of `pool` at `drive`: the changed-flag `step_tick`
+    /// returns must say exactly whether the encoded state moved or a
+    /// neuron fired. Returns the flag.
+    fn assert_flag_is_exact(pool: &mut NeuronPool, drive: &[f32]) -> bool {
+        let before = encoded(pool);
+        let mut fired = false;
+        let changed = pool.step_tick(|i| drive[i], |_| fired = true);
+        assert_eq!(changed, encoded(pool) != before || fired, "drive {drive:?}");
+        changed
+    }
+
+    /// `params` stepped at zero drive until a tick leaves it bit-equal.
+    fn at_rest(params: IzhikevichParams) -> IzhikevichNeuron {
+        let mut n = IzhikevichNeuron::new(params);
+        for _ in 0..2000 {
+            let (v, u) = (n.v, n.u);
+            assert!(!n.step_1ms(0.0));
+            if (n.v, n.u) == (v, u) {
+                return n;
+            }
+        }
+        panic!("no fixed point within 2000 ticks");
+    }
+
+    /// The changed-flag over random states and drives, both models, at
+    /// pool sizes with ragged chunk tails: states from hyperpolarized
+    /// to past threshold (so the clamped lanes, spikes and refractory
+    /// counts all occur), drives zero half the time. Every third pool
+    /// starts at rest under zero drive, with one neuron in four
+    /// displaced, so still pools occur too.
+    #[test]
+    fn changed_flag_matches_the_encoded_state() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f32 / (1u64 << 53) as f32
+        };
+        let presets = [
+            IzhikevichParams::regular_spiking(),
+            IzhikevichParams::fast_spiking(),
+        ];
+        let rest = presets.map(at_rest);
+        let (mut changed, mut still) = (0, 0);
+        for round in 0..400 {
+            let n = [1, 7, 8, 9, 17][round % 5];
+            let quiet = round % 3 == 0;
+            let drive: Vec<f32> = (0..n)
+                .map(|_| {
+                    if quiet || unit() < 0.5 {
+                        0.0
+                    } else {
+                        unit() * 40.0 - 5.0
+                    }
+                })
+                .collect();
+            let mut pool = if round % 2 == 0 {
+                NeuronPool::from_neurons(
+                    (0..n)
+                        .map(|i| {
+                            let mut x = rest[i % 2].clone();
+                            if !quiet || unit() < 0.25 {
+                                x.v = Fix1616::from_f32(unit() * 140.0 - 100.0);
+                                x.u = Fix1616::from_f32(unit() * 30.0 - 20.0);
+                            }
+                            x.into()
+                        })
+                        .collect(),
+                )
+            } else {
+                NeuronPool::from_neurons(
+                    (0..n)
+                        .map(|_| {
+                            let mut x = LifNeuron::new(LifParams {
+                                t_refract: (unit() * 3.0) as u32,
+                                ..Default::default()
+                            });
+                            if !quiet || unit() < 0.25 {
+                                x.v = unit() * 20.0 - 70.0;
+                                x.refract_left = (unit() * 2.0) as u32;
+                            }
+                            x.into()
+                        })
+                        .collect(),
+                )
+            };
+            for _ in 0..3 {
+                if assert_flag_is_exact(&mut pool, &drive) {
+                    changed += 1;
+                } else {
+                    still += 1;
+                }
+            }
+        }
+        assert!(changed > 0 && still > 0, "{changed} changed, {still} still");
+    }
+
+    /// Regular-spiking Izhikevich at zero drive reaches a bit-exact
+    /// fixed point, where a tick reports no change; one ulp of `v` off
+    /// it, the tick moves the state and says so.
+    #[test]
+    fn the_regular_spiking_fixed_point_reports_no_change() {
+        let mut n = at_rest(IzhikevichParams::regular_spiking());
+        let mut pool = NeuronPool::from_neurons(vec![n.clone().into(); 9]);
+        assert!(!assert_flag_is_exact(&mut pool, &[0.0; 9]));
+        n.v = Fix1616::from_bits(n.v.to_bits() + 1);
+        let mut neurons: Vec<AnyNeuron> = vec![pool.into_neurons()[0].clone(); 9];
+        neurons[8] = n.into();
+        let mut pool = NeuronPool::from_neurons(neurons);
+        assert!(assert_flag_is_exact(&mut pool, &[0.0; 9]));
     }
 
     /// A snapshot whose pool mixes models is corrupt, not a panic: the

@@ -75,7 +75,9 @@ impl std::fmt::Display for ObsMode {
 pub enum Counter {
     /// Neurons that fired.
     Spikes,
-    /// Neurons stepped through their 1 ms tick update.
+    /// Neurons stepped through their 1 ms tick update: pool updates
+    /// actually run. A settled core's skipped ticks are not counted;
+    /// their modelled work is in the machine's energy meter.
     NeuronsTicked,
     /// Synaptic words deposited by row walks.
     SynapticEvents,

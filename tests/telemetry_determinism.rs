@@ -62,7 +62,7 @@ fn counters_match_the_recorded_raster() {
         assert_eq!(
             t.total(Counter::NeuronsTicked),
             8 * 128 * u64::from(RUN_MS),
-            "{threads} thread(s): every neuron ticks every millisecond"
+            "{threads} thread(s): every neuron ticks every millisecond (no synfire core settles in {RUN_MS} ms)"
         );
         assert!(t.total(Counter::Events) > 0);
         assert!(t.total(Counter::QueuePeak) > 0);

@@ -128,12 +128,13 @@ fn cortex(shards: u32) -> Counts {
     count(&net, cfg, &poisson, shards)
 }
 
-/// 8 × 8 chips × 16 application cores × 8 neurons: one 128-neuron
-/// population per chip in an all-to-all ring (lazy generator rows),
-/// only chip 0's population Poisson-driven.
-fn idle(shards: u32) -> Counts {
+/// `side` × `side` chips × 16 application cores × 8 neurons: one
+/// 128-neuron population per chip in an all-to-all ring (lazy generator
+/// rows), only chip 0's population Poisson-driven. Returns the net, its
+/// configuration and the one Poisson source.
+fn idle_net(side: u32) -> (NetworkGraph, SimConfig, [(PopulationId, f64, u64); 1]) {
     let mut net = NetworkGraph::new();
-    let pops: Vec<_> = (0..64)
+    let pops: Vec<_> = (0..side * side)
         .map(|i| net.population(&format!("c{i}"), 128, rs(), 0.0))
         .collect();
     for (i, &src) in pops.iter().enumerate() {
@@ -145,9 +146,15 @@ fn idle(shards: u32) -> Counts {
             0x1D + i as u64,
         );
     }
-    let mut cfg = SimConfig::new(8, 8).with_neurons_per_core(8);
+    let mut cfg = SimConfig::new(side, side).with_neurons_per_core(8);
     cfg.machine.cores_per_chip = 17;
-    count(&net, cfg, &[(pops[0], 20.0, 0x1D1E)], shards)
+    (net, cfg, [(pops[0], 20.0, 0x1D1E)])
+}
+
+/// The `idle` net on 8 × 8 chips.
+fn idle(shards: u32) -> Counts {
+    let (net, cfg, poisson) = idle_net(8);
+    count(&net, cfg, &poisson, shards)
 }
 
 /// Runs `net` at 1 and 2 shards and compares with the pinned counts.
@@ -227,4 +234,34 @@ fn idle_mesh_work_counts() {
             },
         ],
     );
+}
+
+/// Pool updates per bio-ms follow the cores that have something to do,
+/// not the cores loaded: an `idle` net past settling runs the same
+/// number on 4 × 4 chips as on 16 × 16. Chip 0's cores hear nothing (the
+/// stimulus stands in for their spikes) and settle as every undriven
+/// core does, some 300 ticks after build; only chip 1's 16 cores, which
+/// the stimulus drives, still tick.
+#[test]
+fn settled_cores_leave_the_tick_walk() {
+    const WARM_MS: u32 = 600;
+    const RUN_MS: u32 = 100;
+    for side in [4, 16] {
+        let (net, cfg, poisson) = idle_net(side);
+        let cfg = cfg.with_observability(ObsMode::CountersAndTrace);
+        let mut session = Simulation::build(&net, cfg)
+            .expect("net fits the machine")
+            .into_session();
+        for (pop, hz, seed) in poisson {
+            session.add_poisson(pop, hz, seed);
+        }
+        session.run_for(WARM_MS);
+        let warm = session.telemetry().phase_total(Phase::NeuronTick).count;
+        session.run_for(RUN_MS);
+        let ran = session.telemetry().phase_total(Phase::NeuronTick).count - warm;
+        assert_eq!(
+            ran, 1_600,
+            "{side} x {side} chips: pool updates in {RUN_MS} bio-ms"
+        );
+    }
 }
