@@ -547,8 +547,9 @@ impl NeuralMachine {
     ///
     /// # Panics
     ///
-    /// Panics if `core` is 0 (the Monitor) or out of range, if the core
-    /// is already loaded, if `bias_na` length differs from `neurons`, or
+    /// Panics if `core` is 0 (the Monitor) or out of range (the
+    /// machine tracks cores in a 32-bit set per chip, like the router's
+    /// delivery set), if the core is already loaded, if `bias_na` length differs from `neurons`, or
     /// if `neurons` mixes models (a core runs one population slice; see
     /// [`NeuronPool::from_neurons`]).
     pub fn load_core(
