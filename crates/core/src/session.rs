@@ -530,6 +530,11 @@ impl RunSession {
                 ))));
             }
             let rate_hz = dec.f64().map_err(wire)?;
+            // `add_poisson` clamps at 0, so NaN or a negative rate can
+            // only come from damaged bytes.
+            if rate_hz.is_nan() || rate_hz < 0.0 {
+                return Err(wire(WireError::Corrupt("poisson rate")));
+            }
             let mut state = [0u64; 4];
             for w in &mut state {
                 *w = dec.u64().map_err(wire)?;

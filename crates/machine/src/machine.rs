@@ -400,13 +400,6 @@ impl NeuralMachine {
         self.par_stats.as_ref()
     }
 
-    /// Events handled per dense chip id, accumulated across all
-    /// completed segments — the measured load that seeds the
-    /// event-weighted shard partition.
-    pub fn chip_event_counts(&self) -> &[u64] {
-        &self.chip_events
-    }
-
     /// Resets run-mode bookkeeping after a snapshot install: the
     /// restored machine counts windows from zero, whatever sharding
     /// produced the checkpoint.
@@ -525,13 +518,6 @@ impl NeuralMachine {
     /// Fails an inter-chip link (fault injection for E3/E4).
     pub fn fail_link(&mut self, chip: NodeCoord, d: spinn_noc::direction::Direction) {
         self.fabric.fail_link(chip, d);
-    }
-
-    /// Restores a previously failed inter-chip link (both directions of
-    /// the cable) — the machine-level inverse of
-    /// [`NeuralMachine::fail_link`].
-    pub fn restore_link(&mut self, chip: NodeCoord, d: spinn_noc::direction::Direction) {
-        self.fabric.repair_link(chip, d);
     }
 
     /// Loads neurons onto an application core.

@@ -218,11 +218,6 @@ impl RoutingPlan {
         self.stats.total_edges
     }
 
-    /// Mesh dimensions the plan was built for, `(width, height)`.
-    pub fn dims(&self) -> (u32, u32) {
-        (self.width, self.height)
-    }
-
     /// A compressed copy of the plan: each chip's entries merged into
     /// wider masked entries wherever their routes agree (see
     /// [`crate::minimize`]). Route behaviour is preserved exactly for

@@ -229,16 +229,6 @@ impl GenSpec {
             }
         }
     }
-
-    /// Host bytes this spec's per-row state costs (0 when analytic).
-    #[inline]
-    pub fn state_bytes(&self) -> u64 {
-        if self.needs_state() {
-            std::mem::size_of::<GenState>() as u64
-        } else {
-            0
-        }
-    }
 }
 
 #[cfg(test)]

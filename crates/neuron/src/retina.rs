@@ -33,20 +33,6 @@ impl Image {
         }
     }
 
-    /// Creates an image from raw pixels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixels.len() != width * height`.
-    pub fn from_pixels(width: usize, height: usize, pixels: Vec<f64>) -> Self {
-        assert_eq!(pixels.len(), width * height, "pixel count mismatch");
-        Image {
-            width,
-            height,
-            pixels,
-        }
-    }
-
     /// Image width, pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -90,21 +76,6 @@ impl Image {
                 let dx = x as f64 - cx;
                 let dy = y as f64 - cy;
                 img.pixels[y * width + x] = (-(dx * dx + dy * dy) / (2.0 * sigma * sigma)).exp();
-            }
-        }
-        img
-    }
-
-    /// A vertical bar grating with the given period.
-    pub fn bars(width: usize, height: usize, period: usize) -> Self {
-        let mut img = Image::new(width, height);
-        for y in 0..height {
-            for x in 0..width {
-                img.pixels[y * width + x] = if (x / period.max(1)).is_multiple_of(2) {
-                    1.0
-                } else {
-                    0.0
-                };
             }
         }
         img

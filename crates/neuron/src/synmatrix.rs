@@ -543,11 +543,6 @@ impl SynapticMatrixBuilder {
         self.staged.push((row, word));
     }
 
-    /// Synapses staged so far.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Registers a generator recipe covering `n_rows` rows starting at
     /// `first_row` (sources `src_lo..`), returning its handle for
     /// [`SynapticMatrixBuilder::lazy_state`]. A builder is either fully

@@ -439,12 +439,6 @@ impl Fabric {
         out
     }
 
-    /// Current occupancy of an output-link queue (congestion probe).
-    pub fn link_queue_len(&self, node: NodeCoord, d: Direction) -> usize {
-        let ls = &self.links[self.torus.id_of(node) * 6 + d.index()];
-        ls.queue.len() + ls.busy as usize
-    }
-
     /// Drains the packets delivered since the last call.
     pub fn take_deliveries(&mut self) -> Vec<Delivery> {
         std::mem::take(&mut self.deliveries)

@@ -69,7 +69,7 @@
 //! is sparse and clustered, so the window loop jumps across the empty
 //! stretches of each millisecond and barriers only where traffic is —
 //! which is what makes the barrier protocol cheap enough to win
-//! wall-clock time (see experiment E12 in `spinn-bench`).
+//! wall-clock time (see the benchmark's `cortex_stim_2w` workload).
 //!
 //! There is one schedule and nothing in it is dynamic: no shard changes
 //! hands between windows and no worker takes over part of another's

@@ -223,14 +223,6 @@ impl SessionPool {
             .sum()
     }
 
-    /// Live sessions currently resident.
-    pub fn resident_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s.state, SlotState::Resident(_)))
-            .count()
-    }
-
     /// The configured budget, bytes.
     pub fn budget_bytes(&self) -> u64 {
         self.budget_bytes

@@ -214,8 +214,9 @@ impl Histogram {
     }
 
     /// Approximate percentile `p` (0–100): upper edge of the bucket where
-    /// the cumulative count crosses `p`%. Returns `max()` if the crossing
-    /// lies in the overflow bucket.
+    /// the cumulative count crosses `p`%, but never above `max()` (so it
+    /// is `max()` when the crossing lies in the last occupied bucket or
+    /// in the overflow bucket).
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -225,7 +226,7 @@ impl Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             cum += c;
             if cum >= target.max(1) {
-                return (i as u64 + 1) * self.width;
+                return ((i as u64 + 1) * self.width).min(self.max);
             }
         }
         self.max
@@ -365,6 +366,19 @@ mod tests {
         assert_eq!(h.max(), 500);
         assert!(h.percentile(50.0) <= 60);
         assert_eq!(h.percentile(100.0), 500);
+    }
+
+    #[test]
+    fn percentile_never_exceeds_the_largest_sample() {
+        let mut zeros = Histogram::new(16, 250);
+        for _ in 0..10 {
+            zeros.record(0);
+        }
+        assert_eq!(zeros.percentile(50.0), 0);
+        let mut one = Histogram::new(16, 250);
+        one.record(780);
+        assert_eq!(one.percentile(99.0), 780);
+        assert_eq!(one.percentile(50.0), 780);
     }
 
     #[test]

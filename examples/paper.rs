@@ -1,17 +1,19 @@
-//! Prints every experiment's table (E1-E13, E19, E20, A1-A2).
+//! Prints every experiment's table (E1-E11, E13, A1, A2, E19, E20).
 //! `SPINN_FULL=1` for the full-size versions quoted in the README.
 //!
-//! Usage: `run_experiments [NAME...]` — with arguments, only the named
-//! experiments run (e.g. `run_experiments E19`). An unknown name exits
-//! with status 2 before anything runs.
+//! Usage: `cargo run --release --example paper [NAME...]` — with
+//! arguments, only the named tables print (e.g. `paper E19`). `FIGURES`
+//! prints the paper's structural figures (Figs. 1-5, 7), and only when
+//! named. An unknown name exits with status 2 before anything runs.
 
-use spinn_bench::experiments as e;
+use spinn_system::experiments as e;
+use spinn_system::figures;
 
-/// One experiment: its name and table generator.
+/// One table: its name and generator.
 type Experiment = (&'static str, fn(bool) -> String);
 
 /// Every experiment, in print order.
-const EXPERIMENTS: [Experiment; 17] = [
+const EXPERIMENTS: [Experiment; 16] = [
     ("E1", e::e01_glitch_deadlock::run),
     ("E2", e::e02_link_protocols::run),
     ("E3", e::e03_emergency_routing::run),
@@ -23,7 +25,6 @@ const EXPERIMENTS: [Experiment; 17] = [
     ("E9", e::e09_scaling::run),
     ("E10", e::e10_placement::run),
     ("E11", e::e11_retina::run),
-    ("E12", e::e12_parallel_execution::run),
     ("E13", e::e13_table_minimization::run),
     ("A1", e::a01_router_waits::run),
     ("A2", e::a02_default_route_elision::run),
@@ -37,11 +38,11 @@ fn main() {
     // silently produced nothing.
     let unknown: Vec<&String> = filter
         .iter()
-        .filter(|f| EXPERIMENTS.iter().all(|(name, _)| name != f))
+        .filter(|f| *f != "FIGURES" && EXPERIMENTS.iter().all(|(name, _)| name != f))
         .collect();
     if !unknown.is_empty() {
         let known: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        eprintln!("unknown experiment name(s): {unknown:?} (known: {known:?})");
+        eprintln!("unknown experiment name(s): {unknown:?} (known: {known:?} and FIGURES)");
         std::process::exit(2);
     }
     let quick = !std::env::var("SPINN_FULL").is_ok_and(|v| v == "1");
@@ -52,5 +53,8 @@ fn main() {
             println!("==================================================================");
             println!("{}", run(quick));
         }
+    }
+    if filter.iter().any(|f| f == "FIGURES") {
+        println!("{}", figures::all());
     }
 }

@@ -1,4 +1,8 @@
-//! The experiments, one module per entry in DESIGN.md's index.
+//! The experiments, one module per table (E1-E11, E13, A1, A2, E19,
+//! E20). Each module's `run(quick)` returns its table as text
+//! (`examples/paper.rs` prints them); the typed rows behind a table are
+//! public so that `tests/paper_claims.rs` can assert the paper's claims
+//! on them.
 
 use std::fmt::Write as _;
 
@@ -9,7 +13,8 @@ pub mod e01_glitch_deadlock {
     use spinn_link::glitch::{deadlock_study, DeadlockStudy, GlitchTrialConfig};
 
     /// Runs the paired Monte-Carlo study across glitch rates.
-    pub fn study(trials: u64) -> Vec<DeadlockStudy> {
+    pub fn study(quick: bool) -> Vec<DeadlockStudy> {
+        let trials = if quick { 150 } else { 2000 };
         let cfg = GlitchTrialConfig::default();
         let rates = [1e5, 3e5, 1e6, 3e6, 1e7];
         // Parallel Monte Carlo: one thread per rate.
@@ -27,19 +32,23 @@ pub mod e01_glitch_deadlock {
 
     /// The E1 table.
     pub fn run(quick: bool) -> String {
-        let trials = if quick { 150 } else { 2000 };
+        let rows = study(quick);
         let mut out = String::new();
         let _ = writeln!(
             out,
             "E1: glitch-induced deadlock, conventional vs transition-sensing (Fig. 6)"
         );
-        let _ = writeln!(out, "   {trials} paired trials x 200 symbols per rate\n");
+        let _ = writeln!(
+            out,
+            "   {} paired trials x 200 symbols per rate\n",
+            rows[0].trials
+        );
         let _ = writeln!(
             out,
             "{:>12} {:>12} {:>12} {:>10} {:>12} {:>12}",
             "glitch rate", "conv dead", "t-s dead", "factor", "conv corr", "t-s corr"
         );
-        for s in study(trials) {
+        for s in rows {
             let factor = if s.transition_sensing_deadlocks == 0 {
                 format!(">{:.0}", s.improvement_factor())
             } else {
@@ -69,14 +78,23 @@ pub mod e01_glitch_deadlock {
 /// E2 — link protocols: 2-of-7 NRZ vs 3-of-6 RTZ (§5.1).
 pub mod e02_link_protocols {
     use super::*;
-    use spinn_link::throughput::{measure_nrz, measure_rtz};
+    use spinn_link::throughput::{measure_nrz, measure_rtz, LinkMeasurement};
+
+    /// `(NRZ, RTZ)` measurements at each wire delay.
+    pub fn rows(quick: bool) -> Vec<(LinkMeasurement, LinkMeasurement)> {
+        let n = if quick { 300 } else { 2000 };
+        [500u64, 1_000, 2_000, 5_000, 10_000]
+            .into_iter()
+            .map(|wire| (measure_nrz(wire, n), measure_rtz(wire, n)))
+            .collect()
+    }
 
     /// The E2 table.
     pub fn run(quick: bool) -> String {
-        let n = if quick { 300 } else { 2000 };
+        let rows = rows(quick);
         let mut out = String::new();
         let _ = writeln!(out, "E2: inter-chip link protocols (§5.1)");
-        let _ = writeln!(out, "   {n} symbols per measurement\n");
+        let _ = writeln!(out, "   {} symbols per measurement\n", rows[0].0.symbols);
         let _ = writeln!(
             out,
             "{:>10} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
@@ -88,13 +106,11 @@ pub mod e02_link_protocols {
             "RTZ tr/sym",
             "pJ ratio"
         );
-        for wire in [500u64, 1_000, 2_000, 5_000, 10_000] {
-            let nrz = measure_nrz(wire, n);
-            let rtz = measure_rtz(wire, n);
+        for (nrz, rtz) in rows {
             let _ = writeln!(
                 out,
                 "{:>10} {:>12.1} {:>12.1} {:>7.2}x {:>10.1} {:>10.1} {:>7.2}x",
-                wire,
+                nrz.wire_delay_ps,
                 nrz.mbit_per_s,
                 rtz.mbit_per_s,
                 nrz.msymbols_per_s / rtz.msymbols_per_s,
@@ -328,24 +344,12 @@ pub mod e04_realtime_latency {
 /// E5 — flood-fill loading time (§5.2, \[15\]).
 pub mod e05_flood_fill {
     use super::*;
-    use spinn_machine::flood::{FloodConfig, FloodSim};
+    use spinn_machine::flood::{FloodConfig, FloodOutcome, FloodSim};
 
-    /// The E5 table.
-    pub fn run(quick: bool) -> String {
+    /// One load per machine size at `k = 1`, then `k = 2, 3` on 8x8.
+    pub fn rows(quick: bool) -> Vec<(FloodConfig, FloodOutcome)> {
         let blocks = if quick { 32 } else { 128 };
-        let mut out = String::new();
-        let _ = writeln!(out, "E5: flood-fill application loading (§5.2)");
-        let _ = writeln!(
-            out,
-            "   {blocks} blocks streamed from the host into (0,0)\n"
-        );
-        let _ = writeln!(
-            out,
-            "{:>9} {:>4} {:>12} {:>14} {:>12}",
-            "machine", "k", "load (us)", "vs 4x4", "nn packets"
-        );
-        let mut base = None;
-        for (w, k) in [
+        [
             (4u32, 1u8),
             (8, 1),
             (12, 1),
@@ -353,21 +357,44 @@ pub mod e05_flood_fill {
             (24, 1),
             (8, 2),
             (8, 3),
-        ] {
+        ]
+        .into_iter()
+        .map(|(w, k)| {
             let mut cfg = FloodConfig::new(w, w);
             cfg.blocks = blocks;
             cfg.redundancy_k = k;
-            let o = FloodSim::run(cfg);
+            (cfg, FloodSim::run(cfg))
+        })
+        .collect()
+    }
+
+    /// The E5 table.
+    pub fn run(quick: bool) -> String {
+        let rows = rows(quick);
+        let mut out = String::new();
+        let _ = writeln!(out, "E5: flood-fill application loading (§5.2)");
+        let _ = writeln!(
+            out,
+            "   {} blocks streamed from the host into (0,0)\n",
+            rows[0].0.blocks
+        );
+        let _ = writeln!(
+            out,
+            "{:>9} {:>4} {:>12} {:>14} {:>12}",
+            "machine", "k", "load (us)", "vs 4x4", "nn packets"
+        );
+        let mut base = None;
+        for (cfg, o) in rows {
             let t = o.load_complete_ns.expect("load completes") as f64 / 1e3;
-            if base.is_none() && k == 1 {
+            if base.is_none() && cfg.redundancy_k == 1 {
                 base = Some(t);
             }
             let _ = writeln!(
                 out,
                 "{:>6}x{:<2} {:>4} {:>12.1} {:>13.2}x {:>12}",
-                w,
-                w,
-                k,
+                cfg.width,
+                cfg.width,
+                cfg.redundancy_k,
                 t,
                 t / base.unwrap(),
                 o.nn_packets
@@ -384,7 +411,28 @@ pub mod e05_flood_fill {
 /// E6 — boot, monitor election and rescue (§5.2).
 pub mod e06_boot {
     use super::*;
-    use spinn_machine::boot::{BootConfig, BootSim};
+    use spinn_machine::boot::{BootConfig, BootOutcome, BootSim};
+
+    /// Fault-free boots by machine size, then 8x8 under core faults.
+    pub fn rows() -> Vec<(BootConfig, BootOutcome)> {
+        [
+            (4u32, 0.0f64),
+            (8, 0.0),
+            (16, 0.0),
+            (24, 0.0),
+            (8, 0.2),
+            (8, 0.4),
+            (8, 0.6),
+        ]
+        .into_iter()
+        .map(|(w, fault)| {
+            let mut cfg = BootConfig::new(w, w);
+            cfg.core_fault_prob = fault;
+            cfg.seed = 0xE6;
+            (cfg, BootSim::run(cfg))
+        })
+        .collect()
+    }
 
     /// The E6 table.
     pub fn run(_quick: bool) -> String {
@@ -398,26 +446,14 @@ pub mod e06_boot {
             "\n{:>9} {:>7} {:>9} {:>8} {:>6} {:>12} {:>12}",
             "machine", "faults", "monitors", "rescued", "dead", "coords us", "reports us"
         );
-        for (w, fault) in [
-            (4u32, 0.0f64),
-            (8, 0.0),
-            (16, 0.0),
-            (24, 0.0),
-            (8, 0.2),
-            (8, 0.4),
-            (8, 0.6),
-        ] {
-            let mut cfg = BootConfig::new(w, w);
-            cfg.core_fault_prob = fault;
-            cfg.seed = 0xE6;
-            let o = BootSim::run(cfg);
+        for (cfg, o) in rows() {
             assert!(!o.election_violated);
             let _ = writeln!(
                 out,
                 "{:>6}x{:<2} {:>6.0}% {:>9} {:>8} {:>6} {:>12.1} {:>12.1}",
-                w,
-                w,
-                fault * 100.0,
+                cfg.width,
+                cfg.width,
+                cfg.core_fault_prob * 100.0,
                 o.monitors_first_round,
                 o.rescued,
                 o.dead_chips,
@@ -441,6 +477,68 @@ pub mod e07_cost_energy {
         SPINNAKER_NODE_CLASS,
     };
     use spinnaker::prelude::*;
+
+    /// The PC of the purchase-vs-energy argument (§2).
+    pub const PC: ProcessorClass = ProcessorClass {
+        name: "PC",
+        mips: 10_000.0,
+        watts: 300.0,
+        die_mm2: 400.0,
+        cost_usd: 1000.0,
+    };
+
+    /// A simulated 4x4 machine's energy meter under neural load.
+    pub struct Measured {
+        /// Biological ms run.
+        pub ms: u32,
+        /// Spikes fired.
+        pub spikes: usize,
+        /// Mean power, W.
+        pub mean_watts: f64,
+        /// Sustained MIPS.
+        pub mips: f64,
+        /// MIPS per watt.
+        pub mips_per_watt: f64,
+    }
+
+    /// Runs two 1200-neuron populations (one driven, fan-out 30) on a
+    /// 4x4 machine and reads its energy meter.
+    pub fn measured(quick: bool) -> Measured {
+        let ms = if quick { 100 } else { 300 };
+        let mut net = NetworkGraph::new();
+        let a = net.population(
+            "a",
+            1200,
+            NeuronKind::Izhikevich(IzhikevichParams::regular_spiking()),
+            9.0,
+        );
+        let b = net.population(
+            "b",
+            1200,
+            NeuronKind::Izhikevich(IzhikevichParams::regular_spiking()),
+            0.0,
+        );
+        net.project(
+            a,
+            b,
+            Connector::FixedFanOut(30),
+            Synapses::constant(300, 2),
+            7,
+        );
+        let done = Simulation::build(&net, SimConfig::new(4, 4))
+            .unwrap()
+            .run(ms);
+        let meter = done.machine.meter();
+        let energy = &done.machine.config().energy;
+        let dur = done.machine.duration_ns();
+        Measured {
+            ms,
+            spikes: done.machine.spikes().len(),
+            mean_watts: meter.mean_watts(energy, dur),
+            mips: meter.mips(dur),
+            mips_per_watt: meter.mips_per_watt(energy, dur),
+        }
+    }
 
     /// The E7 table.
     pub fn run(quick: bool) -> String {
@@ -468,60 +566,22 @@ pub mod e07_cost_energy {
             s.mips_per_watt / d.mips_per_watt,
             s.mips_per_usd / d.mips_per_usd
         );
-        let pc = ProcessorClass {
-            name: "PC",
-            mips: 10_000.0,
-            watts: 300.0,
-            die_mm2: 400.0,
-            cost_usd: 1000.0,
-        };
         let _ = writeln!(
             out,
             "PC purchase-vs-energy crossover at $1/W/year: {:.1} years",
-            energy_cost_crossover_years(&pc, 1.0)
+            energy_cost_crossover_years(&PC, 1.0)
         );
 
-        // Measured: a live machine under neural load.
-        let ms = if quick { 100 } else { 300 };
-        let mut net = NetworkGraph::new();
-        let a = net.population(
-            "a",
-            1200,
-            NeuronKind::Izhikevich(IzhikevichParams::regular_spiking()),
-            9.0,
-        );
-        let b = net.population(
-            "b",
-            1200,
-            NeuronKind::Izhikevich(IzhikevichParams::regular_spiking()),
-            0.0,
-        );
-        net.project(
-            a,
-            b,
-            Connector::FixedFanOut(30),
-            Synapses::constant(300, 2),
-            7,
-        );
-        let done = Simulation::build(&net, SimConfig::new(4, 4))
-            .unwrap()
-            .run(ms);
-        let meter = done.machine.meter();
-        let cfg = done.machine.config();
-        let dur = done.machine.duration_ns();
+        let m = measured(quick);
         let _ = writeln!(
             out,
             "\nmeasured on a simulated 4x4 machine under load ({} ms, {} spikes):",
-            ms,
-            done.machine.spikes().len()
+            m.ms, m.spikes
         );
         let _ = writeln!(
             out,
             "  mean power {:.2} W, sustained {:.0} MIPS, {:.0} MIPS/W (vs desktop {:.0})",
-            meter.mean_watts(&cfg.energy, dur),
-            meter.mips(dur),
-            meter.mips_per_watt(&cfg.energy, dur),
-            d.mips_per_watt
+            m.mean_watts, m.mips, m.mips_per_watt, d.mips_per_watt
         );
         let _ = writeln!(
             out,
@@ -534,14 +594,49 @@ pub mod e07_cost_energy {
 /// E8 — multicast vs broadcast communication loading (§4).
 pub mod e08_multicast_vs_broadcast {
     use super::*;
-    use spinn_map::route::tree_cost;
+    use spinn_map::route::{tree_cost, TreeCost};
     use spinn_noc::mesh::{NodeCoord, Torus};
     use spinn_sim::Xoshiro256;
 
-    /// The E8 table.
-    pub fn run(_quick: bool) -> String {
+    /// Random destination sets drawn per destination count.
+    const TRIALS: u64 = 50;
+
+    /// Edge costs from (0,0), summed over 50 random destination
+    /// chip sets per destination count, on a 16x16 torus.
+    pub fn rows() -> Vec<(usize, TreeCost)> {
         let torus = Torus::new(16, 16);
         let mut rng = Xoshiro256::seed_from_u64(0xE8);
+        [1usize, 2, 4, 8, 16, 32, 64, 128]
+            .into_iter()
+            .map(|k| {
+                let mut sum = TreeCost {
+                    multicast_edges: 0,
+                    unicast_edges: 0,
+                    broadcast_edges: 0,
+                };
+                for _ in 0..TRIALS {
+                    let mut dests = Vec::new();
+                    while dests.len() < k {
+                        let d = NodeCoord::new(
+                            rng.gen_range_usize(16) as u32,
+                            rng.gen_range_usize(16) as u32,
+                        );
+                        if d != NodeCoord::new(0, 0) && !dests.contains(&d) {
+                            dests.push(d);
+                        }
+                    }
+                    let c = tree_cost(&torus, NodeCoord::new(0, 0), dests);
+                    sum.multicast_edges += c.multicast_edges;
+                    sum.unicast_edges += c.unicast_edges;
+                    sum.broadcast_edges += c.broadcast_edges;
+                }
+                (k, sum)
+            })
+            .collect()
+    }
+
+    /// The E8 table.
+    pub fn run(_quick: bool) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "E8: multicast vs broadcast communication loading (§4)");
         let _ = writeln!(
@@ -553,33 +648,15 @@ pub mod e08_multicast_vs_broadcast {
             "{:>8} {:>11} {:>10} {:>11} {:>13} {:>13}",
             "dests", "multicast", "unicast", "broadcast", "vs unicast", "vs broadcast"
         );
-        for k in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-            let mut mc = 0u64;
-            let mut uc = 0u64;
-            let mut bc = 0u64;
-            for _ in 0..50 {
-                let mut dests = Vec::new();
-                while dests.len() < k {
-                    let d = NodeCoord::new(
-                        rng.gen_range_usize(16) as u32,
-                        rng.gen_range_usize(16) as u32,
-                    );
-                    if d != NodeCoord::new(0, 0) && !dests.contains(&d) {
-                        dests.push(d);
-                    }
-                }
-                let c = tree_cost(&torus, NodeCoord::new(0, 0), dests);
-                mc += c.multicast_edges;
-                uc += c.unicast_edges;
-                bc += c.broadcast_edges;
-            }
+        for (k, c) in rows() {
+            let (mc, uc, bc) = (c.multicast_edges, c.unicast_edges, c.broadcast_edges);
             let _ = writeln!(
                 out,
                 "{:>8} {:>11.1} {:>10.1} {:>11.1} {:>12.2}x {:>12.2}x",
                 k,
-                mc as f64 / 50.0,
-                uc as f64 / 50.0,
-                bc as f64 / 50.0,
+                mc as f64 / TRIALS as f64,
+                uc as f64 / TRIALS as f64,
+                bc as f64 / TRIALS as f64,
                 uc as f64 / mc as f64,
                 bc as f64 / mc as f64,
             );
@@ -714,6 +791,7 @@ pub mod e09_scaling {
 /// E10 — virtualized topology: placement ablation (§3.2).
 pub mod e10_placement {
     use super::*;
+    use spinn_map::route::RouteStats;
     use spinnaker::prelude::*;
 
     /// Builds a 2-D grid-of-populations network (locally connected).
@@ -751,10 +829,49 @@ pub mod e10_placement {
         net
     }
 
-    /// The E10 table.
-    pub fn run(quick: bool) -> String {
+    /// One placer's routing cost and spike raster.
+    pub struct Row {
+        /// Placer label.
+        pub label: &'static str,
+        /// Routing-tree statistics of the placed network.
+        pub routes: RouteStats,
+        /// Link traversals of every packet sent during the run.
+        pub packet_hops: u64,
+        /// The spike raster, sorted by time, population and neuron.
+        pub raster: Vec<spinnaker::PopSpike>,
+    }
+
+    /// Runs the 6x6 grid net on an 8x8 machine under each placer.
+    pub fn rows(quick: bool) -> Vec<Row> {
         let ms = if quick { 80 } else { 200 };
         let net = grid_net(6, 64);
+        [
+            ("locality", Placer::Locality),
+            ("round-robin", Placer::RoundRobin),
+            ("random", Placer::Random { seed: 77 }),
+        ]
+        .into_iter()
+        .map(|(label, placer)| {
+            let cfg = SimConfig::new(8, 8)
+                .with_neurons_per_core(64)
+                .with_placer(placer);
+            let sim = Simulation::build(&net, cfg).unwrap();
+            let routes = sim.route_stats().clone();
+            let done = sim.run(ms);
+            let mut raster = done.spikes();
+            raster.sort_by_key(|s| (s.time_ms, s.pop.index(), s.neuron));
+            Row {
+                label,
+                routes,
+                packet_hops: done.machine.meter().packet_hops,
+                raster,
+            }
+        })
+        .collect()
+    }
+
+    /// The E10 table.
+    pub fn run(quick: bool) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "E10: virtualized topology — placement ablation (§3.2)");
         let _ = writeln!(
@@ -766,37 +883,18 @@ pub mod e10_placement {
             "{:<14} {:>11} {:>10} {:>9} {:>12} {:>10} {:>9}",
             "placer", "tree edges", "mean path", "entries", "packet hops", "spikes", "raster="
         );
-        let mut reference: Option<Vec<spinnaker::PopSpike>> = None;
-        for (label, placer) in [
-            ("locality", Placer::Locality),
-            ("round-robin", Placer::RoundRobin),
-            ("random", Placer::Random { seed: 77 }),
-        ] {
-            let cfg = SimConfig::new(8, 8)
-                .with_neurons_per_core(64)
-                .with_placer(placer);
-            let sim = Simulation::build(&net, cfg).unwrap();
-            let rs = sim.route_stats().clone();
-            let done = sim.run(ms);
-            let mut spikes = done.spikes();
-            spikes.sort_by_key(|s| (s.time_ms, s.pop.index(), s.neuron));
-            let same = match &reference {
-                None => {
-                    reference = Some(spikes.clone());
-                    true
-                }
-                Some(r) => *r == spikes,
-            };
+        let rows = rows(quick);
+        for r in &rows {
             let _ = writeln!(
                 out,
                 "{:<14} {:>11} {:>10.2} {:>9} {:>12} {:>10} {:>9}",
-                label,
-                rs.total_edges,
-                rs.mean_path_len(),
-                rs.total_entries,
-                done.machine.meter().packet_hops,
-                spikes.len(),
-                same
+                r.label,
+                r.routes.total_edges,
+                r.routes.mean_path_len(),
+                r.routes.total_entries,
+                r.packet_hops,
+                r.raster.len(),
+                r.raster == rows[0].raster
             );
         }
         let _ = writeln!(
@@ -814,36 +912,46 @@ pub mod e11_retina {
     use spinn_neuron::retina::{Image, RetinaLayer};
     use spinn_sim::Xoshiro256;
 
-    /// The E11 table.
-    pub fn run(quick: bool) -> String {
-        let trials = if quick { 3 } else { 10 };
+    /// The two overlapping DoG scales, `(sigma, spacing)`.
+    const SCALES: &[(f64, usize)] = &[(1.2, 4), (2.4, 8)];
+
+    /// Damage seeds averaged per row.
+    fn trials(quick: bool) -> u64 {
+        if quick {
+            3
+        } else {
+            10
+        }
+    }
+
+    /// Means over the damage seeds at one killed fraction.
+    pub struct Row {
+        /// Fraction of ganglion cells killed.
+        pub killed: f64,
+        /// Rank-order similarity of the damaged code to the healthy one.
+        pub code_sim: f64,
+        /// Correlation of the damaged reconstruction with the healthy one.
+        pub recon_corr: f64,
+        /// The same for the single-scale ablation (no overlap).
+        pub recon_single_scale: f64,
+    }
+
+    /// Encodes a Gaussian blob with a damaged 32x32 retina at each
+    /// killed fraction.
+    pub fn rows(quick: bool) -> Vec<Row> {
+        let trials = trials(quick);
         let stimulus = Image::gaussian_blob(32, 32, 13.0, 19.0, 4.0);
-        let scales: &[(f64, usize)] = &[(1.2, 4), (2.4, 8)];
-        let healthy = RetinaLayer::new(32, 32, scales);
+        let healthy = RetinaLayer::new(32, 32, SCALES);
         let code0 = healthy.encode(&stimulus, 24);
         let recon0 = healthy.reconstruct(&code0, 0.9);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E11: retina, rank-order coding, graceful degradation (§5.4)"
-        );
-        let _ = writeln!(
-            out,
-            "   {} DoG ganglion cells at 2 overlapping scales, {trials} damage seeds\n",
-            healthy.len()
-        );
-        let _ = writeln!(
-            out,
-            "{:>8} {:>12} {:>12} {:>14}",
-            "killed", "code sim", "recon corr", "recon (1scale)"
-        );
+        let mut rows = Vec::new();
         for frac in [0.0, 0.05, 0.10, 0.20, 0.30, 0.50] {
             let mut sim_sum = 0.0;
             let mut corr_sum = 0.0;
             let mut sparse_sum = 0.0;
             for t in 0..trials {
                 let mut rng = Xoshiro256::seed_from_u64(0xE11 + t);
-                let mut r = RetinaLayer::new(32, 32, scales);
+                let mut r = RetinaLayer::new(32, 32, SCALES);
                 r.kill_fraction(frac, &mut rng);
                 let code = r.encode(&stimulus, 24);
                 sim_sum += rank_order_similarity(&code0, &code, r.len(), 0.9);
@@ -858,13 +966,42 @@ pub mod e11_retina {
                 sparse_sum +=
                     ref_recon.correlation(&sparse.reconstruct(&sparse.encode(&stimulus, 24), 0.9));
             }
+            rows.push(Row {
+                killed: frac,
+                code_sim: sim_sum / trials as f64,
+                recon_corr: corr_sum / trials as f64,
+                recon_single_scale: sparse_sum / trials as f64,
+            });
+        }
+        rows
+    }
+
+    /// The E11 table.
+    pub fn run(quick: bool) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "E11: retina, rank-order coding, graceful degradation (§5.4)"
+        );
+        let _ = writeln!(
+            out,
+            "   {} DoG ganglion cells at 2 overlapping scales, {} damage seeds\n",
+            RetinaLayer::new(32, 32, SCALES).len(),
+            trials(quick)
+        );
+        let _ = writeln!(
+            out,
+            "{:>8} {:>12} {:>12} {:>14}",
+            "killed", "code sim", "recon corr", "recon (1scale)"
+        );
+        for r in rows(quick) {
             let _ = writeln!(
                 out,
                 "{:>7.0}% {:>12.3} {:>12.3} {:>14.3}",
-                frac * 100.0,
-                sim_sum / trials as f64,
-                corr_sum / trials as f64,
-                sparse_sum / trials as f64,
+                r.killed * 100.0,
+                r.code_sim,
+                r.recon_corr,
+                r.recon_single_scale,
             );
         }
         let _ = writeln!(
@@ -875,12 +1012,18 @@ pub mod e11_retina {
     }
 }
 
-/// E12 — sharded parallel execution: the serial engine vs `spinn-par`
-/// (the ROADMAP north star: run as fast as the host hardware allows
-/// while preserving the machine's exact behaviour).
-pub mod e12_parallel_execution {
+/// E13 — routing-table minimization and compiled lookup: masked-entry
+/// compression in the mapper (Ordered-Covering style) against the
+/// 1024-entry CAM budget (§4), and the key-indexed `CompiledTable`
+/// against the linear scan on the per-packet hot path.
+pub mod e13_table_minimization {
     use super::*;
+    use spinn_map::place::{Placement, Placer};
+    use spinn_map::route::RoutingPlan;
     use spinn_neuron::retina::{Image, RetinaLayer};
+    use spinn_noc::compiled::CompiledTable;
+    use spinn_noc::table::{McTable, McTableEntry, RouteSet};
+    use spinn_sim::Xoshiro256;
     use spinnaker::prelude::*;
     use std::time::Instant;
 
@@ -951,106 +1094,6 @@ pub mod e12_parallel_execution {
         }
         net
     }
-
-    /// Wall-clock ms, spike stream and `(windows, exchanged)` counters
-    /// of one run (one window and no exchange for a one-shard run).
-    fn timed_run(
-        net: &NetworkGraph,
-        cfg: SimConfig,
-        ms: u32,
-    ) -> (f64, Vec<spinnaker::PopSpike>, (u64, u64)) {
-        let sim = Simulation::build(net, cfg).expect("workload fits the machine");
-        let t0 = Instant::now();
-        let done = sim.run(ms);
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let par = done
-            .machine
-            .par_stats()
-            .map_or((0, 0), |s| (s.windows, s.exchanged));
-        (wall, done.spikes(), par)
-    }
-
-    /// The E12 table.
-    pub fn run(quick: bool) -> String {
-        let (edge, stages, width, ms) = if quick {
-            (4u32, 16u32, 512u32, 150u32)
-        } else {
-            (8, 64, 768, 400)
-        };
-        let cores = spinn_par::host_parallelism();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E12: sharded parallel execution — serial engine vs spinn-par"
-        );
-        let _ = writeln!(
-            out,
-            "   {edge}x{edge} machine, conservative windows = min link latency,\n   cross-shard spikes exchanged at window barriers\n   host parallelism: {cores} core(s) — speedup needs as many cores as threads\n"
-        );
-        for (label, net) in [
-            ("synfire chain", synfire_net(stages, width)),
-            ("retina", retina_net(stages / 2, width)),
-        ] {
-            // Random placement scatters core slices over the whole torus,
-            // so every chip — and therefore every shard — carries load and
-            // consecutive synfire stages talk across shard boundaries
-            // (§3.2: placement is free, function identical).
-            let base_cfg = SimConfig::new(edge, edge)
-                .with_neurons_per_core(128)
-                .with_placer(Placer::Random { seed: 0xE12 });
-            let (t1, reference, _) = timed_run(&net, base_cfg.clone(), ms);
-            let _ = writeln!(
-                out,
-                "{label}: {} spikes over {ms} ms biological time",
-                reference.len()
-            );
-            let _ = writeln!(
-                out,
-                "{:>9} {:>12} {:>9} {:>11} {:>10} {:>11}",
-                "threads", "wall ms", "speedup", "identical", "windows", "exchanged"
-            );
-            let _ = writeln!(
-                out,
-                "{:>9} {:>12.1} {:>9} {:>11} {:>10} {:>11}",
-                1, t1, "1.00x", true, "-", "-"
-            );
-            for threads in [2u32, 4, 8] {
-                let (tp, spikes, (windows, exchanged)) =
-                    timed_run(&net, base_cfg.clone().with_threads(threads), ms);
-                let _ = writeln!(
-                    out,
-                    "{:>9} {:>12.1} {:>8.2}x {:>11} {:>10} {:>11}",
-                    threads,
-                    tp,
-                    t1 / tp,
-                    spikes == reference,
-                    windows,
-                    exchanged
-                );
-            }
-            let _ = writeln!(out);
-        }
-        let _ = writeln!(
-            out,
-            "the machine tolerates loose, locally-synchronized parallelism (§3.1):\nchips only interact through spike packets with >= one link delay of\nlookahead, so shards can run independently inside conservative windows\nand exchange packets at barriers — same spikes, less wall-clock."
-        );
-        out
-    }
-}
-
-/// E13 — routing-table minimization and compiled lookup: masked-entry
-/// compression in the mapper (Ordered-Covering style) against the
-/// 1024-entry CAM budget (§4), and the key-indexed `CompiledTable`
-/// against the linear scan on the per-packet hot path.
-pub mod e13_table_minimization {
-    use super::*;
-    use spinn_map::place::{Placement, Placer};
-    use spinn_map::route::RoutingPlan;
-    use spinn_noc::compiled::CompiledTable;
-    use spinn_noc::table::{McTable, McTableEntry, RouteSet};
-    use spinn_sim::Xoshiro256;
-    use spinnaker::prelude::*;
-    use std::time::Instant;
 
     /// The dense random-placement workload of
     /// `tests/parallel_equivalence.rs`: an 8-stage synfire ring of
@@ -1124,6 +1167,40 @@ pub mod e13_table_minimization {
         }
     }
 
+    /// The four placed workloads of the E13 table on a 4x4 machine.
+    pub fn rows() -> Vec<Row> {
+        let synfire = synfire_net(16, 512);
+        let retina = retina_net(8, 512);
+        let dense = dense_random_net();
+        vec![
+            measure(
+                "synfire chain (locality)",
+                &synfire,
+                4,
+                4,
+                128,
+                Placer::Locality,
+            ),
+            measure(
+                "synfire chain (random)",
+                &synfire,
+                4,
+                4,
+                128,
+                Placer::Random { seed: 0xE13 },
+            ),
+            measure("retina (locality)", &retina, 4, 4, 128, Placer::Locality),
+            measure(
+                "dense random placement",
+                &dense,
+                4,
+                4,
+                128,
+                Placer::Random { seed: 0xD15E },
+            ),
+        ]
+    }
+
     /// Builds a CAM-shaped table of `n` distinct core-block entries.
     pub fn synthetic_table(n: usize, seed: u64) -> McTable {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -1187,36 +1264,7 @@ pub mod e13_table_minimization {
             "{:<26} {:>8} {:>8} {:>7} {:>10} {:>10} {:>11}",
             "workload", "entries", "minim.", "saved", "max/chip", "occupancy", "violations"
         );
-        let e12 = super::e12_parallel_execution::synfire_net(16, 512);
-        let retina = super::e12_parallel_execution::retina_net(8, 512);
-        let dense = dense_random_net();
-        for row in [
-            measure(
-                "synfire chain (locality)",
-                &e12,
-                4,
-                4,
-                128,
-                Placer::Locality,
-            ),
-            measure(
-                "synfire chain (random)",
-                &e12,
-                4,
-                4,
-                128,
-                Placer::Random { seed: 0xE13 },
-            ),
-            measure("retina (locality)", &retina, 4, 4, 128, Placer::Locality),
-            measure(
-                "dense random placement",
-                &dense,
-                4,
-                4,
-                128,
-                Placer::Random { seed: 0xD15E },
-            ),
-        ] {
+        for row in rows() {
             let _ = writeln!(
                 out,
                 "{:<26} {:>8} {:>8} {:>6.1}% {:>6}->{:<3} {:>9.1}% {:>11}",
@@ -1359,6 +1407,27 @@ pub mod a02_default_route_elision {
     use spinn_map::place::{Placement, Placer};
     use spinn_map::route::RoutingPlan;
 
+    /// `(placer, plan with elision, plan without)` for the E10 grid net
+    /// on an 8x8 machine under each placer.
+    pub fn rows() -> Vec<(&'static str, RoutingPlan, RoutingPlan)> {
+        let net = super::e10_placement::grid_net(6, 64);
+        [
+            ("locality", Placer::Locality),
+            ("round-robin", Placer::RoundRobin),
+            ("random", Placer::Random { seed: 77 }),
+        ]
+        .into_iter()
+        .map(|(label, placer)| {
+            let placement = Placement::compute(&net, 8, 8, 17, 64, placer).unwrap();
+            (
+                label,
+                RoutingPlan::build_with_options(&net, &placement, 8, 8, true),
+                RoutingPlan::build_with_options(&net, &placement, 8, 8, false),
+            )
+        })
+        .collect()
+    }
+
     /// The A2 table.
     pub fn run(_quick: bool) -> String {
         let mut out = String::new();
@@ -1375,15 +1444,7 @@ pub mod a02_default_route_elision {
             "{:<14} {:>13} {:>13} {:>9} {:>15}",
             "placer", "entries", "w/o elision", "saved", "max/chip (cap 1024)"
         );
-        let net = super::e10_placement::grid_net(6, 64);
-        for (label, placer) in [
-            ("locality", Placer::Locality),
-            ("round-robin", Placer::RoundRobin),
-            ("random", Placer::Random { seed: 77 }),
-        ] {
-            let placement = Placement::compute(&net, 8, 8, 17, 64, placer).unwrap();
-            let with = RoutingPlan::build_with_options(&net, &placement, 8, 8, true);
-            let without = RoutingPlan::build_with_options(&net, &placement, 8, 8, false);
+        for (label, with, without) in rows() {
             let _ = writeln!(
                 out,
                 "{:<14} {:>13} {:>13} {:>8.1}% {:>15}",
@@ -1407,7 +1468,7 @@ pub mod a02_default_route_elision {
 /// warm checkpoint, plus the repair arms (queued `RepairLink`, live
 /// re-route) that claw delivery back. See `crate::resil` for the
 /// harness; the quick campaign's delivery floors, paired recovery and
-/// replay verdict are this module's unit test.
+/// replay verdict are checked by `tests/paper_claims.rs`.
 pub mod e19_resilience {
     use super::*;
     use crate::resil::{summarize, BucketSummary, Campaign, ForkOutcome, RepairPolicy};
@@ -1466,36 +1527,39 @@ pub mod e19_resilience {
     }
 
     /// What one campaign measured.
-    struct Report {
-        quick: bool,
+    pub struct Report {
+        /// Quick mode (a few forks per bucket) or full mode.
+        pub quick: bool,
         /// The delivery-degradation curve: one unrepaired bucket per
         /// rate of [`RATES`].
-        curve: Vec<BucketSummary>,
+        pub curve: Vec<BucketSummary>,
         /// The unrepaired, `repair_link` and `reroute` arms at
         /// [`HEADLINE_RATE`], on matched fault schedules.
-        arms: Vec<BucketSummary>,
+        pub arms: Vec<BucketSummary>,
         /// Mean delivery ratio of the unrepaired control arm.
-        unrepaired: f64,
+        pub unrepaired: f64,
         /// Mean delivery ratio of the `repair_link` arm.
-        repair_link: f64,
+        pub repair_link: f64,
         /// Mean delivery ratio of the `reroute` arm.
-        reroute: f64,
+        pub reroute: f64,
         /// Standing fault load (emergency legs + drops) per fork,
         /// unrepaired.
-        unrepaired_load: f64,
+        pub unrepaired_load: f64,
         /// The same, after the re-route.
-        reroute_load: f64,
+        pub reroute_load: f64,
         /// Forks run, the baseline and the replays included.
-        forks: u64,
-        forks_per_sec: f64,
-        snapshot_bytes: usize,
+        pub forks: u64,
+        /// Forks run per wall-clock second.
+        pub forks_per_sec: f64,
+        /// The warm checkpoint's size, bytes.
+        pub snapshot_bytes: usize,
         /// Every 2- and 4-thread replay reproduced its fork's spikes.
-        bit_exact: bool,
+        pub bit_exact: bool,
     }
 
     impl Report {
         /// Share of the standing fault load the re-route takes off.
-        fn reroute_load_cut(&self) -> f64 {
+        pub fn reroute_load_cut(&self) -> f64 {
             if self.unrepaired_load > 0.0 {
                 1.0 - self.reroute_load / self.unrepaired_load
             } else {
@@ -1506,7 +1570,7 @@ pub mod e19_resilience {
 
     /// Runs the campaign: the delivery-degradation curve, the repair
     /// arms on matched fault schedules, and the determinism replays.
-    fn report(quick: bool) -> Report {
+    pub fn report(quick: bool) -> Report {
         // Full mode clears the 1000-fork acceptance bar:
         // 1 baseline + 6*160 curve + 3*100 repair arms + 8*3 replays.
         let (curve_forks, repair_forks, det_forks) = if quick {
@@ -1663,53 +1727,6 @@ pub mod e19_resilience {
     mod tests {
         use super::*;
 
-        /// Minimum acceptable mean delivery ratio at a given cable-failure
-        /// rate. Linear in the failure rate with generous slack below the
-        /// measured curve (full mode measures ~1.0, 0.997, 0.974, 0.881,
-        /// 0.694, 0.497 at rates 0, 0.05, 0.1, 0.2, 0.35, 0.5): emergency
-        /// routing must keep absorbing sparse death, and heavy death must not
-        /// collapse below what detours + monitor reissue recover.
-        fn resilience_floor(rate: f64) -> f64 {
-            if rate == 0.0 {
-                return 0.999;
-            }
-            (0.92 - 1.3 * rate).max(0.15)
-        }
-
-        #[test]
-        fn quick_campaign_clears_the_floors() {
-            // The campaign is seeded, so the numbers are exact: the
-            // curve reads 1.000 / 1.000 / 1.000 / 0.679 / 0.891 / 0.743
-            // against floors 0.999 / 0.855 / 0.790 / 0.660 / 0.465 /
-            // 0.270, repair_link recovers +0.058 and the re-route cuts
-            // the fault load by 63 %. The 0.2 bucket's margin of 0.019
-            // is the floor doing its job, not slack to spend.
-            let r = report(true);
-            assert_eq!(r.curve.len(), RATES.len());
-            for b in &r.curve {
-                let floor = resilience_floor(b.failure_rate);
-                assert!(
-                    b.delivery_ratio_mean >= floor,
-                    "rate {}: delivery {:.3} under its floor {floor:.3}",
-                    b.failure_rate,
-                    b.delivery_ratio_mean
-                );
-            }
-            assert!(
-                r.repair_link > r.unrepaired,
-                "repair_link must recover delivery: {:.3} vs {:.3}",
-                r.repair_link,
-                r.unrepaired
-            );
-            assert!(
-                r.reroute_load_cut() > 0.0,
-                "the re-route must cut the fault load: {:.1} -> {:.1}",
-                r.unrepaired_load,
-                r.reroute_load
-            );
-            assert!(r.bit_exact, "a 2- or 4-thread replay diverged");
-        }
-
         #[test]
         fn formatter_smoke_on_synthetic_records() {
             let bucket = BucketSummary {
@@ -1769,11 +1786,11 @@ pub mod e20_scaling {
 
     /// Cores per chip for the study: 16 application cores + monitor,
     /// so a 256 x 256 mesh loads exactly 2^20 application cores.
-    const CORES_PER_CHIP: u8 = 17;
+    pub const CORES_PER_CHIP: u8 = 17;
     /// Neurons per chip (16 app cores x 8 neurons each).
     const NEURONS_PER_CHIP: u32 = 128;
     /// Neurons per application core.
-    const NPC: u32 = 8;
+    pub const NPC: u32 = 8;
 
     /// Peak resident set of this process so far, bytes (Linux
     /// `/proc/self/status` `VmHWM`; 0 where unavailable). Monotone over
@@ -1824,18 +1841,27 @@ pub mod e20_scaling {
     }
 
     /// One scaling-sweep cell.
-    struct Row {
-        edge: u32,
-        loaded_cores: u64,
-        threads: u32,
+    pub struct Row {
+        /// Mesh edge (the machine is `edge x edge` chips).
+        pub edge: u32,
+        /// Application cores loaded.
+        pub loaded_cores: u64,
+        /// Thread count asked for.
+        pub threads: u32,
         /// The thread count after the clamp to host parallelism.
-        effective_threads: usize,
-        build_s: f64,
-        wall_ms: f64,
-        ns_per_neuron: f64,
-        bytes_per_synapse: f64,
-        resident_mb: f64,
-        peak_rss_mb: f64,
+        pub effective_threads: usize,
+        /// Build wall-clock, s.
+        pub build_s: f64,
+        /// Run wall-clock, ms.
+        pub wall_ms: f64,
+        /// Host ns per neuron update.
+        pub ns_per_neuron: f64,
+        /// Resident synapse-store bytes per synapse after the run.
+        pub bytes_per_synapse: f64,
+        /// Resident synapse-store MiB after the run.
+        pub resident_mb: f64,
+        /// Peak resident set of the process so far, MiB.
+        pub peak_rss_mb: f64,
     }
 
     /// Builds and runs one scaling-sweep cell: build time, wall clock,
@@ -1877,10 +1903,9 @@ pub mod e20_scaling {
         }
     }
 
-    /// The E20 table: the mesh x thread scaling grid, smallest mesh
-    /// first so the monotone peak-RSS counter approximates each row's
-    /// own peak.
-    pub fn run(quick: bool) -> String {
+    /// The mesh x thread scaling grid, smallest mesh first so the
+    /// monotone peak-RSS counter approximates each row's own peak.
+    pub fn rows(quick: bool) -> Vec<Row> {
         let (edges, thread_grid, ms): (&[u32], &[u32], u32) = if quick {
             (&[8, 16], &[1, 4], 20)
         } else {
@@ -1899,11 +1924,16 @@ pub mod e20_scaling {
                 rows.push(scaling_case(&net, edge, threads, ms));
             }
         }
-        format(quick, &rows)
+        rows
+    }
+
+    /// The E20 table.
+    pub fn run(quick: bool) -> String {
+        format(quick, &rows(quick))
     }
 
     /// Formats the scaling rows as the human-readable E20 table.
-    fn format(quick: bool, rows: &[Row]) -> String {
+    pub fn format(quick: bool, rows: &[Row]) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1945,52 +1975,5 @@ pub mod e20_scaling {
             );
         }
         out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn formatter_smoke_on_synthetic_records() {
-            let row = Row {
-                edge: 32,
-                loaded_cores: 16384,
-                threads: 4,
-                effective_threads: 1,
-                build_s: 1.5,
-                wall_ms: 220.0,
-                ns_per_neuron: 80.0,
-                bytes_per_synapse: 1.4,
-                resident_mb: 22.0,
-                peak_rss_mb: 310.0,
-            };
-            let text = format(true, &[row]);
-            assert!(text.contains("32x32"), "{text}");
-            assert!(text.contains("4/1"), "{text}");
-        }
-
-        #[test]
-        fn ring_net_synapse_count() {
-            let net = chip_ring_net(16);
-            assert_eq!(net.total_neurons(), 16 * 128);
-            let expected: u64 = net
-                .projections()
-                .iter()
-                .map(|p| p.pairs(net.pop(p.src).size, net.pop(p.dst).size).len() as u64)
-                .sum();
-            assert_eq!(expected, 16 * 128 * 128);
-        }
-
-        #[test]
-        fn quick_scaling_cell_loads_every_chip() {
-            let net = chip_ring_net(16);
-            let mut cfg = SimConfig::new(4, 4).with_neurons_per_core(NPC);
-            cfg.machine.cores_per_chip = CORES_PER_CHIP;
-            let sim = Simulation::build(&net, cfg).expect("fits");
-            assert_eq!(sim.machine().total_synapses(), 16 * 128 * 128);
-            // Analytic constant rows: everything stays lazy at load.
-            assert!(sim.machine().total_lazy_rows() > 0);
-        }
     }
 }

@@ -8,7 +8,13 @@
 //! experiment harness that regenerates every figure and quantitative
 //! claim in the paper.
 //!
-//! The root crate simply re-exports the workspace members:
+//! The harness lives here: [`experiments`] (one module per table),
+//! [`resil`] (E19's Monte Carlo fault campaigns) and [`figures`] (the
+//! paper's structural figures). `cargo run --release --example paper`
+//! prints every table (`SPINN_FULL=1` for the full-size runs), and
+//! `tests/paper_claims.rs` checks each claim in quick mode.
+//!
+//! Otherwise the root crate re-exports the workspace members:
 //!
 //! | crate | contents |
 //! |-------|----------|
@@ -38,6 +44,13 @@
 //! let done = Simulation::build(&net, SimConfig::new(4, 4)).unwrap().run(100);
 //! assert!(done.spike_count(exc) > 0);
 //! ```
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod experiments;
+pub mod figures;
+pub mod resil;
 
 pub use spinn_link as link;
 pub use spinn_machine as machine;

@@ -20,7 +20,9 @@ use scenarios::{
     synfire_net, RUN_MS,
 };
 use spinnaker::machine::machine::{NeuralMachine, SpikeRecord};
+use spinnaker::machine::snapshot::SnapshotError;
 use spinnaker::prelude::*;
+use spinnaker::sim::wire::WireError;
 
 fn kind() -> NeuronKind {
     NeuronKind::Izhikevich(IzhikevichParams::regular_spiking())
@@ -348,6 +350,58 @@ fn poisson_sources_are_split_invariant_and_survive_restore() {
     s.run_for(48);
     assert_eq!(whole, s.machine().spikes());
     assert!(s.spike_count(out) > 0, "drive must propagate to out");
+}
+
+/// Hostile bytes in the session's own section: the stimulus sources
+/// that follow the embedded machine snapshot. A checkpoint with one
+/// Poisson source, cut at every length inside that section and with one
+/// bit flipped in each of its bytes, either fails to restore or
+/// restores and runs 5 ms more; a NaN or negative rate is an error.
+#[test]
+fn corrupt_session_sections_are_rejected_or_run_on() {
+    let (net, input, _out) = poisson_net();
+    let cfg = || {
+        SimConfig::new(4, 4)
+            .with_force_shards(true)
+            .with_neurons_per_core(32)
+    };
+    let mut s = Simulation::build(&net, cfg()).unwrap().into_session();
+    s.add_poisson(input, 180.0, 0xF00D);
+    s.run_for(20);
+    let bytes = s.checkpoint().as_bytes().to_vec();
+    // The source count, then one source: population, rate, RNG state.
+    let start = bytes.len() - (8 + 4 + 8 + 4 * 8);
+    let restore =
+        |bytes: &[u8]| RunSession::restore(&net, cfg(), &Snapshot::from_bytes(bytes.to_vec()));
+    restore(&bytes).expect("the intact checkpoint restores");
+    let restore_and_run = |bytes: &[u8]| {
+        if let Ok(mut s) = restore(bytes) {
+            s.run_for(5);
+        }
+    };
+    for len in start..bytes.len() {
+        restore_and_run(&bytes[..len]);
+    }
+    let mut flipped = bytes.clone();
+    for i in start..bytes.len() {
+        flipped[i] ^= 1 << (i % 8);
+        restore_and_run(&flipped);
+        flipped[i] = bytes[i];
+    }
+    let rate_at = start + 8 + 4;
+    for rate in [f64::NAN, -1.0] {
+        let mut bad = bytes.clone();
+        bad[rate_at..rate_at + 8].copy_from_slice(&rate.to_le_bytes());
+        assert!(
+            matches!(
+                restore(&bad),
+                Err(SpinnError::Snapshot(SnapshotError::Wire(
+                    WireError::Corrupt(_)
+                )))
+            ),
+            "a rate of {rate} must be rejected as corrupt"
+        );
+    }
 }
 
 #[test]
