@@ -987,9 +987,9 @@ mod tests {
     use spinn_noc::fabric::InFlight;
     use spinn_noc::mesh::NodeCoord;
     use spinn_noc::table::{McTableEntry, RouteSet};
-    use spinn_sim::{CalendarQueue, Engine};
+    use spinn_sim::Engine;
 
-    type MachineEngine = Engine<NeuralMachine, CalendarQueue<MachineEvent>>;
+    type MachineEngine = Engine<NeuralMachine>;
 
     const KEY: u32 = 0x42;
     const ORIGIN: NodeCoord = NodeCoord { x: 0, y: 0 };

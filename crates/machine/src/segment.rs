@@ -14,7 +14,7 @@
 use spinn_noc::fabric::Partition;
 use spinn_obs::Counter;
 use spinn_par::ParEngine;
-use spinn_sim::{CalendarQueue, SimTime};
+use spinn_sim::SimTime;
 
 use crate::events::{canonical_pending, event_chip, MachineEvent};
 use crate::machine::{NeuralMachine, PendingEvent, MS};
@@ -153,13 +153,12 @@ impl NeuralMachine {
             .collect();
         let wakes: Vec<_> = machines.iter().map(NeuralMachine::wakes).collect();
         let start = Self::segment_start_ns(from_ms);
-        let mut par: ParEngine<NeuralMachine, CalendarQueue<MachineEvent>> =
-            ParEngine::resume_in(machines, SimTime::new(start));
+        let mut par = ParEngine::resume_at(machines, SimTime::new(start));
         // Events that mutate replicated state (the coalesced timer, link
         // failures and repairs) go to every shard; the rest to the shard
         // owning their chip. Same-instant order is by content rank,
         // never by which call staged an event.
-        let broadcast = |par: &mut ParEngine<_, _>, at: u64, ev: MachineEvent| {
+        let broadcast = |par: &mut ParEngine<_>, at: u64, ev: MachineEvent| {
             for shard in 0..shards {
                 par.schedule(shard, SimTime::new(at), ev);
             }

@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use spinn_obs::Phase;
-use spinn_sim::{Engine, EventQueue, Model, Queue, SimTime};
+use spinn_sim::{Engine, Model, SimTime};
 
 /// Sentinel for "this shard's queue is empty".
 const IDLE: u64 = u64::MAX;
@@ -250,8 +250,8 @@ impl SpinBarrier {
 /// let models = par.into_models();
 /// assert_eq!(models[0].seen + models[1].seen, 6);
 /// ```
-pub struct ParEngine<M: ShardModel, Q: Queue<M::Event> = EventQueue<<M as Model>::Event>> {
-    shards: Vec<Engine<M, Q>>,
+pub struct ParEngine<M: ShardModel> {
+    shards: Vec<Engine<M>>,
     stats: ParStats,
 }
 
@@ -260,36 +260,13 @@ where
     M: ShardModel + Send,
     M::Event: Send,
 {
-    /// Wraps one engine (on the default binary-heap queue) around each
-    /// shard model.
+    /// Wraps one engine around each shard model.
     ///
     /// # Panics
     ///
     /// Panics if `models` is empty.
     pub fn new(models: Vec<M>) -> Self {
-        ParEngine::new_in(models)
-    }
-}
-
-impl<M, Q> ParEngine<M, Q>
-where
-    M: ShardModel + Send,
-    M::Event: Send,
-    Q: Queue<M::Event> + Send,
-{
-    /// Wraps one engine around each shard model, on an explicitly
-    /// chosen queue implementation — every shard runs the same kind
-    /// (e.g. `ParEngine::<M, CalendarQueue<_>>::new_in(models)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models` is empty.
-    pub fn new_in(models: Vec<M>) -> Self {
-        assert!(!models.is_empty(), "ParEngine needs at least one shard");
-        ParEngine {
-            shards: models.into_iter().map(Engine::new_in).collect(),
-            stats: ParStats::default(),
-        }
+        ParEngine::resume_at(models, SimTime::ZERO)
     }
 
     /// Wraps one engine around each shard model with every shard clock
@@ -299,7 +276,7 @@ where
     /// # Panics
     ///
     /// Panics if `models` is empty.
-    pub fn resume_in(models: Vec<M>, now: SimTime) -> Self {
+    pub fn resume_at(models: Vec<M>, now: SimTime) -> Self {
         assert!(!models.is_empty(), "ParEngine needs at least one shard");
         ParEngine {
             shards: models
@@ -330,7 +307,7 @@ where
     }
 
     /// Each shard queue's occupancy high-water mark, in shard order
-    /// (see [`spinn_sim::Queue::peak_len`]). Read before
+    /// (see [`spinn_sim::CalendarQueue::peak_len`]). Read before
     /// [`ParEngine::into_parts`], which drains the queues.
     pub fn queue_peaks(&self) -> Vec<usize> {
         self.shards.iter().map(Engine::queue_peak).collect()
@@ -428,10 +405,10 @@ struct Shared<E> {
 /// barrier rounds it saw — identical across workers, which leave the
 /// loop together — and its own block's event, exchange and busy
 /// counts.
-fn worker_loop<M: ShardModel, Q: Queue<M::Event>>(
+fn worker_loop<M: ShardModel>(
     shared: &Shared<M::Event>,
     first: usize,
-    block: &mut [Engine<M, Q>],
+    block: &mut [Engine<M>],
 ) -> ParStats {
     let (next, mailboxes) = (&shared.next, &shared.mailboxes);
     let (deadline_ns, lookahead_ns) = (shared.deadline_ns, shared.lookahead_ns);

@@ -32,7 +32,6 @@
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
-use crate::queue::Queue;
 use crate::time::SimTime;
 
 // Chosen by replaying the push/pop streams recorded from `cortex_stim` /
@@ -79,15 +78,38 @@ impl<E> Entry<E> {
     }
 }
 
-/// A calendar queue: drop-in replacement for
-/// [`EventQueue`](crate::EventQueue) whose push appends to a coarse time
-/// bucket and whose pop reads the back of one sorted vector (layout:
-/// the head of `calendar.rs`; ordering contract: [`crate::queue`]).
+/// The event queue every [`Engine`](crate::Engine) runs on: a push
+/// appends to a coarse time bucket and a pop reads the back of one
+/// sorted vector (layout: the head of `calendar.rs`).
+///
+/// # Pop order
+///
+/// Events pop in ascending `(time, rank, insertion sequence)` order:
+///
+/// 1. **Time** — strictly earlier events pop first.
+/// 2. **Rank** — among same-instant events, ascending content-derived
+///    rank ([`crate::Model::tie_rank`]; [`CalendarQueue::push`] uses
+///    0). Ranks make the same-instant order a function of *what* the
+///    events are rather than of who scheduled them first, which is what
+///    lets a sharded run (`spinn-par`) replay a serial run exactly.
+/// 3. **Insertion sequence** — FIFO among same-instant, same-rank
+///    events, which must be interchangeable (their handling order must
+///    not affect the model's final state); FIFO merely makes the choice
+///    deterministic.
+///
+/// Pushes must be monotonic: never earlier than the last popped time
+/// (the engine's "cannot schedule into the past" check upholds this).
+/// [`CalendarQueue::clear`] and [`CalendarQueue::drain_ranked`] return
+/// the queue to its freshly-constructed state, insertion counter and
+/// [`CalendarQueue::peak_len`] included, so re-pushing a drained
+/// snapshot in order reproduces its pop sequence. The crate's
+/// binary-heap reference queue pops the same sequence for the same
+/// pushes; `tests/props_queue.rs` checks the two against each other.
 ///
 /// # Example
 ///
 /// ```
-/// use spinn_sim::{CalendarQueue, Queue, SimTime};
+/// use spinn_sim::{CalendarQueue, SimTime};
 ///
 /// let mut q = CalendarQueue::new();
 /// q.push(SimTime::new(10), "b");
@@ -123,7 +145,7 @@ pub struct CalendarQueue<E> {
     seq: u64,
     /// Time of the last pop: the push floor, in the loaded bucket.
     floor: u64,
-    /// Occupancy high-water mark (see [`Queue::peak_len`]).
+    /// Occupancy high-water mark (see [`CalendarQueue::peak_len`]).
     peak: usize,
 }
 
@@ -146,19 +168,20 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Schedules `event` at `time` with rank 0 (see [`Queue::push`]);
-    /// panics like [`CalendarQueue::push_ranked`].
+    /// Schedules `event` at `time` with rank 0 (pure FIFO among
+    /// unranked same-instant events); panics like
+    /// [`CalendarQueue::push_ranked`].
     pub fn push(&mut self, time: SimTime, event: E) {
         self.push_ranked(time, 0, event);
     }
 
     /// Schedules `event` at `time` with a content-derived tie-break
-    /// `rank`. See [`Queue::push_ranked`].
+    /// `rank`.
     ///
     /// # Panics
     ///
-    /// Panics if `time` is earlier than the last popped time (the
-    /// monotonic-push constraint of [`crate::queue`]).
+    /// Panics if `time` is earlier than the last popped time (pushes
+    /// must be monotonic).
     pub fn push_ranked(&mut self, time: SimTime, rank: u128, event: E) {
         let t = time.ticks();
         assert!(
@@ -200,8 +223,10 @@ impl<E> CalendarQueue<E> {
         self.pop_entry().map(|e| (SimTime::new(e.time), e.event))
     }
 
-    /// Drains the queue in pop order as `(time, rank, event)` triples
-    /// (see [`Queue::drain_ranked`]), leaving it as freshly constructed.
+    /// Drains the queue in pop order as `(time, rank, event)` triples,
+    /// leaving it as freshly constructed — the checkpoint form of the
+    /// queue. The triples omit the insertion sequence: it only orders
+    /// events whose `(time, rank)` collide, which are interchangeable.
     pub fn drain_ranked(&mut self) -> Vec<(SimTime, u128, E)> {
         let mut out = Vec::with_capacity(self.len);
         while let Some(e) = self.pop_entry() {
@@ -309,13 +334,16 @@ impl<E> CalendarQueue<E> {
         self.len == 0
     }
 
-    /// Occupancy high-water mark (see [`Queue::peak_len`]).
+    /// High-water mark of [`CalendarQueue::len`], the occupancy gauge
+    /// the telemetry layer reads. It rises with pushes, survives pops,
+    /// and resets with [`CalendarQueue::clear`] and
+    /// [`CalendarQueue::drain_ranked`].
     pub fn peak_len(&self) -> usize {
         self.peak
     }
 
     /// Removes every pending event and resets the insertion-sequence
-    /// counter, as [`EventQueue::clear`](crate::EventQueue::clear) does.
+    /// counter: the queue behaves exactly like a fresh one afterwards.
     pub fn clear(&mut self) {
         *self = Self::new();
     }
@@ -324,30 +352,6 @@ impl<E> CalendarQueue<E> {
 impl<E> Default for CalendarQueue<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<E> Queue<E> for CalendarQueue<E> {
-    fn push_ranked(&mut self, time: SimTime, rank: u128, event: E) {
-        CalendarQueue::push_ranked(self, time, rank, event);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        CalendarQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-    fn peak_len(&self) -> usize {
-        CalendarQueue::peak_len(self)
-    }
-    fn clear(&mut self) {
-        CalendarQueue::clear(self);
-    }
-    fn drain_ranked(&mut self) -> Vec<(SimTime, u128, E)> {
-        CalendarQueue::drain_ranked(self)
     }
 }
 
@@ -501,9 +505,11 @@ mod tests {
         // same-(time, rank) event into each — it must pop *after* the
         // restored ones.
         let mut heap = EventQueue::new();
-        Queue::restore(&mut heap, snap.clone());
         let mut cal2 = CalendarQueue::new();
-        Queue::restore(&mut cal2, snap);
+        for (t, r, e) in snap {
+            heap.push_ranked(t, r, e);
+            cal2.push_ranked(t, r, e);
+        }
         heap.push_ranked(SimTime::new(5), 1, 99);
         cal2.push_ranked(SimTime::new(5), 1, 99);
         let a: Vec<u64> = std::iter::from_fn(|| heap.pop()).map(|(_, e)| e).collect();

@@ -2,8 +2,7 @@
 
 use spinn_obs::{Phase, PhaseProbe};
 
-use crate::event::EventQueue;
-use crate::queue::Queue;
+use crate::calendar::CalendarQueue;
 use crate::time::SimTime;
 
 /// A simulation model: owns all mutable state and reacts to events.
@@ -39,7 +38,7 @@ pub trait Model {
     /// in drivers like `spinn-par`, barrier-wait) samples into.
     ///
     /// The engine captures this once at construction
-    /// ([`Engine::new_in`] / [`Engine::resume_at`]). The default is a
+    /// ([`Engine::new`] / [`Engine::resume_at`]). The default is a
     /// disabled probe: every timing hook reduces to a `None`-check, so
     /// uninstrumented models pay nothing.
     fn phase_probe(&self) -> PhaseProbe {
@@ -106,19 +105,14 @@ pub enum RunOutcome {
     BudgetExceeded,
 }
 
-/// The discrete-event simulation engine, generic over the event-queue
-/// implementation.
-///
-/// The queue type parameter defaults to the binary-heap
-/// [`EventQueue`]; pass [`CalendarQueue`](crate::CalendarQueue) for
-/// the time-bucketed implementation (`Engine::<M, CalendarQueue<_>>`).
-/// Both honour the same ordering contract ([`crate::queue`]), so the
-/// choice changes wall-clock performance only — never a result.
+/// The discrete-event simulation engine: a [`CalendarQueue`] of
+/// pending events (see its docs for the pop order) and the [`Model`]
+/// they drive.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 #[derive(Debug)]
-pub struct Engine<M: Model, Q: Queue<M::Event> = EventQueue<<M as Model>::Event>> {
-    queue: Q,
+pub struct Engine<M: Model> {
+    queue: CalendarQueue<M::Event>,
     model: M,
     now: SimTime,
     processed: u64,
@@ -132,21 +126,11 @@ pub struct Engine<M: Model, Q: Queue<M::Event> = EventQueue<<M as Model>::Event>
 }
 
 impl<M: Model> Engine<M> {
-    /// Creates an engine at time zero around `model`, on the default
-    /// binary-heap [`EventQueue`].
+    /// Creates an engine at time zero around `model`.
     pub fn new(model: M) -> Self {
-        Engine::new_in(model)
-    }
-}
-
-impl<M: Model, Q: Queue<M::Event>> Engine<M, Q> {
-    /// Creates an engine at time zero around `model`, on an explicitly
-    /// chosen queue implementation (e.g.
-    /// `Engine::<M, CalendarQueue<_>>::new_in(model)`).
-    pub fn new_in(model: M) -> Self {
         let probe = model.phase_probe();
         Engine {
-            queue: Q::default(),
+            queue: CalendarQueue::new(),
             model,
             now: SimTime::ZERO,
             processed: 0,
@@ -160,13 +144,13 @@ impl<M: Model, Q: Queue<M::Event>> Engine<M, Q> {
     /// feed the drained events back through
     /// [`Engine::restore_events`].
     pub fn resume_at(model: M, now: SimTime) -> Self {
-        let mut e = Engine::new_in(model);
+        let mut e = Engine::new(model);
         e.now = now;
         e
     }
 
     /// Drains the pending events as canonical `(time, rank, event)`
-    /// triples (see [`crate::Queue::drain_ranked`]). The engine's clock
+    /// triples (see [`CalendarQueue::drain_ranked`]). The engine's clock
     /// is unchanged; the queue is left empty.
     pub fn drain_events(&mut self) -> Vec<(SimTime, u128, M::Event)> {
         self.queue.drain_ranked()
@@ -179,23 +163,25 @@ impl<M: Model, Q: Queue<M::Event>> Engine<M, Q> {
         (self.model, events)
     }
 
-    /// Restores a [`Engine::drain_events`] snapshot into the queue (see
-    /// [`crate::Queue::restore`]).
+    /// Restores a [`Engine::drain_events`] snapshot: clears the queue,
+    /// then re-pushes the triples in order, so they pop in drain order
+    /// and sort before later pushes of the same `(time, rank)`.
     ///
     /// # Panics
     ///
     /// Panics if any restored event lies before the engine's current
     /// time.
     pub fn restore_events(&mut self, items: Vec<(SimTime, u128, M::Event)>) {
-        if let Some((t, _, _)) = items.first() {
+        self.queue.clear();
+        for (t, rank, event) in items {
             assert!(
-                *t >= self.now,
-                "cannot restore events into the past: now={} first={}",
+                t >= self.now,
+                "cannot restore events into the past: now={} at={}",
                 self.now,
                 t
             );
+            self.queue.push_ranked(t, rank, event);
         }
-        self.queue.restore(items);
     }
 
     /// Schedules an event at an absolute time (before or during a run).
@@ -239,7 +225,7 @@ impl<M: Model, Q: Queue<M::Event>> Engine<M, Q> {
     }
 
     /// Queue-occupancy high-water mark (see
-    /// [`crate::Queue::peak_len`]).
+    /// [`CalendarQueue::peak_len`]).
     pub fn queue_peak(&self) -> usize {
         self.queue.peak_len()
     }
@@ -309,8 +295,8 @@ impl<M: Model, Q: Queue<M::Event>> Engine<M, Q> {
                 None => return RunOutcome::Exhausted,
                 Some(t) if t > deadline => {
                     // Advance the clock to the deadline so successive calls
-                    // observe monotonic time.
-                    self.now = deadline;
+                    // observe monotonic time; an earlier deadline leaves it.
+                    self.now = self.now.max(deadline);
                     return RunOutcome::DeadlineReached;
                 }
                 Some(_) => {
@@ -377,7 +363,6 @@ impl<M: Model, Q: Queue<M::Event>> Engine<M, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calendar::CalendarQueue;
 
     /// Counts down; schedules itself until it hits zero.
     struct Countdown {
@@ -421,6 +406,26 @@ mod tests {
         // Resume: remaining events still fire.
         assert_eq!(e.run_until(SimTime::new(45)), RunOutcome::DeadlineReached);
         assert_eq!(e.model().fired_at, vec![0, 10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn an_earlier_deadline_leaves_the_clock() {
+        let mut e = Engine::new(Countdown {
+            remaining: 100,
+            fired_at: vec![],
+        });
+        e.schedule_at(SimTime::new(100), ());
+        assert_eq!(e.run_until(SimTime::new(150)), RunOutcome::DeadlineReached);
+        assert_eq!(e.run_until(SimTime::new(50)), RunOutcome::DeadlineReached);
+        assert_eq!(e.now(), SimTime::new(150), "the clock went back");
+        assert_eq!(e.model().fired_at, vec![100, 110, 120, 130, 140, 150]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot restore events into the past")]
+    fn restoring_a_later_event_into_the_past_panics() {
+        let mut e = Engine::resume_at(Stopper, SimTime::new(100));
+        e.restore_events(vec![(SimTime::new(200), 0, 0), (SimTime::new(50), 0, 1)]);
     }
 
     #[test]
@@ -492,49 +497,5 @@ mod tests {
         e.run_to_completion(None);
         let m = e.into_model();
         assert_eq!(m.fired_at.len(), 1);
-    }
-
-    #[test]
-    fn calendar_engine_matches_heap_engine() {
-        // The same model driven by both queue implementations produces
-        // the same trace (incl. timer-style far-future self-scheduling).
-        struct Pulse {
-            left: u32,
-            log: Vec<u64>,
-        }
-        impl Model for Pulse {
-            type Event = u8;
-            fn handle(&mut self, ctx: &mut Context<u8>, ev: u8) {
-                self.log.push(ctx.now().ticks() * 10 + ev as u64);
-                if ev == 0 && self.left > 0 {
-                    self.left -= 1;
-                    // Same-instant burst + a far-future (overflow) tick.
-                    ctx.schedule_in(0, 1);
-                    ctx.schedule_in(0, 2);
-                    ctx.schedule_in(1_000_000, 0);
-                }
-            }
-            fn tie_rank(ev: &u8) -> u128 {
-                *ev as u128
-            }
-        }
-        let run = |use_calendar: bool| {
-            let model = Pulse {
-                left: 20,
-                log: vec![],
-            };
-            if use_calendar {
-                let mut e: Engine<Pulse, CalendarQueue<u8>> = Engine::new_in(model);
-                e.schedule_at(SimTime::ZERO, 0);
-                e.run_to_completion(None);
-                e.into_model().log
-            } else {
-                let mut e: Engine<Pulse> = Engine::new(model);
-                e.schedule_at(SimTime::ZERO, 0);
-                e.run_to_completion(None);
-                e.into_model().log
-            }
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -3,21 +3,13 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::queue::Queue;
 use crate::time::SimTime;
 
-/// A priority queue of `(time, event)` pairs ordered by
-/// `(time, rank, insertion sequence)`.
-///
-/// The *rank* is an optional content-derived key
-/// ([`EventQueue::push_ranked`], [`crate::Model::tie_rank`]): two events
-/// at the same instant are ordered by rank first, and only FIFO within
-/// equal ranks. Content-derived ranks make the same-instant order a
-/// function of *what* the events are rather than of who scheduled them
-/// first — which is what lets a sharded run (`spinn-par`) replay a
-/// serial run exactly, even though cross-shard events are inserted at
-/// barriers rather than at their senders' convenience. Plain
-/// [`EventQueue::push`] uses rank 0, i.e. pure FIFO tie-breaking.
+/// A binary heap of `(time, event)` pairs: `O(log n)` per operation
+/// whatever the push pattern. No engine runs on it. It is the
+/// independent reference [`CalendarQueue`](crate::CalendarQueue) is
+/// tested and benchmarked against, and it pops what the calendar pops
+/// for the same pushes, in the order the calendar's docs define.
 ///
 /// # Example
 ///
@@ -119,7 +111,8 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Occupancy high-water mark (see [`Queue::peak_len`]).
+    /// Occupancy high-water mark (see
+    /// [`CalendarQueue::peak_len`](crate::CalendarQueue::peak_len)).
     pub fn peak_len(&self) -> usize {
         self.peak
     }
@@ -138,7 +131,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Drains the queue in canonical pop order as `(time, rank, event)`
-    /// triples (see [`Queue::drain_ranked`]).
+    /// triples (see
+    /// [`CalendarQueue::drain_ranked`](crate::CalendarQueue::drain_ranked)).
     pub fn drain_ranked(&mut self) -> Vec<(SimTime, u128, E)> {
         let mut out = Vec::with_capacity(self.heap.len());
         while let Some(e) = self.heap.pop() {
@@ -147,30 +141,6 @@ impl<E> EventQueue<E> {
         self.seq = 0;
         self.peak = 0;
         out
-    }
-}
-
-impl<E> Queue<E> for EventQueue<E> {
-    fn push_ranked(&mut self, time: SimTime, rank: u128, event: E) {
-        EventQueue::push_ranked(self, time, rank, event);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn peak_len(&self) -> usize {
-        EventQueue::peak_len(self)
-    }
-    fn clear(&mut self) {
-        EventQueue::clear(self);
-    }
-    fn drain_ranked(&mut self) -> Vec<(SimTime, u128, E)> {
-        EventQueue::drain_ranked(self)
     }
 }
 

@@ -14,17 +14,14 @@
 //!   content-derived rank ([`Model::tie_rank`]) orders same-instant
 //!   events by *what* they are, and FIFO breaks the remaining ties — no
 //!   hash-map iteration order or thread scheduling can perturb a run.
-//!   Two queue implementations honour that contract (see the
-//!   [`queue`] module for its precise statement): the binary-heap
-//!   [`EventQueue`], which the small models run on and the other is
-//!   tested against, and the bucketed [`CalendarQueue`] the neural
-//!   machine runs on (amortized `O(1)` when events are scheduled a
-//!   short way ahead of the clock, as the machine's handlers do).
+//!   Every engine keeps its events in the bucketed [`CalendarQueue`]
+//!   (amortized `O(1)` when events are scheduled a short way ahead of
+//!   the clock, as the machine's handlers do; its docs state the
+//!   contract precisely). The binary-heap [`EventQueue`] honours the
+//!   same contract and drives no engine: it is the reference the
+//!   calendar is tested and benchmarked against.
 //! * [`Engine`] drives a user [`Model`]; models schedule future events
-//!   through a [`Context`] handed to every handler. The engine is
-//!   generic over the [`Queue`] implementation (defaulting to
-//!   [`EventQueue`]), and a run's results are bit-identical whichever
-//!   queue drives it.
+//!   through a [`Context`] handed to every handler.
 //! * [`Xoshiro256`] is a self-contained seedable PRNG (xoshiro256**) with
 //!   the distributions the experiments need (uniform, Bernoulli,
 //!   exponential, normal, Poisson), so identical seeds reproduce identical
@@ -70,7 +67,6 @@
 mod calendar;
 mod engine;
 mod event;
-pub mod queue;
 mod rng;
 mod stats;
 mod time;
@@ -79,7 +75,6 @@ pub mod wire;
 pub use calendar::CalendarQueue;
 pub use engine::{Context, Engine, Model, RunOutcome};
 pub use event::EventQueue;
-pub use queue::Queue;
 pub use rng::Xoshiro256;
 pub use stats::{Histogram, OnlineStats};
 pub use time::SimTime;

@@ -9,7 +9,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use spinn_sim::{CalendarQueue, EventQueue, Queue, SimTime};
+use spinn_sim::{CalendarQueue, EventQueue, SimTime};
 
 /// One scripted queue operation, decoded from raw generator draws.
 #[derive(Clone, Copy, Debug)]
@@ -29,14 +29,17 @@ enum Op {
 /// bucket is 2^8 ticks wide, a block of 128 buckets spans 2^15 ticks,
 /// and one lap of the 64-block far ring spans 2^21: the classes are
 /// same-tick collisions, the loaded bucket, up to two blocks ahead
-/// (near buckets, block boundaries and the next far slot), and up to
-/// three far laps ahead.
+/// (near buckets, block boundaries and the next far slot), up to three
+/// far laps ahead, and whole multiples of eight laps up to 2^40 ticks
+/// ahead (the fabric scenarios queue injections and deadlines tens of
+/// milliseconds out in ns ticks: tens of laps).
 fn decode(selector: u8, delta_class: u8, delta_raw: u16, rank: u8) -> Op {
     let delta = match delta_class {
         0 => 0,                                  // same tick
         1 => u64::from(delta_raw) % 7,           // dense near-ties, one bucket
         2 => u64::from(delta_raw),               // < 2^16: two blocks
-        _ => u64::from(delta_raw) * 97 + 16_000, // < 2^22.6: three far laps
+        3 => u64::from(delta_raw) * 97 + 16_000, // < 2^22.6: three far laps
+        _ => u64::from(delta_raw) << 24,         // < 2^40: 2^19 far laps
     };
     push_or_pop(selector, delta, rank % 5) // few distinct ranks -> collisions
 }
@@ -85,8 +88,8 @@ fn run_script(ops: &[Op]) -> usize {
                 let t = SimTime::new(now + delta);
                 let payload = i as u64;
                 if rank == 0 {
-                    Queue::push(&mut heap, t, payload);
-                    Queue::push(&mut cal, t, payload);
+                    heap.push(t, payload);
+                    cal.push(t, payload);
                 } else {
                     heap.push_ranked(t, rank, payload);
                     cal.push_ranked(t, rank, payload);
@@ -124,7 +127,7 @@ proptest! {
     /// The headline property: arbitrary interleavings agree.
     #[test]
     fn heap_and_calendar_pop_identically(
-        raw in vec((0u8..4, 0u8..4, any::<u16>(), 0u8..8), 0..600),
+        raw in vec((0u8..4, 0u8..5, any::<u16>(), 0u8..8), 0..600),
     ) {
         let ops: Vec<Op> = raw
             .into_iter()
@@ -168,9 +171,9 @@ proptest! {
 
 /// The occupancy-gauge contract both queue kinds share: `peak_len`
 /// rises with pushes, survives pops, resets to zero on `drain_ranked`
-/// (and `clear`), and after restoring the drained items equals exactly
-/// the restored count — whatever tier (near or far) the calendar held
-/// them in.
+/// (and `clear`), and after re-pushing the drained items (what
+/// `Engine::restore_events` does) equals exactly the restored count —
+/// whatever tier (near or far) the calendar held them in.
 #[test]
 fn occupancy_gauge_agrees_across_drain_and_restore() {
     let mut heap: EventQueue<u64> = EventQueue::new();
@@ -197,7 +200,10 @@ fn occupancy_gauge_agrees_across_drain_and_restore() {
     assert_eq!(heap.peak_len(), 0, "drain must reset the heap gauge");
     assert_eq!(cal.peak_len(), 0, "drain must reset the calendar gauge");
 
-    // Restore: the gauge climbs back to exactly the restored count.
+    // Restore (a clear, then a re-push loop): the gauge climbs back to
+    // exactly the restored count.
+    heap.clear();
+    cal.clear();
     for (t, rank, e) in heap_items {
         heap.push_ranked(t, rank, e);
         cal.push_ranked(t, rank, e);

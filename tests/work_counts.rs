@@ -11,7 +11,10 @@
 //!   population Poisson-driven (the shape of `cortex_stim`);
 //! * `idle`: an 8 × 8 mesh with every application core loaded, lazy
 //!   all-to-all rows and one Poisson-driven population (the shape of
-//!   `idle_mesh`).
+//!   `idle_mesh`);
+//! * `synfire`: a ring of fixed-fan-out stages placed at random, every
+//!   stage Poisson-driven (the shape of `synfire_fabric`, where queue
+//!   operations, router lookups and fabric hops do the work).
 //!
 //! The literals were recorded from the code as it stood when this file
 //! was added. A change that moves one on purpose updates it and says
@@ -20,6 +23,11 @@
 //! * one-shard `windows` and `busy` went from 0 to 1 when serial runs
 //!   became one-shard runs of the parallel engine: a lone shard runs its
 //!   segment in a single window, in which it is busy.
+//!
+//! The `synfire` literals were recorded later, from the code as it stood
+//! just before the binary-heap queue stopped driving any engine (the
+//! machine already ran on the calendar queue then, so they pin the same
+//! machine path across that change).
 
 use spinnaker::obs::{Counter, Phase};
 use spinnaker::prelude::*;
@@ -157,6 +165,35 @@ fn idle(shards: u32) -> Counts {
     count(&net, cfg, &poisson, shards)
 }
 
+/// 16 × 512 neurons in a ring of `FixedFanOut(12)` projections with
+/// strong synapses, every stage Poisson-driven at 12 Hz, placed at
+/// random on 8 × 8 chips at 128 neurons per core, so every spike crosses
+/// many chips.
+fn synfire(shards: u32) -> Counts {
+    let mut net = NetworkGraph::new();
+    let pops: Vec<_> = (0..16)
+        .map(|i| net.population(&format!("s{i}"), 512, rs(), 0.0))
+        .collect();
+    for (i, &src) in pops.iter().enumerate() {
+        net.project(
+            src,
+            pops[(i + 1) % pops.len()],
+            Connector::FixedFanOut(12),
+            Synapses::constant(1200, 2),
+            0x5F + i as u64,
+        );
+    }
+    let poisson: Vec<_> = pops
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (p, 12.0, 0xF1BE + i as u64))
+        .collect();
+    let cfg = SimConfig::new(8, 8)
+        .with_neurons_per_core(128)
+        .with_placer(Placer::Random { seed: 0x5EED });
+    count(&net, cfg, &poisson, shards)
+}
+
 /// Runs `net` at 1 and 2 shards and compares with the pinned counts.
 fn check(name: &str, net: fn(u32) -> Counts, want: [Counts; 2]) {
     let got = [net(1), net(2)];
@@ -231,6 +268,40 @@ fn idle_mesh_work_counts() {
                 lazy_rows: 129_952,
                 windows: 78,
                 busy: 118,
+            },
+        ],
+    );
+}
+
+#[test]
+fn synfire_work_counts() {
+    check(
+        "synfire",
+        synfire,
+        [
+            Counts {
+                spikes: 43,
+                events: 131_798,
+                neurons_ticked: 327_680,
+                synaptic_events: 47_004,
+                dma_bytes: 250_688,
+                queue_pops: 82_277,
+                pool_ticks: 2_560,
+                lazy_rows: 0,
+                windows: 1,
+                busy: 1,
+            },
+            Counts {
+                spikes: 43,
+                events: 131_838,
+                neurons_ticked: 327_680,
+                synaptic_events: 47_004,
+                dma_bytes: 250_688,
+                queue_pops: 82_317,
+                pool_ticks: 2_560,
+                lazy_rows: 0,
+                windows: 924,
+                busy: 1_761,
             },
         ],
     );
