@@ -77,7 +77,7 @@
 use std::collections::VecDeque;
 
 use spinn_neuron::ring::{InputRing, RING_SLOTS};
-use spinn_neuron::stdp::apply_bounded;
+use spinn_neuron::stdp::{self, apply_bounded};
 use spinn_noc::fabric::{CtxScheduler, NocEvent};
 use spinn_noc::packet::{Packet, PacketKind};
 use spinn_obs::{Counter, Phase, PhaseProbe, TraceKind};
@@ -439,11 +439,9 @@ impl NeuralMachine {
                     let mut modified = false;
                     if let Some(p) = stdp {
                         // Deferred pair-based STDP, applied at row fetch
-                        // (pre-spike time): depress against the target's
-                        // most recent post-spike; potentiate the
-                        // *previous* pre-spike against any post that
-                        // followed it. Weights are rewritten in place in
-                        // the arena, as on hardware.
+                        // (pre-spike time) by `stdp::weight_change`.
+                        // Weights are rewritten in place in the arena, as
+                        // on hardware.
                         if c.row_last_pre_ms.is_empty() {
                             c.row_last_pre_ms = vec![f64::NEG_INFINITY; c.matrix.n_rows()];
                         }
@@ -454,18 +452,8 @@ impl NeuralMachine {
                         // materialized on this first write touch, so
                         // STDP keeps rewriting arena words in place.
                         for w in c.matrix.ensure_row_mut(row) {
-                            let n = w.target() as usize;
-                            let last_post = last_post_ms[n];
-                            let mut dw = 0i16;
-                            if last_post.is_finite() && last_post <= now_ms {
-                                let dt = (now_ms - last_post) as f32;
-                                dw -= (p.a_minus * (-dt / p.tau_minus_ms).exp()).round() as i16;
-                            }
-                            if last_post.is_finite() && last_pre.is_finite() && last_post > last_pre
-                            {
-                                let dt = (last_post - last_pre) as f32;
-                                dw += (p.a_plus * (-dt / p.tau_plus_ms).exp()).round() as i16;
-                            }
+                            let last_post = last_post_ms[w.target() as usize];
+                            let dw = stdp::weight_change(now_ms, last_pre, last_post, &p);
                             if dw != 0 {
                                 let updated = apply_bounded(w.weight_raw(), dw, &p);
                                 if updated != w.weight_raw() {

@@ -1,5 +1,6 @@
 //! The abstract neural network: populations, projections, connectors.
 
+use spinn_neuron::gen::{next_success, GenConnector};
 use spinn_neuron::izhikevich::IzhikevichParams;
 use spinn_neuron::lif::LifParams;
 use spinn_sim::Xoshiro256;
@@ -77,13 +78,12 @@ pub struct Synapses {
 
 impl Synapses {
     /// Constant weight and delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the delay is outside 1–16 ms.
     pub fn constant(weight_raw: i16, delay_ms: u8) -> Self {
-        Synapses {
-            weight_min_raw: weight_raw,
-            weight_max_raw: weight_raw,
-            delay_min_ms: delay_ms,
-            delay_max_ms: delay_ms,
-        }
+        Self::uniform((weight_raw, weight_raw), (delay_ms, delay_ms))
     }
 
     /// Uniformly distributed weight and delay.
@@ -147,37 +147,27 @@ impl Projection {
     /// regardless of network size. Pairs are produced in ascending
     /// source order.
     pub fn iter(&self, n_src: u32, n_dst: u32) -> ConnectorIter {
-        let rng = Xoshiro256::seed_from_u64(self.seed ^ 0x50C1_A11E);
-        let state = match self.connector {
-            Connector::OneToOne => IterState::OneToOne {
+        let state = match self.gen_connector() {
+            Ok(GenConnector::OneToOne) => IterState::OneToOne {
                 i: 0,
                 n: n_src.min(n_dst),
             },
-            Connector::AllToAll { allow_self } => IterState::AllToAll {
+            Ok(GenConnector::AllToAll { skip_self }) => IterState::AllToAll {
                 s: 0,
                 d: 0,
-                skip_self: !allow_self && self.src == self.dst,
+                skip_self,
             },
-            Connector::FixedProbability(p) if p >= 1.0 => IterState::AllToAll {
-                s: 0,
-                d: 0,
-                skip_self: false,
-            },
-            Connector::FixedProbability(p) => IterState::Bernoulli {
-                rng,
+            Ok(GenConnector::Bernoulli { p }) => IterState::Bernoulli {
+                rng: self.conn_rng(),
                 p,
                 cursor: 0,
-                total: if p > 0.0 {
-                    n_src as u64 * n_dst as u64
-                } else {
-                    0
-                },
+                total: n_src as u64 * n_dst as u64,
             },
-            Connector::FixedFanOut(k) => {
+            Err(k) => {
                 let k = k.min(n_dst);
                 IterState::FanOut {
                     targets: (0..n_dst).collect(),
-                    rng,
+                    rng: self.conn_rng(),
                     k,
                     next_s: 0,
                     j: k, // force a shuffle on the first `next`
@@ -189,6 +179,39 @@ impl Projection {
             n_dst,
             state,
         }
+    }
+
+    /// The connector in the generator form both the build stream and
+    /// lazy row replay run, with its special cases resolved once: a
+    /// recurrent `AllToAll` skips the diagonal only when source and target
+    /// coincide, and `FixedProbability(p)` with `p >= 1` is dense (with
+    /// `p <= 0` it yields nothing, see [`next_success`]). `Err(k)` for
+    /// `FixedFanOut(k)`, whose cumulative target shuffle has no per-row
+    /// replay state.
+    pub(crate) fn gen_connector(&self) -> Result<GenConnector, u32> {
+        Ok(match self.connector {
+            Connector::OneToOne => GenConnector::OneToOne,
+            Connector::AllToAll { allow_self } => GenConnector::AllToAll {
+                skip_self: !allow_self && self.src == self.dst,
+            },
+            Connector::FixedProbability(p) if p >= 1.0 => {
+                GenConnector::AllToAll { skip_self: false }
+            }
+            Connector::FixedProbability(p) => GenConnector::Bernoulli { p },
+            Connector::FixedFanOut(k) => return Err(k),
+        })
+    }
+
+    /// The connector stream's RNG: the Bernoulli gap draws, or the
+    /// fan-out shuffles.
+    pub(crate) fn conn_rng(&self) -> Xoshiro256 {
+        Xoshiro256::seed_from_u64(self.seed ^ 0x50C1_A11E)
+    }
+
+    /// The synapse stream's RNG: one weight/delay draw per pair, in pair
+    /// order.
+    pub(crate) fn syn_rng(&self) -> Xoshiro256 {
+        Xoshiro256::seed_from_u64(self.seed ^ 0x005E_ED0F_5EED)
     }
 
     /// Expands the projection into a materialized edge list (a
@@ -231,7 +254,7 @@ enum IterState {
         p: f64,
         /// Next candidate flattened index.
         cursor: u64,
-        /// One past the last flattened index (0 when exhausted).
+        /// One past the last flattened index.
         total: u64,
     },
     /// Per source: a fresh shuffle of the target permutation, then the
@@ -281,23 +304,10 @@ impl Iterator for ConnectorIter {
                 cursor,
                 total,
             } => {
-                if *cursor >= *total {
-                    return None;
-                }
-                // Geometric inter-success gap: the run length of a
-                // Bernoulli(p) process, sampled in one draw. `ln_1p`
-                // keeps the denominator finite and non-zero for tiny
-                // `p` (where `(1.0 - p).ln()` rounds to 0 and would
-                // invert the probability to 1), and the float→int cast
-                // saturates, so sub-2e-18 probabilities overshoot
-                // `total` and terminate rather than overflow.
-                let u = rng.next_f64();
-                let skip = ((1.0 - u).ln() / (-*p).ln_1p()).floor() as u64;
-                let idx = cursor.checked_add(skip).unwrap_or(u64::MAX);
-                if idx >= *total {
+                let Some(idx) = next_success(rng, *p, *cursor, *total) else {
                     *cursor = *total;
                     return None;
-                }
+                };
                 *cursor = idx + 1;
                 Some((
                     (idx / self.n_dst as u64) as u32,
@@ -692,6 +702,85 @@ mod tests {
             6,
             "p = 1 degenerates to all-to-all"
         );
+    }
+
+    /// The connector streams, pinned: an FNV-1a fingerprint of every
+    /// `Projection::iter` pair, each followed by its `Synapses::sample`
+    /// draw from the projection's synapse stream, per connector. The
+    /// literals were recorded before the gap sampler, the seed salts and
+    /// the connector mapping were each reduced to one copy, and hold
+    /// unchanged after; the loader's lazy≡eager tests carry the pin over
+    /// to lazy replay.
+    #[test]
+    fn connector_streams_are_pinned() {
+        fn fnv1a(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ b as u64).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        let empty = 0xCBF2_9CE4_8422_2325; // FNV-1a of no bytes
+        let cases = [
+            (Connector::OneToOne, (40, 56), 0x5BF8_A551_E03D_B3DC, 40),
+            (
+                Connector::AllToAll { allow_self: false },
+                (40, 40),
+                0x9935_6029_78D0_6ED0,
+                1_560,
+            ),
+            (
+                Connector::FixedProbability(0.2),
+                (40, 56),
+                0xC604_0A00_225A_E050,
+                434,
+            ),
+            (Connector::FixedProbability(1e-17), (40, 56), empty, 0),
+            (Connector::FixedProbability(0.0), (40, 56), empty, 0),
+            (
+                Connector::FixedProbability(1.5),
+                (40, 56),
+                0x1692_AE37_851C_FB79,
+                2_240,
+            ),
+            (
+                Connector::FixedFanOut(7),
+                (40, 56),
+                0x1750_D4B8_97F8_5452,
+                280,
+            ),
+        ];
+        for (connector, (n_src, n_dst), want, want_len) in cases {
+            let p = Projection {
+                src: PopulationId(0),
+                dst: PopulationId(0),
+                connector,
+                synapses: Synapses::uniform((-50, 300), (1, 16)),
+                seed: 0x0123_4567_89AB,
+            };
+            let mut syn_rng = p.syn_rng();
+            let mut h = empty;
+            let mut len = 0;
+            for (s, d) in p.iter(n_src, n_dst) {
+                let (w, delay) = p.synapses.sample(&mut syn_rng);
+                fnv1a(&mut h, &s.to_le_bytes());
+                fnv1a(&mut h, &d.to_le_bytes());
+                fnv1a(&mut h, &w.to_le_bytes());
+                fnv1a(&mut h, &[delay]);
+                len += 1;
+            }
+            assert_eq!((h, len), (want, want_len), "{connector:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must lie in 1..=16 ms")]
+    fn constant_rejects_zero_delay() {
+        Synapses::constant(300, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must lie in 1..=16 ms")]
+    fn constant_rejects_delay_past_the_ring() {
+        Synapses::constant(300, 17);
     }
 
     #[test]

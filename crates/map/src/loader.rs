@@ -29,16 +29,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use spinn_neuron::gen::{GenConnector, GenSpec, GenState};
+use spinn_neuron::gen::{next_success, GenConnector, GenSpec, GenState};
 use spinn_neuron::izhikevich::IzhikevichNeuron;
 use spinn_neuron::lif::LifNeuron;
 use spinn_neuron::model::AnyNeuron;
 use spinn_neuron::synapse::SynapticWord;
 use spinn_neuron::synmatrix::{SynapticMatrix, SynapticMatrixBuilder};
 use spinn_noc::mesh::NodeCoord;
-use spinn_sim::Xoshiro256;
 
-use crate::graph::{Connector, NetworkGraph, NeuronKind, Projection};
+use crate::graph::{NetworkGraph, NeuronKind, Projection};
 use crate::keys::{core_base_key, neuron_key, CORE_MASK};
 use crate::place::{Placement, Slice};
 
@@ -146,7 +145,7 @@ impl LoadedApp {
         let mut word_est = vec![0u64; n_pops];
         for proj in net.projections() {
             let d = proj.dst.index();
-            let Some(conn) = gen_connector(proj) else {
+            let Ok(conn) = proj.gen_connector() else {
                 lazy_pop[d] = false;
                 continue;
             };
@@ -201,7 +200,7 @@ impl LoadedApp {
                     first_rows,
                     src_idxs: src_idxs.to_vec(),
                     dst_idxs: dst_idxs.to_vec(),
-                    lazy: lazy_pop[proj.dst.index()] && gen_connector(proj).is_some(),
+                    lazy: lazy_pop[proj.dst.index()] && proj.gen_connector().is_ok(),
                 }
             })
             .collect();
@@ -246,7 +245,7 @@ impl LoadedApp {
                     }
                 }
                 ProjOutput::Lazy { states, lens } => {
-                    let conn = gen_connector(proj).expect("lazy plan implies replayable");
+                    let conn = proj.gen_connector().expect("lazy plan implies replayable");
                     let n_src = net.pop(proj.src).size;
                     let n_dst = net.pop(proj.dst).size;
                     for (sp, &si) in plan.src_idxs.iter().enumerate() {
@@ -368,25 +367,6 @@ enum ProjOutput {
     },
 }
 
-/// Maps a graph connector to its replayable generator form (`None` for
-/// `FixedFanOut`, whose cumulative target shuffle has no cheap per-row
-/// state). Mirrors the special cases of `Projection::iter`: a recurrent
-/// `AllToAll` skips the diagonal only when source and target coincide,
-/// and degenerate probabilities collapse to dense/empty.
-fn gen_connector(proj: &Projection) -> Option<GenConnector> {
-    match proj.connector {
-        Connector::OneToOne => Some(GenConnector::OneToOne),
-        Connector::AllToAll { allow_self } => Some(GenConnector::AllToAll {
-            skip_self: !allow_self && proj.src == proj.dst,
-        }),
-        Connector::FixedProbability(p) if p >= 1.0 => {
-            Some(GenConnector::AllToAll { skip_self: false })
-        }
-        Connector::FixedProbability(p) => Some(GenConnector::Bernoulli { p }),
-        Connector::FixedFanOut(_) => None,
-    }
-}
-
 /// Expands one projection into its staged [`ProjOutput`] — the
 /// thread-safe part of the build (reads the graph and placement, writes
 /// nothing shared).
@@ -403,7 +383,7 @@ fn expand_projection(
         // pushed (pairs ascend by source; the source slice advances
         // monotonically, the destination slice is binary-searched).
         let mut pushes = Vec::new();
-        let mut rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
+        let mut rng = proj.syn_rng();
         let mut sp = 0usize;
         for (s, d) in proj.iter(n_src, n_dst) {
             let (w, delay) = proj.synapses.sample(&mut rng);
@@ -422,7 +402,9 @@ fn expand_projection(
         return ProjOutput::Eager(pushes);
     }
 
-    let conn = gen_connector(proj).expect("lazy plan implies a replayable connector");
+    let conn = proj
+        .gen_connector()
+        .expect("lazy plan implies a replayable connector");
     let syn = proj.synapses.gen();
     match conn {
         GenConnector::Bernoulli { p } => {
@@ -432,13 +414,9 @@ fn expand_projection(
             // from there reproduces exactly that source's run (earlier
             // sources' successes are already behind the cursor).
             let mut lens = vec![vec![0u32; n_src as usize]; plan.dst_idxs.len()];
-            let mut conn_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x50C1_A11E);
-            let mut syn_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
-            let total = if p > 0.0 {
-                n_src as u64 * n_dst as u64
-            } else {
-                0
-            };
+            let mut conn_rng = proj.conn_rng();
+            let mut syn_rng = proj.syn_rng();
+            let total = n_src as u64 * n_dst as u64;
             let mut states: Vec<GenState> = Vec::with_capacity(n_src as usize);
             let mut cursor = 0u64;
             loop {
@@ -447,20 +425,9 @@ fn expand_projection(
                     conn_rng: conn_rng.state(),
                     cursor,
                 };
-                if cursor >= total {
+                let Some(idx) = next_success(&mut conn_rng, p, cursor, total) else {
                     // Sources past the last success replay to empty
                     // rows immediately.
-                    let fin = GenState {
-                        cursor: total,
-                        ..pending
-                    };
-                    states.resize(n_src as usize, fin);
-                    break;
-                }
-                let u = conn_rng.next_f64();
-                let skip = ((1.0 - u).ln() / (-p).ln_1p()).floor() as u64;
-                let idx = cursor.saturating_add(skip);
-                if idx >= total {
                     let fin = GenState {
                         syn_rng: syn_rng.state(),
                         conn_rng: conn_rng.state(),
@@ -468,7 +435,7 @@ fn expand_projection(
                     };
                     states.resize(n_src as usize, fin);
                     break;
-                }
+                };
                 cursor = idx + 1;
                 let s = (idx / n_dst as u64) as usize;
                 let d = (idx % n_dst as u64) as u32;
@@ -501,8 +468,8 @@ fn expand_projection(
             // One weight/delay draw per connected pair, ascending
             // source: the state for source `s` is the synapse RNG after
             // `min(s, n)` draws.
-            let mut syn_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
-            let conn_zero = Xoshiro256::seed_from_u64(proj.seed ^ 0x50C1_A11E).state();
+            let mut syn_rng = proj.syn_rng();
+            let conn_zero = proj.conn_rng().state();
             let n = n_src.min(n_dst);
             let mut states = Vec::with_capacity(n_src as usize);
             for s in 0..n_src {
@@ -520,8 +487,8 @@ fn expand_projection(
         GenConnector::AllToAll { skip_self } => {
             // Dense scan, one draw per (kept) pair; only the per-source
             // RNG positions are retained.
-            let mut syn_rng = Xoshiro256::seed_from_u64(proj.seed ^ 0x005E_ED0F_5EED);
-            let conn_zero = Xoshiro256::seed_from_u64(proj.seed ^ 0x50C1_A11E).state();
+            let mut syn_rng = proj.syn_rng();
+            let conn_zero = proj.conn_rng().state();
             let mut states = Vec::with_capacity(n_src as usize);
             for s in 0..n_src {
                 states.push(GenState {

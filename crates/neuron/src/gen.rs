@@ -11,13 +11,14 @@
 //! analogue of the board keeping connectivity in compressed form and
 //! expanding rows into DTCM on demand.
 //!
-//! The replay contract mirrors `spinn-map`'s streaming expansion
-//! exactly: pairs ascend by source, weight/delay draws consume the
+//! The build and the replay step through one stream: pairs ascend by
+//! source, weight/delay draws ([`GenSynapses::sample`]) consume the
 //! projection's synapse RNG once per pair in global stream order, and
-//! the Bernoulli connector samples geometric inter-success gaps over
-//! the flattened `(src, dst)` index space. `FixedFanOut` (whose
-//! per-source target permutation is cumulative) has no cheap per-row
-//! state and stays on the eager path.
+//! the Bernoulli connector finds each success with [`next_success`],
+//! over the flattened `(src, dst)` index space. `spinn-map` expands its
+//! eager rows and captures each lazy row's [`GenState`] with these same
+//! functions. `FixedFanOut` (whose per-source target permutation is
+//! cumulative) has no cheap per-row state and stays on the eager path.
 
 use crate::synapse::SynapticWord;
 use spinn_sim::Xoshiro256;
@@ -35,8 +36,8 @@ pub enum GenConnector {
     /// Independent inclusion with probability `p`, visited as geometric
     /// gaps between successes over the flattened index space.
     Bernoulli {
-        /// Inclusion probability (0 < p < 1; the loader maps p >= 1 to
-        /// [`GenConnector::AllToAll`] and p <= 0 to an empty stream).
+        /// Inclusion probability (p < 1: `spinn_map` maps p >= 1 to
+        /// [`GenConnector::AllToAll`]; p <= 0 yields no pair).
         p: f64,
     },
 }
@@ -202,23 +203,9 @@ impl GenSpec {
                 let st = state.expect("Bernoulli rows need a captured GenState");
                 let mut conn = Xoshiro256::from_state(st.conn_rng);
                 let mut syn = Xoshiro256::from_state(st.syn_rng);
-                let mut cursor = st.cursor;
-                let total = if p > 0.0 {
-                    self.n_src as u64 * self.n_dst as u64
-                } else {
-                    0
-                };
                 let row_end = (s as u64 + 1) * self.n_dst as u64;
-                loop {
-                    if cursor >= total || cursor >= row_end {
-                        return;
-                    }
-                    let u = conn.next_f64();
-                    let skip = ((1.0 - u).ln() / (-p).ln_1p()).floor() as u64;
-                    let idx = cursor.saturating_add(skip);
-                    if idx >= total || idx >= row_end {
-                        return;
-                    }
+                let mut cursor = st.cursor;
+                while let Some(idx) = next_success(&mut conn, p, cursor, row_end) {
                     cursor = idx + 1;
                     let dst = (idx % self.n_dst as u64) as u32;
                     let (w, d) = self.syn.sample(&mut syn);
@@ -229,6 +216,33 @@ impl GenSpec {
             }
         }
     }
+}
+
+/// The next success of a Bernoulli(`p`) process over a flattened
+/// `(src, dst)` index space at or after `cursor` and below `end`, found
+/// by drawing the geometric gap to it in one draw: `O(edges)` draws
+/// instead of `O(n_src * n_dst)` trials. `None` once the next success
+/// lies at or past `end`. Draws nothing when `p <= 0` (or NaN) or
+/// `cursor >= end`, so a stream that is not drawn from keeps its state.
+///
+/// This is the one statement of the `FixedProbability` connector: the
+/// build stream (`spinn_map`'s `Projection::iter` and its loader) and lazy
+/// row replay ([`GenSpec::append_row`]) both step through it. `ln_1p`
+/// keeps the denominator finite and non-zero for tiny `p` (where
+/// `(1.0 - p).ln()` rounds to 0 and would invert the probability to 1),
+/// and the float→int cast saturates, so sub-2e-18 probabilities
+/// overshoot `end` rather than overflow.
+#[inline]
+pub fn next_success(rng: &mut Xoshiro256, p: f64, cursor: u64, end: u64) -> Option<u64> {
+    if p > 0.0 && cursor < end {
+        let u = rng.next_f64();
+        let skip = ((1.0 - u).ln() / (-p).ln_1p()).floor() as u64;
+        let idx = cursor.saturating_add(skip);
+        if idx < end {
+            return Some(idx);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -242,6 +256,25 @@ mod tests {
             delay_min_ms: 2,
             delay_max_ms: 2,
         }
+    }
+
+    #[test]
+    fn next_success_draws_only_what_it_can_use() {
+        let start = Xoshiro256::seed_from_u64(3).state();
+        for (p, cursor, end) in [
+            (0.0, 0, 100),
+            (-1.0, 0, 100),
+            (f64::NAN, 0, 100),
+            (0.5, 9, 9),
+        ] {
+            let mut rng = Xoshiro256::from_state(start);
+            assert_eq!(next_success(&mut rng, p, cursor, end), None);
+            assert_eq!(rng.state(), start, "p {p}, cursor {cursor}, end {end}");
+        }
+        let mut rng = Xoshiro256::from_state(start);
+        let idx = next_success(&mut rng, 0.5, 7, 100).expect("a success below 100");
+        assert!((7..100).contains(&idx));
+        assert_ne!(rng.state(), start, "one gap drawn");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! * [`ring`] — the **deferred-event input ring buffer** implementing
 //!   §3.2's "soft delays": each synapse's programmable 1–16 ms delay is
 //!   re-inserted algorithmically at the target neuron.
-//! * [`stdp`] — pair-based spike-timing-dependent plasticity (the
-//!   adaptive networks the paper's conclusions call for).
-//! * [`poisson`] — stochastic and regular spike sources.
+//! * [`stdp`] — the pair-based spike-timing-dependent plasticity rule
+//!   the machine applies at each row fetch (the adaptive networks the
+//!   paper's conclusions call for).
 //! * [`coding`] — N-of-M population codes and rank-order codes \[20\].
 //! * [`retina`] — the §5.4 retina: difference-of-Gaussians
 //!   (centre-surround) ganglion cells at overlapping scales with lateral
@@ -72,7 +72,6 @@ mod hint;
 pub mod izhikevich;
 pub mod lif;
 pub mod model;
-pub mod poisson;
 pub mod pool;
 pub mod retina;
 pub mod ring;

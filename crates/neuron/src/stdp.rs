@@ -1,10 +1,22 @@
-//! Pair-based spike-timing-dependent plasticity.
+//! Pair-based spike-timing-dependent plasticity, as the machine runs it.
 //!
 //! The paper's conclusion calls for platforms on which networks "develop,
 //! learn and adapt"; STDP is the standard SpiNNaker plasticity rule. The
-//! implementation follows the trace formulation: each synapse keeps
-//! exponentially decaying pre- and post-synaptic traces, potentiating on
-//! post-after-pre and depressing on pre-after-post.
+//! machine applies it deferred, at the one moment a core holds a row: when
+//! a pre-synaptic spike has DMAed the row in (§5.3: "modified
+//! connectivity data is DMAed back"). [`weight_change`] is the rule; the
+//! row handler calls it once per synapse of the fetched row and clamps the
+//! result with [`apply_bounded`]. Each synapse is
+//!
+//! * depressed by `a_minus · exp(-Δt / tau_minus)` against its target's
+//!   most recent post-synaptic spike, `Δt` before the fetch, and
+//! * potentiated by `a_plus · exp(-Δt / tau_plus)` for the row's previous
+//!   pre-synaptic spike against that post-synaptic spike, when the post
+//!   came `Δt` after the previous pre,
+//!
+//! each term rounded to the 8.8 weight grid. Pairing is nearest-spike:
+//! a core keeps one time per row (its last pre-synaptic spike) and one
+//! per neuron (its last post-synaptic spike), not per-synapse traces.
 
 /// STDP rule parameters.
 #[derive(Copy, Clone, Debug)]
@@ -13,9 +25,9 @@ pub struct StdpParams {
     pub a_plus: f32,
     /// Depression amplitude per pairing.
     pub a_minus: f32,
-    /// Potentiation trace time constant, ms.
+    /// Potentiation time constant, ms.
     pub tau_plus_ms: f32,
-    /// Depression trace time constant, ms.
+    /// Depression time constant, ms.
     pub tau_minus_ms: f32,
     /// Lower weight bound (8.8 fixed point).
     pub w_min_raw: i16,
@@ -36,64 +48,24 @@ impl Default for StdpParams {
     }
 }
 
-/// Per-synapse STDP state: the two traces and their last-update times.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct StdpSynapse {
-    /// Pre-synaptic trace (decays with `tau_plus_ms`).
-    pre_trace: f32,
-    /// Post-synaptic trace (decays with `tau_minus_ms`).
-    post_trace: f32,
-    last_pre_ms: f64,
-    last_post_ms: f64,
-}
-
-impl StdpSynapse {
-    /// A synapse with empty traces.
-    pub fn new() -> Self {
-        Self::default()
+/// The weight change (8.8 fixed point) of one synapse whose row is
+/// fetched at `now_ms`: depression against the target's latest
+/// post-synaptic spike at `last_post_ms`, plus potentiation of the row's
+/// previous pre-synaptic spike at `last_pre_ms` against that
+/// post-synaptic spike when it came later. A spike that never happened
+/// is `f64::NEG_INFINITY` and pairs with nothing.
+#[inline]
+pub fn weight_change(now_ms: f64, last_pre_ms: f64, last_post_ms: f64, p: &StdpParams) -> i16 {
+    let mut dw = 0i16;
+    if last_post_ms.is_finite() && last_post_ms <= now_ms {
+        let dt = (now_ms - last_post_ms) as f32;
+        dw -= (p.a_minus * (-dt / p.tau_minus_ms).exp()).round() as i16;
     }
-
-    /// Registers a pre-synaptic spike at time `t_ms`; returns the weight
-    /// change (8.8 fixed point, ≤ 0: depression against the post trace).
-    pub fn on_pre(&mut self, t_ms: f64, p: &StdpParams) -> i16 {
-        // Depression: pre arriving after post.
-        let dt = t_ms - self.last_post_ms;
-        let dw = if self.post_trace > 0.0 && dt >= 0.0 {
-            -(p.a_minus * self.post_trace * (-(dt as f32) / p.tau_minus_ms).exp())
-        } else {
-            0.0
-        };
-        // Update the pre trace.
-        let since_pre = (t_ms - self.last_pre_ms) as f32;
-        self.pre_trace = self.pre_trace * (-since_pre / p.tau_plus_ms).exp() + 1.0;
-        self.last_pre_ms = t_ms;
-        dw.round() as i16
+    if last_post_ms.is_finite() && last_pre_ms.is_finite() && last_post_ms > last_pre_ms {
+        let dt = (last_post_ms - last_pre_ms) as f32;
+        dw += (p.a_plus * (-dt / p.tau_plus_ms).exp()).round() as i16;
     }
-
-    /// Registers a post-synaptic spike at time `t_ms`; returns the weight
-    /// change (8.8 fixed point, ≥ 0: potentiation against the pre trace).
-    pub fn on_post(&mut self, t_ms: f64, p: &StdpParams) -> i16 {
-        let dt = t_ms - self.last_pre_ms;
-        let dw = if self.pre_trace > 0.0 && dt >= 0.0 {
-            p.a_plus * self.pre_trace * (-(dt as f32) / p.tau_plus_ms).exp()
-        } else {
-            0.0
-        };
-        let since_post = (t_ms - self.last_post_ms) as f32;
-        self.post_trace = self.post_trace * (-since_post / p.tau_minus_ms).exp() + 1.0;
-        self.last_post_ms = t_ms;
-        dw.round() as i16
-    }
-
-    /// The current pre-synaptic trace value (diagnostics).
-    pub fn pre_trace(&self) -> f32 {
-        self.pre_trace
-    }
-
-    /// The current post-synaptic trace value (diagnostics).
-    pub fn post_trace(&self) -> f32 {
-        self.post_trace
-    }
+    dw
 }
 
 /// Applies a weight delta within the rule's bounds.
@@ -105,57 +77,52 @@ pub fn apply_bounded(weight_raw: i16, dw_raw: i16, p: &StdpParams) -> i16 {
 mod tests {
     use super::*;
 
+    const NEVER: f64 = f64::NEG_INFINITY;
+
     #[test]
     fn pre_then_post_potentiates() {
         let p = StdpParams::default();
-        let mut s = StdpSynapse::new();
-        assert_eq!(s.on_pre(100.0, &p), 0); // no post trace yet
-        let dw = s.on_post(105.0, &p);
+        // Post 5 ms after the previous pre; the row is fetched long after,
+        // when the depression against that post has decayed to nothing.
+        let dw = weight_change(200.0, 100.0, 105.0, &p);
+        assert_eq!(dw, (8.0f32 * (-0.25f32).exp()).round() as i16);
         assert!(dw > 0, "post 5 ms after pre must potentiate, got {dw}");
     }
 
     #[test]
     fn post_then_pre_depresses() {
         let p = StdpParams::default();
-        let mut s = StdpSynapse::new();
-        assert_eq!(s.on_post(100.0, &p), 0);
-        let dw = s.on_pre(105.0, &p);
+        let dw = weight_change(105.0, NEVER, 100.0, &p);
+        assert_eq!(dw, -(8.5f32 * (-0.25f32).exp()).round() as i16);
         assert!(dw < 0, "pre 5 ms after post must depress, got {dw}");
+        // A post before the previous pre potentiates nothing.
+        assert_eq!(weight_change(105.0, 101.0, 100.0, &p), dw);
+    }
+
+    #[test]
+    fn no_post_spike_no_change() {
+        let p = StdpParams::default();
+        assert_eq!(weight_change(100.0, 50.0, NEVER, &p), 0);
+        assert_eq!(weight_change(100.0, NEVER, NEVER, &p), 0);
     }
 
     #[test]
     fn magnitude_decays_with_interval() {
         let p = StdpParams::default();
-        let near = {
-            let mut s = StdpSynapse::new();
-            s.on_pre(0.0, &p);
-            s.on_post(2.0, &p)
-        };
-        let far = {
-            let mut s = StdpSynapse::new();
-            s.on_pre(0.0, &p);
-            s.on_post(40.0, &p)
-        };
+        let near = weight_change(1000.0, 0.0, 2.0, &p);
+        let far = weight_change(1000.0, 0.0, 40.0, &p);
         assert!(
             near > far,
             "closer pairing must change more: {near} vs {far}"
         );
         assert!(far >= 0);
-    }
-
-    #[test]
-    fn traces_accumulate_over_bursts() {
-        let p = StdpParams::default();
-        let mut s = StdpSynapse::new();
-        for t in 0..5 {
-            s.on_pre(t as f64, &p);
-        }
-        assert!(s.pre_trace() > 1.0, "burst should pile the trace up");
-        let dw = s.on_post(6.0, &p);
-        let mut single = StdpSynapse::new();
-        single.on_pre(4.0, &p);
-        let dw_single = single.on_post(6.0, &p);
-        assert!(dw > dw_single, "{dw} vs {dw_single}");
+        let near = weight_change(2.0, NEVER, 0.0, &p);
+        let far = weight_change(40.0, NEVER, 0.0, &p);
+        assert!(
+            near < far,
+            "closer pairing must change more: {near} vs {far}"
+        );
+        assert!(far <= 0);
     }
 
     #[test]
@@ -171,12 +138,10 @@ mod tests {
         // With a_minus slightly larger than a_plus, symmetric pairings
         // net-depress — the classic stability condition.
         let p = StdpParams::default();
-        let mut s1 = StdpSynapse::new();
-        s1.on_pre(0.0, &p);
-        let pot = s1.on_post(10.0, &p) as i32;
-        let mut s2 = StdpSynapse::new();
-        s2.on_post(0.0, &p);
-        let dep = s2.on_pre(10.0, &p) as i32;
-        assert!(pot + dep <= 0, "pot {pot} dep {dep}");
+        for dt in [1.0, 5.0, 10.0, 20.0] {
+            let pot = weight_change(1000.0, 0.0, dt, &p) as i32;
+            let dep = weight_change(dt, NEVER, 0.0, &p) as i32;
+            assert!(pot + dep <= 0, "dt {dt}: pot {pot} dep {dep}");
+        }
     }
 }

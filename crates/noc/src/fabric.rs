@@ -628,7 +628,6 @@ impl Fabric {
                     time_ns: now,
                 });
             }
-            _ => unreachable!("decide_mc returns Multicast or UnroutableLocal"),
         }
     }
 

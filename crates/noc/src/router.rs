@@ -7,7 +7,6 @@
 
 use crate::compiled::CompiledTable;
 use crate::direction::Direction;
-use crate::packet::{EmergencyState, Packet, PacketKind};
 use crate::table::{McTable, RouteSet};
 
 /// Per-router configuration (§5.3: the waits are programmable registers).
@@ -82,15 +81,11 @@ impl RouterStats {
     }
 }
 
-/// The routing decision for one packet at one router.
+/// The routing decision for one multicast packet at one router.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RouteDecision {
     /// Send out these links and deliver to these local cores.
     Multicast(RouteSet),
-    /// Forward one hop towards a p2p destination.
-    Forward(Direction),
-    /// Deliver to this node's monitor/system software.
-    DeliverLocal,
     /// Drop: locally injected multicast with no table entry.
     UnroutableLocal,
 }
@@ -197,45 +192,18 @@ impl Router {
     pub fn effective_port_after_detour(arrival_port: Direction) -> Direction {
         arrival_port.rotate_ccw()
     }
-
-    /// Decides how to handle any packet kind; multicast consults the CAM.
-    pub fn decide(
-        &mut self,
-        packet: &Packet,
-        input: Port,
-        here_is_p2p_dest: bool,
-    ) -> RouteDecision {
-        match packet.kind {
-            PacketKind::Multicast => match packet.emergency {
-                EmergencyState::Normal => self.decide_mc(packet.key, input),
-                // First-leg packets are handled by the fabric (they do
-                // not consult the table); second-leg packets arrive here
-                // already reverted to Normal.
-                _ => self.decide_mc(packet.key, input),
-            },
-            PacketKind::PointToPoint => {
-                if here_is_p2p_dest {
-                    self.stats.p2p_delivered += 1;
-                    RouteDecision::DeliverLocal
-                } else {
-                    self.stats.p2p_forwarded += 1;
-                    // Direction chosen by the fabric (needs mesh
-                    // knowledge); placeholder East is replaced there.
-                    RouteDecision::Forward(Direction::East)
-                }
-            }
-            PacketKind::NearestNeighbour => {
-                self.stats.nn_delivered += 1;
-                RouteDecision::DeliverLocal
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::{
+        p2p_addr, Fabric, FabricConfig, FabricEvent, FabricSim, NocEvent, NocScheduler,
+    };
+    use crate::mesh::NodeCoord;
+    use crate::packet::Packet;
     use crate::table::McTableEntry;
+    use spinn_sim::{Engine, SimTime};
 
     #[test]
     fn table_hit_routes_by_entry() {
@@ -429,27 +397,63 @@ mod tests {
         assert_eq!(Router::second_leg_output(arrival), Direction::South);
     }
 
+    /// Collects the events an injection schedules.
+    struct Collect(Vec<(u64, NocEvent)>);
+
+    impl NocScheduler for Collect {
+        fn schedule(&mut self, delay_ns: u64, ev: NocEvent) {
+            self.0.push((delay_ns, ev));
+        }
+    }
+
+    /// Runs a 4x4 fabric from one injection until no event is left.
+    /// p2p and nearest-neighbour packets are decided by the fabric, which
+    /// counts each decision on the router that takes it.
+    fn settle(inject: impl FnOnce(&mut Fabric, &mut Collect)) -> Fabric {
+        let mut sim = FabricSim::new(FabricConfig::new(4, 4));
+        let mut pending = Collect(Vec::new());
+        inject(&mut sim.fabric, &mut pending);
+        let mut engine = Engine::new(sim);
+        for (d, e) in pending.0 {
+            engine.schedule_at(SimTime::new(d), FabricEvent::Noc(e));
+        }
+        engine.run_to_completion(Some(10_000));
+        engine.into_model().fabric
+    }
+
     #[test]
     fn p2p_decisions() {
-        let mut r = Router::new(RouterConfig::default());
-        let p = Packet::p2p(1, 2, 0);
-        assert_eq!(r.decide(&p, Port::Local, true), RouteDecision::DeliverLocal);
-        assert!(matches!(
-            r.decide(&p, Port::Local, false),
-            RouteDecision::Forward(_)
-        ));
-        assert_eq!(r.stats.p2p_delivered, 1);
-        assert_eq!(r.stats.p2p_forwarded, 1);
+        let (src, dst) = (NodeCoord::new(0, 0), NodeCoord::new(2, 0));
+        let fabric = settle(|f, s| {
+            let p = Packet::p2p(p2p_addr(src), p2p_addr(dst), 0);
+            f.inject(0, src, p, s);
+        });
+        // Every router short of the destination forwards; the
+        // destination delivers.
+        let counts = |x| {
+            let s = &fabric.router(NodeCoord::new(x, 0)).stats;
+            (s.p2p_forwarded, s.p2p_delivered)
+        };
+        assert_eq!(counts(0), (1, 0));
+        assert_eq!(counts(1), (1, 0));
+        assert_eq!(counts(2), (0, 1));
+        assert_eq!(fabric.total_stats().p2p_forwarded, 2);
+        assert_eq!(fabric.total_stats().p2p_delivered, 1);
     }
 
     #[test]
     fn nn_always_delivers() {
-        let mut r = Router::new(RouterConfig::default());
-        let p = Packet::nn(0, 0);
-        assert_eq!(
-            r.decide(&p, Port::Link(Direction::East), false),
-            RouteDecision::DeliverLocal
-        );
-        assert_eq!(r.stats.nn_delivered, 1);
+        let fabric = settle(|f, s| {
+            f.inject_nn(
+                0,
+                NodeCoord::new(1, 1),
+                Direction::East,
+                Packet::nn(0, 0),
+                s,
+            );
+        });
+        // The neighbour delivers without consulting its table.
+        assert_eq!(fabric.router(NodeCoord::new(2, 1)).stats.nn_delivered, 1);
+        assert_eq!(fabric.total_stats().nn_delivered, 1);
     }
 }

@@ -76,5 +76,5 @@ pub use calendar::CalendarQueue;
 pub use engine::{Context, Engine, Model, RunOutcome};
 pub use event::EventQueue;
 pub use rng::Xoshiro256;
-pub use stats::{Histogram, OnlineStats};
+pub use stats::Histogram;
 pub use time::SimTime;

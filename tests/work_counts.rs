@@ -4,7 +4,7 @@
 //! or walks a row twice fails `cargo test`, not a benchmark someone has
 //! to remember to run.
 //!
-//! Two nets shrunk from the benchmark's workloads, each run for
+//! Four nets shrunk from the benchmark's workloads, each run for
 //! `RUN_MS` in one segment at 1 and 2 forced shards:
 //!
 //! * `cortex`: a ring of `FixedProbability` projections, every
@@ -14,7 +14,12 @@
 //!   `idle_mesh`);
 //! * `synfire`: a ring of fixed-fan-out stages placed at random, every
 //!   stage Poisson-driven (the shape of `synfire_fabric`, where queue
-//!   operations, router lookups and fabric hops do the work).
+//!   operations, router lookups and fabric hops do the work);
+//! * `plastic`: a ring of dense `FixedProbability` projections loaded as
+//!   lazy Bernoulli rows, every population Poisson-driven, STDP on (the
+//!   shape of `plastic_stdp`: the traffic of both the STDP rule and lazy
+//!   Bernoulli replay). Its rows written back are pinned beside the
+//!   counts.
 //!
 //! The literals were recorded from the code as it stood when this file
 //! was added. A change that moves one on purpose updates it and says
@@ -28,7 +33,13 @@
 //! just before the binary-heap queue stopped driving any engine (the
 //! machine already ran on the calendar queue then, so they pin the same
 //! machine path across that change).
+//!
+//! The `plastic` literals were recorded from the code as it stood just
+//! before the STDP weight change became one function of `stdp.rs` and
+//! the Bernoulli gap draw one function of `gen.rs` (both behaviour-
+//! preserving, so the literals pin the same rule across that change).
 
+use spinnaker::neuron::stdp::StdpParams;
 use spinnaker::obs::{Counter, Phase};
 use spinnaker::prelude::*;
 
@@ -82,6 +93,16 @@ fn count(
     poisson: &[(PopulationId, f64, u64)],
     shards: u32,
 ) -> Counts {
+    counts(&run(net, cfg, poisson, shards))
+}
+
+/// The session after [`count`]'s run.
+fn run(
+    net: &NetworkGraph,
+    cfg: SimConfig,
+    poisson: &[(PopulationId, f64, u64)],
+    shards: u32,
+) -> RunSession {
     let cfg = cfg
         .with_threads(shards)
         .with_force_shards(true)
@@ -93,6 +114,11 @@ fn count(
         session.add_poisson(pop, hz, seed);
     }
     session.run_for(RUN_MS);
+    session
+}
+
+/// What `session` did since build.
+fn counts(session: &RunSession) -> Counts {
     let m = session.machine();
     let t = session.telemetry();
     let par = m.par_stats().cloned().unwrap_or_default();
@@ -194,9 +220,54 @@ fn synfire(shards: u32) -> Counts {
     count(&net, cfg, &poisson, shards)
 }
 
+/// 16 × 128 neurons in a ring of dense random projections (≈51 inputs
+/// per neuron), each population Poisson-driven at 20 Hz on a 4-6.25 nA
+/// bias, on 4 × 4 chips at 128 neurons per core, with STDP on: the
+/// shape of `plastic_stdp`. Every core's rows load as lazy Bernoulli
+/// recipes, so the run materializes them and the STDP rule rewrites
+/// and writes back the ones its spikes fetch. Returns the net, its
+/// configuration and the Poisson sources.
+fn plastic_net() -> (NetworkGraph, SimConfig, Vec<(PopulationId, f64, u64)>) {
+    let mut net = NetworkGraph::new();
+    let pops: Vec<_> = (0..16)
+        .map(|i| net.population(&format!("e{i}"), 128, rs(), 4.0 + 0.15 * i as f32))
+        .collect();
+    for (i, &src) in pops.iter().enumerate() {
+        net.project(
+            src,
+            pops[(i + 1) % pops.len()],
+            Connector::FixedProbability(0.4),
+            Synapses::constant(150, 1 + (i % 4) as u8),
+            0x57D0 + i as u64,
+        );
+    }
+    let poisson: Vec<_> = pops
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (p, 20.0, 0xB0B + i as u64))
+        .collect();
+    let cfg = SimConfig::new(4, 4)
+        .with_neurons_per_core(128)
+        .with_stdp(StdpParams {
+            w_max_raw: 200,
+            ..StdpParams::default()
+        });
+    (net, cfg, poisson)
+}
+
+/// The `plastic` net after its run at `shards` shards.
+fn plastic(shards: u32) -> RunSession {
+    let (net, cfg, poisson) = plastic_net();
+    run(&net, cfg, &poisson, shards)
+}
+
 /// Runs `net` at 1 and 2 shards and compares with the pinned counts.
 fn check(name: &str, net: fn(u32) -> Counts, want: [Counts; 2]) {
-    let got = [net(1), net(2)];
+    check_counts(name, [net(1), net(2)], want);
+}
+
+/// Compares the counts of a 1- and a 2-shard run with the pinned ones.
+fn check_counts(name: &str, got: [Counts; 2], want: [Counts; 2]) {
     assert_eq!(
         got[0].shard_invariant(),
         got[1].shard_invariant(),
@@ -304,6 +375,54 @@ fn synfire_work_counts() {
                 busy: 1_761,
             },
         ],
+    );
+}
+
+#[test]
+fn plastic_work_counts() {
+    let (net, cfg, _) = plastic_net();
+    let built = Simulation::build(&net, cfg).expect("net fits the machine");
+    assert_eq!(
+        built.machine().total_lazy_rows(),
+        2_048,
+        "plastic: every row loads as a lazy Bernoulli recipe"
+    );
+    let runs = [plastic(1), plastic(2)];
+    let writebacks = runs.each_ref().map(|s| s.machine().weight_writebacks());
+    check_counts(
+        "plastic",
+        runs.each_ref().map(counts),
+        [
+            Counts {
+                spikes: 3_017,
+                events: 19_248,
+                neurons_ticked: 81_920,
+                synaptic_events: 238_124,
+                dma_bytes: 1_826_328,
+                queue_pops: 4_817,
+                pool_ticks: 640,
+                lazy_rows: 0,
+                windows: 1,
+                busy: 1,
+            },
+            Counts {
+                spikes: 3_017,
+                events: 19_288,
+                neurons_ticked: 81_920,
+                synaptic_events: 238_124,
+                dma_bytes: 1_826_328,
+                queue_pops: 4_857,
+                pool_ticks: 640,
+                lazy_rows: 0,
+                windows: 59,
+                busy: 99,
+            },
+        ],
+    );
+    assert_eq!(
+        writebacks,
+        [4_087, 4_087],
+        "plastic: rows written back moved"
     );
 }
 
