@@ -92,18 +92,32 @@ impl Synapses {
     ///
     /// Panics if ranges are inverted or delays are outside 1–16 ms.
     pub fn uniform(weight_raw: (i16, i16), delay_ms: (u8, u8)) -> Self {
-        assert!(weight_raw.0 <= weight_raw.1, "weight range inverted");
-        assert!(delay_ms.0 <= delay_ms.1, "delay range inverted");
-        assert!(
-            (1..=16).contains(&delay_ms.0) && delay_ms.1 <= 16,
-            "delays must lie in 1..=16 ms"
-        );
-        Synapses {
+        let syn = Synapses {
             weight_min_raw: weight_raw.0,
             weight_max_raw: weight_raw.1,
             delay_min_ms: delay_ms.0,
             delay_max_ms: delay_ms.1,
-        }
+        };
+        syn.check();
+        syn
+    }
+
+    /// The one check on a synapse distribution, made where it is built
+    /// ([`Synapses::uniform`]) and where it enters a network
+    /// ([`NetworkGraph::project`]), since the fields are public.
+    fn check(&self) {
+        assert!(
+            self.weight_min_raw <= self.weight_max_raw,
+            "weight range inverted"
+        );
+        assert!(
+            self.delay_min_ms <= self.delay_max_ms,
+            "delay range inverted"
+        );
+        assert!(
+            (1..=16).contains(&self.delay_min_ms) && self.delay_max_ms <= 16,
+            "delays must lie in 1..=16 ms"
+        );
     }
 
     /// The distribution in `spinn-neuron`'s generator-spec form — the
@@ -419,8 +433,11 @@ impl NetworkGraph {
     ///
     /// # Panics
     ///
-    /// Panics if the populations do not exist, or if a one-to-one
-    /// connector joins differently sized populations.
+    /// Panics if the populations do not exist, if a one-to-one
+    /// connector joins differently sized populations, or if `synapses`
+    /// has an inverted weight or delay range or a delay outside
+    /// 1–16 ms (the checks of [`Synapses::uniform`], repeated here for
+    /// a struct literal).
     pub fn project(
         &mut self,
         src: PopulationId,
@@ -430,6 +447,7 @@ impl NetworkGraph {
         seed: u64,
     ) {
         assert!(src.0 < self.pops.len() && dst.0 < self.pops.len());
+        synapses.check();
         if matches!(connector, Connector::OneToOne) {
             assert_eq!(
                 self.pops[src.0].size, self.pops[dst.0].size,
@@ -781,6 +799,49 @@ mod tests {
     #[should_panic(expected = "delays must lie in 1..=16 ms")]
     fn constant_rejects_delay_past_the_ring() {
         Synapses::constant(300, 17);
+    }
+
+    /// `project` with a `Synapses` struct literal, which no
+    /// constructor has checked.
+    fn project_literal(syn: Synapses) {
+        let mut net = NetworkGraph::new();
+        let a = net.population("a", 4, kind(), 0.0);
+        net.project(a, a, Connector::AllToAll { allow_self: true }, syn, 0);
+    }
+
+    const LITERAL: Synapses = Synapses {
+        weight_min_raw: 100,
+        weight_max_raw: 100,
+        delay_min_ms: 1,
+        delay_max_ms: 1,
+    };
+
+    #[test]
+    #[should_panic(expected = "delays must lie in 1..=16 ms")]
+    fn project_rejects_a_literal_zero_delay() {
+        project_literal(Synapses {
+            delay_min_ms: 0,
+            ..LITERAL
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "delays must lie in 1..=16 ms")]
+    fn project_rejects_a_literal_delay_past_the_ring() {
+        project_literal(Synapses {
+            delay_min_ms: 17,
+            delay_max_ms: 17,
+            ..LITERAL
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "weight range inverted")]
+    fn project_rejects_a_literal_inverted_weight_range() {
+        project_literal(Synapses {
+            weight_min_raw: 200,
+            ..LITERAL
+        });
     }
 
     #[test]

@@ -532,7 +532,7 @@ fn build_image(net: &NetworkGraph, s: &Slice, builder: SynapticMatrixBuilder) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Connector, NeuronKind, Synapses};
+    use crate::graph::{Connector, NeuronKind, PopulationId, Synapses};
     use crate::place::Placer;
     use spinn_neuron::izhikevich::IzhikevichParams;
 
@@ -796,6 +796,100 @@ mod tests {
                     assert_eq!(img.matrix.lazy_rows(), 0);
                 }
                 assert_same_content(&materialized, &eager);
+            }
+        }
+    }
+
+    /// A projection from a population split over several source cores
+    /// keeps one recipe per destination core, whatever the split, and
+    /// its rows still replay the eager words. Recipes stay apart where
+    /// the rows continue but the sources do not (two populations of one
+    /// size under one spec), and where a second projection re-declares
+    /// the same blocks.
+    #[test]
+    fn lazy_recipes_merge_only_where_rows_and_sources_continue() {
+        let specs = [
+            (Connector::FixedProbability(0.3), Synapses::constant(300, 2)),
+            (
+                Connector::AllToAll { allow_self: true },
+                Synapses::uniform((-80, 120), (1, 9)),
+            ),
+        ];
+        // (shape, neurons per core, recipes per destination core)
+        type Shape = fn(&mut NetworkGraph, Connector, Synapses) -> PopulationId;
+        let shapes: [(&str, Shape, u32, usize); 4] = [
+            (
+                "one source over 6 cores",
+                |net, c, s| {
+                    let a = net.population("a", 110, kind(), 5.0);
+                    let b = net.population("b", 40, kind(), 0.0);
+                    net.project(a, b, c, s, 11);
+                    b
+                },
+                20,
+                1,
+            ),
+            (
+                "one source over 110 cores",
+                |net, c, s| {
+                    let a = net.population("a", 110, kind(), 5.0);
+                    let b = net.population("b", 30, kind(), 0.0);
+                    net.project(a, b, c, s, 11);
+                    b
+                },
+                1,
+                1,
+            ),
+            (
+                "two sources of one size",
+                |net, c, s| {
+                    let a1 = net.population("a1", 60, kind(), 5.0);
+                    let a2 = net.population("a2", 60, kind(), 5.0);
+                    let b = net.population("b", 40, kind(), 0.0);
+                    net.project(a1, b, c, s, 11);
+                    net.project(a2, b, c, s, 12);
+                    b
+                },
+                20,
+                2,
+            ),
+            (
+                "one source projected twice",
+                |net, c, s| {
+                    let a = net.population("a", 60, kind(), 5.0);
+                    let b = net.population("b", 40, kind(), 0.0);
+                    net.project(a, b, c, s, 11);
+                    net.project(a, b, c, s, 12);
+                    b
+                },
+                20,
+                2,
+            ),
+        ];
+        for ((name, shape, npc, recipes), (conn, syn)) in shapes
+            .into_iter()
+            .flat_map(|shape| specs.map(|spec| (shape, spec)))
+        {
+            let mut net = NetworkGraph::new();
+            let dst = shape(&mut net, conn, syn);
+            let placement = Placement::compute(&net, 4, 4, 17, npc, Placer::RoundRobin).unwrap();
+            let build =
+                |lazy| LoadedApp::build_with(&net, &placement, BuildOptions { threads: 1, lazy });
+            let (lazy, eager) = (build(LazyMode::Force), build(LazyMode::Off));
+            assert_same_content(&lazy, &eager);
+            let dst_cores = placement.slice_indices_of(dst);
+            assert!(
+                dst_cores.len() > 1,
+                "{name}: the destination must span cores"
+            );
+            for (i, img) in lazy.images.iter().enumerate() {
+                let want = if dst_cores.contains(&i) { recipes } else { 0 };
+                assert_eq!(
+                    img.matrix.lazy_recipes(),
+                    want,
+                    "{name}, {conn:?}: core {i}"
+                );
+                assert_eq!(eager.images[i].matrix.lazy_recipes(), 0);
             }
         }
     }

@@ -57,6 +57,7 @@ impl Fix1616 {
     }
 
     /// Converts from `f32` (saturating, truncating toward zero).
+    #[inline]
     pub fn from_f32(v: f32) -> Self {
         let scaled = (v as f64) * 65536.0;
         if scaled >= i32::MAX as f64 {

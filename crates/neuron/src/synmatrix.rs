@@ -15,17 +15,23 @@
 //!
 //! ```text
 //! entries:  [ (key, mask, first_row, n_rows) ... ]   sorted by key
-//! rows:     [ (offset, len) ... ]                    one per source neuron
+//! starts:   [ 0, s1, s2, ... total ]                 CSR row pointers, n_rows + 1
 //! words:    [ SynapticWord ... ]                     one packed arena
 //! ```
 //!
-//! Lookup is a binary search over the entries plus an index into `rows`
-//! — no hashing on the packet hot path — and every row is a slice of
-//! the single `words` allocation, so the resident footprint is
-//! `4 bytes/synapse + 8 bytes/row + 16 bytes/source block` instead of a
+//! Lookup is a binary search over the entries plus an index into
+//! `starts` — no hashing on the packet hot path — and row `r` is
+//! `words[starts[r]..starts[r + 1]]`, a slice of the single `words`
+//! allocation. The resident footprint is `4 bytes/synapse + 4
+//! bytes/row + 16 bytes/source block` instead of a
 //! `HashMap<u32, Vec<_>>` per core. STDP rewrites weights in place
 //! through [`SynapticMatrix::row_mut`], exactly like the hardware's
 //! DMA write-back of a modified row.
+//!
+//! A lazily built matrix keeps the same `starts` as its row lengths,
+//! plus a recipe arena: one [`GenSpec`] per run of rows that one
+//! projection feeds from consecutive sources, and `home`, where each
+//! materialized row was appended to `words` (4 more bytes per row).
 //!
 //! A full machine's descriptors and arena are far larger than the
 //! host's caches and a spike picks its row at random, so the two loads
@@ -54,7 +60,7 @@ pub const fn row_sdram_bytes(len: usize) -> usize {
     4 + 4 * len
 }
 
-/// Sentinel arena offset marking a row whose words have not been
+/// Sentinel `home` offset marking a row whose words have not been
 /// materialized yet (the row's recipe lives in the lazy arena). Row
 /// *lengths* are always concrete — only the words are deferred.
 const LAZY_OFFSET: u32 = u32::MAX;
@@ -68,40 +74,49 @@ const LINE_WORDS: usize = 16;
 /// the rows of hundreds an all-to-all projection makes.
 const HINT_LINES: usize = 8;
 
-/// One projection's generator recipe for a contiguous run of rows
-/// (one source slice's block as seen by one destination core).
+/// One projection's generator recipe for a contiguous run of rows fed
+/// by consecutive source neurons (one or more source slices' blocks as
+/// seen by one destination core).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Contribution {
+struct Contribution {
     /// The projection recipe (connector, distribution, target window).
-    pub spec: GenSpec,
+    spec: GenSpec,
     /// First row this contribution covers.
-    pub first_row: u32,
+    first_row: u32,
     /// Rows covered: `first_row .. first_row + n_rows`.
-    pub n_rows: u32,
-    /// Global source index of `first_row`'s source neuron.
-    pub src_lo: u32,
+    n_rows: u32,
+    /// Global source index of `first_row`'s source neuron; row
+    /// `first_row + i` replays source `src_lo + i`.
+    src_lo: u32,
     /// Per-row RNG stream positions; empty for analytic specs,
     /// otherwise exactly `n_rows` entries.
-    pub states: Vec<GenState>,
+    states: Vec<GenState>,
 }
 
 /// The compressed side of a lazily-built matrix: generator recipes in
 /// projection order (row regeneration replays them in this order, which
-/// is exactly the eager build's push order).
+/// is exactly the eager build's push order), and where each row's words
+/// live once materialized.
 #[derive(Clone, Debug, Default, PartialEq)]
 struct LazyArena {
     contribs: Vec<Contribution>,
+    /// Per row: the arena offset its words were appended at, or
+    /// `LAZY_OFFSET` while it is still a recipe. An empty row is never
+    /// lazy and owns no words.
+    home: Vec<u32>,
 }
 
 impl LazyArena {
     fn resident_bytes(&self) -> u64 {
-        self.contribs
+        let recipes: usize = self
+            .contribs
             .iter()
             .map(|c| {
-                std::mem::size_of::<Contribution>() as u64
-                    + (c.states.len() * std::mem::size_of::<GenState>()) as u64
+                std::mem::size_of::<Contribution>()
+                    + c.states.len() * std::mem::size_of::<GenState>()
             })
-            .sum()
+            .sum();
+        (recipes + self.home.len() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -113,33 +128,10 @@ struct MptEntry {
     key: u32,
     /// Ternary mask: set bits must match `key`.
     mask: u32,
-    /// Index of the block's first row in `rows`.
+    /// Index of the block's first row.
     first_row: u32,
     /// Rows in the block (the source slice's neuron count).
     n_rows: u32,
-}
-
-/// One row descriptor: a slice of the arena.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct RowRef {
-    offset: u32,
-    len: u32,
-}
-
-impl RowRef {
-    /// Whether the row's words are still a recipe in the lazy arena.
-    fn is_lazy(self) -> bool {
-        self.offset == LAZY_OFFSET && self.len > 0
-    }
-
-    /// The arena range of a row that is not lazy. An empty row owns no
-    /// words, whatever its offset says.
-    fn span(self) -> std::ops::Range<usize> {
-        if self.len == 0 {
-            return 0..0;
-        }
-        self.offset as usize..(self.offset + self.len) as usize
-    }
 }
 
 /// A core's complete synaptic state: master population table + packed
@@ -164,7 +156,10 @@ impl RowRef {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SynapticMatrix {
     entries: Vec<MptEntry>,
-    rows: Vec<RowRef>,
+    /// CSR row pointers: `n_rows + 1` prefix sums of the row lengths
+    /// (empty for a matrix with no rows). An eager row's words are
+    /// `words[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
     words: Vec<SynapticWord>,
     /// Generator recipes for rows still in compressed form (`None` for
     /// a fully eager matrix).
@@ -203,12 +198,10 @@ impl SynapticMatrix {
     /// points go through [`SynapticMatrix::ensure_row`] first.
     #[inline]
     pub fn row(&self, row: u32) -> &[SynapticWord] {
-        let r = self.rows[row as usize];
-        assert!(
-            !r.is_lazy(),
-            "row {row} not materialized (lazy arena); call ensure_row first"
-        );
-        &self.words[r.span()]
+        let Some(span) = self.span(row) else {
+            panic!("row {row} not materialized (lazy arena); call ensure_row first");
+        };
+        &self.words[span]
     }
 
     /// Mutable access to row `row` — STDP rewrites weights in place
@@ -219,35 +212,59 @@ impl SynapticMatrix {
     /// Panics on an unmaterialized row, like [`SynapticMatrix::row`].
     #[inline]
     pub fn row_mut(&mut self, row: u32) -> &mut [SynapticWord] {
-        let r = self.rows[row as usize];
-        assert!(
-            !r.is_lazy(),
-            "row {row} not materialized (lazy arena); call ensure_row_mut first"
-        );
-        &mut self.words[r.span()]
+        let Some(span) = self.span(row) else {
+            panic!("row {row} not materialized (lazy arena); call ensure_row_mut first");
+        };
+        &mut self.words[span]
     }
 
     /// [`SynapticMatrix::row`], materializing the row first if it is
     /// still compressed — the entry point of every DMA touch.
     #[inline]
     pub fn ensure_row(&mut self, row: u32) -> &[SynapticWord] {
-        let r = self.materialize(row);
-        &self.words[r.span()]
+        let span = self.materialize(row);
+        &self.words[span]
     }
 
     /// [`SynapticMatrix::row_mut`] with on-demand materialization.
     #[inline]
     pub fn ensure_row_mut(&mut self, row: u32) -> &mut [SynapticWord] {
-        let r = self.materialize(row);
-        &mut self.words[r.span()]
+        let span = self.materialize(row);
+        &mut self.words[span]
     }
 
-    /// Hint, when the packet ISR starts: `key`'s row descriptor will be
-    /// read when the ISR completes. An unknown key asks for nothing.
+    /// The arena range of row `row`'s words, `None` while the row is
+    /// still a recipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a row of the matrix.
+    #[inline]
+    fn span(&self, row: u32) -> Option<std::ops::Range<usize>> {
+        let r = row as usize;
+        let (lo, hi) = (self.starts[r], self.starts[r + 1]);
+        match &self.lazy {
+            None => Some(lo as usize..hi as usize),
+            Some(lazy) => {
+                let home = lazy.home[r];
+                (home != LAZY_OFFSET).then(|| home as usize..(home + hi - lo) as usize)
+            }
+        }
+    }
+
+    /// Hint, when the packet ISR starts: `key`'s row descriptor (its two
+    /// row pointers, and its `home` offset on a lazy matrix) will be read
+    /// when the ISR completes. An unknown key asks for nothing.
     #[inline]
     pub fn hint_descriptor(&self, key: u32) {
-        if let Some(r) = self.lookup(key).and_then(|row| self.rows.get(row as usize)) {
-            prefetch_read(r);
+        let Some(row) = self.lookup(key) else { return };
+        let r = row as usize;
+        // A row's two pointers straddle a line boundary once in 16 rows.
+        for start in self.starts.get(r..r + 2).into_iter().flatten() {
+            prefetch_read(start);
+        }
+        if let Some(home) = self.lazy.as_ref().and_then(|l| l.home.get(r)) {
+            prefetch_read(home);
         }
     }
 
@@ -269,39 +286,43 @@ impl SynapticMatrix {
     /// still-compressed row — a hint never materializes.
     #[inline]
     pub fn hinted_words(&self, row: u32) -> &[SynapticWord] {
-        match self.rows.get(row as usize) {
-            Some(r) if !r.is_lazy() => {
-                let words = &self.words[r.span()];
-                &words[..words.len().min(HINT_LINES * LINE_WORDS)]
-            }
-            _ => &[],
+        if row as usize >= self.n_rows() {
+            return &[];
         }
+        let Some(span) = self.span(row) else {
+            return &[];
+        };
+        let words = &self.words[span];
+        &words[..words.len().min(HINT_LINES * LINE_WORDS)]
     }
 
     /// The row's words without mutating the matrix: a borrowed slice
     /// when materialized, a regenerated copy otherwise (inspection
     /// paths — the hot path uses [`SynapticMatrix::ensure_row`]).
     pub fn row_words(&self, row: u32) -> std::borrow::Cow<'_, [SynapticWord]> {
-        let r = self.rows[row as usize];
-        if !r.is_lazy() {
-            std::borrow::Cow::Borrowed(&self.words[r.span()])
-        } else {
-            std::borrow::Cow::Owned(self.generate(row))
+        match self.span(row) {
+            Some(span) => std::borrow::Cow::Borrowed(&self.words[span]),
+            None => std::borrow::Cow::Owned(self.generate(row)),
         }
     }
 
     /// Whether `row`'s words are resident in the arena.
     #[inline]
     pub fn is_row_materialized(&self, row: u32) -> bool {
-        !self.rows[row as usize].is_lazy()
+        self.span(row).is_some()
     }
 
     /// Rows still in compressed form.
     pub fn lazy_rows(&self) -> u64 {
-        if self.lazy.is_none() {
-            return 0;
-        }
-        self.rows.iter().filter(|r| r.is_lazy()).count() as u64
+        self.lazy.as_ref().map_or(0, |l| {
+            l.home.iter().filter(|&&h| h == LAZY_OFFSET).count() as u64
+        })
+    }
+
+    /// Generator recipes the matrix holds (0 for an eager matrix): one
+    /// per run of rows a projection feeds from consecutive sources.
+    pub fn lazy_recipes(&self) -> usize {
+        self.lazy.as_ref().map_or(0, |l| l.contribs.len())
     }
 
     /// Materializes every remaining lazy row (tests and full-fidelity
@@ -310,16 +331,16 @@ impl SynapticMatrix {
         if self.lazy.is_none() {
             return;
         }
-        for row in 0..self.rows.len() as u32 {
+        for row in 0..self.n_rows() as u32 {
             self.materialize(row);
         }
     }
 
     /// Regenerates an unmaterialized row's words from its recipes.
     fn generate(&self, row: u32) -> Vec<SynapticWord> {
-        let r = self.rows[row as usize];
+        let len = self.row_len(row);
         let lazy = self.lazy.as_ref().expect("lazy row without arena");
-        let mut out = Vec::with_capacity(r.len as usize);
+        let mut out = Vec::with_capacity(len);
         for c in &lazy.contribs {
             if row < c.first_row || row >= c.first_row + c.n_rows {
                 continue;
@@ -330,30 +351,30 @@ impl SynapticMatrix {
         }
         debug_assert_eq!(
             out.len(),
-            r.len as usize,
+            len,
             "regenerated row {row} length diverged from the build pass"
         );
         out
     }
 
     /// Expands `row` into the arena if it is still compressed, and
-    /// returns its descriptor, which then names arena words.
-    fn materialize(&mut self, row: u32) -> RowRef {
-        let r = self.rows[row as usize];
-        if !r.is_lazy() {
-            return r;
+    /// returns the arena range of its words.
+    fn materialize(&mut self, row: u32) -> std::ops::Range<usize> {
+        if let Some(span) = self.span(row) {
+            return span;
         }
         let words = self.generate(row);
-        let r = &mut self.rows[row as usize];
-        r.offset = self.words.len() as u32;
+        let home = self.words.len();
+        self.lazy.as_mut().expect("lazy row without arena").home[row as usize] = home as u32;
         self.words.extend_from_slice(&words);
-        *r
+        home..self.words.len()
     }
 
     /// Number of synapses in row `row`.
     #[inline]
     pub fn row_len(&self, row: u32) -> usize {
-        self.rows[row as usize].len as usize
+        let r = row as usize;
+        (self.starts[r + 1] - self.starts[r]) as usize
     }
 
     /// SDRAM bytes of row `row` (header + synapses; the DMA transfer
@@ -365,25 +386,23 @@ impl SynapticMatrix {
 
     /// Total number of rows (source neurons with a block on this core).
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.starts.len().saturating_sub(1)
     }
 
     /// Whether the matrix holds no rows at all.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.n_rows() == 0
     }
 
     /// Total synapse count.
     pub fn total_synapses(&self) -> u64 {
-        self.rows.iter().map(|r| r.len as u64).sum()
+        self.starts.last().map_or(0, |&n| u64::from(n))
     }
 
-    /// SDRAM footprint: the summed DMA size of every row.
+    /// SDRAM footprint: the summed DMA size of every row
+    /// ([`row_sdram_bytes`]: a header word per row, a word per synapse).
     pub fn sdram_bytes(&self) -> u64 {
-        self.rows
-            .iter()
-            .map(|r| row_sdram_bytes(r.len as usize) as u64)
-            .sum()
+        4 * (self.n_rows() as u64 + self.total_synapses())
     }
 
     /// Host-resident bytes of the matrix itself (arena + descriptors +
@@ -393,7 +412,7 @@ impl SynapticMatrix {
     /// not their expansion.
     pub fn resident_bytes(&self) -> u64 {
         (self.words.len() * std::mem::size_of::<SynapticWord>()
-            + self.rows.len() * std::mem::size_of::<RowRef>()
+            + self.starts.len() * std::mem::size_of::<u32>()
             + self.entries.len() * std::mem::size_of::<MptEntry>()) as u64
             + self.lazy.as_ref().map_or(0, |l| l.resident_bytes())
     }
@@ -446,7 +465,7 @@ impl SynapticMatrix {
         let mut applied = Vec::with_capacity(n);
         for _ in 0..n {
             let row = dec.u32()?;
-            if row as usize >= self.rows.len() {
+            if row as usize >= self.n_rows() {
                 return Err(WireError::Corrupt("delta row index"));
             }
             let len = dec.seq(4)?;
@@ -549,6 +568,13 @@ impl SynapticMatrixBuilder {
     /// lazy or fully eager: mixing recipes and [`push`]ed words on one
     /// core is rejected in `finish` (the loader decides per core).
     ///
+    /// A recipe that continues the previous one — the same spec, the
+    /// rows right after its rows and the sources right after its
+    /// sources — extends it instead of starting a new one: each row
+    /// then replays the same source with the same spec and state, so
+    /// the words are identical, and a population split over many source
+    /// cores costs one recipe per destination core, not one per block.
+    ///
     /// [`push`]: SynapticMatrixBuilder::push
     pub fn lazy_contribution(
         &mut self,
@@ -561,6 +587,19 @@ impl SynapticMatrixBuilder {
             first_row + n_rows <= self.n_rows,
             "contribution outside declared blocks"
         );
+        if let Some(last) = self.lazy_contribs.last_mut() {
+            if last.spec == spec
+                && last.first_row + last.n_rows == first_row
+                && last.src_lo + last.n_rows == src_lo
+            {
+                debug_assert!(
+                    last.states.is_empty() || last.states.len() == last.n_rows as usize,
+                    "a recipe is extended only once its own rows have their states"
+                );
+                last.n_rows += n_rows;
+                return self.lazy_contribs.len() - 1;
+            }
+        }
         self.lazy_contribs.push(Contribution {
             spec,
             first_row,
@@ -601,49 +640,49 @@ impl SynapticMatrixBuilder {
     /// first DMA touch.
     pub fn finish(self) -> SynapticMatrix {
         let n = self.n_rows as usize;
-        if !self.lazy_contribs.is_empty() {
+        let lazy = !self.lazy_contribs.is_empty();
+        // Each row's length lands one slot up, so that a running sum
+        // turns the lengths into the CSR row pointers.
+        let mut starts = vec![0u32; n + 1];
+        if lazy {
             assert!(
                 self.staged.is_empty(),
                 "a core's builder cannot mix lazy recipes with eager words"
             );
+            for &(row, len) in &self.lazy_lens {
+                starts[row as usize + 1] += len;
+            }
+        } else {
+            for &(row, _) in &self.staged {
+                starts[row as usize + 1] += 1;
+            }
+        }
+        for r in 0..n {
+            starts[r + 1] += starts[r];
+        }
+        if lazy {
             for c in &self.lazy_contribs {
                 debug_assert!(
                     c.states.is_empty() || c.states.len() == c.n_rows as usize,
                     "contribution states must cover all rows or none"
                 );
             }
-            let mut counts = vec![0u32; n];
-            for &(row, len) in &self.lazy_lens {
-                counts[row as usize] += len;
-            }
-            let rows = counts
-                .into_iter()
-                .map(|len| RowRef {
-                    offset: LAZY_OFFSET,
-                    len,
-                })
+            let home = starts
+                .windows(2)
+                .map(|s| if s[0] == s[1] { 0 } else { LAZY_OFFSET })
                 .collect();
             return SynapticMatrix {
                 entries: self.entries,
-                rows,
+                starts,
                 words: Vec::new(),
                 lazy: Some(Box::new(LazyArena {
                     contribs: self.lazy_contribs,
+                    home,
                 })),
             };
         }
-        let mut counts = vec![0u32; n];
-        for &(row, _) in &self.staged {
-            counts[row as usize] += 1;
-        }
-        let mut rows = Vec::with_capacity(n);
-        let mut offset = 0u32;
-        for &len in &counts {
-            rows.push(RowRef { offset, len });
-            offset += len;
-        }
         let mut words = vec![SynapticWord::from_bits(0); self.staged.len()];
-        let mut cursor: Vec<u32> = rows.iter().map(|r| r.offset).collect();
+        let mut cursor = starts[..n].to_vec();
         for (row, word) in self.staged {
             let c = &mut cursor[row as usize];
             words[*c as usize] = word;
@@ -651,7 +690,7 @@ impl SynapticMatrixBuilder {
         }
         SynapticMatrix {
             entries: self.entries,
-            rows,
+            starts,
             words,
             lazy: None,
         }
@@ -752,6 +791,28 @@ mod tests {
         // Row 0: 4 + 40; row 1 empty: 4.
         assert_eq!(m.sdram_bytes(), 48);
         assert!(m.resident_bytes() >= 40);
+    }
+
+    /// An eager matrix costs its words, one 4-byte row pointer per row
+    /// plus the closing one, and its table entries: nothing else.
+    #[test]
+    fn eager_resident_bytes_are_words_row_pointers_and_table() {
+        let mut b = SynapticMatrixBuilder::new();
+        let blk_a = b.block(0x1000, !0xFFF, 5);
+        let blk_b = b.block(0x2000, !0xFFF, 3);
+        for i in 0..7 {
+            b.push(blk_a + i % 5, w(1, i as u16));
+        }
+        b.push(blk_b + 2, w(2, 0));
+        let m = b.finish();
+        let (words, rows, entries) = (8, 8, 2);
+        assert_eq!((m.total_synapses(), m.n_rows()), (words, rows as usize));
+        assert_eq!(
+            m.resident_bytes(),
+            4 * words + 4 * (rows + 1) + 16 * entries
+        );
+        assert_eq!(m.lazy_recipes(), 0);
+        assert_eq!(SynapticMatrix::new().resident_bytes(), 0);
     }
 
     #[test]
@@ -855,6 +916,51 @@ mod tests {
         lazy.materialize_all();
         for row in 0..16 {
             assert_eq!(lazy.row(row), eager.row(row), "row {row}");
+        }
+    }
+
+    /// Recipes for blocks that continue each other in rows *and* in
+    /// sources merge into one; a break in either keeps them apart. The
+    /// words are the same either way.
+    #[test]
+    fn contiguous_recipes_merge() {
+        use crate::gen::{GenConnector, GenSpec, GenSynapses};
+        let spec = GenSpec {
+            conn: GenConnector::AllToAll { skip_self: true },
+            syn: GenSynapses {
+                weight_min_raw: 64,
+                weight_max_raw: 64,
+                delay_min_ms: 3,
+                delay_max_ms: 3,
+            },
+            n_src: 12,
+            n_dst: 12,
+            dst_lo: 0,
+            dst_hi: 12,
+        };
+        // Three 4-row blocks whose sources start at `src_los`.
+        let build = |src_los: [u32; 3]| {
+            let mut b = SynapticMatrixBuilder::new();
+            for (i, &src_lo) in src_los.iter().enumerate() {
+                let first = b.block(0x1000 * (i as u32 + 1), !0xFFF, 4);
+                for r in 0..4 {
+                    b.lazy_len(first + r, spec.row_len(src_lo + r).unwrap());
+                }
+                b.lazy_contribution(first, 4, src_lo, spec.clone());
+            }
+            b.finish()
+        };
+        for (src_los, recipes) in [([0, 4, 8], 1), ([0, 4, 0], 2), ([8, 4, 0], 3)] {
+            let mut m = build(src_los);
+            assert_eq!(m.lazy_recipes(), recipes, "{src_los:?}");
+            for (blk, &src_lo) in src_los.iter().enumerate() {
+                for r in 0..4 {
+                    let row = m.ensure_row(blk as u32 * 4 + r).to_vec();
+                    let mut want = Vec::new();
+                    spec.append_row(src_lo + r, None, &mut want);
+                    assert_eq!(row, want, "{src_los:?} block {blk} row {r}");
+                }
+            }
         }
     }
 

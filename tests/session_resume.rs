@@ -284,8 +284,14 @@ fn lazy_arena_snapshot_roundtrip_mid_materialization() {
 /// Only a walked row leaves compressed form: nothing that looks at a
 /// row on the way to the walk (the ISR's table search, the transfer in
 /// flight) may expand it or its neighbours. A row expanded early still
-/// replays the right spikes, so only these counts, recorded at PR 16's
-/// head before the row-fetch hints went in, notice it.
+/// replays the right spikes, so only these counts notice it.
+///
+/// The byte counts follow the synapse store's layout. Each of the 18
+/// loaded cores holds 96 rows in 3 source blocks: 97 row pointers and
+/// 96 `home` offsets at 4 B each, 3 table entries at 16 B, and one
+/// 80-byte recipe, since the 3 blocks of one source population continue
+/// each other and share it. That is 900 B per core, 16 200 B in all.
+/// Each of the 288 walked rows adds its 32 words (36 864 B).
 #[test]
 fn only_walked_rows_leave_the_lazy_arena() {
     let net = lazy_ring_net();
@@ -294,13 +300,13 @@ fn only_walked_rows_leave_the_lazy_arena() {
             .expect("ring fits a 4x4 machine")
             .into_session();
         let counts = |m: &NeuralMachine| (m.total_lazy_rows(), m.total_resident_bytes());
-        assert_eq!(counts(session.machine()), (1728, 19_008));
+        assert_eq!(counts(session.machine()), (1728, 16_200));
         // Population 0 has fired by now and the volley dies in the next
         // one: its 288 outgoing rows are walked, the other 1440 are not.
         session.run_for(60);
         assert_eq!(
             counts(session.machine()),
-            (1440, 55_872),
+            (1440, 53_064),
             "{threads} shard(s)"
         );
     }
