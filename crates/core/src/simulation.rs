@@ -230,7 +230,10 @@ impl Simulation {
     /// [`SimConfig::with_threads`] worker threads — the spike output is
     /// identical at every thread count.
     pub fn run(self, ms: u32) -> Completed {
-        let machine = self.machine.run_parallel(ms, self.threads as usize);
+        let machine = self
+            .machine
+            .run_segment(Vec::new(), 0, ms, self.threads as usize)
+            .0;
         Completed {
             machine,
             route_stats: self.route_stats,

@@ -78,13 +78,13 @@ use std::collections::VecDeque;
 
 use spinn_neuron::ring::{InputRing, RING_SLOTS};
 use spinn_neuron::stdp::{self, apply_bounded};
-use spinn_noc::fabric::{CtxScheduler, NocEvent};
+use spinn_noc::fabric::CtxScheduler;
 use spinn_noc::packet::{Packet, PacketKind};
 use spinn_obs::{Counter, Phase, PhaseProbe, TraceKind};
 use spinn_par::{RemoteEvent, ShardModel};
 use spinn_sim::{Context, Model, SimTime};
 
-use crate::events::{event_chip, tie_rank, MachineEvent};
+use crate::events::{tie_rank, MachineEvent};
 use crate::machine::{AppCore, NeuralMachine, PendingEvent, SpikeRecord, WorkItem, MS};
 
 /// "No completion outstanding" in the agenda's time slots.
@@ -648,10 +648,8 @@ impl NeuralMachine {
         }
         if resolved > 0 {
             // A resolved completion is an event handled, wherever it
-            // was kept: the totals and the per-chip load that seeds the
-            // shard partition count it as they always did.
+            // was kept.
             self.obs.counters().add(Counter::Events, resolved);
-            self.chip_events[chip as usize] += resolved;
         }
     }
 
@@ -897,17 +895,9 @@ impl Model for NeuralMachine {
         // for are counted as they resolve.
         if !matches!(ev, MachineEvent::CoreDone { .. }) {
             self.obs.counters().add(Counter::Events, 1);
-            if let Some(chip) = event_chip(&ev) {
-                // Measured per-chip load, seeding the next segment's
-                // event-weighted partition.
-                self.chip_events[chip as usize] += 1;
-            }
         }
         match ev {
             MachineEvent::Noc(ev) => {
-                if let NocEvent::Arrive { node, port, .. } = &ev {
-                    self.link_flux[*node as usize * 6 + *port as usize] += 1;
-                }
                 let tok = self.obs.phases().start();
                 self.fabric
                     .handle(now, ev, &mut CtxScheduler::new(ctx, MachineEvent::Noc));
@@ -972,7 +962,7 @@ mod tests {
     use spinn_neuron::synapse::SynapticWord;
     use spinn_neuron::synmatrix::SynapticMatrixBuilder;
     use spinn_noc::direction::Direction;
-    use spinn_noc::fabric::InFlight;
+    use spinn_noc::fabric::{InFlight, NocEvent};
     use spinn_noc::mesh::NodeCoord;
     use spinn_noc::table::{McTableEntry, RouteSet};
     use spinn_sim::Engine;
@@ -1166,8 +1156,6 @@ mod tests {
             .collect();
         assert_eq!(port, vec![(first, 1), (second, 2)]);
         assert_eq!(m.dma_free_at[0], second);
-        // Resolved completions are events, counted where they resolve.
-        assert_eq!(m.chip_events[0], 1 + 2);
     }
 
     #[test]

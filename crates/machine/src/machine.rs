@@ -291,22 +291,6 @@ pub struct NeuralMachine {
     /// Telemetry accumulated across completed segments
     /// ([`NeuralMachine::telemetry`]).
     pub(crate) telemetry: RunTelemetry,
-    /// Events handled per chip, accumulated across segments — the
-    /// measured load that seeds [`NeuralMachine::event_weighted_owner`]
-    /// once a first segment has run (static estimates only predict
-    /// structure, not activity; this is what the partition actually
-    /// needs). Not part of the checkpoint wire state: a restored run
-    /// re-seeds from its own first segment.
-    pub(crate) chip_events: Vec<u64>,
-    /// Per-link hop traffic: `chips * 6` counters indexed `chip * 6 +
-    /// port`, one increment per packet arrival over that link. The
-    /// arrival port identifies the sending neighbour, so summed over a
-    /// candidate shard cut this measures exactly the traffic the cut
-    /// would turn into cross-shard exchanges — including vertical and
-    /// wraparound links that are invisible to the dense-id axis. Feeds
-    /// the cross-cut term of [`NeuralMachine::event_weighted_owner`];
-    /// like [`NeuralMachine::chip_events`], not checkpoint state.
-    pub(crate) link_flux: Vec<u64>,
 }
 
 impl NeuralMachine {
@@ -343,8 +327,6 @@ impl NeuralMachine {
             dropped_scratch: Vec::new(),
             obs,
             telemetry: RunTelemetry::default(),
-            chip_events: vec![0; chips],
-            link_flux: vec![0; chips * 6],
             cfg,
         }
     }
@@ -661,7 +643,7 @@ impl NeuralMachine {
     /// as opposed to pre-run [`NeuralMachine::fail_link`]).
     ///
     /// Must be called before [`NeuralMachine::run`] /
-    /// [`NeuralMachine::run_parallel`]. The failure is replayed
+    /// [`NeuralMachine::run_segment`]. The failure is replayed
     /// identically by serial and sharded runs: every shard applies the
     /// same fault to its fabric replica when its clock reaches
     /// `time_ns`.

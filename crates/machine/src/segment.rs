@@ -6,7 +6,9 @@
 //! shard 0: it keeps its cores, fabric and accumulated results in place
 //! and runs the chips it owns. Shards 1.. are split off at segment
 //! start, each with a replica of the fabric and the cores it owns, and
-//! merged back at segment end. A serial run is a one-shard run: no
+//! merged back at segment end. Which chips each shard owns is a
+//! function of the loaded cores alone (`partition.rs`), so every
+//! segment of a run — restored from a checkpoint or not — cuts alike. A serial run is a one-shard run: no
 //! partition to compute, no machine to split off, no fabric to clone,
 //! and — with no other shard to reply to it — one engine pass over the
 //! whole segment.
@@ -24,55 +26,6 @@ impl NeuralMachine {
     /// returns it with all statistics populated.
     pub fn run(self, ms: u32) -> NeuralMachine {
         self.run_segment(Vec::new(), 0, ms, 1).0
-    }
-
-    /// Runs the machine for `ms` milliseconds across `threads` worker
-    /// threads (`spinn-par`), producing the same [`SpikeRecord`](crate::SpikeRecord)
-    /// stream as [`NeuralMachine::run`].
-    ///
-    /// The chips are partitioned into contiguous, *event-weighted*
-    /// blocks of dense ids — one shard per thread — and each shard
-    /// advances its own event queue inside conservative windows bounded
-    /// by the minimum inter-chip link latency
-    /// ([`spinn_noc::fabric::FabricConfig::min_remote_delay_ns`]).
-    /// Spike packets crossing a shard boundary are exchanged at window
-    /// barriers with their exact arrival timestamps, so the parallel run
-    /// is an event-exact replay of the serial one. `threads` is clamped
-    /// to `[1, chips]`; with one thread this is exactly
-    /// [`NeuralMachine::run`].
-    ///
-    /// The run is cut into rebalance epochs (segment chaining is
-    /// bit-exact, so the cuts are invisible in the results): each
-    /// epoch's measured per-chip event counts reseed the partition for
-    /// the next, so a hot region that no static estimate could predict
-    /// stops serializing the shards after the first epoch.
-    ///
-    /// Within an epoch the split is static: exactly one shard per
-    /// worker, owned by that worker from the epoch's first window to
-    /// its last (`spinn-par`). The requested `threads` is first clamped
-    /// by [`NeuralMachine::effective_threads`].
-    pub fn run_parallel(self, ms: u32, threads: usize) -> NeuralMachine {
-        /// Epoch length: long enough to amortize the shard split/merge,
-        /// short enough that a run settles onto measured weights early.
-        const EPOCH_MS: u32 = 5;
-        if self.effective_threads(threads) <= 1 {
-            // The shard clamp collapsed the run to one worker: rebalance
-            // epochs would only cut the segment (and pay the drain /
-            // canonicalize cost at every boundary) for a partition that
-            // no longer exists. One segment is the same result.
-            return self.run(ms);
-        }
-        let mut machine = self;
-        let mut pending = Vec::new();
-        let mut done = 0u32;
-        while done < ms {
-            let step = EPOCH_MS.min(ms - done);
-            let (m, p) = machine.run_segment(pending, done, step, threads);
-            machine = m;
-            pending = p;
-            done += step;
-        }
-        machine
     }
 
     /// Advances the machine by one **run segment**: `ms` milliseconds of
@@ -94,6 +47,17 @@ impl NeuralMachine {
     /// with a timer tick, and the coalesced 1 ms timer chain (which ends
     /// at `from + ms`) is restarted by the next segment at the same
     /// instant and tie rank it would have fired at in an unbroken run.
+    ///
+    /// With `threads` > 1 (clamped by
+    /// [`NeuralMachine::effective_threads`]) the chips are cut into
+    /// contiguous blocks of dense ids balanced by the loaded cores, one
+    /// static shard per worker (`spinn-par`). Each shard advances its
+    /// own event queue inside conservative windows bounded by the
+    /// minimum inter-chip link latency
+    /// ([`spinn_noc::fabric::FabricConfig::min_remote_delay_ns`]), and
+    /// spike packets crossing a shard boundary are exchanged at window
+    /// barriers with their exact arrival timestamps, so any thread count
+    /// replays the serial run event for event.
     ///
     /// [`NeuralMachine::run`] is `run_segment(vec![], 0, ms, 1)` with
     /// the leftover events discarded.
@@ -120,7 +84,7 @@ impl NeuralMachine {
         let owner = if shards == 1 {
             vec![0; self.cfg.chips()]
         } else {
-            self.event_weighted_owner(shards)
+            self.load_balanced_owner(shards)
         };
         let stimuli = std::mem::take(&mut self.stimuli);
         let faults = std::mem::take(&mut self.fault_plan);
@@ -293,12 +257,6 @@ impl NeuralMachine {
         self.spike_latency.merge(&shard.spike_latency);
         self.reissued_packets += shard.reissued_packets;
         self.weight_writebacks += shard.weight_writebacks;
-        for (a, b) in self.chip_events.iter_mut().zip(&shard.chip_events) {
-            *a += *b;
-        }
-        for (a, b) in self.link_flux.iter_mut().zip(&shard.link_flux) {
-            *a += *b;
-        }
         // Only a chip's owner advances its DMA port clock; everyone
         // else still holds the segment-start value.
         for (a, b) in self.dma_free_at.iter_mut().zip(&shard.dma_free_at) {

@@ -25,7 +25,7 @@ use spinn_noc::fabric::Fabric;
 use spinn_noc::mesh::{NodeCoord, Torus};
 use spinn_noc::table::{McTableEntry, RouteSet, TableFull};
 
-use crate::graph::NetworkGraph;
+use crate::graph::{NetworkGraph, PopulationId};
 use crate::keys::{core_key_mask, NEURON_BITS};
 use crate::minimize::{minimize_chip, ChipContext};
 use crate::place::Placement;
@@ -137,12 +137,23 @@ impl RoutingPlan {
         let mut stats = RouteStats::default();
         let mut traversals: Vec<Vec<u32>> = vec![Vec::new(); torus.len()];
         let mut sources: Vec<(usize, u32)> = Vec::new();
+        // Each population's targets, sorted and deduplicated as
+        // `NetworkGraph::targets_of` gives them: one pass over the
+        // projections, not one per slice.
+        let mut targets: Vec<Vec<PopulationId>> = vec![Vec::new(); net.populations().len()];
+        for p in net.projections() {
+            targets[p.src.0].push(p.dst);
+        }
+        for t in &mut targets {
+            t.sort_unstable();
+            t.dedup();
+        }
 
         for slice in placement.slices() {
             // Destination cores: every slice of every population this
             // population projects to.
             let mut dest_cores: HashMap<usize, u32> = HashMap::new(); // chip id -> core mask
-            for dst_pop in net.targets_of(slice.pop) {
+            for &dst_pop in &targets[slice.pop.0] {
                 for d in placement.slices_of(dst_pop) {
                     let chip = torus.id_of(d.chip);
                     *dest_cores.entry(chip).or_insert(0) |= 1 << d.core;
@@ -165,7 +176,6 @@ impl RoutingPlan {
                 traversals[chip].push(slice.global_core);
             }
             emit_tables(
-                &torus,
                 src_chip,
                 &tree,
                 &dest_cores,
@@ -415,8 +425,7 @@ pub fn tree_cost(
         .iter()
         .map(|&d| torus.hex_distance(src, torus.coord_of(d)))
         .sum();
-    let tree = grow_tree(torus, src_id, dests.into_iter(), &mut stats);
-    let _ = tree;
+    grow_tree(torus, src_id, dests.into_iter(), &mut stats);
     TreeCost {
         multicast_edges: stats.total_edges,
         unicast_edges,
@@ -614,9 +623,7 @@ fn bfs_path(
 
 /// Emits CAM entries for one tree, eliding pure straight-through chips
 /// when `elide` is set.
-#[allow(clippy::too_many_arguments)]
 fn emit_tables(
-    torus: &Torus,
     src: usize,
     tree: &HashMap<usize, TreeNode>,
     dest_cores: &HashMap<usize, u32>,
@@ -652,7 +659,6 @@ fn emit_tables(
         }
         tables[chip].push(McTableEntry { key, mask, route });
     }
-    let _ = torus;
 }
 
 #[cfg(test)]

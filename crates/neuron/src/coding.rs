@@ -90,13 +90,8 @@ pub fn rank_order_similarity(a: &RankOrderCode, b: &RankOrderCode, m: usize, alp
     dot / (na * nb)
 }
 
-/// Encodes the `n` strongest components as an (unordered) N-of-M code.
-pub fn n_of_m_encode(values: &[f64], n: usize, threshold: f64) -> Vec<u32> {
-    rank_order_encode(values, n, threshold).as_n_of_m()
-}
-
 /// Overlap `|a ∩ b|` of two N-of-M codes (inputs must be sorted, as
-/// produced by [`n_of_m_encode`]).
+/// produced by [`RankOrderCode::as_n_of_m`]).
 pub fn n_of_m_overlap(a: &[u32], b: &[u32]) -> usize {
     let mut i = 0;
     let mut j = 0;

@@ -629,11 +629,6 @@ impl SynapticMatrixBuilder {
         }
     }
 
-    /// Whether any generator recipes were registered.
-    pub fn is_lazy(&self) -> bool {
-        !self.lazy_contribs.is_empty()
-    }
-
     /// Packs the staged synapses into the contiguous arena. Stable: the
     /// words of each row keep their push order. A lazy builder instead
     /// records row lengths and keeps the recipes — rows materialize on

@@ -12,8 +12,8 @@
 //!   packets by route class, drops, DMA bytes, queue occupancy
 //!   high-water, emergency-route hops. A disabled shard is a `None`
 //!   handle; [`CounterShard::add`] on it is a branch and nothing else.
-//! * **Phase timing** ([`PhaseProbe`]) — fixed-bucket log2 histograms
-//!   over the tick phases ([`Phase`]): queue pop, neuron tick,
+//! * **Phase timing** ([`PhaseProbe`]) — a sample count and summed
+//!   duration per tick phase ([`Phase`]): queue pop, neuron tick,
 //!   synaptic-row walk, router lookup, barrier wait. Enabled only in
 //!   [`ObsMode::CountersAndTrace`], because each sample costs two
 //!   monotonic-clock reads.
@@ -54,7 +54,7 @@ pub enum ObsMode {
     /// for production runs (measured at +0.3 % over
     /// [`ObsMode::Disabled`] throughput on a one-core host).
     Counters,
-    /// Counters plus tick-phase timing histograms plus the bounded
+    /// Counters plus tick-phase timing tallies plus the bounded
     /// event tracer — the debugging/profiling mode.
     CountersAndTrace,
 }
@@ -254,16 +254,10 @@ impl Phase {
     }
 }
 
-/// Number of log2 duration buckets per phase: bucket 0 holds 0 ns,
-/// bucket `i` holds durations in `[2^(i-1), 2^i)` ns, bucket 31 holds
-/// everything from ~1 s up.
-pub const PHASE_BUCKETS: usize = 32;
-
 #[derive(Debug)]
 struct PhaseSlot {
     count: AtomicU64,
     sum_ns: AtomicU64,
-    buckets: [AtomicU64; PHASE_BUCKETS],
 }
 
 impl PhaseSlot {
@@ -271,7 +265,6 @@ impl PhaseSlot {
         PhaseSlot {
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
@@ -281,29 +274,20 @@ struct PhaseSet {
     slots: [PhaseSlot; Phase::COUNT],
 }
 
-/// The log2 bucket a duration falls in.
-fn bucket_of(ns: u64) -> usize {
-    if ns == 0 {
-        0
-    } else {
-        ((ns.ilog2() as usize) + 1).min(PHASE_BUCKETS - 1)
-    }
-}
-
 /// A started phase measurement (see [`PhaseProbe::start`]). Carries no
 /// clock read when timing is disabled.
 #[must_use = "pass the token back to PhaseProbe::record"]
 #[derive(Debug)]
 pub struct PhaseToken(Option<Instant>);
 
-/// A cloneable handle onto one shard's phase-timing histograms (or onto
+/// A cloneable handle onto one shard's phase-timing tallies (or onto
 /// nothing). The engine and the parallel driver each hold a clone;
 /// samples land in the shard's shared storage.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseProbe(Option<Arc<PhaseSet>>);
 
 impl PhaseProbe {
-    /// A live probe with fresh histograms.
+    /// A live probe with fresh tallies.
     pub fn enabled() -> PhaseProbe {
         PhaseProbe(Some(Arc::new(PhaseSet {
             slots: std::array::from_fn(|_| PhaseSlot::new()),
@@ -331,11 +315,10 @@ impl PhaseProbe {
             let slot = &set.slots[phase as usize];
             slot.count.fetch_add(1, Ordering::Relaxed);
             slot.sum_ns.fetch_add(ns, Ordering::Relaxed);
-            slot.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Reads and resets every phase histogram (the segment-end
+    /// Reads and resets every phase tally (the segment-end
     /// harvest). All zeros when disabled.
     pub fn drain(&self) -> [PhaseStats; Phase::COUNT] {
         match &self.0 {
@@ -344,7 +327,6 @@ impl PhaseProbe {
                 PhaseStats {
                     count: slot.count.swap(0, Ordering::Relaxed),
                     sum_ns: slot.sum_ns.swap(0, Ordering::Relaxed),
-                    buckets: std::array::from_fn(|b| slot.buckets[b].swap(0, Ordering::Relaxed)),
                 }
             }),
             None => std::array::from_fn(|_| PhaseStats::default()),
@@ -352,16 +334,13 @@ impl PhaseProbe {
     }
 }
 
-/// A harvested phase histogram: sample count, total nanoseconds and the
-/// log2 duration buckets.
+/// A harvested phase tally: sample count and total nanoseconds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Samples recorded.
     pub count: u64,
     /// Total nanoseconds across all samples.
     pub sum_ns: u64,
-    /// Log2 duration buckets (see [`PHASE_BUCKETS`]).
-    pub buckets: [u64; PHASE_BUCKETS],
 }
 
 impl PhaseStats {
@@ -369,9 +348,6 @@ impl PhaseStats {
     pub fn merge(&mut self, other: &PhaseStats) {
         self.count += other.count;
         self.sum_ns += other.sum_ns;
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
     }
 
     /// Mean sample duration, ns (0 when empty).
@@ -653,7 +629,7 @@ pub struct ShardTelemetry {
     pub shard: u32,
     /// Counter totals, indexed by [`Counter`] (gauges hold the max).
     pub counters: [u64; Counter::COUNT],
-    /// Phase histograms, indexed by [`Phase`].
+    /// Phase tallies, indexed by [`Phase`].
     pub phases: [PhaseStats; Phase::COUNT],
 }
 
@@ -662,7 +638,7 @@ pub struct ShardTelemetry {
 const RUN_TRACE_CAP: usize = 64 * 1024;
 
 /// A whole run's accumulated telemetry: per-shard counters and phase
-/// histograms plus the merged event trace. Built by absorbing each
+/// tallies plus the merged event trace. Built by absorbing each
 /// segment's per-shard [`Observability`] handles; survives any mix of
 /// thread counts across segments (shards merge by id).
 #[derive(Clone, Debug, Default)]
@@ -874,7 +850,7 @@ impl RunTelemetry {
         }
     }
 
-    /// Phase histogram merged across shards.
+    /// Phase tally merged across shards.
     pub fn phase_total(&self, p: Phase) -> PhaseStats {
         let mut out = PhaseStats::default();
         for s in &self.shards {
@@ -1083,29 +1059,12 @@ mod tests {
     }
 
     #[test]
-    fn log2_buckets() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), PHASE_BUCKETS - 1);
-    }
-
-    #[test]
     fn phase_probe_records() {
         let probe = PhaseProbe::enabled();
         let tok = probe.start();
         probe.record(Phase::NeuronTick, tok);
         let stats = probe.drain();
         assert_eq!(stats[Phase::NeuronTick as usize].count, 1);
-        assert_eq!(
-            stats[Phase::NeuronTick as usize]
-                .buckets
-                .iter()
-                .sum::<u64>(),
-            1
-        );
         // Drained.
         assert_eq!(probe.drain()[Phase::NeuronTick as usize].count, 0);
     }

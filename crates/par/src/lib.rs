@@ -76,9 +76,9 @@
 //! block. (Letting idle workers claim spare shards off a shared counter
 //! was measured on two real cores and lost to this static cut even on a
 //! net skewed to favour it; the figures are in `CHANGES.md`, PR 13.)
-//! What balances the load is where the machine cuts the shards, which
-//! it re-derives from measured per-chip event counts every few
-//! milliseconds (`NeuralMachine::run_parallel`).
+//! What balances the load is where the machine cuts the shards: a
+//! function of the loaded cores, fixed by the build
+//! (`NeuralMachine::run_segment`).
 //!
 //! Determinism is preserved per shard: models that need randomness
 //! should key their PRNG stream by shard id (e.g.
@@ -96,7 +96,7 @@
 //! # Example
 //!
 //! See [`ParEngine`] for a two-shard token-passing example, and
-//! `spinn_machine::machine::NeuralMachine::run_parallel` for the
+//! `spinn_machine::machine::NeuralMachine::run_segment` for the
 //! full-machine integration.
 
 #![forbid(unsafe_code)]

@@ -52,12 +52,8 @@ fn run_repaired(threads: u32) -> Vec<SpikeRecord> {
 }
 
 fn run_machine(threads: u32) -> Vec<SpikeRecord> {
-    let m = faulted_machine(ObsMode::Disabled);
-    let m = if threads > 1 {
-        m.run_parallel(RUN_MS, threads as usize)
-    } else {
-        m.run(RUN_MS)
-    };
+    let (m, _) =
+        faulted_machine(ObsMode::Disabled).run_segment(Vec::new(), 0, RUN_MS, threads as usize);
     m.spikes().to_vec()
 }
 

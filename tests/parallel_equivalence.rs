@@ -89,7 +89,7 @@ fn chain_machine_parallel_matches_serial() {
     let reference: Vec<SpikeRecord> = chain_machine().run(200).spikes().to_vec();
     assert!(reference.len() > 100, "workload must actually spike");
     for threads in [1usize, 2, 3, 4, 16] {
-        let par = chain_machine().run_parallel(200, threads);
+        let (par, _) = chain_machine().run_segment(Vec::new(), 0, 200, threads);
         assert_eq!(
             par.spikes(),
             reference.as_slice(),
@@ -109,7 +109,7 @@ fn chain_machine_parallel_matches_serial() {
 #[test]
 fn parallel_merges_stats_consistently() {
     let serial = chain_machine().run(150);
-    let par = chain_machine().run_parallel(150, 4);
+    let (par, _) = chain_machine().run_segment(Vec::new(), 0, 150, 4);
     assert_eq!(par.spikes().len(), serial.spikes().len());
     assert_eq!(
         par.meter().instructions,

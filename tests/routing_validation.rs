@@ -4,6 +4,9 @@
 //! including through default-routed (elided) segments, and identically
 //! after table minimization.
 
+#[allow(dead_code)]
+mod scenarios;
+
 use spinn_map::graph::{Connector, NetworkGraph, NeuronKind, Synapses};
 use spinn_map::keys::neuron_key;
 use spinn_map::place::{Placement, Placer};
@@ -12,6 +15,8 @@ use spinn_neuron::izhikevich::IzhikevichParams;
 use spinn_noc::fabric::{FabricConfig, FabricEvent, FabricSim};
 use spinn_noc::packet::Packet;
 use spinn_sim::{Engine, SimTime};
+use spinn_system::experiments::e20_scaling;
+use spinnaker::prelude::{ObsMode, SimConfig};
 use std::collections::{BTreeSet, HashMap};
 
 fn kind() -> NeuronKind {
@@ -189,4 +194,64 @@ fn recurrent_network_tables_deliver_exactly() {
         4,
     );
     validate(&net, 4, 4, Placer::RoundRobin);
+}
+
+/// FNV-1a over every chip's minimized table, chip by chip: its dense id,
+/// its entry count and each entry's key, mask and route bits.
+fn minimized_tables_hash(net: &NetworkGraph, cfg: &SimConfig) -> u64 {
+    let m = &cfg.machine;
+    let placement = Placement::compute(
+        net,
+        m.width,
+        m.height,
+        m.cores_per_chip,
+        cfg.neurons_per_core,
+        cfg.placer,
+    )
+    .unwrap();
+    let plan = RoutingPlan::build(net, &placement, m.width, m.height).minimized();
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |word: u32| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    for (chip, table) in plan.tables().iter().enumerate() {
+        eat(chip as u32);
+        eat(table.len() as u32);
+        for e in table {
+            eat(e.key);
+            eat(e.mask);
+            eat(e.route.bits());
+        }
+    }
+    h
+}
+
+#[test]
+fn minimized_tables_of_the_golden_and_scaling_nets_are_pinned() {
+    // Route-build changes that claim to move no entry are held to these
+    // hashes: the golden scenarios' nets as `Simulation::build` routes
+    // them, and E20's one-population-per-chip ring at 16x16.
+    let mut e20 = SimConfig::new(16, 16).with_neurons_per_core(e20_scaling::NPC);
+    e20.machine.cores_per_chip = e20_scaling::CORES_PER_CHIP;
+    let got = [
+        minimized_tables_hash(
+            &scenarios::synfire_net(),
+            &scenarios::synfire_cfg(1, ObsMode::Disabled),
+        ),
+        minimized_tables_hash(
+            &scenarios::retina_net(),
+            &scenarios::retina_cfg(1, ObsMode::Disabled),
+        ),
+        minimized_tables_hash(&e20_scaling::chip_ring_net(256), &e20),
+    ];
+    assert_eq!(
+        got,
+        [
+            0xa892_621e_a0de_a871,
+            0x5b88_b4a4_b136_55c4,
+            0x606e_a28b_e2de_d543
+        ]
+    );
 }
