@@ -365,7 +365,7 @@ impl RunSession {
             (cfg.width, cfg.height)
         };
         let plan = RoutingPlan::build_avoiding(net, &self.placement, w, h, &failed).minimized();
-        let installed = self.machine_mut_ref().reinstall_routing_plan(&plan)?;
+        let installed = self.machine_mut_ref().install_routing_plan(&plan)?;
         self.route_stats = plan.stats().clone();
         Ok(installed)
     }

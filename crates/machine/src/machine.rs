@@ -456,14 +456,18 @@ impl NeuralMachine {
 
     /// Loads a routing plan's per-chip tables into the routers through
     /// the fallible CAM path, returning the number of entries installed.
-    /// Routers recompile their lookup structures lazily, so this also
-    /// covers re-installation after fault-injection table edits.
+    /// Every router CAM is cleared first, so this also hot-swaps the
+    /// tables of a (possibly mid-run) machine: safe between events —
+    /// packets re-resolve their route at every chip — which is what
+    /// live repair relies on.
     ///
     /// # Errors
     ///
     /// Returns [`spinn_noc::table::TableFull`] if any chip's table
     /// exceeds the router CAM capacity
-    /// ([`spinn_noc::router::RouterConfig::table_capacity`]).
+    /// ([`spinn_noc::router::RouterConfig::table_capacity`]); on a
+    /// running machine treat that as fatal (tables are left partially
+    /// swapped).
     ///
     /// # Panics
     ///
@@ -473,28 +477,6 @@ impl NeuralMachine {
         plan: &spinn_map::route::RoutingPlan,
     ) -> Result<usize, spinn_noc::table::TableFull> {
         plan.install_into(&mut self.fabric)
-    }
-
-    /// Hot-swaps the routing tables of a (possibly mid-run) machine:
-    /// every router CAM is cleared, then the plan is loaded through the
-    /// same fallible path as [`NeuralMachine::install_routing_plan`].
-    /// Safe between events — packets re-resolve their route at every
-    /// chip — which is what live repair relies on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`spinn_noc::table::TableFull`] if any chip's table
-    /// exceeds the router CAM capacity; treat that as fatal (tables are
-    /// left partially swapped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built for a different mesh size.
-    pub fn reinstall_routing_plan(
-        &mut self,
-        plan: &spinn_map::route::RoutingPlan,
-    ) -> Result<usize, spinn_noc::table::TableFull> {
-        plan.reinstall_into(&mut self.fabric)
     }
 
     /// Fails an inter-chip link (fault injection for E3/E4).

@@ -290,12 +290,16 @@ impl RoutingPlan {
 
     /// Loads every chip's table into a fabric's routers through the
     /// fallible CAM path — the one table-install loop the examples,
-    /// tests and the simulation builder all share.
+    /// tests, the simulation builder and live repair all share. Each
+    /// router's CAM is cleared before it is filled, so installing into
+    /// a running machine swaps its tables: that is safe between events
+    /// because in-flight packets re-resolve their route at every chip.
     ///
     /// # Errors
     ///
     /// Returns [`TableFull`] as soon as any router's CAM capacity is
-    /// exceeded (tables already installed stay installed).
+    /// exceeded (chips already processed keep the new tables, so treat
+    /// an error on a running machine as fatal for it).
     ///
     /// # Panics
     ///
@@ -309,42 +313,14 @@ impl RoutingPlan {
         let mut installed = 0;
         for (chip_id, entries) in self.tables.iter().enumerate() {
             let coord = fabric.torus().coord_of(chip_id);
-            let router = fabric.router_mut(coord);
+            let table = &mut fabric.router_mut(coord).table;
+            table.clear();
             for &e in entries {
-                router.table.insert(e)?;
+                table.insert(e)?;
                 installed += 1;
             }
         }
         Ok(installed)
-    }
-
-    /// Replaces every router's table with this plan's: clears each CAM
-    /// (version-bumped, so compiled lookup caches refresh) before
-    /// installing through the same fallible path as
-    /// [`RoutingPlan::install_into`]. This is the live-repair hot-swap:
-    /// it is safe to call on a running machine between events because
-    /// in-flight packets re-resolve their route at every chip.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableFull`] if any router's CAM capacity is exceeded;
-    /// chips already processed keep the new tables, so callers should
-    /// treat an error as fatal for the session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric's mesh does not match the plan's.
-    pub fn reinstall_into(&self, fabric: &mut Fabric) -> Result<usize, TableFull> {
-        assert_eq!(
-            (fabric.config().width, fabric.config().height),
-            (self.width, self.height),
-            "plan does not match the fabric's mesh"
-        );
-        for chip_id in 0..self.tables.len() {
-            let coord = fabric.torus().coord_of(chip_id);
-            fabric.router_mut(coord).table.clear();
-        }
-        self.install_into(fabric)
     }
 }
 
@@ -697,6 +673,42 @@ mod tests {
         // Three of the four pops have targets.
         assert_eq!(plan.stats().trees, 3);
         assert!(plan.total_entries() >= 3, "at least root entries");
+    }
+
+    #[test]
+    fn install_into_replaces_every_table() {
+        use spinn_noc::compiled::CompiledTable;
+        use spinn_noc::fabric::FabricConfig;
+
+        let net = line_net(4, 100);
+        let placement = Placement::compute(&net, 6, 6, 17, 100, Placer::RoundRobin).unwrap();
+        let plan = RoutingPlan::build(&net, &placement, 6, 6).minimized();
+        let mut fabric = Fabric::new(FabricConfig::new(6, 6));
+        // An entry no plan installs: the first install must remove it.
+        let stale = McTableEntry {
+            key: 0xFFFF_0000,
+            mask: u32::MAX,
+            route: RouteSet::EMPTY.with_core(1),
+        };
+        fabric
+            .router_mut(NodeCoord::new(0, 0))
+            .table
+            .insert(stale)
+            .unwrap();
+        // Installing twice leaves the plan's tables, not two copies.
+        for _ in 0..2 {
+            assert_eq!(
+                plan.install_into(&mut fabric).unwrap(),
+                plan.total_entries()
+            );
+            for (chip_id, entries) in plan.tables().iter().enumerate() {
+                let table = &fabric.router(fabric.torus().coord_of(chip_id)).table;
+                assert!(table.iter().eq(entries.iter()));
+                let index = CompiledTable::compile(table);
+                assert_eq!(index.len(), entries.len());
+                assert_eq!(index.lookup(stale.key), table.lookup(stale.key));
+            }
+        }
     }
 
     #[test]

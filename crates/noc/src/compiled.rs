@@ -1,15 +1,16 @@
-//! A compiled form of the multicast routing table for the per-packet hot
-//! path.
+//! The lookup index a multicast routing table keeps for the per-packet
+//! hot path.
 //!
 //! [`McTable::lookup`](crate::table::McTable::lookup) models the ternary
 //! CAM as a linear scan — faithful to the hardware's parallel compare,
-//! but O(entries) per packet in software. [`CompiledTable`] rebuilds the
-//! same table as a set of **mask groups**: entries sharing a ternary
+//! but O(entries) per packet in software. [`CompiledTable`] holds the
+//! same entries as a set of **mask groups**: entries sharing a ternary
 //! mask land in one hash table keyed by `key & mask`, so a lookup costs
 //! one hash probe per *distinct mask* instead of one compare per entry.
 //! Routing plans use a handful of masks (a core-block mask plus the
 //! widened masks minimization produces), so the probe count stays tiny
-//! even at full 1024-entry occupancy.
+//! even at full 1024-entry occupancy. Every [`McTable`] keeps its index
+//! current on each insert and clear, and the router looks keys up in it.
 //!
 //! The per-group table is a small open-addressing map with a
 //! multiply-shift hash rather than `std::collections::HashMap`: the
@@ -17,8 +18,8 @@
 //! `HashMap` miss path cost more than the rest of the routing decision
 //! combined. The map is an internal acceleration structure — lookups
 //! return exactly the linear scan's result either way — and the
-//! Fibonacci hash is deterministic, so compiled routers behave
-//! identically across runs and hosts.
+//! Fibonacci hash is deterministic, so routers behave identically
+//! across runs and hosts.
 //!
 //! First-match priority is preserved exactly: every entry carries its
 //! CAM index, each bucket keeps the lowest index for its masked key, and
@@ -26,7 +27,7 @@
 //! lowest index — precisely the entry the linear scan would have found
 //! first.
 
-use crate::table::{McTable, RouteSet};
+use crate::table::{McTable, McTableEntry, RouteSet};
 
 /// One slot of the open-addressing map: a masked key, the CAM index of
 /// the first entry with that masked key, and its route. `index ==
@@ -43,7 +44,8 @@ const EMPTY_SLOT: u32 = u32::MAX;
 
 /// One group of entries sharing a ternary mask: an open-addressing
 /// table over `key & mask` with linear probing. Capacity is a power of
-/// two at least twice the bucket count, so probe chains stay short.
+/// two at least twice the occupied slot count, so probe chains stay
+/// short.
 #[derive(Clone, Debug)]
 struct MaskGroup {
     /// The shared ternary mask.
@@ -52,6 +54,8 @@ struct MaskGroup {
     slots: Vec<Slot>,
     /// `slots.len() - 1`, for masking the hash.
     cap_mask: usize,
+    /// Slots in use (distinct masked keys).
+    occupied: usize,
 }
 
 impl MaskGroup {
@@ -60,6 +64,7 @@ impl MaskGroup {
             mask,
             slots: Vec::new(),
             cap_mask: 0,
+            occupied: 0,
         };
         g.rebuild(8);
         g
@@ -85,6 +90,7 @@ impl MaskGroup {
             ],
         );
         self.cap_mask = capacity - 1;
+        self.occupied = 0;
         for s in old {
             if s.index != EMPTY_SLOT {
                 self.insert(s.masked_key, s.index, s.route);
@@ -92,8 +98,7 @@ impl MaskGroup {
         }
     }
 
-    /// Inserts keeping the lowest CAM index per masked key; grows at
-    /// 50% occupancy (count tracked by the caller via `len`).
+    /// Inserts keeping the lowest CAM index per masked key.
     fn insert(&mut self, masked_key: u32, index: u32, route: RouteSet) {
         let mut i = self.hash(masked_key);
         loop {
@@ -104,6 +109,7 @@ impl MaskGroup {
                     index,
                     route,
                 };
+                self.occupied += 1;
                 return;
             }
             if s.masked_key == masked_key {
@@ -132,18 +138,10 @@ impl MaskGroup {
             i = (i + 1) & self.cap_mask;
         }
     }
-
-    fn occupied(&self) -> usize {
-        self.slots.iter().filter(|s| s.index != EMPTY_SLOT).count()
-    }
 }
 
-/// A key-indexed compilation of an [`McTable`] with identical first-match
-/// semantics.
-///
-/// The compilation is tied to the table's [`McTable::version`]; the
-/// router recompiles lazily whenever the version it compiled no longer
-/// matches the live table (e.g. after fault-injection table edits).
+/// The key-indexed lookup structure of an [`McTable`], with identical
+/// first-match semantics.
 ///
 /// # Example
 ///
@@ -164,43 +162,38 @@ impl MaskGroup {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CompiledTable {
-    version: u64,
     groups: Vec<MaskGroup>,
     entries: usize,
 }
 
 impl CompiledTable {
-    /// Compiles a table into its mask-grouped form.
+    /// A copy of the index `table` keeps.
     pub fn compile(table: &McTable) -> Self {
-        let mut groups: Vec<MaskGroup> = Vec::new();
-        for (index, e) in table.iter().enumerate() {
-            let group = match groups.iter_mut().find(|g| g.mask == e.mask) {
-                Some(g) => g,
-                None => {
-                    groups.push(MaskGroup::new(e.mask));
-                    groups.last_mut().expect("just pushed")
-                }
-            };
-            group.insert(e.key & e.mask, index as u32, e.route);
-            // Keep occupancy at or below half so probe chains stay
-            // short. `occupied` is a scan, but compilation is rare
-            // (per table version) and tables are at most ~1k entries.
-            let occupied = group.occupied();
-            if occupied * 2 > group.slots.len() {
-                let capacity = group.slots.len() * 2;
-                group.rebuild(capacity);
-            }
-        }
-        CompiledTable {
-            version: table.version(),
-            groups,
-            entries: table.len(),
-        }
+        table.compiled().clone()
     }
 
-    /// The [`McTable::version`] this compilation reflects.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// Indexes `e` as the entry at CAM index [`CompiledTable::len`].
+    pub(crate) fn insert(&mut self, e: McTableEntry) {
+        let group = match self.groups.iter().position(|g| g.mask == e.mask) {
+            Some(i) => &mut self.groups[i],
+            None => {
+                self.groups.push(MaskGroup::new(e.mask));
+                self.groups.last_mut().expect("just pushed")
+            }
+        };
+        group.insert(e.key & e.mask, self.entries as u32, e.route);
+        // Keep occupancy at or below half so probe chains stay short.
+        if group.occupied * 2 > group.slots.len() {
+            let capacity = group.slots.len() * 2;
+            group.rebuild(capacity);
+        }
+        self.entries += 1;
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.groups.clear();
+        self.entries = 0;
     }
 
     /// Number of distinct ternary masks (hash probes per lookup).
@@ -208,12 +201,12 @@ impl CompiledTable {
         self.groups.len()
     }
 
-    /// Number of entries compiled in.
+    /// Number of entries indexed.
     pub fn len(&self) -> usize {
         self.entries
     }
 
-    /// Whether the compiled table is empty.
+    /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.entries == 0
     }
@@ -252,6 +245,10 @@ mod tests {
     fn matches_linear_scan_on_random_tables() {
         // A deterministic pseudo-random sweep: many entries, overlapping
         // masks, lookups compared against the linear scan bit-for-bit.
+        // Each table is refilled in batches, cleared before some of them,
+        // with batches large enough to grow the mask groups past their
+        // first rebuild (more than half of 8 slots) and small enough to
+        // stay below it: the index must track every insert and clear.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -261,25 +258,33 @@ mod tests {
         };
         for _ in 0..20 {
             let mut t = McTable::new(512);
-            for _ in 0..200 {
-                let key = next() as u32;
-                let mask = match next() % 4 {
-                    0 => 0xFFFF_F800,
-                    1 => 0xFFFF_F000,
-                    2 => 0xFFFF_8000,
-                    _ => u32::MAX,
-                };
-                t.insert(entry(key, mask, (next() % 26) as usize)).unwrap();
-            }
-            let c = CompiledTable::compile(&t);
-            assert_eq!(c.len(), 200);
-            for _ in 0..500 {
-                // Probe near inserted keys so hits actually occur.
-                let probe = next() as u32;
-                assert_eq!(c.lookup(probe), t.lookup(probe));
-            }
-            for e in t.iter() {
-                assert_eq!(c.lookup(e.key), t.lookup(e.key));
+            // Every key ever inserted, so cleared entries are probed too.
+            let mut keys = Vec::new();
+            for (batch, size) in [200, 3, 60, 120, 9].into_iter().enumerate() {
+                if batch > 0 && next() % 2 == 0 {
+                    t.clear();
+                    assert!(t.compiled().is_empty());
+                }
+                for _ in 0..size {
+                    let key = next() as u32;
+                    let mask = match next() % 4 {
+                        0 => 0xFFFF_F800,
+                        1 => 0xFFFF_F000,
+                        2 => 0xFFFF_8000,
+                        _ => u32::MAX,
+                    };
+                    t.insert(entry(key, mask, (next() % 26) as usize)).unwrap();
+                    keys.push(key);
+                }
+                let c = t.compiled();
+                assert_eq!(c.len(), t.len());
+                for _ in 0..500 {
+                    let probe = next() as u32;
+                    assert_eq!(c.lookup(probe), t.lookup(probe));
+                }
+                for &key in &keys {
+                    assert_eq!(c.lookup(key), t.lookup(key));
+                }
             }
         }
     }
@@ -322,15 +327,5 @@ mod tests {
         let c = CompiledTable::compile(&t);
         assert!(c.is_empty());
         assert_eq!(c.lookup(123), None);
-    }
-
-    #[test]
-    fn version_tracks_source_table() {
-        let mut t = McTable::new(4);
-        let c0 = CompiledTable::compile(&t);
-        t.insert(entry(0, u32::MAX, 1)).unwrap();
-        assert_ne!(c0.version(), t.version());
-        let c1 = CompiledTable::compile(&t);
-        assert_eq!(c1.version(), t.version());
     }
 }

@@ -1421,4 +1421,46 @@ mod tests {
         };
         assert_eq!(build(), build());
     }
+
+    #[test]
+    fn restored_tables_route_by_their_own_entries() {
+        let node = NodeCoord::new(1, 1);
+        let entry = |key, core| McTableEntry {
+            key,
+            mask: 0xFFFF_FF00,
+            route: RouteSet::EMPTY.with_core(core),
+        };
+        let mut saved = Fabric::new(FabricConfig::new(3, 3));
+        for (key, core) in [(0x100, 1), (0x200, 2)] {
+            saved
+                .router_mut(node)
+                .table
+                .insert(entry(key, core))
+                .unwrap();
+        }
+        let mut enc = spinn_sim::wire::Enc::new();
+        saved.encode_state(&mut enc);
+        let bytes = enc.into_bytes();
+
+        // The restore target holds other entries: after the restore its
+        // router must route by the snapshot's table alone.
+        let mut restored = Fabric::new(FabricConfig::new(3, 3));
+        restored
+            .router_mut(node)
+            .table
+            .insert(entry(0x300, 3))
+            .unwrap();
+        restored
+            .apply_state(&mut spinn_sim::wire::Dec::new(&bytes))
+            .unwrap();
+        let r = restored.router_mut(node);
+        assert!(r.table.iter().eq(saved.router(node).table.iter()));
+        for (key, want) in [(0x142, Some(1)), (0x242, Some(2)), (0x342, None)] {
+            let got = match r.decide_mc(key, Port::Local) {
+                RouteDecision::Multicast(route) => route.cores().next(),
+                RouteDecision::UnroutableLocal => None,
+            };
+            assert_eq!(got, want, "key {key:#x}");
+        }
+    }
 }

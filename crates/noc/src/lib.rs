@@ -15,9 +15,10 @@
 //! * [`table`] — the ternary-CAM multicast routing table: `(key, mask) →
 //!   route set` entries with first-match priority, plus default routing
 //!   (a packet with no matching entry continues straight through).
-//! * [`compiled`] — the hot-path form of the table: entries bucketed by
-//!   ternary mask into hash maps, one probe per distinct mask instead of
-//!   one compare per entry, with identical first-match semantics.
+//! * [`compiled`] — the lookup index every table keeps for the hot path:
+//!   entries bucketed by ternary mask into hash maps, one probe per
+//!   distinct mask instead of one compare per entry, with identical
+//!   first-match semantics.
 //! * [`router`] — one node's multicast packet router: output-link queues,
 //!   blocked-link detection with programmable `wait1`/`wait2`,
 //!   **emergency routing** around the two other sides of a mesh triangle

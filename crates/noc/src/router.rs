@@ -5,7 +5,6 @@
 //! state and the routing *decisions*, which makes them unit-testable in
 //! isolation.
 
-use crate::compiled::CompiledTable;
 use crate::direction::Direction;
 use crate::table::{McTable, RouteSet};
 
@@ -102,12 +101,11 @@ pub enum Port {
 
 /// One node's router: the multicast CAM plus statistics.
 ///
-/// Multicast lookups run against a [`CompiledTable`] — a key-indexed
-/// compilation of [`Router::table`] with identical first-match semantics
-/// — rather than the linear CAM scan. The compilation is refreshed
-/// lazily whenever the table's [`McTable::version`] changes, so direct
-/// table edits (plan loading, fault-injection rewrites, migration) are
-/// picked up automatically on the next packet.
+/// Multicast lookups run against the table's key-indexed lookup
+/// structure ([`crate::compiled::CompiledTable`], identical first-match
+/// semantics) rather than the linear CAM scan. The table keeps it
+/// current on every edit, so plan loading, fault-injection rewrites and
+/// migration take effect on the next packet.
 #[derive(Clone, Debug)]
 pub struct Router {
     /// The multicast routing table.
@@ -115,7 +113,6 @@ pub struct Router {
     /// Router statistics (read by the monitor processor).
     pub stats: RouterStats,
     cfg: RouterConfig,
-    compiled: CompiledTable,
 }
 
 impl Router {
@@ -125,7 +122,6 @@ impl Router {
             table: McTable::new(cfg.table_capacity),
             stats: RouterStats::default(),
             cfg,
-            compiled: CompiledTable::default(),
         }
     }
 
@@ -134,34 +130,19 @@ impl Router {
         &self.cfg
     }
 
-    /// The compiled lookup structure currently in use (recompiling first
-    /// if the table has been edited since the last packet).
-    pub fn compiled(&mut self) -> &CompiledTable {
-        self.refresh_compiled();
-        &self.compiled
-    }
-
-    fn refresh_compiled(&mut self) {
-        if self.compiled.version() != self.table.version() {
-            self.compiled = CompiledTable::compile(&self.table);
-            // Stats are cumulative across recompiles: both occupancy
-            // fields only ever ratchet upwards, so a wholesale table
-            // replacement (fault injection, migration) cannot regress
-            // what the monitor has already observed.
-            self.stats.table_peak_entries = self
-                .stats
-                .table_peak_entries
-                .max(self.table.peak_len() as u64);
-            self.stats.table_capacity = self.stats.table_capacity.max(self.table.capacity() as u64);
-        }
-    }
-
     /// Decides where a multicast packet goes. `input` is the arrival
     /// port; default routing continues straight through (out the port
     /// opposite the arrival port).
     pub fn decide_mc(&mut self, key: u32, input: Port) -> RouteDecision {
-        self.refresh_compiled();
-        match self.compiled.lookup(key) {
+        // The monitor sees the table's occupancy as of the last routing
+        // decision, so an edit shows in the stats (and in snapshots) only
+        // once a packet has been routed. Both fields only ratchet upwards:
+        // a wholesale table replacement (fault injection, migration)
+        // cannot regress what the monitor has already observed.
+        let s = &mut self.stats;
+        s.table_peak_entries = s.table_peak_entries.max(self.table.peak_len() as u64);
+        s.table_capacity = s.table_capacity.max(self.table.capacity() as u64);
+        match self.table.compiled().lookup(key) {
             Some(route) => {
                 self.stats.mc_table_hits += 1;
                 RouteDecision::Multicast(route)
@@ -247,19 +228,27 @@ mod tests {
     }
 
     #[test]
-    fn table_edits_recompile_before_next_decision() {
+    fn table_edits_show_in_stats_at_next_decision() {
         let mut r = Router::new(RouterConfig::default());
-        r.table
-            .insert(McTableEntry {
-                key: 0x10,
-                mask: 0xF0,
-                route: RouteSet::EMPTY.with_core(1),
-            })
-            .unwrap();
+        for key in [0x10, 0x20, 0x30] {
+            r.table
+                .insert(McTableEntry {
+                    key,
+                    mask: 0xF0,
+                    route: RouteSet::EMPTY.with_core(1),
+                })
+                .unwrap();
+        }
+        // The occupancy gauges are taken at routing decisions, not at
+        // edits: snapshot bytes depend on that timing.
+        assert_eq!(r.stats.table_peak_entries, 0);
+        assert_eq!(r.stats.table_capacity, 0);
         assert!(matches!(
             r.decide_mc(0x12, Port::Local),
             RouteDecision::Multicast(_)
         ));
+        assert_eq!(r.stats.table_peak_entries, 3);
+        assert_eq!(r.stats.table_capacity, 1024);
         // Fault-injection style rewrite: clear and repoint the table.
         r.table.clear();
         r.table
@@ -276,16 +265,19 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(r.stats.table_peak_entries, 1);
-        assert_eq!(r.stats.table_capacity, 1024);
+        assert_eq!(
+            r.decide_mc(0x22, Port::Local),
+            RouteDecision::UnroutableLocal
+        );
+        assert_eq!(r.stats.table_peak_entries, 3);
         assert!(r.stats.occupancy_ratio() > 0.0);
-        assert_eq!(r.compiled().len(), 1);
+        assert_eq!(r.table.compiled().len(), 1);
     }
 
     #[test]
     fn wholesale_table_replacement_recompiles() {
-        // Same edit count on both tables: only globally unique versions
-        // make the cached compilation miss after `table` is replaced.
+        // The replacement brings its own lookup index: the next packet
+        // routes by the new entries.
         let mut r = Router::new(RouterConfig::default());
         r.table
             .insert(McTableEntry {
@@ -294,7 +286,7 @@ mod tests {
                 route: RouteSet::EMPTY.with_core(1),
             })
             .unwrap();
-        let _ = r.decide_mc(0x12, Port::Local); // compile against old table
+        let _ = r.decide_mc(0x12, Port::Local); // route by the old table
         let mut replacement = McTable::new(1024);
         replacement
             .insert(McTableEntry {
@@ -339,11 +331,10 @@ mod tests {
 
     #[test]
     fn stats_stay_cumulative_across_table_version_bumps() {
-        // Regression: stats live on the router, not the compiled table,
-        // and must keep accumulating across lazy recompiles — including
-        // a wholesale replacement with a *smaller* table, which used to
-        // regress the recorded capacity (plain assignment instead of a
-        // ratchet).
+        // Regression: stats live on the router, not the table, and must
+        // keep accumulating across table edits — including a wholesale
+        // replacement with a *smaller* table, which used to regress the
+        // recorded capacity (plain assignment instead of a ratchet).
         let mut r = Router::new(RouterConfig::default());
         for key in 0..4 {
             r.table
@@ -357,7 +348,7 @@ mod tests {
         let _ = r.decide_mc(0, Port::Local); // hit
         let _ = r.decide_mc(99, Port::Link(Direction::West)); // default
 
-        // Edit-in-place bump: clear + re-insert.
+        // Edit in place: clear + re-insert.
         r.table.clear();
         r.table
             .insert(McTableEntry {
@@ -366,7 +357,7 @@ mod tests {
                 route: RouteSet::EMPTY.with_core(2),
             })
             .unwrap();
-        let _ = r.decide_mc(0, Port::Local); // hit against v2
+        let _ = r.decide_mc(0, Port::Local); // hit against the edit
 
         // Wholesale replacement with a smaller-capacity table.
         let mut small = McTable::new(16);
@@ -378,10 +369,10 @@ mod tests {
             })
             .unwrap();
         r.table = small;
-        let _ = r.decide_mc(0, Port::Local); // hit against v3
+        let _ = r.decide_mc(0, Port::Local); // hit against the replacement
         let _ = r.decide_mc(1, Port::Local); // miss: unroutable
 
-        assert_eq!(r.stats.mc_table_hits, 3, "hits accumulate across bumps");
+        assert_eq!(r.stats.mc_table_hits, 3, "hits accumulate across edits");
         assert_eq!(r.stats.mc_default_routed, 1);
         assert_eq!(r.stats.mc_unroutable_local, 1);
         assert_eq!(r.stats.table_peak_entries, 4, "peak ratchets");

@@ -8,6 +8,7 @@
 //! straight through, out of the link opposite its arrival port — which is
 //! what lets the mapper omit entries along straight path segments.
 
+use crate::compiled::CompiledTable;
 use crate::direction::Direction;
 
 /// A set of router outputs: up to 6 inter-chip links and up to 26 local
@@ -115,7 +116,9 @@ impl McTableEntry {
     }
 }
 
-/// A node's multicast routing table (ordered: first match wins).
+/// A node's multicast routing table (ordered: first match wins), with
+/// the key-indexed lookup structure ([`CompiledTable`]) it keeps current
+/// on every insert and clear.
 ///
 /// # Example
 ///
@@ -136,18 +139,8 @@ impl McTableEntry {
 pub struct McTable {
     entries: Vec<McTableEntry>,
     capacity: usize,
-    version: u64,
     peak_len: usize,
-}
-
-/// Source of globally unique table versions: every mutation of any
-/// table draws a fresh value, so two *different* tables can never share
-/// a version (a cached compilation keyed on the version of a table that
-/// was wholesale-replaced must miss, not silently match).
-static NEXT_VERSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn fresh_version() -> u64 {
-    NEXT_VERSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    index: CompiledTable,
 }
 
 /// Error returned when a routing table's CAM capacity is exhausted.
@@ -176,8 +169,8 @@ impl McTable {
         McTable {
             entries: Vec::new(),
             capacity,
-            version: fresh_version(),
             peak_len: 0,
+            index: CompiledTable::default(),
         }
     }
 
@@ -192,9 +185,9 @@ impl McTable {
                 capacity: self.capacity,
             });
         }
+        self.index.insert(entry);
         self.entries.push(entry);
         self.peak_len = self.peak_len.max(self.entries.len());
-        self.version = fresh_version();
         Ok(())
     }
 
@@ -203,16 +196,12 @@ impl McTable {
     /// ([`McTable::peak_len`]) survives.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.version = fresh_version();
+        self.index.clear();
     }
 
-    /// Globally unique edit stamp: every mutation of any table draws a
-    /// fresh value, so cached compilations
-    /// ([`crate::compiled::CompiledTable`]) detect both in-place edits
-    /// and wholesale table replacement, and routers recompile after
-    /// fault-injection table rewrites.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// The key-indexed lookup structure over the current entries.
+    pub(crate) fn compiled(&self) -> &CompiledTable {
+        &self.index
     }
 
     /// Most entries ever simultaneously installed (CAM occupancy
@@ -221,7 +210,8 @@ impl McTable {
         self.peak_len
     }
 
-    /// Looks a packet key up; `None` means default-route.
+    /// Looks a packet key up by scanning the entries in priority order,
+    /// as the CAM compares them; `None` means default-route.
     pub fn lookup(&self, packet_key: u32) -> Option<RouteSet> {
         self.entries
             .iter()
@@ -339,23 +329,6 @@ mod tests {
         let err = t.insert(e).unwrap_err();
         assert_eq!(err.capacity, 1);
         assert_eq!(err.to_string(), "multicast routing table full (1 entries)");
-    }
-
-    #[test]
-    fn version_bumps_on_every_mutation() {
-        let mut t = McTable::new(4);
-        let v0 = t.version();
-        t.insert(McTableEntry {
-            key: 0,
-            mask: 0,
-            route: RouteSet::EMPTY,
-        })
-        .unwrap();
-        assert!(t.version() > v0);
-        let v1 = t.version();
-        t.clear();
-        assert!(t.version() > v1);
-        assert!(t.is_empty());
     }
 
     #[test]

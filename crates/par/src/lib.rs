@@ -80,12 +80,6 @@
 //! function of the loaded cores, fixed by the build
 //! (`NeuralMachine::run_segment`).
 //!
-//! Determinism is preserved per shard: models that need randomness
-//! should key their PRNG stream by shard id (e.g.
-//! [`shard_stream`]), so a run is a pure function of `(seed, shard
-//! count)` — and, for models meeting the exchange contract, of `seed`
-//! alone.
-//!
 //! Memory moves with the shards, not across them: when the neural
 //! machine partitions its chips, each application core's synaptic
 //! matrix (the master-population-table + contiguous-arena state of
@@ -105,28 +99,3 @@
 mod engine;
 
 pub use engine::{host_parallelism, ParEngine, ParStats, RemoteEvent, ShardModel, ShardParts};
-
-use spinn_sim::Xoshiro256;
-
-/// A deterministic per-shard PRNG stream: shard `i` of a run seeded
-/// with `seed` always sees the same sequence, regardless of thread
-/// scheduling or shard count.
-pub fn shard_stream(seed: u64, shard: usize) -> Xoshiro256 {
-    // Distinct golden-ratio offsets decorrelate the per-shard streams.
-    Xoshiro256::seed_from_u64(seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shard_streams_are_deterministic_and_distinct() {
-        let mut a0 = shard_stream(7, 0);
-        let mut a0b = shard_stream(7, 0);
-        let mut a1 = shard_stream(7, 1);
-        let x = a0.next_u64();
-        assert_eq!(x, a0b.next_u64());
-        assert_ne!(x, a1.next_u64());
-    }
-}

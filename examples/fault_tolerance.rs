@@ -103,8 +103,8 @@ fn main() -> Result<(), SpinnError> {
     m = build(true)?;
     let payload = m.evict_core(NodeCoord::new(3, 0), 1).expect("loaded");
     m.install_core(NodeCoord::new(3, 1), 1, payload)?;
-    // Re-point the last hop: extend the tree one hop north. The router
-    // recompiles its lookup structure on the next packet.
+    // Re-point the last hop: extend the tree one hop north. The table
+    // keeps its lookup index current, so the next packet sees the edit.
     m.router_mut(NodeCoord::new(3, 0)).table.clear();
     m.router_mut(NodeCoord::new(3, 0))
         .table

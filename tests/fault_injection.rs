@@ -128,8 +128,8 @@ fn migration_after_core_loss_preserves_spiking() {
     // Rewrite the table entries that delivered to the old core. The
     // installed tables are minimized, so the entry covering the source
     // key may be a widened (merged) one — match by coverage, not by
-    // exact key. The router recompiles its lookup structure lazily
-    // after the edit.
+    // exact key. The table keeps its lookup index current, so the next
+    // packet routes by the edit.
     let key = spinn_map::keys::core_base_key(src_slice.global_core);
     let router = machine.router_mut(dst_slice.chip);
     let old_entries: Vec<_> = router.table.iter().copied().collect();

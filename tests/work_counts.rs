@@ -4,7 +4,7 @@
 //! or walks a row twice fails `cargo test`, not a benchmark someone has
 //! to remember to run.
 //!
-//! Four nets shrunk from the benchmark's workloads, each run for
+//! Five nets shrunk from the benchmark's workloads, each run for
 //! `RUN_MS` in one segment at 1 and 2 forced shards:
 //!
 //! * `cortex`: a ring of `FixedProbability` projections, every
@@ -19,7 +19,12 @@
 //!   lazy Bernoulli rows, every population Poisson-driven, STDP on (the
 //!   shape of `plastic_stdp`: the traffic of both the STDP rule and lazy
 //!   Bernoulli replay). Its rows written back are pinned beside the
-//!   counts.
+//!   counts;
+//! * `randgraph`: sparse `FixedProbability` projections from every
+//!   population to 4 random targets, placed at random, every population
+//!   Poisson-driven (the shape of `build_randgraph`). Its routing-table
+//!   sizes before and after minimization, and the peak CAM occupancy of
+//!   any router after the run, are pinned beside the counts.
 //!
 //! The literals were recorded from the code as it stood when this file
 //! was added. A change that moves one on purpose updates it and says
@@ -38,10 +43,16 @@
 //! before the STDP weight change became one function of `stdp.rs` and
 //! the Bernoulli gap draw one function of `gen.rs` (both behaviour-
 //! preserving, so the literals pin the same rule across that change).
+//!
+//! The `randgraph` literals were recorded from the code as it stood just
+//! before each routing table began to keep its own lookup index (routers
+//! had compiled a private copy of their table at the first packet after
+//! an edit), so they pin the same routing across that change.
 
 use spinnaker::neuron::stdp::StdpParams;
 use spinnaker::obs::{Counter, Phase};
 use spinnaker::prelude::*;
+use spinnaker::sim::Xoshiro256;
 
 /// What one run did.
 #[derive(Debug, PartialEq, Eq)]
@@ -261,6 +272,38 @@ fn plastic(shards: u32) -> RunSession {
     run(&net, cfg, &poisson, shards)
 }
 
+/// 32 × 256 neurons, each population sending sparse random projections
+/// to 4 targets drawn at random, placed at random on 8 × 8 chips at 64
+/// neurons per core, every population Poisson-driven at 10 Hz: the shape
+/// of `build_randgraph`, whose build routes, minimizes and installs a
+/// table on nearly every chip.
+fn randgraph(shards: u32) -> RunSession {
+    let mut rng = Xoshiro256::seed_from_u64(0x6A2D);
+    let mut net = NetworkGraph::new();
+    let pops: Vec<_> = (0..32)
+        .map(|i| net.population(&format!("g{i}"), 256, rs(), 0.0))
+        .collect();
+    for &src in &pops {
+        for k in 0..4u8 {
+            let dst = pops[rng.gen_range_usize(pops.len())];
+            net.project(
+                src,
+                dst,
+                Connector::FixedProbability(0.05),
+                Synapses::constant(600, 1 + k),
+                rng.next_u64(),
+            );
+        }
+    }
+    let poisson: Vec<_> = pops.iter().map(|&p| (p, 10.0, rng.next_u64())).collect();
+    let cfg = SimConfig::new(8, 8)
+        .with_neurons_per_core(64)
+        .with_placer(Placer::Random {
+            seed: rng.next_u64(),
+        });
+    run(&net, cfg, &poisson, shards)
+}
+
 /// Runs `net` at 1 and 2 shards and compares with the pinned counts.
 fn check(name: &str, net: fn(u32) -> Counts, want: [Counts; 2]) {
     check_counts(name, [net(1), net(2)], want);
@@ -423,6 +466,56 @@ fn plastic_work_counts() {
         writebacks,
         [4_087, 4_087],
         "plastic: rows written back moved"
+    );
+}
+
+#[test]
+fn randgraph_work_counts() {
+    let runs = [randgraph(1), randgraph(2)];
+    let tables = runs.each_ref().map(|s| {
+        let r = s.route_stats();
+        (
+            r.pre_minimize_entries,
+            r.total_entries,
+            s.machine().router_stats().table_peak_entries,
+        )
+    });
+    check_counts(
+        "randgraph",
+        runs.each_ref().map(counts),
+        [
+            Counts {
+                spikes: 276,
+                events: 328_761,
+                neurons_ticked: 327_680,
+                synaptic_events: 184_376,
+                dma_bytes: 953_712,
+                queue_pops: 161_710,
+                pool_ticks: 5_120,
+                lazy_rows: 0,
+                windows: 1,
+                busy: 1,
+            },
+            Counts {
+                spikes: 276,
+                events: 328_801,
+                neurons_ticked: 327_680,
+                synaptic_events: 184_376,
+                dma_bytes: 953_712,
+                queue_pops: 161_750,
+                pool_ticks: 5_120,
+                lazy_rows: 0,
+                windows: 1_651,
+                busy: 3_196,
+            },
+        ],
+    );
+    // (entries before minimization, entries installed, peak CAM
+    // occupancy of any router after the run)
+    assert_eq!(
+        tables,
+        [(2_270, 932, 35); 2],
+        "randgraph: routing tables moved"
     );
 }
 
