@@ -39,15 +39,12 @@ pub mod session;
 mod simulation;
 
 pub use error::{SdramOverflow, SpinnError};
-pub use session::{RunSession, SegmentSummary, Snapshot};
+pub use session::{RunSession, Snapshot};
 pub use simulation::{Completed, PopSpike, SimConfig, Simulation};
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use crate::{
-        Completed, PopSpike, RunSession, SegmentSummary, SimConfig, Simulation, Snapshot,
-        SpinnError,
-    };
+    pub use crate::{Completed, PopSpike, RunSession, SimConfig, Simulation, Snapshot, SpinnError};
     pub use spinn_machine::config::MachineConfig;
     pub use spinn_map::graph::{Connector, NetworkGraph, NeuronKind, PopulationId, Synapses};
     pub use spinn_map::place::Placer;

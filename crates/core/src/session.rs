@@ -56,7 +56,7 @@ use spinn_map::route::{RouteStats, RoutingPlan};
 use spinn_neuron::stdp::StdpParams;
 use spinn_noc::direction::Direction;
 use spinn_noc::mesh::NodeCoord;
-use spinn_obs::{Counter, RunTelemetry};
+use spinn_obs::RunTelemetry;
 use spinn_sim::wire::{Dec, Enc, WireError};
 use spinn_sim::Xoshiro256;
 
@@ -101,26 +101,6 @@ impl Snapshot {
     }
 }
 
-/// Telemetry summary of one [`RunSession::run_for`] segment, recorded
-/// whenever the run was built with observability enabled
-/// ([`crate::SimConfig::with_observability`]). Counts are deltas over
-/// the segment, not cumulative totals — the per-job readout of warm
-/// multi-run serving. Summaries live in the session only; they do not
-/// ride in checkpoints.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SegmentSummary {
-    /// Biological time at segment start, ms.
-    pub start_ms: u32,
-    /// Segment length, ms.
-    pub ms: u32,
-    /// Discrete events dispatched during the segment.
-    pub events: u64,
-    /// Spikes emitted during the segment.
-    pub spikes: u64,
-    /// Synaptic events (row entries walked) during the segment.
-    pub synaptic_events: u64,
-}
-
 /// A Poisson spike source attached to a session: every neuron of `pop`
 /// fires independently at `rate_hz`, with spikes injected at the
 /// population's home chips. The RNG stream is consumed tick-major, so
@@ -147,10 +127,6 @@ pub struct RunSession {
     route_stats: RouteStats,
     pop_names: Vec<String>,
     slice_of_core: HashMap<u32, (PopulationId, u32)>,
-    segments: Vec<SegmentSummary>,
-    /// Cumulative (events, spikes, synaptic events) at the end of the
-    /// last segment — the baseline for the next segment's deltas.
-    seg_baseline: (u64, u64, u64),
 }
 
 impl RunSession {
@@ -172,8 +148,6 @@ impl RunSession {
             route_stats,
             pop_names,
             slice_of_core,
-            segments: Vec::new(),
-            seg_baseline: (0, 0, 0),
         }
     }
 
@@ -222,13 +196,6 @@ impl RunSession {
     /// ([`crate::SimConfig::with_observability`]).
     pub fn telemetry(&self) -> &RunTelemetry {
         self.machine_ref().telemetry()
-    }
-
-    /// Per-segment telemetry summaries, one entry per
-    /// [`RunSession::run_for`] call, recorded when observability is
-    /// enabled (empty otherwise). Counts are per-segment deltas.
-    pub fn segment_summaries(&self) -> &[SegmentSummary] {
-        &self.segments
     }
 
     /// Worker threads the next segment will run on (see
@@ -410,22 +377,6 @@ impl RunSession {
         let pending = std::mem::take(&mut self.pending);
         let (machine, pending) =
             machine.run_segment(pending, self.elapsed_ms, ms, self.threads as usize);
-        let telemetry = machine.telemetry();
-        if telemetry.is_enabled() {
-            let totals = (
-                telemetry.total(Counter::Events),
-                telemetry.total(Counter::Spikes),
-                telemetry.total(Counter::SynapticEvents),
-            );
-            self.segments.push(SegmentSummary {
-                start_ms: self.elapsed_ms,
-                ms,
-                events: totals.0.saturating_sub(self.seg_baseline.0),
-                spikes: totals.1.saturating_sub(self.seg_baseline.1),
-                synaptic_events: totals.2.saturating_sub(self.seg_baseline.2),
-            });
-            self.seg_baseline = totals;
-        }
         self.machine = Some(machine);
         self.pending = pending;
         self.elapsed_ms = target;

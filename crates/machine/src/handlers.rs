@@ -354,8 +354,7 @@ impl NeuralMachine {
             c.spikes_emitted += c.pending_spikes.len() as u64;
             let n_neurons = c.neurons.len() as u64;
             let n_spikes = c.pending_spikes.len() as u64;
-            self.obs.counters().add(Counter::NeuronsTicked, n_neurons);
-            self.obs.counters().add(Counter::Spikes, n_spikes);
+            self.obs.count(Counter::NeuronsTicked, n_neurons);
             c.current = Some(WorkItem::Timer);
             let tracing = self.obs.tracing();
             let c = self.cores[idx].as_ref().expect("checked above");
@@ -415,7 +414,6 @@ impl NeuralMachine {
                     let done = start + self.cfg.dma_ns(bytes);
                     self.dma_free_at[chip as usize] = done;
                     self.meter.sdram_bytes += bytes;
-                    self.obs.counters().add(Counter::DmaBytes, bytes);
                     self.agenda.start_dma(
                         chip,
                         DmaInFlight {
@@ -478,12 +476,11 @@ impl NeuralMachine {
                 }
                 c.ring_quiet_ms = (now / MS) as u32 + RING_SLOTS as u32 + 1;
                 self.obs.phases().record(Phase::RowWalk, tok);
-                self.obs.counters().add(Counter::SynapticEvents, row_events);
+                self.obs.count(Counter::SynapticEvents, row_events);
                 if let Some(bytes) = writeback_bytes {
                     // §5.3: modified connectivity data is DMAed back.
                     self.weight_writebacks += 1;
                     self.meter.sdram_bytes += bytes;
-                    self.obs.counters().add(Counter::DmaBytes, bytes);
                     let start = now.max(self.dma_free_at[chip as usize]);
                     self.dma_free_at[chip as usize] = start + self.cfg.dma_ns(bytes);
                 }
@@ -649,7 +646,7 @@ impl NeuralMachine {
         if resolved > 0 {
             // A resolved completion is an event handled, wherever it
             // was kept.
-            self.obs.counters().add(Counter::Events, resolved);
+            self.obs.count(Counter::Events, resolved);
         }
     }
 
@@ -894,7 +891,7 @@ impl Model for NeuralMachine {
         // A wake is not an event of its own: the completions it stands
         // for are counted as they resolve.
         if !matches!(ev, MachineEvent::CoreDone { .. }) {
-            self.obs.counters().add(Counter::Events, 1);
+            self.obs.count(Counter::Events, 1);
         }
         match ev {
             MachineEvent::Noc(ev) => {

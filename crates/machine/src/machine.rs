@@ -44,7 +44,7 @@ use spinn_noc::direction::Direction;
 use spinn_noc::fabric::{Delivery, DroppedPacket, Fabric};
 use spinn_noc::mesh::NodeCoord;
 use spinn_noc::router::RouterStats;
-use spinn_obs::{ObsMode, Observability, RunTelemetry};
+use spinn_obs::{Counter, ObsMode, Observability, RunTelemetry};
 use spinn_sim::Histogram;
 
 use crate::config::MachineConfig;
@@ -203,6 +203,17 @@ impl std::fmt::Display for DtcmOverflow {
 
 impl std::error::Error for DtcmOverflow {}
 
+/// The counters telemetry reads off the model's own tallies
+/// ([`NeuralMachine::tallies`]) once per segment, instead of counting
+/// each event a second time.
+const TALLIED: [Counter; 5] = [
+    Counter::PacketsMc,
+    Counter::PacketsDropped,
+    Counter::EmergencyHops,
+    Counter::DmaBytes,
+    Counter::Spikes,
+];
+
 /// The whole neural machine: fabric + loaded application cores.
 ///
 /// # Example
@@ -286,8 +297,11 @@ pub struct NeuralMachine {
     pub(crate) delivery_scratch: Vec<Delivery>,
     pub(crate) dropped_scratch: Vec<DroppedPacket>,
     /// Live telemetry handles for the current segment (shard-scoped
-    /// while sharded; the fabric holds a clone of the counter handle).
+    /// while sharded).
     pub(crate) obs: Observability,
+    /// This shard's [`NeuralMachine::tallies`] when the segment began
+    /// (only read while telemetry is on).
+    pub(crate) tallies_at_start: [u64; TALLIED.len()],
     /// Telemetry accumulated across completed segments
     /// ([`NeuralMachine::telemetry`]).
     pub(crate) telemetry: RunTelemetry,
@@ -298,11 +312,8 @@ impl NeuralMachine {
     pub fn new(cfg: MachineConfig) -> Self {
         let chips = cfg.chips();
         let per = cfg.cores_per_chip as usize;
-        let obs = Observability::for_shard_with_cap(cfg.obs, 0, Self::auto_trace_cap(0));
-        let mut fabric = Fabric::new(cfg.fabric);
-        fabric.set_observability(obs.counters().clone());
         NeuralMachine {
-            fabric,
+            fabric: Fabric::new(cfg.fabric),
             cores: (0..chips * per).map(|_| None).collect(),
             dma_free_at: vec![0; chips],
             agenda: Agenda::new(chips, per),
@@ -325,21 +336,19 @@ impl NeuralMachine {
             charged_ms: 0,
             delivery_scratch: Vec::new(),
             dropped_scratch: Vec::new(),
-            obs,
+            obs: Observability::for_shard_with_cap(cfg.obs, 0, Self::auto_trace_cap(0)),
+            tallies_at_start: [0; TALLIED.len()],
             telemetry: RunTelemetry::default(),
             cfg,
         }
     }
 
-    /// Re-creates the live telemetry handles scoped to `shard` and
-    /// re-registers the counter handle with the fabric (which may have
-    /// been replaced wholesale, e.g. by the shard-split clone). Called
+    /// Re-creates the live telemetry handles scoped to `shard`. Called
     /// at segment start, when the loaded neuron count — which sizes the
     /// trace ring — is known.
     fn install_observability(&mut self, shard: u32, neurons: usize) {
         let cap = Self::auto_trace_cap(neurons);
         self.obs = Observability::for_shard_with_cap(self.cfg.obs, shard, cap);
-        self.fabric.set_observability(self.obs.counters().clone());
     }
 
     /// The per-shard trace ring capacity (only used in
@@ -356,9 +365,10 @@ impl NeuralMachine {
     }
 
     /// Readies this machine (one shard of the segment) to run from
-    /// `from_ms`: the timer starts there, and the telemetry handles are
-    /// scoped to `shard`. The trace ring is sized by the loaded neurons,
-    /// so only a traced segment walks the core slots.
+    /// `from_ms`: the timer starts there, the telemetry handles are
+    /// scoped to `shard`, and counted runs note where the tallies
+    /// stand. The trace ring is sized by the loaded neurons, so only a
+    /// traced segment walks the core slots.
     pub(crate) fn begin_segment(&mut self, shard: u32, from_ms: u32) {
         self.timer_ms = from_ms;
         let neurons = if self.cfg.obs == ObsMode::CountersAndTrace {
@@ -367,6 +377,37 @@ impl NeuralMachine {
             0
         };
         self.install_observability(shard, neurons);
+        if self.cfg.obs != ObsMode::Disabled {
+            self.tallies_at_start = self.tallies();
+        }
+    }
+
+    /// The model's own tallies behind [`TALLIED`], in its order: the
+    /// routers' multicast decisions, drops of every kind and emergency
+    /// hops, the meter's DMA bytes, the raster's spikes.
+    fn tallies(&self) -> [u64; TALLIED.len()] {
+        let s = self.fabric.total_stats();
+        [
+            s.mc_table_hits + s.mc_default_routed,
+            s.dropped + s.aged_out + s.mc_unroutable_local,
+            s.emergency_reroutes + s.emergency_second_legs,
+            self.meter.sdram_bytes,
+            self.spikes.len() as u64,
+        ]
+    }
+
+    /// Counts what this shard's tallies grew by since
+    /// [`NeuralMachine::begin_segment`]. Only a shard's owned routers
+    /// route on its fabric replica, so the growth is its own work — as
+    /// long as shard 0 counts before it merges the others.
+    pub(crate) fn count_tallies(&mut self) {
+        if self.cfg.obs == ObsMode::Disabled {
+            return;
+        }
+        let now = self.tallies();
+        for ((&c, now), start) in TALLIED.iter().zip(now).zip(self.tallies_at_start) {
+            self.obs.count(c, now - start);
+        }
     }
 
     /// Telemetry accumulated by completed run segments (empty unless

@@ -165,16 +165,15 @@ impl NeuralMachine {
         // Settled cores skipped the segment's ticks: charge them before
         // anything reads the meter.
         m.charge_settled();
-        m.obs.counters().gauge_max(Counter::QueuePeak, peak as u64);
+        m.obs.gauge_max(Counter::QueuePeak, peak as u64);
+        m.count_tallies();
         m.telemetry.absorb(&mut m.obs);
         let mut drained = vec![m.agenda_into_pending(queued)];
         for (s, ((mut shard, queued), peak)) in (1..).zip(parts) {
             shard.charge_settled();
             drained.push(shard.agenda_into_pending(queued));
-            shard
-                .obs
-                .counters()
-                .gauge_max(Counter::QueuePeak, peak as u64);
+            shard.obs.gauge_max(Counter::QueuePeak, peak as u64);
+            shard.count_tallies();
             m.telemetry.absorb(&mut shard.obs);
             m.merge_shard(shard, s);
         }

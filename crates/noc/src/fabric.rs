@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 
-use spinn_obs::{Counter, CounterShard};
 use spinn_sim::{Context, Histogram, Model};
 
 use crate::direction::Direction;
@@ -271,9 +270,6 @@ pub struct Fabric {
     dropped: Vec<DroppedPacket>,
     partition: Option<Partition>,
     remote: Vec<(u64, u32, NocEvent)>,
-    /// Telemetry counter handle (disabled by default: every increment is
-    /// a `None`-check). Not part of checkpoint state.
-    obs: CounterShard,
 }
 
 impl Fabric {
@@ -290,17 +286,7 @@ impl Fabric {
             dropped: Vec::new(),
             partition: None,
             remote: Vec::new(),
-            obs: CounterShard::default(),
         }
-    }
-
-    /// Installs a telemetry counter handle: the fabric counts routed
-    /// packets by class ([`Counter::PacketsMc`], [`Counter::PacketsP2p`],
-    /// [`Counter::PacketsNn`]), drops and emergency-route hops into it.
-    /// The handle is shared (cloned from the owning model's
-    /// [`spinn_obs::Observability`]) and is not checkpoint state.
-    pub fn set_observability(&mut self, obs: CounterShard) {
-        self.obs = obs;
     }
 
     /// Restricts this fabric instance to the nodes a shard owns: packets
@@ -553,7 +539,6 @@ impl Fabric {
     ) {
         if flight.hops > self.cfg.max_hops {
             self.routers[node].stats.aged_out += 1;
-            self.obs.add(Counter::PacketsDropped, 1);
             return;
         }
         let coord = self.torus.coord_of(node);
@@ -565,7 +550,6 @@ impl Fabric {
                     let out = Router::second_leg_output(port);
                     flight.packet.emergency = EmergencyState::SecondLeg;
                     self.routers[node].stats.emergency_second_legs += 1;
-                    self.obs.add(Counter::EmergencyHops, 1);
                     self.output(now, node, out, flight, sched);
                 }
                 EmergencyState::SecondLeg => {
@@ -580,7 +564,6 @@ impl Fabric {
             PacketKind::PointToPoint => self.route_p2p(now, coord, flight, sched),
             PacketKind::NearestNeighbour => {
                 self.routers[node].stats.nn_delivered += 1;
-                self.obs.add(Counter::PacketsNn, 1);
                 self.deliveries.push(Delivery {
                     node: coord,
                     cores: 0,
@@ -604,7 +587,6 @@ impl Fabric {
         let id = self.torus.id_of(node);
         match self.routers[id].decide_mc(flight.packet.key, port) {
             RouteDecision::Multicast(route) => {
-                self.obs.add(Counter::PacketsMc, 1);
                 if route.core_mask() != 0 {
                     self.routers[id].stats.mc_local_deliveries += 1;
                     self.deliveries.push(Delivery {
@@ -621,7 +603,6 @@ impl Fabric {
                 }
             }
             RouteDecision::UnroutableLocal => {
-                self.obs.add(Counter::PacketsDropped, 1);
                 self.dropped.push(DroppedPacket {
                     node,
                     packet: flight.packet,
@@ -642,7 +623,6 @@ impl Fabric {
         let id = self.torus.id_of(node);
         if node == dest {
             self.routers[id].stats.p2p_delivered += 1;
-            self.obs.add(Counter::PacketsP2p, 1);
             self.deliveries.push(Delivery {
                 node,
                 cores: 0,
@@ -654,7 +634,6 @@ impl Fabric {
             return;
         }
         self.routers[id].stats.p2p_forwarded += 1;
-        self.obs.add(Counter::PacketsP2p, 1);
         let next = self
             .torus
             .p2p_next_hop(node, dest)
@@ -715,7 +694,6 @@ impl Fabric {
             let leg = dir.rotate_ccw();
             if self.try_enqueue(now, node, leg, redirected, sched) {
                 self.routers[node].stats.emergency_reroutes += 1;
-                self.obs.add(Counter::EmergencyHops, 1);
                 return;
             }
         }
@@ -752,7 +730,6 @@ impl Fabric {
             // §5.3: "then it gives up and drops the packet. The local
             // Monitor Processor is informed of the failure."
             self.routers[node].stats.dropped += 1;
-            self.obs.add(Counter::PacketsDropped, 1);
             self.dropped.push(DroppedPacket {
                 node: self.torus.coord_of(node),
                 packet: flight.packet,

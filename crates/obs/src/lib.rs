@@ -5,13 +5,16 @@
 //! simulated machine's equivalent: a telemetry core the whole stack
 //! threads through, cheap enough to leave compiled in everywhere.
 //!
-//! Three collection layers, each independently zero-cost when off:
+//! Three collection layers, each independently near-free when off:
 //!
-//! * **Counters** ([`CounterShard`]) — a per-shard, cache-line-padded
-//!   registry of relaxed-atomic event counters ([`Counter`]): spikes,
-//!   packets by route class, drops, DMA bytes, queue occupancy
-//!   high-water, emergency-route hops. A disabled shard is a `None`
-//!   handle; [`CounterShard::add`] on it is a branch and nothing else.
+//! * **Counters** ([`Counter`]) — per-shard event totals: spikes,
+//!   multicast packets routed, drops, DMA bytes, queue occupancy
+//!   high-water, emergency-route hops, and the host's own work. Each
+//!   shard runs on one worker and owns its [`Observability`], so a
+//!   count is a plain add ([`Observability::count`]). Totals the
+//!   simulated machine already keeps (its raster, router statistics
+//!   and energy meter) are not counted twice: the machine reads what
+//!   they grew by at segment end.
 //! * **Phase timing** ([`PhaseProbe`]) — a sample count and summed
 //!   duration per tick phase ([`Phase`]): queue pop, neuron tick,
 //!   synaptic-row walk, router lookup, barrier wait. Enabled only in
@@ -47,12 +50,12 @@ use std::time::Instant;
 /// bit-identical across all three.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ObsMode {
-    /// No collection. Every hook is a `None`-check (the default).
+    /// No collection (the default): counts go nowhere, and the phase
+    /// and trace hooks are a `None`-check.
     #[default]
     Disabled,
-    /// Event counters only: relaxed-atomic increments, cheap enough
-    /// for production runs (measured at +0.3 % over
-    /// [`ObsMode::Disabled`] throughput on a one-core host).
+    /// Event counters only: a plain add per counted event, plus one
+    /// read of the machine's own tallies per shard and segment.
     Counters,
     /// Counters plus tick-phase timing tallies plus the bounded
     /// event tracer — the debugging/profiling mode.
@@ -83,10 +86,6 @@ pub enum Counter {
     SynapticEvents,
     /// Multicast routing decisions taken.
     PacketsMc,
-    /// Point-to-point packets delivered or forwarded.
-    PacketsP2p,
-    /// Nearest-neighbour packets delivered.
-    PacketsNn,
     /// Packets dropped (unroutable, retry-exhausted or aged out).
     PacketsDropped,
     /// Bytes moved over the simulated SDRAM DMA ports.
@@ -102,7 +101,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the registry.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 9;
 
     /// Every counter, in registry order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -110,8 +109,6 @@ impl Counter {
         Counter::NeuronsTicked,
         Counter::SynapticEvents,
         Counter::PacketsMc,
-        Counter::PacketsP2p,
-        Counter::PacketsNn,
         Counter::PacketsDropped,
         Counter::DmaBytes,
         Counter::EmergencyHops,
@@ -126,8 +123,6 @@ impl Counter {
             Counter::NeuronsTicked => "neurons_ticked",
             Counter::SynapticEvents => "synaptic_events",
             Counter::PacketsMc => "packets_mc",
-            Counter::PacketsP2p => "packets_p2p",
-            Counter::PacketsNn => "packets_nn",
             Counter::PacketsDropped => "packets_dropped",
             Counter::DmaBytes => "dma_bytes",
             Counter::EmergencyHops => "emergency_hops",
@@ -139,77 +134,6 @@ impl Counter {
     /// True for gauges (merged with `max` rather than summed).
     pub fn is_gauge(self) -> bool {
         matches!(self, Counter::QueuePeak)
-    }
-}
-
-/// One atomic counter padded out to its own cache line, so shards (and
-/// the fabric handle cloned from a shard) never false-share.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct PaddedU64(AtomicU64);
-
-/// The per-shard counter storage.
-#[derive(Debug)]
-struct CounterSet {
-    vals: [PaddedU64; Counter::COUNT],
-}
-
-impl CounterSet {
-    fn new() -> CounterSet {
-        CounterSet {
-            vals: std::array::from_fn(|_| PaddedU64::default()),
-        }
-    }
-}
-
-/// A cloneable handle onto one shard's counter set (or onto nothing,
-/// when telemetry is disabled). Clones share the same storage — the
-/// machine hands one clone to its fabric so router increments land in
-/// the owning shard's registry.
-#[derive(Clone, Debug, Default)]
-pub struct CounterShard(Option<Arc<CounterSet>>);
-
-impl CounterShard {
-    /// A live shard with fresh (all-zero) counters.
-    pub fn enabled() -> CounterShard {
-        CounterShard(Some(Arc::new(CounterSet::new())))
-    }
-
-    /// Whether increments on this handle are recorded anywhere.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Adds `n` to `c` (relaxed; a no-op branch when disabled).
-    #[inline]
-    pub fn add(&self, c: Counter, n: u64) {
-        if let Some(set) = &self.0 {
-            set.vals[c as usize].0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises gauge `c` to at least `v` (relaxed `fetch_max`).
-    #[inline]
-    pub fn gauge_max(&self, c: Counter, v: u64) {
-        if let Some(set) = &self.0 {
-            set.vals[c as usize].0.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Reads every counter (zeros when disabled).
-    pub fn snapshot(&self) -> [u64; Counter::COUNT] {
-        match &self.0 {
-            Some(set) => std::array::from_fn(|i| set.vals[i].0.load(Ordering::Relaxed)),
-            None => [0; Counter::COUNT],
-        }
-    }
-
-    /// Reads and resets every counter (the segment-end harvest).
-    pub fn drain(&self) -> [u64; Counter::COUNT] {
-        match &self.0 {
-            Some(set) => std::array::from_fn(|i| set.vals[i].0.swap(0, Ordering::Relaxed)),
-            None => [0; Counter::COUNT],
-        }
     }
 }
 
@@ -469,13 +393,14 @@ impl Tracer {
 }
 
 /// One shard's complete telemetry handles for a run segment: the
-/// counter registry, the phase probe and (in
+/// counter totals, the phase probe and (in
 /// [`ObsMode::CountersAndTrace`]) the event tracer.
 #[derive(Debug, Default)]
 pub struct Observability {
     mode: ObsMode,
     shard: u32,
-    counters: CounterShard,
+    /// Indexed by [`Counter`]; [`RunTelemetry::absorb`] takes them.
+    counts: [u64; Counter::COUNT],
     phases: PhaseProbe,
     tracer: Option<Tracer>,
 }
@@ -494,24 +419,19 @@ impl Observability {
 
     /// Telemetry for one shard with an explicit trace ring capacity.
     ///
-    /// The default 16 Ki-record ring keeps the hot path cheap but loses
-    /// most records on event-heavy runs (E17 measured ~276 k overwrites
-    /// over a 10 ms segment); callers that want the full tail — trace
-    /// archaeology, conformance replay — size the ring to the run.
+    /// The default 16 Ki-record ring keeps the hot path cheap but
+    /// overwrites most records of an event-heavy segment; callers that
+    /// want the full tail — trace archaeology, conformance replay —
+    /// size the ring to the run.
     pub fn for_shard_with_cap(mode: ObsMode, shard: u32, trace_cap: usize) -> Observability {
-        let (counters, phases, tracer) = match mode {
-            ObsMode::Disabled => (CounterShard::default(), PhaseProbe::default(), None),
-            ObsMode::Counters => (CounterShard::enabled(), PhaseProbe::default(), None),
-            ObsMode::CountersAndTrace => (
-                CounterShard::enabled(),
-                PhaseProbe::enabled(),
-                Some(Tracer::new(trace_cap)),
-            ),
+        let (phases, tracer) = match mode {
+            ObsMode::Disabled | ObsMode::Counters => (PhaseProbe::default(), None),
+            ObsMode::CountersAndTrace => (PhaseProbe::enabled(), Some(Tracer::new(trace_cap))),
         };
         Observability {
             mode,
             shard,
-            counters,
+            counts: [0; Counter::COUNT],
             phases,
             tracer,
         }
@@ -527,10 +447,17 @@ impl Observability {
         self.shard
     }
 
-    /// The counter registry handle (cloneable; hand clones to
-    /// subsystems so their increments land here).
-    pub fn counters(&self) -> &CounterShard {
-        &self.counters
+    /// Adds `n` to counter `c`. A disabled handle's counts are never
+    /// read: [`RunTelemetry::absorb`] ignores it.
+    #[inline]
+    pub fn count(&mut self, c: Counter, n: u64) {
+        self.counts[c as usize] += n;
+    }
+
+    /// Raises gauge `c` to at least `v`.
+    pub fn gauge_max(&mut self, c: Counter, v: u64) {
+        let slot = &mut self.counts[c as usize];
+        *slot = (*slot).max(v);
     }
 
     /// The phase-timing handle (cloneable).
@@ -561,7 +488,7 @@ impl Observability {
 ///
 /// Unlike [`Counter`], these are *not* hot-path counters: the serving
 /// layer (`spinn-serve`) records them once per job on the host side, so
-/// they carry no atomic or padding machinery and are always on. They
+/// they are always on. They
 /// live in [`RunTelemetry`] so a server's accounting rides the same
 /// report/merge pipeline as the machine counters.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -679,7 +606,7 @@ impl RunTelemetry {
     }
 
     /// Adds `n` to tenant `tenant`'s counter `c`, creating the tenant
-    /// row on first touch. Host-side (no atomics): meant for the
+    /// row on first touch. Host-side: meant for the
     /// serving layer's once-per-job accounting, not the machine hot
     /// path.
     pub fn tenant_add(&mut self, tenant: u32, c: TenantCounter, n: u64) {
@@ -750,7 +677,7 @@ impl RunTelemetry {
         if self.mode == ObsMode::Disabled || obs.mode == ObsMode::CountersAndTrace {
             self.mode = obs.mode;
         }
-        let counters = obs.counters.drain();
+        let counters = std::mem::take(&mut obs.counts);
         let phases = obs.phases.drain();
         let entry = match self.shards.iter_mut().find(|s| s.shard == obs.shard) {
             Some(e) => e,
@@ -922,11 +849,9 @@ impl RunTelemetry {
         );
         let _ = writeln!(
             out,
-            "  counters:          {} spikes, {} mc / {} p2p / {} nn packets, {} dropped, {} emergency hops",
+            "  counters:          {} spikes, {} mc packets, {} dropped, {} emergency hops",
             self.total(Counter::Spikes),
             self.total(Counter::PacketsMc),
-            self.total(Counter::PacketsP2p),
-            self.total(Counter::PacketsNn),
             self.total(Counter::PacketsDropped),
             self.total(Counter::EmergencyHops),
         );
@@ -1029,10 +954,6 @@ mod tests {
 
     #[test]
     fn disabled_handles_are_inert() {
-        let shard = CounterShard::default();
-        shard.add(Counter::Spikes, 5);
-        shard.gauge_max(Counter::QueuePeak, 9);
-        assert_eq!(shard.snapshot(), [0; Counter::COUNT]);
         let probe = PhaseProbe::default();
         let tok = probe.start();
         probe.record(Phase::QueuePop, tok);
@@ -1041,21 +962,20 @@ mod tests {
 
     #[test]
     fn counters_add_and_gauge() {
-        let shard = CounterShard::enabled();
-        shard.add(Counter::Spikes, 2);
-        shard.add(Counter::Spikes, 3);
-        shard.gauge_max(Counter::QueuePeak, 7);
-        shard.gauge_max(Counter::QueuePeak, 4);
-        let snap = shard.snapshot();
-        assert_eq!(snap[Counter::Spikes as usize], 5);
-        assert_eq!(snap[Counter::QueuePeak as usize], 7);
-        // Clones share storage.
-        let clone = shard.clone();
-        clone.add(Counter::Spikes, 1);
-        assert_eq!(shard.snapshot()[Counter::Spikes as usize], 6);
-        // Drain resets.
-        assert_eq!(shard.drain()[Counter::Spikes as usize], 6);
-        assert_eq!(shard.snapshot()[Counter::Spikes as usize], 0);
+        let mut obs = Observability::new(ObsMode::Counters);
+        obs.count(Counter::Spikes, 2);
+        obs.count(Counter::Spikes, 3);
+        obs.gauge_max(Counter::QueuePeak, 7);
+        obs.gauge_max(Counter::QueuePeak, 4);
+        let mut run = RunTelemetry::default();
+        run.absorb(&mut obs);
+        assert_eq!(run.total(Counter::Spikes), 5);
+        assert_eq!(run.total(Counter::QueuePeak), 7);
+        // Absorbing drains the handle: the next segment counts from 0.
+        obs.count(Counter::Spikes, 1);
+        run.absorb(&mut obs);
+        assert_eq!(run.total(Counter::Spikes), 6);
+        assert_eq!(run.total(Counter::QueuePeak), 7);
     }
 
     #[test]
@@ -1092,14 +1012,14 @@ mod tests {
         let mut run = RunTelemetry::default();
         let mut s0 = Observability::for_shard(ObsMode::Counters, 0);
         let mut s1 = Observability::for_shard(ObsMode::Counters, 1);
-        s0.counters().add(Counter::Spikes, 10);
-        s0.counters().gauge_max(Counter::QueuePeak, 5);
-        s1.counters().add(Counter::Spikes, 4);
+        s0.count(Counter::Spikes, 10);
+        s0.gauge_max(Counter::QueuePeak, 5);
+        s1.count(Counter::Spikes, 4);
         run.absorb(&mut s0);
         run.absorb(&mut s1);
         // A second segment on shard 0 accumulates.
-        s0.counters().add(Counter::Spikes, 1);
-        s0.counters().gauge_max(Counter::QueuePeak, 3);
+        s0.count(Counter::Spikes, 1);
+        s0.gauge_max(Counter::QueuePeak, 3);
         run.absorb(&mut s0);
         assert_eq!(run.shards().len(), 2);
         assert_eq!(run.total(Counter::Spikes), 15);
@@ -1111,9 +1031,9 @@ mod tests {
     fn telemetry_merges_traces_and_renders() {
         let mut run = RunTelemetry::default();
         let mut obs = Observability::new(ObsMode::CountersAndTrace);
-        obs.counters().add(Counter::Spikes, 1);
-        obs.counters().add(Counter::NeuronsTicked, 2);
-        obs.counters().add(Counter::SynapticEvents, 3);
+        obs.count(Counter::Spikes, 1);
+        obs.count(Counter::NeuronsTicked, 2);
+        obs.count(Counter::SynapticEvents, 3);
         let tok = obs.phases().start();
         obs.phases().record(Phase::NeuronTick, tok);
         obs.trace(1_000, TraceKind::Spike, 0x10, 0);
@@ -1134,7 +1054,7 @@ mod tests {
     fn disabled_absorb_is_a_noop() {
         let mut run = RunTelemetry::default();
         let mut obs = Observability::new(ObsMode::Disabled);
-        obs.counters().add(Counter::Spikes, 99);
+        obs.count(Counter::Spikes, 99);
         run.absorb(&mut obs);
         assert!(!run.is_enabled());
         assert!(run.shards().is_empty());
@@ -1171,9 +1091,9 @@ mod tests {
         let mut a = RunTelemetry::default();
         let mut b = RunTelemetry::default();
         let mut s = Observability::for_shard(ObsMode::Counters, 2);
-        s.counters().add(Counter::Events, 7);
+        s.count(Counter::Events, 7);
         a.absorb(&mut s);
-        s.counters().add(Counter::Events, 5);
+        s.count(Counter::Events, 5);
         b.absorb(&mut s);
         a.merge(&b);
         assert_eq!(a.total(Counter::Events), 12);

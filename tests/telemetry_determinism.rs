@@ -2,14 +2,20 @@
 //! (`tests/golden/synfire.trace`) replays **bit-exactly** under every
 //! observability mode — `Disabled`, `Counters`, `CountersAndTrace` —
 //! across serial and sharded execution. The
-//! counters themselves are checked against ground truth (the recorded
-//! raster), and session segment summaries must partition the run's
-//! totals.
+//! counters themselves are checked against ground truth: each of the
+//! spike, packet, drop, emergency-hop and DMA counters equals what the
+//! model's own tally (the raster, the routers' statistics, the energy
+//! meter) grew by over the counted run, whatever the segment cuts and
+//! thread counts, and from a restore on.
 
 #[allow(dead_code)]
 mod scenarios;
 
-use scenarios::{golden_trace, synfire_cfg, synfire_net, RUN_MS};
+use scenarios::{
+    faulted_machine, golden_trace, overloaded_machine, retina_cfg, retina_net, synfire_cfg,
+    synfire_net, RUN_MS,
+};
+use spinnaker::machine::machine::NeuralMachine;
 use spinnaker::obs::Counter;
 use spinnaker::prelude::*;
 
@@ -45,20 +51,56 @@ fn every_observability_mode_replays_the_golden_trace() {
     }
 }
 
-/// The counters must agree with ground truth: the spike counter equals
-/// the recorded raster, neuron ticks cover population x biological
-/// time, and the queue-occupancy gauge saw real work.
+/// The counters each model tally stands for, in [`tallies`] order.
+const TALLIED: [Counter; 5] = [
+    Counter::PacketsMc,
+    Counter::PacketsDropped,
+    Counter::EmergencyHops,
+    Counter::DmaBytes,
+    Counter::Spikes,
+];
+
+/// What the model itself counts, in [`TALLIED`] order: multicast
+/// decisions, drops of every kind and emergency hops from the routers'
+/// statistics, DMA bytes from the energy meter, spikes from the raster.
+fn tallies(m: &NeuralMachine) -> [u64; 5] {
+    let s = m.router_stats();
+    [
+        s.mc_table_hits + s.mc_default_routed,
+        s.dropped + s.aged_out + s.mc_unroutable_local,
+        s.emergency_reroutes + s.emergency_second_legs,
+        m.meter().sdram_bytes,
+        m.spikes().len() as u64,
+    ]
+}
+
+/// Asserts that each of `m`'s [`TALLIED`] counters equals what its
+/// tally grew by since `base` (the tallies when counting began), and
+/// returns the counter totals.
+fn assert_counters_match_tallies(what: &str, m: &NeuralMachine, base: [u64; 5]) -> [u64; 5] {
+    let t = m.telemetry();
+    assert!(t.is_enabled(), "{what}: telemetry is on");
+    let now = tallies(m);
+    let grown: [u64; 5] = std::array::from_fn(|i| now[i] - base[i]);
+    let counted = TALLIED.map(|c| t.total(c));
+    assert_eq!(counted, grown, "{what}: {TALLIED:?} vs the model's tallies");
+    counted
+}
+
+/// The counters must agree with ground truth: every tallied counter
+/// equals the growth of the model's own tally (on the golden nets, on
+/// the only scenarios that drop packets, across segment cuts at mixed
+/// thread counts, and over a restored session), neuron ticks cover
+/// population x biological time, and the queue-occupancy gauge saw real
+/// work.
 #[test]
 fn counters_match_the_recorded_raster() {
     for threads in [1u32, 4] {
         let done = run_synfire(ObsMode::Counters, threads);
         let t = done.machine.telemetry();
-        assert!(t.is_enabled());
-        assert_eq!(
-            t.total(Counter::Spikes),
-            done.machine.spikes().len() as u64,
-            "{threads} thread(s): spike counter vs raster"
-        );
+        let what = format!("synfire, {threads} thread(s)");
+        let [mc, _, _, _, spikes] = assert_counters_match_tallies(&what, &done.machine, [0; 5]);
+        assert!(mc > 0 && spikes > 0, "{what}: the chain fires and routes");
         assert_eq!(
             t.total(Counter::NeuronsTicked),
             8 * 128 * u64::from(RUN_MS),
@@ -68,6 +110,60 @@ fn counters_match_the_recorded_raster() {
         assert!(t.total(Counter::QueuePeak) > 0);
         // Counters mode keeps the expensive collectors off.
         assert!(t.trace().next().is_none(), "no trace in Counters mode");
+
+        let retina = Simulation::build(&retina_net(), retina_cfg(threads, ObsMode::Counters))
+            .expect("retina fits a 4x4 machine")
+            .run(RUN_MS);
+        let what = format!("retina, {threads} thread(s)");
+        assert_counters_match_tallies(&what, &retina.machine, [0; 5]);
+    }
+
+    // The only scenarios that drop packets: a link dies mid-run, and an
+    // overloaded core's handlers overrun every tick.
+    for (what, build, run_ms) in [
+        (
+            "faulted",
+            faulted_machine as fn(ObsMode) -> NeuralMachine,
+            RUN_MS,
+        ),
+        ("overloaded", overloaded_machine, 40),
+    ] {
+        let m = build(ObsMode::Counters).run(run_ms);
+        let [_, dropped, ..] = assert_counters_match_tallies(what, &m, [0; 5]);
+        assert!(dropped > 0, "{what}: the scenario drops packets");
+    }
+
+    // Segment cuts at mixed thread counts: the totals accumulate.
+    let threads = 4;
+    let (mut m, mut pending, mut done) = (faulted_machine(ObsMode::Counters), Vec::new(), 0);
+    for (ms, t) in [(70, threads), (60, 1), (70, threads)] {
+        (m, pending) = m.run_segment(pending, done, ms, t as usize);
+        done += ms;
+        let what = format!("faulted, cut at {done} ms on {t} thread(s)");
+        assert_counters_match_tallies(&what, &m, [0; 5]);
+    }
+
+    // A restored session counts from the restore, not from the build.
+    let mut session = Simulation::build(&synfire_net(), synfire_cfg(threads, ObsMode::Counters))
+        .expect("synfire fits a 4x4 machine")
+        .into_session();
+    session.run_for(70);
+    let snapshot = session.checkpoint();
+    let mut restored = RunSession::restore(
+        &synfire_net(),
+        synfire_cfg(threads, ObsMode::Counters),
+        &snapshot,
+    )
+    .expect("the checkpoint restores");
+    let base = tallies(restored.machine());
+    assert!(
+        base[4] > 0,
+        "the checkpoint carries the first 70 ms of spikes"
+    );
+    for ms in [50, 30] {
+        restored.run_for(ms);
+        let what = format!("restored synfire at {} ms", restored.elapsed_ms());
+        assert_counters_match_tallies(&what, restored.machine(), base);
     }
 }
 
@@ -111,32 +207,25 @@ fn traced_run_reports_windows_and_overwrite_ratio() {
     }
 }
 
-/// Segment summaries partition the session's totals: per-segment spike
-/// deltas sum to the run's spike count, whatever the segment cuts (and
-/// telemetry accumulates across segments rather than resetting).
+/// Telemetry accumulates across session segments rather than
+/// resetting: whatever the cuts, the spike total equals the raster at
+/// the end of every segment.
 #[test]
-fn session_segment_summaries_partition_the_run() {
+fn session_counters_accumulate_across_segments() {
     let net = synfire_net();
     let cfg = synfire_cfg(4, ObsMode::Counters);
     let mut session = Simulation::build(&net, cfg)
         .expect("synfire fits a 4x4 machine")
         .into_session();
-    session.run_for(30).run_for(50).run_for(20);
-    let summaries = session.segment_summaries().to_vec();
-    assert_eq!(summaries.len(), 3);
-    assert_eq!(
-        (summaries[0].start_ms, summaries[0].ms),
-        (0, 30),
-        "{summaries:?}"
-    );
-    assert_eq!(
-        (summaries[2].start_ms, summaries[2].ms),
-        (80, 20),
-        "{summaries:?}"
-    );
-    let spike_sum: u64 = summaries.iter().map(|s| s.spikes).sum();
-    assert_eq!(spike_sum, session.machine().spikes().len() as u64);
-    assert_eq!(spike_sum, session.telemetry().total(Counter::Spikes));
-    let tick_sum: u64 = summaries.iter().map(|s| s.events).sum();
-    assert!(tick_sum > 0);
+    for ms in [30, 50, 20] {
+        session.run_for(ms);
+        assert_eq!(
+            session.telemetry().total(Counter::Spikes),
+            session.machine().spikes().len() as u64,
+            "after {} ms",
+            session.elapsed_ms()
+        );
+    }
+    assert_eq!(session.elapsed_ms(), 100);
+    assert!(session.telemetry().total(Counter::Events) > 0);
 }

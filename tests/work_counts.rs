@@ -26,6 +26,14 @@
 //!   sizes before and after minimization, and the peak CAM occupancy of
 //!   any router after the run, are pinned beside the counts.
 //!
+//! A sixth shape, `serve`, pins the serving layer's work instead: four
+//! small feed-forward chains behind one `spinn_serve::Server` whose
+//! resident budget is 60 % of what they hold together, driven by four
+//! seeded closed-loop clients with one job outstanding each (the shape
+//! of `serve_churn`). Its server and pool accounting (batches, warm
+//! hits, cold builds, rehydrates, evictions, peak resident bytes) and
+//! the spikes returned are pinned at 1 and 2 forced shards.
+//!
 //! The literals were recorded from the code as it stood when this file
 //! was added. A change that moves one on purpose updates it and says
 //! why:
@@ -48,7 +56,13 @@
 //! before each routing table began to keep its own lookup index (routers
 //! had compiled a private copy of their table at the first packet after
 //! an edit), so they pin the same routing across that change.
+//!
+//! The `serve` literals were recorded from the code as it stood just
+//! before telemetry began to read the routers' and the energy meter's
+//! own tallies at segment end (the fabric had kept a second count of
+//! every packet), so they pin the same serving path across that change.
 
+use spinn_serve::{JobSpec, PoolStats, ServeConfig, ServeStats, Server, Stimulus, TenantQuota};
 use spinnaker::neuron::stdp::StdpParams;
 use spinnaker::obs::{Counter, Phase};
 use spinnaker::prelude::*;
@@ -304,6 +318,97 @@ fn randgraph(shards: u32) -> RunSession {
     run(&net, cfg, &poisson, shards)
 }
 
+/// Jobs each `serve` run completes, and their length, ms.
+const SERVE_JOBS: u64 = 48;
+const SERVE_JOB_MS: u32 = 10;
+
+/// Share of requests each `serve` model receives, most popular first.
+const SERVE_POPULARITY: [f64; 4] = [0.55, 0.25, 0.13, 0.07];
+
+/// `serve` model `m`: a four-stage feed-forward chain with no tonic
+/// bias, so a job costs what its own stimulus injects.
+fn serve_model(m: u32) -> NetworkGraph {
+    let mut net = NetworkGraph::new();
+    let pops: Vec<_> = (0..4)
+        .map(|i| net.population(&format!("m{m}s{i}"), 160 + 32 * m, rs(), 0.0))
+        .collect();
+    for (i, w) in pops.windows(2).enumerate() {
+        net.project(
+            w[0],
+            w[1],
+            Connector::FixedProbability(0.1),
+            Synapses::constant(900, 1 + i as u8),
+            0x5E4E + 8 * u64::from(m) + i as u64,
+        );
+    }
+    net
+}
+
+/// What one `serve` run did: the server's and the pool's accounting,
+/// and the spikes returned to the clients.
+type Served = (ServeStats, PoolStats, u64);
+
+/// The four `serve` models behind one server with `budget` resident
+/// bytes, each segment on `shards` forced shards, driven by four
+/// closed-loop clients that each keep one job outstanding: every idle
+/// client submits its next seeded request (model by popularity, Poisson
+/// rate and seed), then one batch is polled, until `SERVE_JOBS` jobs
+/// have completed.
+fn serve(shards: u32, budget: u64) -> Served {
+    let mut server = Server::new(ServeConfig {
+        resident_budget_bytes: budget,
+        threads: shards,
+        ..ServeConfig::default()
+    });
+    let quota = TenantQuota {
+        max_in_flight: 1,
+        ..TenantQuota::default()
+    };
+    let clients: Vec<_> = (0..4)
+        .map(|c| server.register_tenant(&format!("client{c}"), quota))
+        .collect();
+    let cfg = SimConfig::new(2, 2)
+        .with_neurons_per_core(128)
+        .with_force_shards(true);
+    let models: Vec<_> = (0..4)
+        .map(|m| server.register_model(serve_model(m), cfg.clone()))
+        .collect();
+    let mut rng = Xoshiro256::seed_from_u64(0x5E4E_C4A2);
+    let mut idle: Vec<usize> = (0..clients.len()).collect();
+    let mut spikes = 0;
+    while server.stats().jobs_completed < SERVE_JOBS {
+        for client in std::mem::take(&mut idle) {
+            let u = rng.next_f64();
+            let model = SERVE_POPULARITY
+                .iter()
+                .scan(0.0, |below, p| {
+                    *below += p;
+                    Some(*below)
+                })
+                .position(|below| u < below)
+                .unwrap_or(SERVE_POPULARITY.len() - 1);
+            let spec = JobSpec {
+                tenant: clients[client],
+                model: models[model],
+                run_ms: SERVE_JOB_MS,
+                stimulus: vec![Stimulus {
+                    pop: PopulationId::from_index(0),
+                    rate_hz: 20.0 + rng.gen_range_u64(40) as f64,
+                    seed: rng.next_u64(),
+                }],
+            };
+            server
+                .submit(spec)
+                .expect("a client with no job outstanding is admitted");
+        }
+        for r in server.poll().expect("models build and rehydrate") {
+            spikes += r.spikes.len() as u64;
+            idle.push(r.tenant.index() as usize);
+        }
+    }
+    (server.stats(), server.pool_stats(), spikes)
+}
+
 /// Runs `net` at 1 and 2 shards and compares with the pinned counts.
 fn check(name: &str, net: fn(u32) -> Counts, want: [Counts; 2]) {
     check_counts(name, [net(1), net(2)], want);
@@ -546,5 +651,44 @@ fn settled_cores_leave_the_tick_walk() {
             ran, 1_600,
             "{side} x {side} chips: pool updates in {RUN_MS} bio-ms"
         );
+    }
+}
+
+/// The `serve_churn` shape: the resident budget is 60 % of what the
+/// four models hold resident together (the peak of an unlimited-budget
+/// run), so the closed loop evicts and rehydrates. The budget changes
+/// the pool's work, never the spikes, and neither depends on the shard
+/// cut.
+#[test]
+fn serve_churn_work_counts() {
+    let want: Served = (
+        ServeStats {
+            jobs_completed: 49,
+            warm_hits: 31,
+            batches: 24,
+            coalesced_jobs: 25,
+            rejected: 0,
+        },
+        PoolStats {
+            warm_acquires: 6,
+            cold_builds: 4,
+            rehydrates: 14,
+            evictions: 16,
+            peak_resident_bytes: 184_808,
+        },
+        1_570,
+    );
+    for shards in [1, 2] {
+        let unlimited = serve(shards, u64::MAX);
+        assert_eq!(
+            unlimited.1.peak_resident_bytes, 234_076,
+            "{shards} shard(s): the four models' resident bytes moved"
+        );
+        let served = serve(shards, unlimited.1.peak_resident_bytes * 3 / 5);
+        assert_eq!(
+            served.2, unlimited.2,
+            "{shards} shard(s): the budget moved the spikes"
+        );
+        assert_eq!(served, want, "{shards} shard(s): serve work counts moved");
     }
 }
